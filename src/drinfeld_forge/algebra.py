@@ -40,6 +40,7 @@ normalized by antisymmetry and vanish on the diagonal. I_i are central.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +51,7 @@ from .errors import ClosureError, ForeignGeneratorError
 from .generators import (GeneratorId, cartan_count, enumerate_generators,
                          resolve, weight)
 from .reporting import CheckReport
-from .scalars import ONE, SQRT2, Scalar
+from .scalars import ONE, SQRT2, ZERO, Scalar
 
 _TWO = Scalar(2)
 _NEG_SQRT2 = -SQRT2
@@ -62,7 +63,7 @@ class _Acc:
 
     def __init__(self, diag_const: Scalar):
         self._elem = Element()
-        self._const = Scalar(0)
+        self._const = ZERO
         self._diag_const = diag_const
 
     def add(self, gid: GeneratorId | None, coeff, sign: int = 1) -> None:
@@ -397,6 +398,18 @@ def _jacobi_residual(alg: LieAlgebra, x: GeneratorId, y: GeneratorId,
     return total
 
 
+def pool_size(jobs: int, units: int, cpus: int | None = None) -> int:
+    """Worker processes for `units` independent batches of work.
+
+    Never more than `jobs`, than the CPUs of this machine (or `cpus`), or
+    than there are units, and never fewer than one, so no caller-supplied
+    job count can start an unbounded number of processes.
+    """
+    if cpus is None:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, cpus, units))
+
+
 def _jacobi_chunk(args):
     alg, combos = args
     bad = []
@@ -411,10 +424,11 @@ def verify_jacobi(alg: LieAlgebra, jobs: int = 1) -> CheckReport:
     """Brute-force Jacobi identity over every unordered basis triple."""
     combos = list(itertools.combinations(alg.basis, 3))
     report = CheckReport(check="jacobi", passed=True, checked=len(combos))
-    if jobs > 1 and len(combos) >= 4000:
-        chunk = (len(combos) + jobs - 1) // jobs
+    workers = pool_size(jobs, len(combos))
+    if workers > 1 and len(combos) >= 4000:
+        chunk = (len(combos) + workers - 1) // workers
         batches = [(alg, combos[k:k + chunk]) for k in range(0, len(combos), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(batches)) as pool:
             results = pool.map(_jacobi_chunk, batches)
         bad = [item for sub in results for item in sub]
     else:

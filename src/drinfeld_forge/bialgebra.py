@@ -26,9 +26,8 @@ from .errors import NotASubalgebraError, SpecError
 from .generators import GeneratorId, resolve
 from .linalg import SpanBasis
 from .reporting import CheckReport
-from .scalars import HALF, I, ONE, SQRT2, Scalar
+from .scalars import HALF, I, ONE, SQRT2, ZERO, Scalar
 
-_ZERO = Scalar(0)
 _I_HALF = I * HALF
 
 
@@ -40,7 +39,7 @@ def wedge_insert(table: dict, index: dict, ga: GeneratorId, gb: GeneratorId,
     if index[ga] > index[gb]:
         ga, gb, coeff = gb, ga, -coeff
     key = (ga, gb)
-    total = table.get(key, _ZERO) + coeff
+    total = table.get(key, ZERO) + coeff
     if total:
         table[key] = total
     else:
@@ -60,8 +59,8 @@ def wedge_to_tensor(wedge: dict) -> dict:
     """Expand a normal-form wedge into the full antisymmetric 2-tensor."""
     out = {}
     for (ga, gb), coeff in wedge.items():
-        out[(ga, gb)] = out.get((ga, gb), _ZERO) + coeff
-        out[(gb, ga)] = out.get((gb, ga), _ZERO) - coeff
+        out[(ga, gb)] = out.get((ga, gb), ZERO) + coeff
+        out[(gb, ga)] = out.get((gb, ga), ZERO) - coeff
     return {key: val for key, val in out.items() if val}
 
 
@@ -92,7 +91,7 @@ class CocommutatorTable:
         out = {}
         for gid, coeff in elem.terms():
             for key, val in self.delta(gid).items():
-                total = out.get(key, _ZERO) + coeff * val
+                total = out.get(key, ZERO) + coeff * val
                 if total:
                     out[key] = total
                 else:
@@ -133,7 +132,7 @@ def cocommutator_from_structure(triple: ManinTriple) -> CocommutatorTable:
             src = delta_plus[pos] if pos is not None else \
                 delta_minus[triple.minus_index[rgid]]
             for key, val in src.items():
-                total = out.get(key, _ZERO) + coeff * val
+                total = out.get(key, ZERO) + coeff * val
                 if total:
                     out[key] = total
                 else:
@@ -388,7 +387,7 @@ def verify_cocycle(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
         lhs = table.delta_elem(alg.bracket_gens(x, y))
         rhs = ad_wedge(alg, x, table.delta(y))
         for key, val in ad_wedge(alg, y, table.delta(x)).items():
-            total = rhs.get(key, _ZERO) - val
+            total = rhs.get(key, ZERO) - val
             if total:
                 rhs[key] = total
             else:
@@ -408,7 +407,7 @@ def verify_cojacobi(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
         for (a, b), coeff in full[gid].items():
             for (x, y), inner in full[a].items():
                 key = (x, y, b)
-                total = xi.get(key, _ZERO) + coeff * inner
+                total = xi.get(key, ZERO) + coeff * inner
                 if total:
                     xi[key] = total
                 else:
@@ -416,7 +415,7 @@ def verify_cojacobi(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
         residual = {}
         for (x, y, z), val in xi.items():
             for key in ((x, y, z), (y, z, x), (z, x, y)):
-                total = residual.get(key, _ZERO) + val
+                total = residual.get(key, ZERO) + val
                 if total:
                     residual[key] = total
                 else:
@@ -528,7 +527,7 @@ class RMatrix:
         out = dict(self.skew_root)
         if include_cartan:
             for key, val in self.skew_cartan.items():
-                out[key] = out.get(key, _ZERO) + val
+                out[key] = out.get(key, ZERO) + val
         return {key: val for key, val in out.items() if val}
 
 
@@ -540,7 +539,7 @@ def build_r_matrix(triple: ManinTriple) -> RMatrix:
         for ga, ca in triple.elem(mgid).terms():
             for gb, cb in triple.elem(pgid).terms():
                 key = (ga, gb)
-                total = nonskew.get(key, _ZERO) + ca * cb
+                total = nonskew.get(key, ZERO) + ca * cb
                 if total:
                     nonskew[key] = total
                 else:
@@ -570,7 +569,7 @@ def verify_coboundary(triple: ManinTriple, table: CocommutatorTable | None = Non
         if actual != expected:
             diff = dict(actual)
             for key, val in expected.items():
-                total = diff.get(key, _ZERO) - val
+                total = diff.get(key, ZERO) - val
                 if total:
                     diff[key] = total
                 else:
@@ -596,7 +595,7 @@ def verify_cybe(triple: ManinTriple) -> CheckReport:
                 factor = ca * cb
                 for gc, cc in ec.terms():
                     key = (ga, gb, gc)
-                    total = tensor.get(key, _ZERO) + factor * cc
+                    total = tensor.get(key, ZERO) + factor * cc
                     if total:
                         tensor[key] = total
                     else:

@@ -34,7 +34,7 @@ from .reps import (ad_invariance_report, bosonic_rep, casimir_double,
                    verify_rep_homomorphism)
 from .serialize import (delta_json, dumps_canonical, element_json,
                         matrix_text_exact, matrix_text_float, table_text,
-                        tensor2_json, wedge_json)
+                        wedge_json)
 
 CHECKS = ("jacobi", "closure", "pairing", "reconstruction", "compatibility",
           "selfdual", "forminv", "delta-agree", "cocycle", "cojacobi",
@@ -233,7 +233,7 @@ def _run_export(args):
             "series": alg.series,
             "rank": alg.rank,
             "spec": triple.spec.to_json(),
-            "nonskew": tensor2_json(rmat.nonskew, alg.index),
+            "nonskew": wedge_json(rmat.nonskew, alg.index),
             "skew_root": wedge_json(rmat.skew_root, alg.index),
             "skew_cartan": wedge_json(rmat.skew_cartan, alg.index),
         }
@@ -278,7 +278,8 @@ def build_parser():
     p_verify.add_argument("--checks", default="all",
                           help="comma separated subset of: " + ", ".join(CHECKS))
     p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                          help="worker processes for the heavy checks")
+                          help="worker processes for the heavy checks "
+                               "(at least 1; capped at the CPU count)")
     p_verify.add_argument("--cutoff", type=int, default=6,
                           help="occupation cutoff for the bosonic checks")
     p_verify.add_argument("--sub", default="splus",
@@ -329,6 +330,8 @@ def main(argv=None):
             raise SpecError("--series and --rank are required, on the "
                             "command line or through --config")
         validate_series_rank(args.series, args.rank)
+        if args.command == "verify" and args.jobs < 1:
+            raise SpecError(f"--jobs must be at least 1, got {args.jobs}")
         if args.command == "build":
             return _run_build(args)
         if args.command == "verify":

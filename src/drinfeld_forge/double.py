@@ -27,16 +27,15 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
-from .algebra import LieAlgebra, build_series
+from .algebra import LieAlgebra, build_series, pool_size
 from .elements import Element
 from .errors import ClosureError, SpecError
 from .generators import (GeneratorId, cartan_count, mirror, positive_roots,
                          validate_series_rank)
 from .linalg import invert_matrix
 from .reporting import CheckReport
-from .scalars import I, INV_SQRT2, ONE, Scalar
+from .scalars import I, INV_SQRT2, ONE, ZERO, Scalar
 
-_ZERO = Scalar(0)
 _I_INV_SQRT2 = I * INV_SQRT2
 _NEG_I_INV_SQRT2 = -_I_INV_SQRT2
 
@@ -158,7 +157,7 @@ class CartanRotation:
             back = {}
             for gid, coeff in elem.terms():
                 for target, weight in self.from_cartan[gid]:
-                    back[target] = back.get(target, _ZERO) + coeff * weight
+                    back[target] = back.get(target, ZERO) + coeff * weight
             assert {g: c for g, c in back.items() if c} == {rot: ONE}
 
 
@@ -178,6 +177,11 @@ class ManinTriple:
         if pairing is None:
             pairing = {(m, p): ONE for m, p in zip(self.sminus, self.splus)}
         self.pairing = dict(pairing)
+        # s- member -> [(s+ member, value)], so a pairing walks only the
+        # support of its arguments instead of every stored entry
+        self._pairing_rows = {}
+        for (mgid, pgid), value in self.pairing.items():
+            self._pairing_rows.setdefault(mgid, []).append((pgid, value))
         self.minus_factor = minus_factor
         self._minus_inv = minus_factor.inv()
         self._pinv = None
@@ -204,7 +208,7 @@ class ManinTriple:
         out = {}
 
         def bump(gid, coeff):
-            total = out.get(gid, _ZERO) + coeff
+            total = out.get(gid, ZERO) + coeff
             if total:
                 out[gid] = total
             else:
@@ -226,7 +230,7 @@ class ManinTriple:
     def pairing_matrix(self) -> list[list[Scalar]]:
         rows = []
         for mgid in self.sminus:
-            rows.append([self.pairing.get((mgid, pgid), _ZERO)
+            rows.append([self.pairing.get((mgid, pgid), ZERO)
                          for pgid in self.splus])
         return rows
 
@@ -239,14 +243,16 @@ class ManinTriple:
         return self._pinv
 
     def _pair_rot(self, rot_a: dict, rot_b: dict) -> Scalar:
-        total = _ZERO
-        for (mgid, pgid), value in self.pairing.items():
-            am, bp = rot_a.get(mgid), rot_b.get(pgid)
-            if am is not None and bp is not None:
-                total = total + value * am * bp
-            bm, ap = rot_b.get(mgid), rot_a.get(pgid)
-            if bm is not None and ap is not None:
-                total = total + value * bm * ap
+        total = ZERO
+        rows = self._pairing_rows
+        for minus, plus in ((rot_a, rot_b), (rot_b, rot_a)):
+            if not plus:
+                continue
+            for mgid, coeff in minus.items():
+                for pgid, value in rows.get(mgid, ()):
+                    other = plus.get(pgid)
+                    if other is not None:
+                        total = total + value * coeff * other
         return total
 
     def pairing_eval(self, a, b) -> Scalar:
@@ -333,14 +339,14 @@ def crossed_brackets(triple: ManinTriple):
             rhs = []
             for r in range(k):
                 vec = f.get((q, r))
-                total = _ZERO
+                total = ZERO
                 if vec:
                     for s, val in vec.items():
                         total = total + val * P[p][s]
                 rhs.append(total)
             alpha = {}
             for t in range(k):
-                total = _ZERO
+                total = ZERO
                 for r in range(k):
                     if rhs[r]:
                         total = total + rhs[r] * Pinv[r][t]
@@ -349,14 +355,14 @@ def crossed_brackets(triple: ManinTriple):
             lhs = []
             for t in range(k):
                 vec = c.get((p, t))
-                total = _ZERO
+                total = ZERO
                 if vec:
                     for r, val in vec.items():
                         total = total - val * P[r][q]
                 lhs.append(total)
             beta = {}
             for s in range(k):
-                total = _ZERO
+                total = ZERO
                 for t in range(k):
                     if lhs[t]:
                         total = total + Pinv[s][t] * lhs[t]
@@ -396,7 +402,7 @@ def verify_pairing(triple: ManinTriple) -> CheckReport:
               for gid in triple.splus + triple.sminus}
 
     def intrinsic(a, b) -> Scalar:
-        total = _ZERO
+        total = ZERO
         for gid, ca in decomp[a].items():
             if gid.kind in ("H", "I"):
                 cb = decomp[b].get(gid)
@@ -418,7 +424,7 @@ def verify_pairing(triple: ManinTriple) -> CheckReport:
     for mgid in triple.sminus:
         for pgid in triple.splus:
             report.checked += 1
-            expected = triple.pairing.get((mgid, pgid), _ZERO)
+            expected = triple.pairing.get((mgid, pgid), ZERO)
             value = intrinsic(mgid, pgid)
             if value - expected:
                 report.add_violation({"pair": [mgid.label, pgid.label],
@@ -446,9 +452,9 @@ def verify_reconstruction(triple: ManinTriple) -> CheckReport:
         rot = triple.decompose(actual)
         expected = {}
         for t, val in alpha.items():
-            expected[triple.sminus[t]] = expected.get(triple.sminus[t], _ZERO) + val
+            expected[triple.sminus[t]] = expected.get(triple.sminus[t], ZERO) + val
         for s, val in beta.items():
-            expected[triple.splus[s]] = expected.get(triple.splus[s], _ZERO) + val
+            expected[triple.splus[s]] = expected.get(triple.splus[s], ZERO) + val
         expected = {gid: val for gid, val in expected.items() if val}
         if rot != expected:
             report.add_violation({
@@ -461,10 +467,10 @@ def verify_reconstruction(triple: ManinTriple) -> CheckReport:
 
 def _dot(u: dict, v: dict) -> Scalar:
     if u is None or v is None:
-        return _ZERO
+        return ZERO
     if len(v) < len(u):
         u, v = v, u
-    total = _ZERO
+    total = ZERO
     for key, left in u.items():
         right = v.get(key)
         if right is not None:
@@ -523,11 +529,12 @@ def verify_compatibility(triple: ManinTriple, jobs: int = 1) -> CheckReport:
     trans = _transposed_tensors(f, c)
     pq_pairs = list(itertools.combinations(range(k), 2))
     report.checked = len(pq_pairs) * len(pq_pairs)
-    if jobs > 1 and report.checked >= 4096:
-        chunk = (len(pq_pairs) + jobs - 1) // jobs
+    workers = pool_size(jobs, len(pq_pairs))
+    if workers > 1 and report.checked >= 4096:
+        chunk = (len(pq_pairs) + workers - 1) // workers
         batches = [(f, c, trans, k, pq_pairs[i:i + chunk])
                    for i in range(0, len(pq_pairs), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(batches)) as pool:
             results = pool.map(_compatibility_chunk, batches)
         bad = [item for sub in results for item in sub]
     else:
@@ -615,7 +622,7 @@ def verify_casimir_form(triple: ManinTriple) -> CheckReport:
 
     def bump(ga, gb, coeff):
         key = (ga, gb)
-        total = tensor.get(key, _ZERO) + coeff
+        total = tensor.get(key, ZERO) + coeff
         if total:
             tensor[key] = total
         else:
@@ -638,7 +645,7 @@ def verify_casimir_form(triple: ManinTriple) -> CheckReport:
     expected = {}
 
     def want(ga, gb, coeff):
-        expected[(ga, gb)] = expected.get((ga, gb), _ZERO) + coeff
+        expected[(ga, gb)] = expected.get((ga, gb), ZERO) + coeff
 
     for gid in triple.double.basis:
         if gid.kind in ("H", "I"):
@@ -650,7 +657,7 @@ def verify_casimir_form(triple: ManinTriple) -> CheckReport:
     keys = set(tensor) | set(expected)
     report.checked = len(keys)
     for key in keys:
-        diff = tensor.get(key, _ZERO) - expected.get(key, _ZERO)
+        diff = tensor.get(key, ZERO) - expected.get(key, ZERO)
         if diff:
             report.add_violation({
                 "pair": [key[0].label, key[1].label],
@@ -689,7 +696,7 @@ def perturb_pairing(triple: ManinTriple, mgid: GeneratorId, pgid: GeneratorId,
         raise SpecError("perturbation indices must name s- and s+ members")
     pairing = dict(triple.pairing)
     key = (mgid, pgid)
-    pairing[key] = pairing.get(key, _ZERO) + (
+    pairing[key] = pairing.get(key, ZERO) + (
         delta if isinstance(delta, Scalar) else Scalar(delta))
     if not pairing[key]:
         del pairing[key]

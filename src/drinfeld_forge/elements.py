@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .generators import GeneratorId
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 
 def _scalar(value) -> Scalar:
@@ -40,7 +40,7 @@ class Element:
         return sorted(self._terms.items(), key=lambda kv: index[kv[0]])
 
     def coeff(self, gid: GeneratorId) -> Scalar:
-        return self._terms.get(gid, Scalar(0))
+        return self._terms.get(gid, ZERO)
 
     def support(self) -> set[GeneratorId]:
         return set(self._terms)
@@ -56,7 +56,7 @@ class Element:
 
     def add_term(self, gid: GeneratorId, coeff) -> None:
         """In-place accumulate; used by builders before an Element is shared."""
-        total = self._terms.get(gid, Scalar(0)) + _scalar(coeff)
+        total = self._terms.get(gid, ZERO) + _scalar(coeff)
         if total:
             self._terms[gid] = total
         else:

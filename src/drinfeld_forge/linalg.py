@@ -7,7 +7,7 @@ dicts keyed by arbitrary hashable coordinates.
 
 from __future__ import annotations
 
-from .scalars import Scalar
+from .scalars import ONE, ZERO, Scalar
 
 
 class SpanBasis:
@@ -26,7 +26,7 @@ class SpanBasis:
             row = self._rows[pivot]
             factor = residual[pivot]
             for key, value in row.items():
-                acc = residual.get(key, Scalar(0)) - factor * value
+                acc = residual.get(key, ZERO) - factor * value
                 if acc:
                     residual[key] = acc
                 else:
@@ -57,7 +57,7 @@ class SpanBasis:
 def invert_matrix(rows: list[list[Scalar]]) -> list[list[Scalar]]:
     """Exact inverse of a small dense matrix; raises on singular input."""
     n = len(rows)
-    aug = [[rows[r][c] for c in range(n)] + [Scalar(1 if k == r else 0) for k in range(n)]
+    aug = [[rows[r][c] for c in range(n)] + [ONE if k == r else ZERO for k in range(n)]
            for r, row in enumerate(rows)]
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if aug[r][col]), None)

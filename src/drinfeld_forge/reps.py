@@ -31,14 +31,14 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .elements import Element
 from .errors import SpecError
 from .generators import GeneratorId, cartan_count, mirror, positive_roots
 from .reporting import CheckReport
-from .scalars import INV_SQRT2, ONE, Scalar
+from .scalars import INV_SQRT2, ONE, ZERO, Scalar
 
+# numpy is imported inside the float (bosonic) functions only, so the exact
+# checks, which never touch it, do not pay for loading it
 _SQRT2_F = math.sqrt(2.0)
 ATOL = 1e-12
 
@@ -72,7 +72,7 @@ class SparseMatrix:
 
     def add_entry(self, row: int, col: int, value: Scalar) -> None:
         key = (row, col)
-        total = self.entries.get(key, Scalar(0)) + value
+        total = self.entries.get(key, ZERO) + value
         if total:
             self.entries[key] = total
         else:
@@ -116,6 +116,8 @@ class SparseMatrix:
         return self.dim == other.dim and self.entries == other.entries
 
     def to_dense(self) -> np.ndarray:
+        import numpy as np
+
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for (row, col), value in self.entries.items():
             out[row, col] = scalar_complex(value)
@@ -159,6 +161,8 @@ def boson_states(modes: int, cutoff: int) -> list[tuple[int, ...]]:
 
 
 def boson_create(states, index_of, index: int) -> np.ndarray:
+    import numpy as np
+
     dim = len(states)
     out = np.zeros((dim, dim))
     pos = index - 1
@@ -169,10 +173,6 @@ def boson_create(states, index_of, index: int) -> np.ndarray:
         if row is not None:
             out[row, col] = math.sqrt(state[pos] + 1)
     return out
-
-
-def boson_annihilate(states, index_of, index: int) -> np.ndarray:
-    return boson_create(states, index_of, index).T
 
 
 class Representation:
@@ -200,6 +200,8 @@ class Representation:
             for gid, coeff in elem.terms():
                 total = total + self.matrices[gid].scale(coeff)
             return total
+        import numpy as np
+
         total = np.zeros((self.space_dim, self.space_dim), dtype=complex)
         for gid, coeff in elem.terms():
             total = total + scalar_complex(coeff) * self.matrices[gid]
@@ -253,6 +255,8 @@ def bosonic_rep(alg, cutoff: int, lambdas=None) -> Representation:
         raise SpecError("series B and D have no bosonic oscillator realization here")
     if cutoff < 2:
         raise SpecError("bosonic cutoff must be at least 2")
+    import numpy as np
+
     n = cartan_count(alg.series, alg.rank)
     lam = _normalize_lambdas(alg, lambdas)
     states = boson_states(n, cutoff)
@@ -325,6 +329,8 @@ def verify_rep_homomorphism(alg, rep: Representation) -> CheckReport:
                     "entries": len(diff.entries),
                 })
         else:
+            import numpy as np
+
             mp, mq = rep.matrix(p), rep.matrix(q)
             actual = mp @ mq - mq @ mp
             cols = protected_columns(rep, occupation_raise(p) + occupation_raise(q))
@@ -381,6 +387,8 @@ def casimir_matrix(rep: Representation, cas: CasimirElement):
     if rep.exact:
         total = SparseMatrix(rep.space_dim)
     else:
+        import numpy as np
+
         total = np.zeros((rep.space_dim, rep.space_dim), dtype=complex)
     for x, y, kind in cas.terms:
         mx = rep.element_matrix(x)
@@ -405,6 +413,8 @@ def verify_casimir_commutes(alg, rep: Representation,
                 report.add_violation({"gen": gid.label,
                                       "entries": len(residual.entries)})
         else:
+            import numpy as np
+
             other = rep.matrix(gid)
             residual = matrix @ other - other @ matrix
             cols = protected_columns(
@@ -427,7 +437,7 @@ def ad_invariance_report(alg, cas: CasimirElement) -> CheckReport:
 
     def add(ga, gb, coeff):
         key = (ga, gb)
-        total = tensor.get(key, Scalar(0)) + coeff
+        total = tensor.get(key, ZERO) + coeff
         if total:
             tensor[key] = total
         else:
@@ -447,7 +457,7 @@ def ad_invariance_report(alg, cas: CasimirElement) -> CheckReport:
 
         def bump(ga, gb, coeff):
             key = (ga, gb)
-            total = moved.get(key, Scalar(0)) + coeff
+            total = moved.get(key, ZERO) + coeff
             if total:
                 moved[key] = total
             else:

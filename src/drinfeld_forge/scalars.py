@@ -1,16 +1,21 @@
 """Exact arithmetic in the field Q(i, sqrt2).
 
-Every coefficient in the library is a Scalar: a rational combination
-a + b*i + c*sqrt2 + d*i*sqrt2 with Fraction components. The field is closed
-under the operations used by the structure tables (i^2 = -1, sqrt2^2 = 2),
-so no floating point enters any bracket, pairing, or cocommutator.
+Every coefficient in the library is a Scalar: an element
+(p + q*i + r*sqrt2 + s*i*sqrt2) / den with four integer numerators over one
+positive integer denominator, kept in lowest terms (the gcd of all five is 1,
+and zero is stored with den == 1). The arithmetic works on those integers
+directly; the rational components a, b, c, d are rebuilt as Fractions only
+when read. The field is closed under the operations used by the structure
+tables (i^2 = -1, sqrt2^2 = 2), so no floating point enters any bracket,
+pairing, or cocommutator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-RationalLike = "int | Fraction | str"
+_new = object.__new__
 
 
 def _frac(value) -> Fraction:
@@ -21,69 +26,160 @@ def _frac(value) -> Fraction:
     raise TypeError(f"not a rational component: {value!r}")
 
 
-class Scalar:
-    """Element a + b*i + c*sqrt2 + d*i*sqrt2 of Q(i, sqrt2)."""
+def _normalized(p: int, q: int, r: int, s: int, den: int) -> Scalar:
+    """The Scalar (p + q*i + r*sqrt2 + s*i*sqrt2) / den, for any den > 0."""
+    g = gcd(p, q, r, s, den)
+    if g != 1:
+        p, q, r, s, den = p // g, q // g, r // g, s // g, den // g
+    new = _new(Scalar)
+    new._p = p
+    new._q = q
+    new._r = r
+    new._s = s
+    new._den = den
+    return new
 
-    __slots__ = ("a", "b", "c", "d")
+
+class Scalar:
+    """Element a + b*i + c*sqrt2 + d*i*sqrt2 of Q(i, sqrt2).
+
+    Stored as integers (p, q, r, s) over den, so a = p/den, b = q/den,
+    c = r/den, d = s/den. The public components are read-only.
+    """
+
+    __slots__ = ("_p", "_q", "_r", "_s", "_den")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
-        object.__setattr__(self, "c", _frac(c))
-        object.__setattr__(self, "d", _frac(d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            self._p, self._q, self._r, self._s, self._den = a, b, c, d, 1
+            return
+        fa, fb, fc, fd = _frac(a), _frac(b), _frac(c), _frac(d)
+        den = lcm(fa.denominator, fb.denominator, fc.denominator, fd.denominator)
+        # every component is in lowest terms, so the scaled numerators share
+        # no factor with den: the result is already normalized
+        self._p = fa.numerator * (den // fa.denominator)
+        self._q = fb.numerator * (den // fb.denominator)
+        self._r = fc.numerator * (den // fc.denominator)
+        self._s = fd.numerator * (den // fd.denominator)
+        self._den = den
 
     @classmethod
     def rational(cls, p, q=1) -> Scalar:
         return cls(Fraction(p, q))
 
     @property
+    def a(self) -> Fraction:
+        return Fraction(self._p, self._den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._q, self._den)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self._r, self._den)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self._s, self._den)
+
+    @property
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return not (self._p or self._q or self._r or self._s)
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        return not (self._q or self._r or self._s)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._p or self._q or self._r or self._s)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
-            return self.components == other.components
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.a == other
+            return (self._p == other._p and self._q == other._q
+                    and self._r == other._r and self._s == other._s
+                    and self._den == other._den)
+        if isinstance(other, int):
+            return (self._den == 1 and self._p == other
+                    and not (self._q or self._r or self._s))
+        if isinstance(other, Fraction):
+            return (self._den == other.denominator and self._p == other.numerator
+                    and not (self._q or self._r or self._s))
         return NotImplemented
 
     def __hash__(self):
         return hash(self.components)
 
     def __reduce__(self):
-        # slots plus the frozen __setattr__ defeat default pickling
-        return (Scalar, (self.a, self.b, self.c, self.d))
+        # the normal form as plain ints, on every protocol (protocols 0 and 1
+        # cannot pickle a __slots__ class by themselves)
+        return (_normalized, (self._p, self._q, self._r, self._s, self._den))
 
     def __add__(self, other) -> Scalar:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.a + other.a, self.b + other.b,
-                      self.c + other.c, self.d + other.d)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        den = self._den
+        oden = other._den
+        if den == oden:
+            p = self._p + other._p
+            q = self._q + other._q
+            r = self._r + other._r
+            s = self._s + other._s
+            if den != 1:
+                return _normalized(p, q, r, s, den)
+        else:
+            p = self._p * oden + other._p * den
+            q = self._q * oden + other._q * den
+            r = self._r * oden + other._r * den
+            s = self._s * oden + other._s * den
+            return _normalized(p, q, r, s, den * oden)
+        new = _new(Scalar)
+        new._p = p
+        new._q = q
+        new._r = r
+        new._s = s
+        new._den = 1
+        return new
 
     __radd__ = __add__
 
     def __neg__(self) -> Scalar:
-        return Scalar(-self.a, -self.b, -self.c, -self.d)
+        new = _new(Scalar)
+        new._p, new._q, new._r, new._s, new._den = (
+            -self._p, -self._q, -self._r, -self._s, self._den)
+        return new
 
     def __sub__(self, other) -> Scalar:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.a - other.a, self.b - other.b,
-                      self.c - other.c, self.d - other.d)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        den = self._den
+        oden = other._den
+        if den == oden:
+            p = self._p - other._p
+            q = self._q - other._q
+            r = self._r - other._r
+            s = self._s - other._s
+            if den != 1:
+                return _normalized(p, q, r, s, den)
+        else:
+            p = self._p * oden - other._p * den
+            q = self._q * oden - other._q * den
+            r = self._r * oden - other._r * den
+            s = self._s * oden - other._s * den
+            return _normalized(p, q, r, s, den * oden)
+        new = _new(Scalar)
+        new._p = p
+        new._q = q
+        new._r = r
+        new._s = s
+        new._den = 1
+        return new
 
     def __rsub__(self, other) -> Scalar:
         other = _coerce(other)
@@ -92,39 +188,62 @@ class Scalar:
         return other - self
 
     def __mul__(self, other) -> Scalar:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        a1, b1, c1, d1 = self.components
-        a2, b2, c2, d2 = other.components
-        return Scalar(
-            a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
-            a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, c1, d1 = self._p, self._q, self._r, self._s
+        a2, b2, c2, d2 = other._p, other._q, other._r, other._s
+        p = a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
+        q = a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
+        r = a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2
+        s = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+        den = self._den * other._den
+        if den != 1:
+            return _normalized(p, q, r, s, den)
+        new = _new(Scalar)
+        new._p = p
+        new._q = q
+        new._r = r
+        new._s = s
+        new._den = 1
+        return new
 
     __rmul__ = __mul__
 
     def conj_i(self) -> Scalar:
         """Field automorphism i -> -i (fixes sqrt2)."""
-        return Scalar(self.a, -self.b, self.c, -self.d)
+        new = _new(Scalar)
+        new._p, new._q, new._r, new._s, new._den = (
+            self._p, -self._q, self._r, -self._s, self._den)
+        return new
 
     def conj_sqrt2(self) -> Scalar:
         """Field automorphism sqrt2 -> -sqrt2 (fixes i)."""
-        return Scalar(self.a, self.b, -self.c, -self.d)
+        new = _new(Scalar)
+        new._p, new._q, new._r, new._s, new._den = (
+            self._p, self._q, -self._r, -self._s, self._den)
+        return new
 
     def inv(self) -> Scalar:
-        """Multiplicative inverse, by rationalizing against both conjugates."""
-        if self.is_zero():
+        """Multiplicative inverse, by rationalizing against both conjugates.
+
+        With x = n / den, n times its i-conjugate is A + B*sqrt2 in Z[sqrt2],
+        and (A + B*sqrt2)(A - B*sqrt2) = A^2 - 2B^2 is an integer, so
+        1/x = den * conj_i(n) * (A - B*sqrt2) / (A^2 - 2B^2). That integer is
+        the product of |n|^2 under the two embeddings of sqrt2, hence > 0.
+        """
+        p, q, r, s, den = self._p, self._q, self._r, self._s, self._den
+        if not (p or q or r or s):
             raise ZeroDivisionError("inverse of zero Scalar")
-        ci = self.conj_i()
-        m = self * ci                    # lands in Q(sqrt2)
-        ms = m.conj_sqrt2()
-        norm = (m * ms).a                # rational and nonzero for a field
-        scale = ci * ms
-        return Scalar(scale.a / norm, scale.b / norm,
-                      scale.c / norm, scale.d / norm)
+        big_a = p * p + q * q + 2 * (r * r + s * s)
+        big_b = 2 * (p * r + q * s)
+        norm = big_a * big_a - 2 * big_b * big_b
+        return _normalized(den * (p * big_a - 2 * r * big_b),
+                           den * (2 * s * big_b - q * big_a),
+                           den * (r * big_a - p * big_b),
+                           den * (q * big_b - s * big_a),
+                           norm)
 
     def __truediv__(self, other) -> Scalar:
         other = _coerce(other)
@@ -140,6 +259,8 @@ class Scalar:
 
     def to_strings(self) -> list[str]:
         """Canonical 4-tuple of rational strings, lowest terms, q > 0."""
+        if self._den == 1:
+            return [str(self._p), str(self._q), str(self._r), str(self._s)]
         return [str(x) for x in self.components]
 
     @classmethod
@@ -171,8 +292,10 @@ class Scalar:
 def _coerce(value) -> Scalar | None:
     if isinstance(value, Scalar):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Scalar(value)
+    if isinstance(value, int):
+        return _normalized(int(value), 0, 0, 0, 1)
+    if isinstance(value, Fraction):
+        return _normalized(value.numerator, 0, 0, 0, value.denominator)
     return None
 
 

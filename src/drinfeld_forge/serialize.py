@@ -36,27 +36,6 @@ def wedge_json(wedge: dict[tuple[GeneratorId, GeneratorId], Scalar],
     ]
 
 
-def tensor2_json(tensor: dict[tuple[GeneratorId, GeneratorId], Scalar],
-                 index: dict[GeneratorId, int]) -> list[dict]:
-    ordered = sorted(tensor.items(), key=lambda kv: (index[kv[0][0]], index[kv[0][1]]))
-    return [
-        {"a": a.label, "b": b.label, "coeff": scalar_json(coeff)}
-        for (a, b), coeff in ordered
-        if coeff
-    ]
-
-
-def tensor3_json(tensor: dict[tuple[GeneratorId, GeneratorId, GeneratorId], Scalar],
-                 index: dict[GeneratorId, int]) -> list[dict]:
-    ordered = sorted(tensor.items(),
-                     key=lambda kv: (index[kv[0][0]], index[kv[0][1]], index[kv[0][2]]))
-    return [
-        {"a": a.label, "b": b.label, "c": c.label, "coeff": scalar_json(coeff)}
-        for (a, b, c), coeff in ordered
-        if coeff
-    ]
-
-
 def table_json(series: str, rank: int, basis: tuple[GeneratorId, ...],
                entries: dict[tuple[GeneratorId, GeneratorId], Element]) -> dict:
     index = {gid: pos for pos, gid in enumerate(basis)}

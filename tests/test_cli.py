@@ -1,11 +1,14 @@
 """Command line behavior: exit codes, output shapes, byte stability."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import drinfeld_forge
+from drinfeld_forge.algebra import pool_size
 from drinfeld_forge.cli import main
 
 
@@ -187,3 +190,39 @@ def test_console_script_installed():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PASS closure" in proc.stdout
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_two(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--series", "A", "--rank", "1",
+                         "--checks", "jacobi", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
+def test_pool_size_is_clamped():
+    assert pool_size(5000, 59640, cpus=2) == 2
+    assert pool_size(5000, 3, cpus=64) == 3
+    assert pool_size(4, 1000, cpus=64) == 4
+    assert pool_size(1, 1000, cpus=64) == 1
+    assert pool_size(8, 0, cpus=8) == 1
+    assert pool_size(0, 1000, cpus=8) == 1
+    assert pool_size(10**9, 10**9) <= (os.cpu_count() or 1)
+
+
+def test_verify_path_never_imports_numpy():
+    # a fresh interpreter, so that imports made by other tests cannot leak in
+    src = os.path.dirname(os.path.dirname(drinfeld_forge.__file__))
+    code = ("import sys\n"
+            "from drinfeld_forge import cli\n"
+            "rc = cli.main(['verify', '--series', 'A', '--rank', '2', "
+            "'--checks', 'jacobi,compatibility', '--jobs', '1'])\n"
+            "assert rc == 0, rc\n"
+            "assert 'numpy' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

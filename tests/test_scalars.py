@@ -1,12 +1,15 @@
 """Field axioms and serialization of the exact scalar type."""
 
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from drinfeld_forge import (HALF, I, I_SQRT2, INV_SQRT2, ONE, SQRT2, ZERO,
                             Scalar)
+from fraction_scalar import Scalar as RefScalar
 
 rationals = st.builds(
     Fraction,
@@ -81,3 +84,159 @@ def test_zero_has_no_inverse():
 def test_serialization_is_lowest_terms():
     x = Scalar(Fraction(2, 4), Fraction(-3, 9), 0, 0)
     assert x.to_strings() == ["1/2", "-1/3", "0", "0"]
+
+
+# Differential tests against the Fraction-backed reference implementation.
+# The operands reach well past the small range above so that the gcd
+# reduction of the integer representation sees large and shared factors.
+
+wide_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 16, 35, 97, 2**20, 3**12]))
+
+wide_scalars = st.builds(Scalar, wide_rationals, wide_rationals,
+                         wide_rationals, wide_rationals)
+
+# values that hit the rational, purely imaginary and zero corners often
+corner_scalars = st.sampled_from(
+    [ZERO, ONE, -ONE, I, SQRT2, I_SQRT2, HALF, INV_SQRT2, Scalar(2),
+     Scalar(Fraction(-3, 4)), Scalar(0, Fraction(1, 2), 0, Fraction(1, 2))])
+
+any_scalars = st.one_of(wide_scalars, scalars, corner_scalars)
+
+plain_numbers = st.one_of(st.integers(min_value=-40, max_value=40),
+                          rationals)
+
+
+def ref(x):
+    return RefScalar(*x.components)
+
+
+def normal_form(x):
+    return x._p, x._q, x._r, x._s, x._den
+
+
+def assert_normal(x):
+    p, q, r, s, den = normal_form(x)
+    assert all(type(v) is int for v in (p, q, r, s, den))
+    assert den > 0
+    assert gcd(p, q, r, s, den) == 1
+    if not (p or q or r or s):
+        assert den == 1
+
+
+def assert_same(got, want):
+    """`got` is a Scalar, `want` a RefScalar holding the same value."""
+    assert isinstance(got, Scalar)
+    assert_normal(got)
+    assert got.components == want.components
+    assert all(type(v) is Fraction for v in got.components)
+    assert (got.a, got.b, got.c, got.d) == (want.a, want.b, want.c, want.d)
+    assert got.to_strings() == want.to_strings()
+    assert str(got) == str(want)
+    assert repr(got) == repr(want)
+    assert hash(got) == hash(want)
+    assert bool(got) == bool(want)
+    assert got.is_zero() == want.is_zero()
+    assert got.is_rational() == want.is_rational()
+
+
+@given(any_scalars, any_scalars)
+def test_ring_operations_match_reference(x, y):
+    rx, ry = ref(x), ref(y)
+    assert_same(x, rx)
+    assert_same(x + y, rx + ry)
+    assert_same(x - y, rx - ry)
+    assert_same(x * y, rx * ry)
+    assert_same(-x, -rx)
+    assert_same(x.conj_i(), rx.conj_i())
+    assert_same(x.conj_sqrt2(), rx.conj_sqrt2())
+    assert (x == y) == (rx == ry)
+    assert (x != y) == (rx != ry)
+
+
+@given(any_scalars, any_scalars)
+def test_division_matches_reference(x, y):
+    rx, ry = ref(x), ref(y)
+    if not y:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        with pytest.raises(ZeroDivisionError):
+            y.inv()
+        return
+    assert_same(y.inv(), ry.inv())
+    assert_same(x / y, rx / ry)
+
+
+@given(any_scalars, plain_numbers)
+def test_mixed_operands_match_reference(x, n):
+    rx = ref(x)
+    assert_same(x + n, rx + n)
+    assert_same(n + x, n + rx)
+    assert_same(x - n, rx - n)
+    assert_same(n - x, n - rx)
+    assert_same(x * n, rx * n)
+    assert_same(n * x, n * rx)
+    if n:
+        assert_same(x / n, rx / n)
+    if x:
+        assert_same(n / x, n / rx)
+    assert (x == n) == (rx == n)
+    assert (n == x) == (n == rx)
+    assert (x != n) == (rx != n)
+
+
+@given(plain_numbers, st.integers(min_value=1, max_value=12))
+def test_rational_values_compare_and_hash_like_numbers(n, den):
+    x = Scalar(n)
+    assert x == n and n == x
+    assert hash(x) == hash(ref(x))
+    assert x.is_rational()
+    assert x != n + 1
+    # same numerator over another denominator
+    other = Fraction(Fraction(n).numerator, den)
+    assert (x == other) == (Fraction(n) == other)
+    assert (x == other) == (ref(x) == other)
+
+
+@given(wide_rationals, wide_rationals, wide_rationals, wide_rationals)
+def test_construction_matches_reference(a, b, c, d):
+    assert_same(Scalar(a, b, c, d), RefScalar(a, b, c, d))
+    assert_same(Scalar(str(a), b, str(c), d), RefScalar(str(a), b, str(c), d))
+    assert_same(Scalar.rational(a.numerator, a.denominator),
+                RefScalar.rational(a.numerator, a.denominator))
+
+
+@given(any_scalars)
+def test_string_and_pickle_round_trips_keep_normal_form(x):
+    for copy in (Scalar.from_strings(x.to_strings()),
+                 pickle.loads(pickle.dumps(x)),
+                 pickle.loads(pickle.dumps(x, protocol=0))):
+        assert copy == x
+        assert normal_form(copy) == normal_form(x)
+        assert hash(copy) == hash(x)
+
+
+def test_zero_is_stored_over_one():
+    half = Scalar(Fraction(1, 2), Fraction(-1, 3))
+    for zero in (ZERO, Scalar(), half - half, half * ZERO,
+                 Scalar(Fraction(0, 7)), -ZERO, pickle.loads(pickle.dumps(ZERO))):
+        assert normal_form(zero) == (0, 0, 0, 0, 1)
+
+
+def test_components_are_read_only():
+    x = Scalar(1, 2, 3, 4)
+    for name in ("a", "b", "c", "d", "components"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, Fraction(5))
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == Scalar(1, 2, 3, 4)
+
+
+def test_non_rational_components_are_rejected():
+    with pytest.raises(TypeError):
+        Scalar(0.5)
+    assert Scalar(1).__eq__(1.0) is NotImplemented
+    assert Scalar(1).__add__(1.0) is NotImplemented
