@@ -3,8 +3,8 @@
 Builds the fermionic rep of B1 (matrices over the exact scalar field),
 checks the bracket homomorphism, and shows the quadratic Casimir acting
 as 3/4 times the identity. Then the bosonic rep of C1 at a finite
-cutoff, where the homomorphism holds to float precision on the columns
-the truncation protects.
+cutoff, in the occupation basis, where the homomorphism and Casimir
+centrality hold exactly on the columns the truncation protects.
 
     python3 demos/oscillator_reps.py
 """
@@ -42,11 +42,14 @@ def main() -> None:
 
     alg = build_series("C", 1)
     rep = bosonic_rep(alg, cutoff=6)
-    print(f"bosonic rep of C1 at cutoff 6: {rep.space_dim} states")
-    report = verify_rep_homomorphism(alg, rep)
-    print(" ", report.summary())
-    print(f"  worst float residual on protected columns: "
-          f"{report.details['max_abs_error']:.3e}")
+    print(f"bosonic rep of C1 at cutoff 6: "
+          f"{rep.space_dim} x {rep.space_dim} exact matrices")
+    print("  rho(Q1,1):")
+    print_exact(rep.matrix(parse_label("Q1,1")))
+    print(" ", verify_rep_homomorphism(alg, rep).summary())
+    cas = casimir_quadratic(alg)
+    print(" ", verify_casimir_commutes(alg, rep, cas).summary())
+    print("  exact equality on every column the cutoff protects")
 
 
 if __name__ == "__main__":

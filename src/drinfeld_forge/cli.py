@@ -33,8 +33,7 @@ from .reps import (ad_invariance_report, bosonic_rep, casimir_double,
                    casimir_quadratic, fermionic_rep, verify_casimir_commutes,
                    verify_rep_homomorphism)
 from .serialize import (delta_json, dumps_canonical, element_json,
-                        matrix_text_exact, matrix_text_float, table_text,
-                        wedge_json)
+                        matrix_text_exact, table_text, wedge_json)
 
 CHECKS = ("jacobi", "closure", "pairing", "reconstruction", "compatibility",
           "selfdual", "forminv", "delta-agree", "cocycle", "cojacobi",
@@ -79,12 +78,11 @@ def _run_check(name, triple, args, cache):
         out = [verify_casimir_form(triple),
                ad_invariance_report(alg, casimir_quadratic(alg)),
                ad_invariance_report(alg, casimir_double(alg))]
-        for rep in _natural_reps(alg, args.cutoff):
+        for rep in cache["reps"]:
             out.append(verify_casimir_commutes(alg, rep, casimir_quadratic(alg)))
         return out
     if name == "rep":
-        return [verify_rep_homomorphism(alg, rep)
-                for rep in _natural_reps(alg, args.cutoff)]
+        return [verify_rep_homomorphism(alg, rep) for rep in cache["reps"]]
     if name == "chain":
         return [verify_chain_embedding(alg.series, alg.rank)]
 
@@ -176,6 +174,10 @@ def _run_verify(args):
     names = _parse_checks(args.checks, spec)
     triple = split(args.series, args.rank, spec)
     cache = {}
+    if "rep" in names or "casimir" in names:
+        # built once, before any check runs, so that a representation over
+        # the size limit is rejected at once
+        cache["reps"] = _natural_reps(triple.double, args.cutoff)
     reports = []
     for name in names:
         reports.extend(_run_check(name, triple, args, cache))
@@ -210,9 +212,7 @@ def _matrices_text(alg, cutoff):
         blocks.append(header + "\n")
         for gid in alg.basis:
             blocks.append(f"gen {gid.label}\n")
-            mat = rep.matrix(gid)
-            blocks.append(matrix_text_exact(mat.entries) if rep.exact
-                          else matrix_text_float(mat))
+            blocks.append(matrix_text_exact(rep.matrix(gid).entries))
     return "".join(blocks)
 
 

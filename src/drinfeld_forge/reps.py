@@ -13,40 +13,43 @@ Generators map to
 with exact field entries throughout.
 
 Bosonic (series A, C): the Fock space truncated to total occupation at
-most `cutoff`, over floating point. Generators map to
+most `cutoff`, in the unnormalized occupation basis
+
+  b+_i |n> = |n+1>             b_i |n> = n |n-1>
+
+which is similar to the normalized basis by diag(sqrt(n!)). Generators map
+to
 
   H_i -> b+_i b_i + 1/2        F_ij -> b+_i b_j
   P_ii -> b+_i b+_i / sqrt2    P_ij -> b+_i b+_j    (i < j)
   Q_ii -> -b_i b_i / sqrt2     Q_ij -> -b_i b_j
   I_i -> lambda_i * Id
 
-Truncation discards amplitudes above the cutoff, so homomorphism checks
-compare only columns whose total occupation keeps every intermediate
-state inside the retained space.
+so every entry is exact too: an integer, a half-integer, or a multiple of
+1/sqrt2. Truncation discards amplitudes above the cutoff, so homomorphism
+checks compare only columns whose total occupation keeps every
+intermediate state inside the retained space. A diagonal similarity
+commutes with that restriction, so the verdicts are those of the
+normalized basis.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .elements import Element
 from .errors import SpecError
-from .generators import GeneratorId, cartan_count, mirror, positive_roots
+from .generators import (GeneratorId, cartan_count, dimension, mirror,
+                         positive_roots)
 from .reporting import CheckReport
-from .scalars import INV_SQRT2, ONE, ZERO, Scalar
+from .scalars import HALF, INV_SQRT2, ONE, ZERO, Scalar
 
-# numpy is imported inside the float (bosonic) functions only, so the exact
-# checks, which never touch it, do not pay for loading it
-_SQRT2_F = math.sqrt(2.0)
-ATOL = 1e-12
-
-
-def scalar_complex(value: Scalar) -> complex:
-    re = float(value.a) + _SQRT2_F * float(value.c)
-    im = float(value.b) + _SQRT2_F * float(value.d)
-    return complex(re, im)
+# Largest representation a builder accepts, as states times basis
+# generators: each generator's matrix holds about one entry per state. A7 at
+# cutoff 6 (3003 states x 72 generators = 216,216) holds about 45 MB, so
+# this bound keeps one representation within a few hundred MB.
+MAX_REP_SIZE = 1_000_000
 
 
 class SparseMatrix:
@@ -115,14 +118,6 @@ class SparseMatrix:
             return NotImplemented
         return self.dim == other.dim and self.entries == other.entries
 
-    def to_dense(self) -> np.ndarray:
-        import numpy as np
-
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for (row, col), value in self.entries.items():
-            out[row, col] = scalar_complex(value)
-        return out
-
 
 def _jw_sign(mask: int, mode: int) -> int:
     below = mask & ((1 << mode) - 1)
@@ -151,28 +146,40 @@ def fermion_annihilate(modes: int, index: int) -> SparseMatrix:
 
 
 def boson_states(modes: int, cutoff: int) -> list[tuple[int, ...]]:
-    states = [
-        state
-        for state in itertools.product(range(cutoff + 1), repeat=modes)
-        if sum(state) <= cutoff
-    ]
-    states.sort()
-    return states
+    """Occupation tuples of total at most `cutoff`, in sorted order."""
+    if modes == 0:
+        return [()]
+    return [(first,) + rest for first in range(cutoff + 1)
+            for rest in boson_states(modes - 1, cutoff - first)]
 
 
-def boson_create(states, index_of, index: int) -> np.ndarray:
-    import numpy as np
-
-    dim = len(states)
-    out = np.zeros((dim, dim))
+def boson_create(states, index_of, index: int) -> SparseMatrix:
+    """b+ on Cartan index `index` (1-based): |n> -> |n+1>, dropped above
+    the cutoff."""
     pos = index - 1
+    out = SparseMatrix(len(states))
     for col, state in enumerate(states):
-        lifted = list(state)
-        lifted[pos] += 1
-        row = index_of.get(tuple(lifted))
+        row = index_of.get(state[:pos] + (state[pos] + 1,) + state[pos + 1:])
         if row is not None:
-            out[row, col] = math.sqrt(state[pos] + 1)
+            out.entries[(row, col)] = ONE
     return out
+
+
+def rep_size(series: str, rank: int, cutoff: int | None = None) -> int:
+    """Estimated size of a representation, states times basis generators:
+    2^N fermionic states, or C(N + cutoff, N) bosonic ones when a cutoff is
+    given."""
+    n = cartan_count(series, rank)
+    states = 1 << n if cutoff is None else math.comb(n + cutoff, n)
+    return states * dimension(series, rank)
+
+
+def _check_rep_size(alg, cutoff: int | None = None) -> None:
+    size = rep_size(alg.series, alg.rank, cutoff)
+    if size > MAX_REP_SIZE:
+        raise SpecError(f"representation too large: about {size:,} entries "
+                        f"(states x generators), the limit is "
+                        f"{MAX_REP_SIZE:,}")
 
 
 class Representation:
@@ -187,24 +194,13 @@ class Representation:
         self.cutoff = cutoff
         self.lambdas = dict(lambdas)
 
-    @property
-    def exact(self) -> bool:
-        return self.kind == "fermionic"
-
-    def matrix(self, gid: GeneratorId):
+    def matrix(self, gid: GeneratorId) -> SparseMatrix:
         return self.matrices[gid]
 
-    def element_matrix(self, elem: Element):
-        if self.exact:
-            total = SparseMatrix(self.space_dim)
-            for gid, coeff in elem.terms():
-                total = total + self.matrices[gid].scale(coeff)
-            return total
-        import numpy as np
-
-        total = np.zeros((self.space_dim, self.space_dim), dtype=complex)
+    def element_matrix(self, elem: Element) -> SparseMatrix:
+        total = SparseMatrix(self.space_dim)
         for gid, coeff in elem.terms():
-            total = total + scalar_complex(coeff) * self.matrices[gid]
+            total = total + self.matrices[gid].scale(coeff)
         return total
 
 
@@ -222,6 +218,7 @@ def _normalize_lambdas(alg, lambdas):
 def fermionic_rep(alg, lambdas=None) -> Representation:
     if alg.series == "C":
         raise SpecError("series C has no fermionic oscillator realization here")
+    _check_rep_size(alg)
     n = cartan_count(alg.series, alg.rank)
     lam = _normalize_lambdas(alg, lambdas)
     dim = 1 << n
@@ -232,7 +229,7 @@ def fermionic_rep(alg, lambdas=None) -> Representation:
         kind, i, j = gid
         if kind == "H":
             number = create[i] @ destroy[i]
-            matrices[gid] = number - SparseMatrix.identity(dim, Scalar(Fraction(1, 2)))
+            matrices[gid] = number - SparseMatrix.identity(dim, HALF)
         elif kind == "I":
             matrices[gid] = SparseMatrix.identity(dim, lam[i])
         elif kind == "F":
@@ -255,47 +252,36 @@ def bosonic_rep(alg, cutoff: int, lambdas=None) -> Representation:
         raise SpecError("series B and D have no bosonic oscillator realization here")
     if cutoff < 2:
         raise SpecError("bosonic cutoff must be at least 2")
-    import numpy as np
-
+    _check_rep_size(alg, cutoff)
     n = cartan_count(alg.series, alg.rank)
     lam = _normalize_lambdas(alg, lambdas)
     states = boson_states(n, cutoff)
     index_of = {state: pos for pos, state in enumerate(states)}
     dim = len(states)
     create = {i: boson_create(states, index_of, i) for i in range(1, n + 1)}
-    destroy = {i: create[i].T for i in range(1, n + 1)}
-    eye = np.eye(dim)
+    # b|n> = n|n-1>: the transpose of b+, scaled by the occupation lowered
+    destroy = {i: SparseMatrix(dim, {(col, row): Scalar(states[row][i - 1])
+                                     for row, col in create[i].entries})
+               for i in range(1, n + 1)}
     matrices = {}
     for gid in alg.basis:
         kind, i, j = gid
         if kind == "H":
-            # diagonal by construction, so write it exactly instead of
-            # composing two square roots
-            matrices[gid] = np.diag(
-                [state[i - 1] + 0.5 for state in states])
+            number = create[i] @ destroy[i]
+            matrices[gid] = number + SparseMatrix.identity(dim, HALF)
         elif kind == "I":
-            matrices[gid] = scalar_complex(lam[i]) * eye
+            matrices[gid] = SparseMatrix.identity(dim, lam[i])
         elif kind == "F":
             matrices[gid] = create[i] @ destroy[j]
         elif kind == "P":
-            if i == j:
-                matrices[gid] = create[i] @ create[i] / _SQRT2_F
-            else:
-                matrices[gid] = create[i] @ create[j]
+            pair = create[i] @ create[j]
+            matrices[gid] = pair.scale(INV_SQRT2) if i == j else pair
         elif kind == "Q":
-            if i == j:
-                matrices[gid] = -(destroy[i] @ destroy[i]) / _SQRT2_F
-            else:
-                matrices[gid] = -(destroy[i] @ destroy[j])
+            pair = destroy[i] @ destroy[j]
+            matrices[gid] = pair.scale(-INV_SQRT2 if i == j else Scalar(-1))
         else:
             raise SpecError(f"kind {kind!r} has no bosonic realization")
-    mats = {}
-    for gid, mat in matrices.items():
-        mat = np.asarray(mat, dtype=complex)
-        if not mat.imag.any():
-            mat = mat.real
-        mats[gid] = mat
-    return Representation(alg, "bosonic", mats, dim, cutoff, lam)
+    return Representation(alg, "bosonic", matrices, dim, cutoff, lam)
 
 
 def occupation_raise(gid: GeneratorId) -> int:
@@ -303,47 +289,42 @@ def occupation_raise(gid: GeneratorId) -> int:
     return 2 if gid.kind == "P" else 0
 
 
-def protected_columns(rep: Representation, budget: int) -> list[int]:
-    """Columns whose total occupation keeps `budget` raises below cutoff."""
+def protected_columns(rep: Representation, budget: int) -> set[int]:
+    """Columns whose total occupation keeps `budget` raises within the
+    cutoff: every column of an untruncated representation."""
+    if rep.cutoff is None:
+        return set(range(rep.space_dim))
     states = boson_states(cartan_count(rep.alg.series, rep.alg.rank), rep.cutoff)
-    return [pos for pos, state in enumerate(states) if sum(state) + budget <= rep.cutoff]
+    return {pos for pos, state in enumerate(states)
+            if sum(state) + budget <= rep.cutoff}
+
+
+def _protected_entries(residual: SparseMatrix, columns: set[int]) -> int:
+    return sum(1 for _, col in residual.entries if col in columns)
 
 
 def verify_rep_homomorphism(alg, rep: Representation) -> CheckReport:
-    """Compare rho([x, y]) with the matrix commutator over all basis pairs."""
+    """Compare rho([x, y]) with the matrix commutator over all basis pairs,
+    exactly, on the columns the truncation protects."""
     name = f"rep-{rep.kind}"
     pairs = list(itertools.combinations(alg.basis, 2))
     report = CheckReport(check=name, passed=True, checked=len(pairs))
     report.details["space_dim"] = rep.space_dim
     if rep.cutoff is not None:
         report.details["cutoff"] = rep.cutoff
-    worst = 0.0
+    budgets = {occupation_raise(p) + occupation_raise(q) for p, q in pairs}
+    columns = {budget: protected_columns(rep, budget) for budget in budgets}
     for p, q in pairs:
+        actual = rep.matrix(p).commutator(rep.matrix(q))
         expected = rep.element_matrix(alg.bracket_gens(p, q))
-        if rep.exact:
-            actual = rep.matrix(p).commutator(rep.matrix(q))
-            if actual != expected:
-                diff = actual - expected
-                report.add_violation({
-                    "pair": [p.label, q.label],
-                    "entries": len(diff.entries),
-                })
-        else:
-            import numpy as np
-
-            mp, mq = rep.matrix(p), rep.matrix(q)
-            actual = mp @ mq - mq @ mp
-            cols = protected_columns(rep, occupation_raise(p) + occupation_raise(q))
-            err = float(np.abs(actual[:, cols] - expected[:, cols]).max()) \
-                if cols else 0.0
-            worst = max(worst, err)
-            if err > ATOL:
-                report.add_violation({
-                    "pair": [p.label, q.label],
-                    "max_abs_error": err,
-                })
-    if not rep.exact:
-        report.details["max_abs_error"] = worst
+        if actual == expected:
+            continue
+        wrong = _protected_entries(
+            actual - expected,
+            columns[occupation_raise(p) + occupation_raise(q)])
+        if wrong:
+            report.add_violation({"pair": [p.label, q.label],
+                                  "entries": wrong})
     return report
 
 
@@ -383,13 +364,8 @@ def casimir_double(alg) -> CasimirElement:
     return CasimirElement(terms, "double")
 
 
-def casimir_matrix(rep: Representation, cas: CasimirElement):
-    if rep.exact:
-        total = SparseMatrix(rep.space_dim)
-    else:
-        import numpy as np
-
-        total = np.zeros((rep.space_dim, rep.space_dim), dtype=complex)
+def casimir_matrix(rep: Representation, cas: CasimirElement) -> SparseMatrix:
+    total = SparseMatrix(rep.space_dim)
     for x, y, kind in cas.terms:
         mx = rep.element_matrix(x)
         if kind == "square":
@@ -402,27 +378,19 @@ def casimir_matrix(rep: Representation, cas: CasimirElement):
 
 def verify_casimir_commutes(alg, rep: Representation,
                             cas: CasimirElement) -> CheckReport:
-    """The Casimir matrix must commute with the whole representation."""
+    """The Casimir matrix must commute with the whole representation, on
+    the columns the truncation protects."""
     name = f"casimir-{cas.label}-{rep.kind}"
     matrix = casimir_matrix(rep, cas)
     report = CheckReport(check=name, passed=True, checked=len(alg.basis))
+    budgets = {cas.raise_budget() + occupation_raise(gid) for gid in alg.basis}
+    columns = {budget: protected_columns(rep, budget) for budget in budgets}
     for gid in alg.basis:
-        if rep.exact:
-            residual = matrix.commutator(rep.matrix(gid))
-            if not residual.is_zero():
-                report.add_violation({"gen": gid.label,
-                                      "entries": len(residual.entries)})
-        else:
-            import numpy as np
-
-            other = rep.matrix(gid)
-            residual = matrix @ other - other @ matrix
-            cols = protected_columns(
-                rep, cas.raise_budget() + occupation_raise(gid))
-            err = np.abs(residual[:, cols]).max() if cols else 0.0
-            if err > ATOL:
-                report.add_violation({"gen": gid.label,
-                                      "max_abs_error": float(err)})
+        wrong = _protected_entries(
+            matrix.commutator(rep.matrix(gid)),
+            columns[cas.raise_budget() + occupation_raise(gid)])
+        if wrong:
+            report.add_violation({"gen": gid.label, "entries": wrong})
     return report
 
 

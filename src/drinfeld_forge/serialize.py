@@ -88,16 +88,3 @@ def matrix_text_exact(entries: dict[tuple[int, int], Scalar]) -> str:
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def matrix_text_float(array) -> str:
-    lines = []
-    rows, cols = array.shape
-    for row in range(rows):
-        for col in range(cols):
-            value = array[row, col]
-            if value != 0.0:
-                lines.append(f"{row} {col} {complex(value)!r}"
-                             if isinstance(value, complex)
-                             or getattr(value, "imag", 0.0) != 0.0
-                             else f"{row} {col} {float(value)!r}")
-    return "\n".join(lines) + ("\n" if lines else "")

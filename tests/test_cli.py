@@ -144,6 +144,26 @@ def test_exports_are_byte_stable(capsys, what):
     assert first
 
 
+def test_bosonic_matrices_export_golden(capsys):
+    code, out, _ = run(capsys, "export", "--series", "C", "--rank", "1",
+                       "--what", "matrices", "--cutoff", "2")
+    assert code == 0
+    # occupation basis: b+|n> = |n+1>, b|n> = n|n-1>
+    assert out == ("# bosonic space_dim 3 cutoff 2\n"
+                   "gen H1\n"
+                   "0 0 1/2 0 0 0\n"
+                   "1 1 3/2 0 0 0\n"
+                   "2 2 5/2 0 0 0\n"
+                   "gen I1\n"
+                   "0 0 1 0 0 0\n"
+                   "1 1 1 0 0 0\n"
+                   "2 2 1 0 0 0\n"
+                   "gen P1,1\n"
+                   "2 0 0 0 1/2 0\n"
+                   "gen Q1,1\n"
+                   "0 2 0 0 -1 0\n")
+
+
 def test_export_out_file(tmp_path, capsys):
     target = tmp_path / "table.txt"
     code, out, _ = run(capsys, "export", "--series", "A", "--rank", "1",
@@ -192,6 +212,14 @@ def test_console_script_installed():
     assert "PASS closure" in proc.stdout
 
 
+def test_oversized_rep_exit_two(capsys):
+    code, out, err = run(capsys, "verify", "--series", "A", "--rank", "3",
+                         "--checks", "rep", "--cutoff", "1000", "--jobs", "1")
+    assert code == 2
+    assert out == ""
+    assert "too large" in err and "841,695,875,020" in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_exit_two(capsys, jobs):
     code, out, err = run(capsys, "verify", "--series", "A", "--rank", "1",
@@ -219,6 +247,10 @@ def test_verify_path_never_imports_numpy():
             "rc = cli.main(['verify', '--series', 'A', '--rank', '2', "
             "'--checks', 'jacobi,compatibility', '--jobs', '1'])\n"
             "assert rc == 0, rc\n"
+            "for series in ('A', 'C'):\n"
+            "    rc = cli.main(['verify', '--series', series, '--rank', '2', "
+            "'--checks', 'rep,casimir', '--jobs', '1'])\n"
+            "    assert rc == 0, (series, rc)\n"
             "assert 'numpy' not in sys.modules\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

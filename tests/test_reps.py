@@ -1,17 +1,19 @@
 """Oscillator representations as independent oracles for the tables."""
 
+import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from drinfeld_forge import (GeneratorId, Scalar, SpecError, build_series,
                             ad_invariance_report, bosonic_rep, casimir_double,
                             casimir_matrix, casimir_quadratic, fermionic_rep,
-                            verify_casimir_commutes, verify_rep_homomorphism)
-from drinfeld_forge.reps import (ATOL, SparseMatrix, fermion_create,
+                            parse_label, verify_casimir_commutes,
+                            verify_rep_homomorphism)
+from drinfeld_forge.reps import (MAX_REP_SIZE, SparseMatrix, fermion_create,
                                  fermion_annihilate, boson_states,
-                                 protected_columns)
+                                 occupation_raise, protected_columns,
+                                 rep_size)
 
 FERMIONIC_GRID = [("A", 1), ("A", 2), ("A", 3), ("B", 1), ("B", 2), ("B", 3),
                   ("D", 2), ("D", 3)]
@@ -38,6 +40,14 @@ def test_boson_states_are_cutoff_bounded():
     assert all(sum(s) <= 3 for s in states)
     assert len(states) == 10
     assert states == sorted(states)
+    # enumerated directly: the same list as filtering every tuple
+    assert boson_states(3, 4) == sorted(
+        s for s in itertools.product(range(5), repeat=3) if sum(s) <= 4)
+
+
+def _on_columns(mat, columns):
+    return {key: value for key, value in mat.entries.items()
+            if key[1] in columns}
 
 
 @pytest.mark.parametrize("series,rank", FERMIONIC_GRID)
@@ -50,9 +60,15 @@ def test_fermionic_homomorphism_exact(series, rank):
 @pytest.mark.parametrize("series,rank", BOSONIC_GRID)
 def test_bosonic_homomorphism_protected(series, rank):
     alg = build_series(series, rank)
-    report = verify_rep_homomorphism(alg, bosonic_rep(alg, 6))
+    rep = bosonic_rep(alg, 6)
+    report = verify_rep_homomorphism(alg, rep)
     assert report.passed, report.to_dict()
-    assert report.details["max_abs_error"] <= ATOL
+    for p, q in itertools.combinations(alg.basis, 2):
+        columns = protected_columns(rep, occupation_raise(p)
+                                    + occupation_raise(q))
+        actual = rep.matrix(p).commutator(rep.matrix(q))
+        expected = rep.element_matrix(alg.bracket_gens(p, q))
+        assert _on_columns(actual, columns) == _on_columns(expected, columns)
 
 
 def test_series_realization_guards():
@@ -77,8 +93,9 @@ def test_c1_quadratic_casimir_uniform_diagonal():
     rep = bosonic_rep(alg, 6)
     cas = casimir_matrix(rep, casimir_quadratic(alg))
     cols = protected_columns(rep, 2)
-    diag = np.diagonal(cas)
-    assert max(abs(diag[c] - (-0.75)) for c in cols) <= ATOL
+    assert cols
+    assert _on_columns(cas, cols) == {(c, c): Scalar(Fraction(-3, 4))
+                                      for c in cols}
 
 
 @pytest.mark.parametrize("series,rank", FERMIONIC_GRID)
@@ -129,6 +146,15 @@ def test_mutation_breaks_homomorphism():
     report = verify_rep_homomorphism(mutated, fermionic_rep(mutated))
     assert not report.passed
 
+    # bosonic: [P1,1, Q1,1] doubled in C2
+    alg = build_series("C", 2)
+    p, q = parse_label("P1,1"), parse_label("Q1,1")
+    mutated = mutate_bracket(alg, p, q,
+                             alg.bracket_gens(p, q).scale(Scalar(2)))
+    report = verify_rep_homomorphism(mutated, bosonic_rep(mutated, 6))
+    assert not report.passed
+    assert [v["pair"] for v in report.violations] == [["P1,1", "Q1,1"]]
+
 
 def test_protected_columns_shrink_with_budget():
     alg = build_series("C", 1)
@@ -137,3 +163,18 @@ def test_protected_columns_shrink_with_budget():
     tight = protected_columns(rep, 2)
     assert set(tight) < set(all_cols)
     assert len(all_cols) == rep.space_dim
+
+
+def test_rep_size_estimate():
+    # A7 at cutoff 6: 3003 states x 72 generators, admitted
+    assert rep_size("A", 7, 6) == 3003 * 72 <= MAX_REP_SIZE
+    assert rep_size("C", 1, 2) == 3 * 4
+    assert rep_size("B", 2) == 4 * 12
+    # a large fermionic rank is estimated without building anything
+    assert rep_size("D", 40) == 2 ** 40 * (40 * 79 + 40)
+    assert rep_size("D", 40) > MAX_REP_SIZE
+
+
+def test_oversized_rep_rejected():
+    with pytest.raises(SpecError, match="too large"):
+        fermionic_rep(build_series("B", 12))
