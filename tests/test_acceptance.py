@@ -221,7 +221,7 @@ def test_criterion_09_mixed_splitting(capsys):
 
 
 def _mutation_fixtures():
-    """One single-coefficient mutation per verifier; each must fail."""
+    """Single-coefficient mutations, at least one per verifier; each must fail."""
     h1 = GeneratorId("H", 1)
     f12 = GeneratorId("F", 1, 2)
     f21 = GeneratorId("F", 2, 1)
@@ -276,8 +276,21 @@ def _mutation_fixtures():
     stretched_a3 = mutate_bracket(a3, f23, f34,
                                   Element.gen(f24).scale(Scalar(2)))
 
+    # brackets and a pairing entry that were zero become nonzero, so each
+    # mutation sits outside the support the unmutated data would give
+    h2 = GeneratorId("H", 2)
+    cartan_a2 = mutate_bracket(a2.double, h1, h2, Element.gen(f12))
+    rooted_a2 = with_double(a2, mutate_bracket(
+        a2.double, f12, f13, Element.gen(f23)))
+    nonmirror_pairing = perturb_pairing(a2, f21, f13, Scalar(1))
+
     return (
         ("jacobi", lambda: verify_jacobi(traced_a2)),
+        ("jacobi-new-bracket", lambda: verify_jacobi(cartan_a2)),
+        ("compatibility-new-bracket",
+         lambda: verify_compatibility(rooted_a2)),
+        ("forminv-new-pairing",
+         lambda: verify_form_invariance(nonmirror_pairing)),
         ("closure", lambda: verify_closure(with_double(a1, escaped_a1))),
         ("pairing", lambda: verify_pairing(perturbed)),
         ("reconstruction", lambda: verify_reconstruction(perturbed)),
@@ -315,5 +328,5 @@ def test_criterion_10_mutation_sensitivity(capsys):
     ok = not survivors
     tail = f" (missed: {', '.join(survivors)})" if survivors else ""
     _verdict(capsys, 10,
-             f"all {len(_mutation_fixtures())} verifiers fail their "
-             f"designated single-coefficient mutations{tail}", ok)
+             f"all {len(_mutation_fixtures())} single-coefficient "
+             f"mutations fail their designated verifiers{tail}", ok)

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 import drinfeld_forge
-from drinfeld_forge.algebra import pool_size
 from drinfeld_forge.cli import main
 
 
@@ -229,14 +228,16 @@ def test_jobs_below_one_exit_two(capsys, jobs):
     assert "--jobs" in err
 
 
-def test_pool_size_is_clamped():
-    assert pool_size(5000, 59640, cpus=2) == 2
-    assert pool_size(5000, 3, cpus=64) == 3
-    assert pool_size(4, 1000, cpus=64) == 4
-    assert pool_size(1, 1000, cpus=64) == 1
-    assert pool_size(8, 0, cpus=8) == 1
-    assert pool_size(0, 1000, cpus=8) == 1
-    assert pool_size(10**9, 10**9) <= (os.cpu_count() or 1)
+@pytest.mark.parametrize("command", ["verify", "build", "export"])
+def test_oversized_algebra_exit_two(capsys, command):
+    argv = [command, "--series", "A", "--rank", "1000000"]
+    if command == "export":
+        argv += ["--what", "brackets"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "too large" in err
+    assert "1,000,003,000,002" in err and "512" in err
 
 
 def test_verify_path_never_imports_numpy():
@@ -251,7 +252,9 @@ def test_verify_path_never_imports_numpy():
             "    rc = cli.main(['verify', '--series', series, '--rank', '2', "
             "'--checks', 'rep,casimir', '--jobs', '1'])\n"
             "    assert rc == 0, (series, rc)\n"
-            "assert 'numpy' not in sys.modules\n")
+            "assert 'numpy' not in sys.modules\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+            "assert 'concurrent.futures' not in sys.modules\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
