@@ -4,10 +4,13 @@ Each function enumerates the whole index cube, tuple by tuple, exactly
 as the package did before its verifiers learned to walk only the nonzero
 structure constants: the Jacobi triple loop, the compatibility quadruple
 loop over transposed tensors, the form-invariance triple loop and the
-dense crossed-bracket solve. They are slow and independent of the
-support-driven kernels in drinfeld_forge, which is what makes them a
-useful oracle. They are not part of the package and nothing outside the
-tests imports them.
+dense crossed-bracket solve. The representation checks multiply whole
+matrices per basis pair (the commutator, rho of the bracket built by one
+copy per term, their difference) and only then count the residual on the
+protected columns, as the package did before it computed those columns
+alone. They are slow and independent of the support-driven kernels in
+drinfeld_forge, which is what makes them a useful oracle. They are not
+part of the package and nothing outside the tests imports them.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from drinfeld_forge import serialize
 from drinfeld_forge.double import structure_tensors
 from drinfeld_forge.elements import Element
 from drinfeld_forge.errors import ClosureError
+from drinfeld_forge.generators import cartan_count
 from drinfeld_forge.reporting import CheckReport
-from drinfeld_forge.scalars import ZERO
+from drinfeld_forge.reps import SparseMatrix, boson_states, occupation_raise
+from drinfeld_forge.scalars import ZERO, Scalar
 
 
 def _bracket(alg, x: Element, y: Element) -> Element:
@@ -195,3 +200,90 @@ def crossed_brackets(triple):
                     beta[s] = total
             out[(p, q)] = (alpha, beta)
     return out
+
+
+def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """a b - b a, from two whole matrix products."""
+    return a @ b + (b @ a).scale(Scalar(-1))
+
+
+def element_matrix(rep, elem: Element) -> SparseMatrix:
+    """rho(elem), copying the running sum once per term."""
+    total = SparseMatrix(rep.space_dim)
+    for gid, coeff in elem.terms():
+        total = total + rep.matrix(gid).scale(coeff)
+    return total
+
+
+def protected_columns(rep, budget: int) -> set[int]:
+    """Columns that keep `budget` raises within the cutoff, from the
+    occupation states enumerated afresh."""
+    if rep.cutoff is None:
+        return set(range(rep.space_dim))
+    states = boson_states(cartan_count(rep.alg.series, rep.alg.rank),
+                          rep.cutoff)
+    return {pos for pos, state in enumerate(states)
+            if sum(state) + budget <= rep.cutoff}
+
+
+def _protected_entries(residual: SparseMatrix, columns: set[int]) -> int:
+    return sum(1 for _, col in residual.entries if col in columns)
+
+
+def verify_rep_homomorphism(alg, rep) -> CheckReport:
+    """rho([p, q]) against the whole-matrix commutator, every basis pair."""
+    pairs = list(itertools.combinations(alg.basis, 2))
+    report = CheckReport(check=f"rep-{rep.kind}", passed=True,
+                         checked=len(pairs))
+    report.details["space_dim"] = rep.space_dim
+    if rep.cutoff is not None:
+        report.details["cutoff"] = rep.cutoff
+    unprotected = 0
+    for p, q in pairs:
+        columns = protected_columns(rep, occupation_raise(p)
+                                    + occupation_raise(q))
+        unprotected += not columns
+        actual = commutator(rep.matrix(p), rep.matrix(q))
+        expected = element_matrix(rep, alg.bracket_gens(p, q))
+        if actual == expected:
+            continue
+        wrong = _protected_entries(
+            actual + expected.scale(Scalar(-1)), columns)
+        if wrong:
+            report.add_violation({"pair": [p.label, q.label],
+                                  "entries": wrong})
+    if unprotected:
+        report.details["unprotected"] = unprotected
+    return report
+
+
+def casimir_matrix(rep, cas) -> SparseMatrix:
+    """The Casimir's matrix, one whole-matrix sum per term."""
+    total = SparseMatrix(rep.space_dim)
+    for x, y, kind in cas.terms:
+        mx = element_matrix(rep, x)
+        if kind == "square":
+            total = total + mx @ mx
+        else:
+            my = element_matrix(rep, y)
+            total = total + mx @ my + my @ mx
+    return total
+
+
+def verify_casimir_commutes(alg, rep, cas) -> CheckReport:
+    """[C, rho(g)] as a whole matrix, every basis generator g."""
+    matrix = casimir_matrix(rep, cas)
+    report = CheckReport(check=f"casimir-{cas.label}-{rep.kind}",
+                         passed=True, checked=len(alg.basis))
+    unprotected = 0
+    for gid in alg.basis:
+        columns = protected_columns(rep, cas.raise_budget()
+                                    + occupation_raise(gid))
+        unprotected += not columns
+        wrong = _protected_entries(commutator(matrix, rep.matrix(gid)),
+                                   columns)
+        if wrong:
+            report.add_violation({"gen": gid.label, "entries": wrong})
+    if unprotected:
+        report.details["unprotected"] = unprotected
+    return report

@@ -30,7 +30,7 @@ from drinfeld_forge import (Element, GeneratorId, SPAN_BUILDERS, Scalar,
                             verify_rep_homomorphism, verify_self_duality,
                             verify_subbialgebra, verify_twist, with_double)
 from drinfeld_forge.bialgebra import CocommutatorTable, wedge_insert
-from drinfeld_forge.reps import SparseMatrix
+from drinfeld_forge.reps import CasimirElement, Representation, SparseMatrix
 
 GRID = (("A", 1), ("A", 2), ("A", 3), ("A", 4),
         ("B", 1), ("B", 2), ("B", 3),
@@ -276,6 +276,27 @@ def _mutation_fixtures():
     stretched_a3 = mutate_bracket(a3, f23, f34,
                                   Element.gen(f24).scale(Scalar(2)))
 
+    # C2 bosonic at cutoff 4 with one rho(F1,2) entry doubled, on a column
+    # of total occupation at most 2 (protected for every pair), so a check
+    # that skips the unprotected columns still sees it
+    c2 = build_series("C", 2)
+    boson = bosonic_rep(c2, 4)
+    entries = dict(boson.matrix(f12).entries)
+    key = min(k for k in entries if sum(boson.states[k[1]]) <= 2)
+    entries[key] = entries[key] * Scalar(2)
+    matrices = dict(boson.matrices)
+    matrices[f12] = SparseMatrix(boson.space_dim, entries)
+    doubled_c2 = Representation(c2, "bosonic", matrices, boson.space_dim,
+                                boson.cutoff, boson.lambdas, boson.states)
+
+    # the quadratic Casimir of C2 with its first anticommutator doubled
+    terms = list(casimir_quadratic(c2).terms)
+    first = next(pos for pos, term in enumerate(terms)
+                 if term[2] == "anticommutator")
+    x, y, kind = terms[first]
+    terms[first] = (x.scale(Scalar(2)), y, kind)
+    lopsided = CasimirElement(terms, "quadratic")
+
     # brackets and a pairing entry that were zero become nonzero, so each
     # mutation sits outside the support the unmutated data would give
     h2 = GeneratorId("H", 2)
@@ -316,6 +337,10 @@ def _mutation_fixtures():
             "A", 2, big_double=stretched_a3)),
         ("rep", lambda: verify_rep_homomorphism(
             stretched_b1, fermionic_rep(stretched_b1))),
+        ("rep-bosonic-entry", lambda: verify_rep_homomorphism(
+            c2, doubled_c2)),
+        ("casimir-commutes", lambda: verify_casimir_commutes(
+            c2, boson, lopsided)),
         ("casimir-form", lambda: verify_casimir_form(perturbed)),
         ("casimir-invariance", lambda: ad_invariance_report(
             reweighted_a1, casimir_quadratic(reweighted_a1))),

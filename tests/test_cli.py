@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -9,6 +10,8 @@ import pytest
 
 import drinfeld_forge
 from drinfeld_forge.cli import main
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -161,6 +164,17 @@ def test_bosonic_matrices_export_golden(capsys):
                    "2 0 0 0 1/2 0\n"
                    "gen Q1,1\n"
                    "0 2 0 0 -1 0\n")
+
+
+@pytest.mark.parametrize("series", ["A", "C"])
+def test_rep_casimir_json_golden(capsys, series):
+    # recorded before the rep and Casimir checks computed only the
+    # protected columns: the reports must not change by a byte
+    code, out, _ = run(capsys, "verify", "--series", series, "--rank", "2",
+                       "--checks", "rep,casimir", "--json", "--cutoff", "4")
+    assert code == 0
+    golden = GOLDEN / f"verify_rep_casimir_{series}2_cutoff4.json"
+    assert out == golden.read_text()
 
 
 def test_export_out_file(tmp_path, capsys):

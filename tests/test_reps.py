@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import dense_reference as dense
 from drinfeld_forge import (GeneratorId, Scalar, SpecError, build_series,
                             ad_invariance_report, bosonic_rep, casimir_double,
                             casimir_matrix, casimir_quadratic, fermionic_rep,
@@ -66,8 +67,8 @@ def test_bosonic_homomorphism_protected(series, rank):
     for p, q in itertools.combinations(alg.basis, 2):
         columns = protected_columns(rep, occupation_raise(p)
                                     + occupation_raise(q))
-        actual = rep.matrix(p).commutator(rep.matrix(q))
-        expected = rep.element_matrix(alg.bracket_gens(p, q))
+        actual = dense.commutator(rep.matrix(p), rep.matrix(q))
+        expected = dense.element_matrix(rep, alg.bracket_gens(p, q))
         assert _on_columns(actual, columns) == _on_columns(expected, columns)
 
 
@@ -154,6 +155,26 @@ def test_mutation_breaks_homomorphism():
     report = verify_rep_homomorphism(mutated, bosonic_rep(mutated, 6))
     assert not report.passed
     assert [v["pair"] for v in report.violations] == [["P1,1", "Q1,1"]]
+
+
+def test_unprotected_pairs_are_reported():
+    # at cutoff 3 a budget-4 pair (P with P) and, under a Casimir of raise
+    # budget 2, a P generator keep no column inside the space: they count
+    # as checked but compare nothing, and the reports say how many
+    alg = build_series("C", 2)
+    rep = bosonic_rep(alg, 3)
+    assert not protected_columns(rep, 4)
+    report = verify_rep_homomorphism(alg, rep)
+    assert report.passed and report.checked == 66
+    assert report.details["unprotected"] == 3
+    report = verify_casimir_commutes(alg, rep, casimir_quadratic(alg))
+    assert report.passed and report.checked == 12
+    assert report.details == {"unprotected": 3}
+    # from cutoff 4 every pair and generator keeps a column: no new key
+    rep = bosonic_rep(alg, 4)
+    assert "unprotected" not in verify_rep_homomorphism(alg, rep).details
+    assert not verify_casimir_commutes(alg, rep,
+                                       casimir_quadratic(alg)).details
 
 
 def test_protected_columns_shrink_with_budget():

@@ -6,6 +6,11 @@ mixed splittings, and on seeded mutations of the brackets and of the
 pairing, their reports (checked counts, violation lists in order,
 residuals, values, truncation counts) and their crossed-bracket dicts
 must equal the dense enumeration in tests/dense_reference.py exactly.
+
+The representation homomorphism and Casimir checks compute their
+residuals on the protected columns only. On the oscillator grids at
+several cutoffs, and on representations with one matrix entry doubled
+or added, their reports must equal the whole-matrix loops exactly.
 """
 
 import random
@@ -13,18 +18,27 @@ import random
 import pytest
 
 import dense_reference as dense
-from drinfeld_forge import (I, SQRT2, Element, Scalar, canonical_triple,
-                            crossed_brackets, mutate_bracket, perturb_pairing,
-                            rescale_minus, split, verify_compatibility,
-                            verify_form_invariance, verify_jacobi,
+from drinfeld_forge import (I, SQRT2, Element, Scalar, bosonic_rep,
+                            build_series, canonical_triple, casimir_double,
+                            casimir_quadratic, crossed_brackets,
+                            fermionic_rep, mutate_bracket, perturb_pairing,
+                            rescale_minus, split, verify_casimir_commutes,
+                            verify_compatibility, verify_form_invariance,
+                            verify_jacobi, verify_rep_homomorphism,
                             with_double)
 from drinfeld_forge.algebra import LieAlgebra
 from drinfeld_forge.errors import ClosureError, SpecError
+from drinfeld_forge.reps import (Representation, SparseMatrix,
+                                 protected_columns)
 
 INSTANCES = (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
              ("C", 2), ("C", 3), ("D", 3), ("D", 4))
 MIXED = (("D", 3, "mixed:pairs=1-2"), ("A", 3, "mixed:pairs=1-3"))
 FACTORS = (Scalar(2), Scalar(3), SQRT2, I)
+FERMIONIC = (("A", 1), ("A", 2), ("A", 3), ("B", 1), ("B", 2), ("B", 3),
+             ("D", 2), ("D", 3))
+BOSONIC = (("A", 1), ("A", 2), ("C", 1), ("C", 2))
+CUTOFFS = (2, 3, 4, 6)
 
 
 def _mutated_brackets(triple, rng, count):
@@ -116,3 +130,88 @@ def test_mutations_are_caught():
                 for _, case in _inputs(triple, "A3")]
     assert verdicts[0] == (True, True, True)
     assert any(not all(v) for v in verdicts[1:])
+
+
+def _assert_same_reps(alg, rep, label):
+    assert (verify_rep_homomorphism(alg, rep).to_dict()
+            == dense.verify_rep_homomorphism(alg, rep).to_dict()), label
+    for cas in (casimir_quadratic(alg), casimir_double(alg)):
+        assert (verify_casimir_commutes(alg, rep, cas).to_dict()
+                == dense.verify_casimir_commutes(alg, rep, cas).to_dict()), \
+            (label, cas.label)
+
+
+def _with_entry(rep, gid, key, value):
+    """The representation with entry `key` of rho(gid) set to `value`."""
+    entries = dict(rep.matrix(gid).entries)
+    entries[key] = value
+    matrices = dict(rep.matrices)
+    matrices[gid] = SparseMatrix(rep.space_dim, entries)
+    return Representation(rep.alg, rep.kind, matrices, rep.space_dim,
+                          rep.cutoff, rep.lambdas, rep.states)
+
+
+def _mutated_reps(rep, rng):
+    """One entry doubled, and one new entry on a column every pair
+    protects (total occupation at most cutoff - 2 when truncated)."""
+    gids = [gid for gid in rep.alg.basis if rep.matrix(gid).entries]
+    gid = rng.choice(gids)
+    key = rng.choice(sorted(rep.matrix(gid).entries))
+    value = rep.matrix(gid).entries[key]
+    out = [(f"{gid.label} {key} doubled",
+            _with_entry(rep, gid, key, value * rng.choice(FACTORS)))]
+    budget = 0 if rep.cutoff is None else 2
+    column = rng.choice(sorted(protected_columns(rep, budget)))
+    gid = rng.choice(rep.alg.basis)
+    row = rng.choice([row for row in range(rep.space_dim)
+                      if (row, column) not in rep.matrix(gid).entries])
+    out.append((f"{gid.label} ({row}, {column}) new",
+                _with_entry(rep, gid, (row, column), rng.choice(FACTORS))))
+    return out
+
+
+@pytest.mark.parametrize("series,rank", FERMIONIC)
+def test_rep_checks_match_dense_fermionic(series, rank):
+    alg = build_series(series, rank)
+    rep = fermionic_rep(alg)
+    _assert_same_reps(alg, rep, f"{series}{rank}")
+    for label, case in _mutated_reps(rep, random.Random(f"{series}{rank}")):
+        _assert_same_reps(alg, case, f"{series}{rank} {label}")
+
+
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+@pytest.mark.parametrize("series,rank", BOSONIC)
+def test_rep_checks_match_dense_bosonic(series, rank, cutoff):
+    alg = build_series(series, rank)
+    rep = bosonic_rep(alg, cutoff)
+    label = f"{series}{rank} cutoff {cutoff}"
+    _assert_same_reps(alg, rep, label)
+    for name, case in _mutated_reps(rep, random.Random(label)):
+        _assert_same_reps(alg, case, f"{label} {name}")
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_rep_entry_off_the_protected_columns_passes(rank):
+    # rho(P) at a column of occupation above cutoff - 2: no pair that
+    # involves P protects that column, so both sides must pass
+    alg = build_series("C", rank)
+    rep = bosonic_rep(alg, 4)
+    top = [pos for pos, state in enumerate(rep.states) if sum(state) > 2]
+    for gid in alg.basis:
+        if gid.kind != "P":
+            continue
+        case = _with_entry(rep, gid, (0, top[-1]), Scalar(5))
+        assert verify_rep_homomorphism(alg, case).passed
+        for cas in (casimir_quadratic(alg), casimir_double(alg)):
+            assert verify_casimir_commutes(alg, case, cas).passed
+        _assert_same_reps(alg, case, f"C{rank} {gid.label}")
+
+
+def test_rep_mutations_are_caught():
+    # the mutated representations are not all trivially passing
+    alg = build_series("C", 2)
+    rep = bosonic_rep(alg, 4)
+    cases = _mutated_reps(rep, random.Random("C2 cutoff 4"))
+    assert verify_rep_homomorphism(alg, rep).passed
+    assert all(not verify_rep_homomorphism(alg, case).passed
+               for _, case in cases)
