@@ -216,14 +216,15 @@ class Representation:
     """
 
     def __init__(self, alg, kind: str, matrices, space_dim: int,
-                 cutoff: int | None, lambdas, states=None):
+                 cutoff: int | None, lambdas):
         self.alg = alg
         self.kind = kind
         self.matrices = matrices
         self.space_dim = space_dim
         self.cutoff = cutoff
         self.lambdas = dict(lambdas)
-        self.states = states
+        self.states = (None if cutoff is None else
+                       boson_states(cartan_count(alg.series, alg.rank), cutoff))
 
     def matrix(self, gid: GeneratorId) -> SparseMatrix:
         return self.matrices[gid]
@@ -313,8 +314,7 @@ def bosonic_rep(alg, cutoff: int, lambdas=None) -> Representation:
             matrices[gid] = pair.scale(-INV_SQRT2 if i == j else Scalar(-1))
         else:
             raise SpecError(f"kind {kind!r} has no bosonic realization")
-    return Representation(alg, "bosonic", matrices, dim, cutoff, lam,
-                          states)
+    return Representation(alg, "bosonic", matrices, dim, cutoff, lam)
 
 
 def occupation_raise(gid: GeneratorId) -> int:

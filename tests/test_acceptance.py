@@ -287,7 +287,7 @@ def _mutation_fixtures():
     matrices = dict(boson.matrices)
     matrices[f12] = SparseMatrix(boson.space_dim, entries)
     doubled_c2 = Representation(c2, "bosonic", matrices, boson.space_dim,
-                                boson.cutoff, boson.lambdas, boson.states)
+                                boson.cutoff, boson.lambdas)
 
     # the quadratic Casimir of C2 with its first anticommutator doubled
     terms = list(casimir_quadratic(c2).terms)

@@ -148,12 +148,13 @@ def _with_entry(rep, gid, key, value):
     matrices = dict(rep.matrices)
     matrices[gid] = SparseMatrix(rep.space_dim, entries)
     return Representation(rep.alg, rep.kind, matrices, rep.space_dim,
-                          rep.cutoff, rep.lambdas, rep.states)
+                          rep.cutoff, rep.lambdas)
 
 
 def _mutated_reps(rep, rng):
-    """One entry doubled, and one new entry on a column every pair
-    protects (total occupation at most cutoff - 2 when truncated)."""
+    """One entry doubled, and one new entry on a column that every pair
+    of raise budget at most 2 protects (total occupation at most
+    cutoff - 2 when truncated)."""
     gids = [gid for gid in rep.alg.basis if rep.matrix(gid).entries]
     gid = rng.choice(gids)
     key = rng.choice(sorted(rep.matrix(gid).entries))
