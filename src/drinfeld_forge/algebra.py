@@ -421,7 +421,7 @@ def shift_generator(gid: GeneratorId, offset: int) -> GeneratorId:
     return GeneratorId(gid.kind, gid.i + offset, gid.j + offset)
 
 
-def verify_jacobi(alg: LieAlgebra, jobs: int = 1) -> CheckReport:
+def verify_jacobi(alg: LieAlgebra) -> CheckReport:
     """Jacobi identity on every unordered basis triple, exactly.
 
     The residual of x < y < z is [[x, y], z] + [[y, z], x] + [[z, x], y].
@@ -430,8 +430,7 @@ def verify_jacobi(alg: LieAlgebra, jobs: int = 1) -> CheckReport:
     accumulated by walking every table entry, every term g of it, and
     every w with [g, w] nonzero; a triple that no walk reaches has the
     residual 0 exactly. `checked` counts all C(dim, 3) triples, and the
-    violations are reported in basis order. `jobs` is accepted for
-    compatibility; the check runs in one process.
+    violations are reported in basis order.
     """
     basis, index = alg.basis, alg.index
     entries = list(alg.entries())

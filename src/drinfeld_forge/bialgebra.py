@@ -24,9 +24,9 @@ from .double import (ManinTriple, canonical_triple, structure_tensors,
 from .elements import Element
 from .errors import NotASubalgebraError, SpecError
 from .generators import GeneratorId, resolve
-from .linalg import SpanBasis
+from .linalg import SpanBasis, accumulate
 from .reporting import CheckReport
-from .scalars import HALF, I, ONE, SQRT2, ZERO, Scalar
+from .scalars import HALF, I, ONE, SQRT2, Scalar
 
 _I_HALF = I * HALF
 
@@ -38,12 +38,7 @@ def wedge_insert(table: dict, index: dict, ga: GeneratorId, gb: GeneratorId,
         return
     if index[ga] > index[gb]:
         ga, gb, coeff = gb, ga, -coeff
-    key = (ga, gb)
-    total = table.get(key, ZERO) + coeff
-    if total:
-        table[key] = total
-    else:
-        table.pop(key, None)
+    accumulate(table, (ga, gb), coeff)
 
 
 def wedge_of_elements(index: dict, a: Element, b: Element, out=None,
@@ -59,9 +54,9 @@ def wedge_to_tensor(wedge: dict) -> dict:
     """Expand a normal-form wedge into the full antisymmetric 2-tensor."""
     out = {}
     for (ga, gb), coeff in wedge.items():
-        out[(ga, gb)] = out.get((ga, gb), ZERO) + coeff
-        out[(gb, ga)] = out.get((gb, ga), ZERO) - coeff
-    return {key: val for key, val in out.items() if val}
+        accumulate(out, (ga, gb), coeff)
+        accumulate(out, (gb, ga), -coeff)
+    return out
 
 
 def ad_wedge(alg: LieAlgebra, x, wedge: dict) -> dict:
@@ -91,11 +86,7 @@ class CocommutatorTable:
         out = {}
         for gid, coeff in elem.terms():
             for key, val in self.delta(gid).items():
-                total = out.get(key, ZERO) + coeff * val
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
+                accumulate(out, key, coeff * val)
         return out
 
     def items(self):
@@ -132,11 +123,7 @@ def cocommutator_from_structure(triple: ManinTriple) -> CocommutatorTable:
             src = delta_plus[pos] if pos is not None else \
                 delta_minus[triple.minus_index[rgid]]
             for key, val in src.items():
-                total = out.get(key, ZERO) + coeff * val
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
+                accumulate(out, key, coeff * val)
         table[gid] = out
     return CocommutatorTable(alg, table)
 
@@ -387,11 +374,7 @@ def verify_cocycle(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
         lhs = table.delta_elem(alg.bracket_gens(x, y))
         rhs = ad_wedge(alg, x, table.delta(y))
         for key, val in ad_wedge(alg, y, table.delta(x)).items():
-            total = rhs.get(key, ZERO) - val
-            if total:
-                rhs[key] = total
-            else:
-                rhs.pop(key, None)
+            accumulate(rhs, key, -val)
         if lhs != rhs:
             report.add_violation({"pair": [x.label, y.label]})
     return report
@@ -406,31 +389,14 @@ def verify_cojacobi(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
         xi = {}
         for (a, b), coeff in full[gid].items():
             for (x, y), inner in full[a].items():
-                key = (x, y, b)
-                total = xi.get(key, ZERO) + coeff * inner
-                if total:
-                    xi[key] = total
-                else:
-                    xi.pop(key, None)
+                accumulate(xi, (x, y, b), coeff * inner)
         residual = {}
         for (x, y, z), val in xi.items():
             for key in ((x, y, z), (y, z, x), (z, x, y)):
-                total = residual.get(key, ZERO) + val
-                if total:
-                    residual[key] = total
-                else:
-                    residual.pop(key, None)
+                accumulate(residual, key, val)
         if residual:
             report.add_violation({"gen": gid.label, "terms": len(residual)})
     return report
-
-
-def _wedge_of_dicts(index: dict, a: dict, b: dict, out=None) -> dict:
-    out = {} if out is None else out
-    for ga, ca in a.items():
-        for gb, cb in b.items():
-            wedge_insert(out, index, ga, gb, ca * cb)
-    return out
 
 
 def verify_subbialgebra(alg: LieAlgebra, table: CocommutatorTable,
@@ -449,9 +415,9 @@ def verify_subbialgebra(alg: LieAlgebra, table: CocommutatorTable,
             raise NotASubalgebraError(
                 f"{label}: bracket of span members leaves the span")
     wedge_span = SpanBasis()
-    reduced = list(span.rows())
+    reduced = [Element(row) for row in span.rows()]
     for a, b in itertools.combinations(reduced, 2):
-        wedge_span.add(_wedge_of_dicts(alg.index, a, b))
+        wedge_span.add(wedge_of_elements(alg.index, a, b))
     report = CheckReport(check="subbialg", passed=True, checked=len(elements))
     report.details["span"] = label
     report.details["span_dim"] = len(span)
@@ -527,8 +493,8 @@ class RMatrix:
         out = dict(self.skew_root)
         if include_cartan:
             for key, val in self.skew_cartan.items():
-                out[key] = out.get(key, ZERO) + val
-        return {key: val for key, val in out.items() if val}
+                accumulate(out, key, val)
+        return out
 
 
 def build_r_matrix(triple: ManinTriple) -> RMatrix:
@@ -538,12 +504,7 @@ def build_r_matrix(triple: ManinTriple) -> RMatrix:
     for mgid, pgid in zip(triple.sminus, triple.splus):
         for ga, ca in triple.elem(mgid).terms():
             for gb, cb in triple.elem(pgid).terms():
-                key = (ga, gb)
-                total = nonskew.get(key, ZERO) + ca * cb
-                if total:
-                    nonskew[key] = total
-                else:
-                    nonskew.pop(key, None)
+                accumulate(nonskew, (ga, gb), ca * cb)
     skew_root, skew_cartan = {}, {}
     for (ga, gb), val in nonskew.items():
         # the transposed entry lands on the same normal-form key with the
@@ -569,11 +530,7 @@ def verify_coboundary(triple: ManinTriple, table: CocommutatorTable | None = Non
         if actual != expected:
             diff = dict(actual)
             for key, val in expected.items():
-                total = diff.get(key, ZERO) - val
-                if total:
-                    diff[key] = total
-                else:
-                    diff.pop(key, None)
+                accumulate(diff, key, -val)
             report.add_violation({
                 "gen": gid.label,
                 "residual": [[a.label, b.label, str(v)]
@@ -589,23 +546,18 @@ def verify_cybe(triple: ManinTriple) -> CheckReport:
              for m, p in zip(triple.sminus, triple.splus)]
     tensor = {}
 
-    def accumulate(ea: Element, eb: Element, ec: Element) -> None:
+    def add_product(ea: Element, eb: Element, ec: Element) -> None:
         for ga, ca in ea.terms():
             for gb, cb in eb.terms():
                 factor = ca * cb
                 for gc, cc in ec.terms():
-                    key = (ga, gb, gc)
-                    total = tensor.get(key, ZERO) + factor * cc
-                    if total:
-                        tensor[key] = total
-                    else:
-                        tensor.pop(key, None)
+                    accumulate(tensor, (ga, gb, gc), factor * cc)
 
     for za, plus_a in pairs:
         for zb, plus_b in pairs:
-            accumulate(alg.bracket(za, zb), plus_a, plus_b)
-            accumulate(za, alg.bracket(plus_a, zb), plus_b)
-            accumulate(za, zb, alg.bracket(plus_a, plus_b))
+            add_product(alg.bracket(za, zb), plus_a, plus_b)
+            add_product(za, alg.bracket(plus_a, zb), plus_b)
+            add_product(za, zb, alg.bracket(plus_a, plus_b))
     report = CheckReport(check="cybe", passed=True, checked=len(pairs) ** 2)
     if tensor:
         sample = sorted(tensor.items(),

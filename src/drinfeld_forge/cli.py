@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .algebra import build_series, verify_jacobi
+from .algebra import verify_jacobi
 from .bialgebra import (SPAN_BUILDERS, build_r_matrix,
                         cocommutator_from_structure, verify_chain_embedding,
                         verify_coboundary, verify_cocycle, verify_cojacobi,
@@ -63,7 +63,7 @@ def _natural_reps(alg, cutoff):
 def _run_check(name, triple, args, cache):
     alg = triple.double
     if name == "jacobi":
-        return [verify_jacobi(alg, jobs=args.jobs)]
+        return [verify_jacobi(alg)]
     if name == "closure":
         return [verify_closure(triple)]
     if name == "pairing":
@@ -71,7 +71,7 @@ def _run_check(name, triple, args, cache):
     if name == "reconstruction":
         return [verify_reconstruction(triple)]
     if name == "compatibility":
-        return [verify_compatibility(triple, jobs=args.jobs)]
+        return [verify_compatibility(triple)]
     if name == "selfdual":
         return [verify_self_duality(triple)]
     if name == "forminv":

@@ -38,7 +38,7 @@ from .elements import Element
 from .errors import ClosureError, SpecError
 from .generators import (GeneratorId, cartan_count, mirror, positive_roots,
                          validate_series_rank)
-from .linalg import invert_matrix
+from .linalg import accumulate, invert_matrix
 from .reporting import CheckReport
 from .scalars import I, INV_SQRT2, ONE, ZERO, Scalar
 
@@ -163,8 +163,8 @@ class CartanRotation:
             back = {}
             for gid, coeff in elem.terms():
                 for target, weight in self.from_cartan[gid]:
-                    back[target] = back.get(target, ZERO) + coeff * weight
-            assert {g: c for g, c in back.items() if c} == {rot: ONE}
+                    accumulate(back, target, coeff * weight)
+            assert back == {rot: ONE}
 
 
 class ManinTriple:
@@ -212,21 +212,13 @@ class ManinTriple:
     def decompose(self, elem: Element) -> dict[GeneratorId, Scalar]:
         """Coefficients of a double element over rotated Cartans and roots."""
         out = {}
-
-        def bump(gid, coeff):
-            total = out.get(gid, ZERO) + coeff
-            if total:
-                out[gid] = total
-            else:
-                out.pop(gid, None)
-
         for gid, coeff in elem.terms():
             targets = self.rotation.from_cartan.get(gid)
             if targets is None:
-                bump(gid, coeff)
+                accumulate(out, gid, coeff)
             else:
                 for target, weight in targets:
-                    bump(target, coeff * weight)
+                    accumulate(out, target, coeff * weight)
         if self.minus_factor != ONE:
             for gid in list(out):
                 if gid in self.minus_index:
@@ -260,14 +252,6 @@ class ManinTriple:
                     if other is not None:
                         total = total + value * coeff * other
         return total
-
-    def pairing_eval(self, a, b) -> Scalar:
-        """The symmetric invariant form on arbitrary double elements."""
-        if isinstance(a, GeneratorId):
-            a = self.elem(a)
-        if isinstance(b, GeneratorId):
-            b = self.elem(b)
-        return self._pair_rot(self.decompose(a), self.decompose(b))
 
 
 def split(series: str, rank: int,
@@ -349,14 +333,6 @@ def _sparse_rows(matrix):
     return rows, cols
 
 
-def _bump(acc: dict, key, value: Scalar) -> None:
-    acc[key] = acc.get(key, ZERO) + value
-
-
-def _nonzero_sorted(acc: dict) -> dict:
-    return {key: acc[key] for key in sorted(acc) if acc[key]}
-
-
 def crossed_brackets(triple: ManinTriple):
     """[z^p, Z_q] coefficients solved from f, c and the stored pairing.
 
@@ -387,7 +363,7 @@ def crossed_brackets(triple: ManinTriple):
                         rhs = rhs + val * weight
                 if rhs:
                     for t, inv in pinv_rows[r].items():
-                        _bump(alpha, t, rhs * inv)
+                        accumulate(alpha, t, rhs * inv)
             beta = {}
             for t, vec in c_by_p.get(p, ()):
                 lhs = ZERO
@@ -397,8 +373,9 @@ def crossed_brackets(triple: ManinTriple):
                         lhs = lhs - val * weight
                 if lhs:
                     for s, inv in pinv_cols[t].items():
-                        _bump(beta, s, inv * lhs)
-            out[(p, q)] = (_nonzero_sorted(alpha), _nonzero_sorted(beta))
+                        accumulate(beta, s, inv * lhs)
+            out[(p, q)] = (dict(sorted(alpha.items())),
+                           dict(sorted(beta.items())))
     return out
 
 
@@ -482,10 +459,9 @@ def verify_reconstruction(triple: ManinTriple) -> CheckReport:
         rot = triple.decompose(actual)
         expected = {}
         for t, val in alpha.items():
-            expected[triple.sminus[t]] = expected.get(triple.sminus[t], ZERO) + val
+            accumulate(expected, triple.sminus[t], val)
         for s, val in beta.items():
-            expected[triple.splus[s]] = expected.get(triple.splus[s], ZERO) + val
-        expected = {gid: val for gid, val in expected.items() if val}
+            accumulate(expected, triple.splus[s], val)
         if rot != expected:
             report.add_violation({
                 "pair": [triple.sminus[p].label, triple.splus[q].label],
@@ -531,7 +507,7 @@ def verify_compatibility(triple: ManinTriple, jobs: int = 1) -> CheckReport:
         if p < q:
             for r, cv in vec.items():
                 for s, t, fv in f_by_upper.get(r, ()):
-                    _bump(diff, (p, q, s, t), cv * fv)
+                    accumulate(diff, (p, q, s, t), cv * fv)
     c_first, c_second = _grouped(c, 0), _grouped(c, 1)
     f_first, f_second = _grouped(f, 0), _grouped(f, 1)
     # each mixing term joins c and f on r; the flags say whether c's free
@@ -556,15 +532,13 @@ def verify_compatibility(triple: ManinTriple, jobs: int = 1) -> CheckReport:
                             p, q = ((c_free, f_up) if c_free_is_p
                                     else (f_up, c_free))
                             if p < q:
-                                _bump(diff, (p, q, s, t), -(cv * fv))
-    for p, q, s, t in sorted(diff):
-        value = diff[(p, q, s, t)]
-        if value:
-            report.add_violation({
-                "indices": [triple.sminus[p].label, triple.sminus[q].label,
-                            triple.splus[s].label, triple.splus[t].label],
-                "difference": str(value),
-            })
+                                accumulate(diff, (p, q, s, t), -(cv * fv))
+    for (p, q, s, t), value in sorted(diff.items()):
+        report.add_violation({
+            "indices": [triple.sminus[p].label, triple.sminus[q].label,
+                        triple.splus[s].label, triple.splus[t].label],
+            "difference": str(value),
+        })
     return report
 
 
@@ -581,12 +555,8 @@ def verify_self_duality(triple: ManinTriple) -> CheckReport:
     for p, q in itertools.combinations(range(k), 2):
         report.checked += 1
         got = c.get((p, q), {})
-        want = {}
-        for r in range(k):
-            vec = f.get((p, q))
-            value = vec.get(r) if vec else None
-            if value:
-                want[r] = -(value.conj_i() if conjugate else value)
+        want = {r: -(value.conj_i() if conjugate else value)
+                for r, value in f.get((p, q), {}).items()}
         if got != want:
             report.add_violation({
                 "pair": [triple.sminus[p].label, triple.sminus[q].label],
@@ -630,19 +600,17 @@ def verify_form_invariance(triple: ManinTriple) -> CheckReport:
                 # [u, v] for a = u, b = v, and [v, u] = -[u, v] for a = v
                 for pa, pb, term in ((pu, pv, x * value), (pv, pu, -(x * value))):
                     if pb <= ph:
-                        _bump(totals, (pa, pb, ph), term)
+                        accumulate(totals, (pa, pb, ph), term)
                     if ph <= pb:
-                        _bump(totals, (pa, ph, pb), term)
+                        accumulate(totals, (pa, ph, pb), term)
     dim = len(basis)
     report = CheckReport(check="forminv", passed=True,
                          checked=dim * dim * (dim + 1) // 2)
-    for key in sorted(totals):
-        value = totals[key]
-        if value:
-            report.add_violation({
-                "triple": [basis[k].label for k in key],
-                "value": str(value),
-            })
+    for key, value in sorted(totals.items()):
+        report.add_violation({
+            "triple": [basis[k].label for k in key],
+            "value": str(value),
+        })
     return report
 
 
@@ -651,7 +619,8 @@ def verify_casimir_form(triple: ManinTriple) -> CheckReport:
 
     Sum over matched pairs, weighted by the inverse pairing, of the
     symmetrized z x Z tensors; it must equal H x H plus I x I over the
-    retained Cartans plus mirror-symmetrized root pairs.
+    retained Cartans plus mirror-symmetrized root pairs. Violations are
+    listed in basis order of the pair.
     """
     report = CheckReport(check="casimir-form", passed=True)
     try:
@@ -660,15 +629,6 @@ def verify_casimir_form(triple: ManinTriple) -> CheckReport:
         report.add_violation({"error": str(err)})
         return report
     tensor = {}
-
-    def bump(ga, gb, coeff):
-        key = (ga, gb)
-        total = tensor.get(key, ZERO) + coeff
-        if total:
-            tensor[key] = total
-        else:
-            tensor.pop(key, None)
-
     k = triple.half_dim
     minus_elems = [triple.elem(g) for g in triple.sminus]
     plus_elems = [triple.elem(g) for g in triple.splus]
@@ -680,22 +640,20 @@ def verify_casimir_form(triple: ManinTriple) -> CheckReport:
             for ga, ca in minus_elems[t].terms():
                 for gb, cb in plus_elems[s].terms():
                     prod = weight * ca * cb
-                    bump(ga, gb, prod)
-                    bump(gb, ga, prod)
+                    accumulate(tensor, (ga, gb), prod)
+                    accumulate(tensor, (gb, ga), prod)
 
+    alg = triple.double
     expected = {}
-
-    def want(ga, gb, coeff):
-        expected[(ga, gb)] = expected.get((ga, gb), ZERO) + coeff
-
-    for gid in triple.double.basis:
+    for gid in alg.basis:
         if gid.kind in ("H", "I"):
-            want(gid, gid, ONE)
-    for root in positive_roots(triple.double.series, triple.double.rank):
-        want(root, mirror(root), ONE)
-        want(mirror(root), root, ONE)
+            accumulate(expected, (gid, gid), ONE)
+    for root in positive_roots(alg.series, alg.rank):
+        accumulate(expected, (root, mirror(root)), ONE)
+        accumulate(expected, (mirror(root), root), ONE)
 
-    keys = set(tensor) | set(expected)
+    keys = sorted(set(tensor) | set(expected),
+                  key=lambda key: (alg.index[key[0]], alg.index[key[1]]))
     report.checked = len(keys)
     for key in keys:
         diff = tensor.get(key, ZERO) - expected.get(key, ZERO)
@@ -736,9 +694,6 @@ def perturb_pairing(triple: ManinTriple, mgid: GeneratorId, pgid: GeneratorId,
     if mgid not in triple.minus_index or pgid not in triple.plus_index:
         raise SpecError("perturbation indices must name s- and s+ members")
     pairing = dict(triple.pairing)
-    key = (mgid, pgid)
-    pairing[key] = pairing.get(key, ZERO) + (
-        delta if isinstance(delta, Scalar) else Scalar(delta))
-    if not pairing[key]:
-        del pairing[key]
+    accumulate(pairing, (mgid, pgid),
+               delta if isinstance(delta, Scalar) else Scalar(delta))
     return ManinTriple(triple.double, triple.spec, triple.rotation, pairing)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .generators import GeneratorId
+from .linalg import accumulate
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -29,10 +30,6 @@ class Element:
     def gen(cls, gid: GeneratorId, coeff=ONE) -> Element:
         return cls({gid: _scalar(coeff)})
 
-    @classmethod
-    def zero(cls) -> Element:
-        return cls()
-
     def terms(self) -> Iterable[tuple[GeneratorId, Scalar]]:
         return self._terms.items()
 
@@ -56,11 +53,7 @@ class Element:
 
     def add_term(self, gid: GeneratorId, coeff) -> None:
         """In-place accumulate; used by builders before an Element is shared."""
-        total = self._terms.get(gid, ZERO) + _scalar(coeff)
-        if total:
-            self._terms[gid] = total
-        else:
-            self._terms.pop(gid, None)
+        accumulate(self._terms, gid, _scalar(coeff))
 
     def copy(self) -> Element:
         dup = Element()

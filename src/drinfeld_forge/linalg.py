@@ -1,13 +1,28 @@
 """Small exact linear-algebra helpers over the Scalar field.
 
-Used for span-membership tests (sub-bialgebra checks) and for inverting the
-pairing matrix when crossed brackets are reconstructed. Vectors are sparse
-dicts keyed by arbitrary hashable coordinates.
+`accumulate` is the one sparse accumulator of the package: every sparse
+sum of structure constants, wedges, tensors and matrix entries adds into
+a dict through it, and a coefficient that cancels is dropped at once,
+never stored as zero. Addition in the field is exact, so the dict it
+leaves equals the sum filtered of zeros at the end.
+
+Also used for span-membership tests (sub-bialgebra checks) and for
+inverting the pairing matrix when crossed brackets are reconstructed.
+Vectors are sparse dicts keyed by arbitrary hashable coordinates.
 """
 
 from __future__ import annotations
 
 from .scalars import ONE, ZERO, Scalar
+
+
+def accumulate(acc: dict, key, value: Scalar) -> None:
+    """Add `value` at `key` of a sparse dict, dropping a sum that cancels."""
+    total = acc.get(key, ZERO) + value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
 
 
 class SpanBasis:
@@ -26,11 +41,7 @@ class SpanBasis:
             row = self._rows[pivot]
             factor = residual[pivot]
             for key, value in row.items():
-                acc = residual.get(key, ZERO) - factor * value
-                if acc:
-                    residual[key] = acc
-                else:
-                    residual.pop(key, None)
+                accumulate(residual, key, -(factor * value))
         return residual
 
     def add(self, vector: dict) -> bool:

@@ -51,23 +51,15 @@ from .elements import Element
 from .errors import SpecError
 from .generators import (GeneratorId, cartan_count, dimension, mirror,
                          positive_roots)
+from .linalg import accumulate
 from .reporting import CheckReport
-from .scalars import HALF, INV_SQRT2, ONE, ZERO, Scalar
+from .scalars import HALF, INV_SQRT2, ONE, Scalar
 
 # Largest representation a builder accepts, as states times basis
 # generators: each generator's matrix holds about one entry per state. A7 at
 # cutoff 6 (3003 states x 72 generators = 216,216) holds about 45 MB, so
 # this bound keeps one representation within a few hundred MB.
 MAX_REP_SIZE = 1_000_000
-
-
-def _accumulate(acc: dict, key, value: Scalar) -> None:
-    """Add `value` at `key` of a sparse dict, dropping a sum that cancels."""
-    total = acc.get(key, ZERO) + value
-    if total:
-        acc[key] = total
-    else:
-        acc.pop(key, None)
 
 
 class SparseMatrix:
@@ -92,7 +84,7 @@ class SparseMatrix:
         return out
 
     def add_entry(self, row: int, col: int, value: Scalar) -> None:
-        _accumulate(self.entries, (row, col), value)
+        accumulate(self.entries, (row, col), value)
 
     def add_product(self, left: SparseMatrix, right: SparseMatrix) -> None:
         """Add `left @ right` into this matrix in place."""
@@ -344,15 +336,15 @@ def _residual_entries(left_cols, left_rows, right: SparseMatrix, expected,
     for (mid, col), value in right.entries.items():
         if col in columns:
             for row, left in left_cols.get(mid, ()):
-                _accumulate(acc, (row, col), left * value)
+                accumulate(acc, (row, col), left * value)
     for (row, mid), value in right.entries.items():
         for col, left in left_rows.get(mid, ()):
             if col in columns:
-                _accumulate(acc, (row, col), value * left)
+                accumulate(acc, (row, col), value * left)
     for coeff, mat in expected:
         for (row, col), value in mat.entries.items():
             if col in columns:
-                _accumulate(acc, (row, col), value * coeff)
+                accumulate(acc, (row, col), value * coeff)
     return len(acc)
 
 
@@ -489,7 +481,7 @@ def ad_invariance_report(alg, cas: CasimirElement) -> CheckReport:
         for left, right in pairs:
             for ga, ca in left.terms():
                 for gb, cb in right.terms():
-                    _accumulate(tensor, (ga, gb), ca * cb)
+                    accumulate(tensor, (ga, gb), ca * cb)
 
     report = CheckReport(check=f"casimir-invariance-{cas.label}", passed=True,
                          checked=len(alg.basis))
@@ -497,9 +489,9 @@ def ad_invariance_report(alg, cas: CasimirElement) -> CheckReport:
         moved = {}
         for (ga, gb), coeff in tensor.items():
             for gid, inner in alg.bracket_gens(z, ga).terms():
-                _accumulate(moved, (gid, gb), coeff * inner)
+                accumulate(moved, (gid, gb), coeff * inner)
             for gid, inner in alg.bracket_gens(z, gb).terms():
-                _accumulate(moved, (ga, gid), coeff * inner)
+                accumulate(moved, (ga, gid), coeff * inner)
         if moved:
             report.add_violation({"gen": z.label, "terms": len(moved)})
     return report

@@ -1,6 +1,12 @@
 """Manin triples: splittings, pairings, structure tensors, verifiers."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import drinfeld_forge
 
 from drinfeld_forge import (Element, GeneratorId, INV_SQRT2, ONE, Scalar,
                             SpecError, SplittingSpec, build_series,
@@ -176,6 +182,29 @@ def test_perturbed_pairing_fails_dependent_checks():
     assert not verify_casimir_form(triple).passed
     # closure never looks at the pairing
     assert verify_closure(triple).passed
+
+
+def test_casimir_form_violations_ignore_the_hash_seed():
+    # a fresh interpreter per seed: set and dict orders of GeneratorId keys
+    # follow the string hash, which is seeded at interpreter start
+    code = ("from drinfeld_forge import canonical_triple, perturb_pairing, "
+            "verify_casimir_form\n"
+            "from drinfeld_forge.serialize import dumps_canonical\n"
+            "t = canonical_triple('A', 2)\n"
+            "t = perturb_pairing(t, t.sminus[3], t.splus[4], 1)\n"
+            "print(dumps_canonical(verify_casimir_form(t).to_dict()), end='')\n")
+    src = os.path.dirname(os.path.dirname(drinfeld_forge.__file__))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert '"pass": false' in outputs[0]
 
 
 def test_perturbation_indices_validated():

@@ -1,0 +1,80 @@
+"""Failing reports of the verifiers that have no dense oracle, byte for byte.
+
+Each fixture is a small failing input; every listed check runs on it and
+the canonical JSON of its reports must equal the recorded golden file. A
+refactor that changes a verdict, a count, or the order of a violation list
+shows up here.
+"""
+
+import pathlib
+
+import pytest
+
+from drinfeld_forge import (GeneratorId, Scalar, a_chain_span,
+                            canonical_triple, cocommutator_from_structure,
+                            mutate_bracket, perturb_pairing, rescale_minus,
+                            verify_casimir_form, verify_coboundary,
+                            verify_cocycle, verify_cojacobi, verify_cybe,
+                            verify_delta_agreement, verify_reconstruction,
+                            verify_self_duality, verify_subbialgebra,
+                            verify_twist, with_double)
+from drinfeld_forge.serialize import dumps_canonical
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def doubled_bracket(series, rank, p, q):
+    """The canonical triple with the table entry [p, q] doubled."""
+    triple = canonical_triple(series, rank)
+    alg = triple.double
+    p, q = GeneratorId(*p), GeneratorId(*q)
+    return with_double(triple, mutate_bracket(
+        alg, p, q, alg.bracket_gens(p, q).scale(Scalar(2))))
+
+
+def perturbed_a2():
+    triple = canonical_triple("A", 2)
+    return perturb_pairing(triple, triple.sminus[3], triple.splus[4],
+                           Scalar(1))
+
+
+FIXTURES = {
+    "A2_doubled_root": lambda: doubled_bracket("A", 2, ("F", 1, 2),
+                                               ("F", 2, 3)),
+    "C2_doubled_root": lambda: doubled_bracket("C", 2, ("F", 1, 2),
+                                               ("P", 1, 2)),
+    "A2_doubled_weight": lambda: doubled_bracket("A", 2, ("H", 1),
+                                                 ("F", 1, 2)),
+    "A2_perturbed_pairing": perturbed_a2,
+    "B2_rescaled_minus": lambda: rescale_minus(canonical_triple("B", 2),
+                                               Scalar(3)),
+}
+
+
+def reports(triple):
+    alg = triple.double
+    table = cocommutator_from_structure(triple)
+    runs = {
+        "reconstruction": verify_reconstruction(triple),
+        "selfdual": verify_self_duality(triple),
+        "casimir-form": verify_casimir_form(triple),
+        "delta-agree": verify_delta_agreement(triple),
+        "cocycle": verify_cocycle(alg, table),
+        "cojacobi": verify_cojacobi(alg, table),
+        "subbialg-An": verify_subbialgebra(alg, table, a_chain_span(alg),
+                                           "A-chain"),
+        "coboundary": verify_coboundary(triple, table),
+        "coboundary-no-cartan": verify_coboundary(triple, table,
+                                                  include_cartan=False),
+        "cybe": verify_cybe(triple),
+        "twist": verify_twist(triple),
+    }
+    return {name: report.to_dict() for name, report in runs.items()}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_failing_reports_match_golden(name):
+    got = dumps_canonical(reports(FIXTURES[name]()))
+    want = (GOLDEN / f"failing_{name}.json").read_text(encoding="ascii")
+    assert got == want
+
