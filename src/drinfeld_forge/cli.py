@@ -130,6 +130,8 @@ def _parse_checks(text, spec):
             raise SpecError(f"check {name!r} needs the canonical splitting")
         if name not in names:
             names.append(name)
+    if not names:
+        raise SpecError("no checks selected; choose from " + ", ".join(CHECKS))
     return names
 
 

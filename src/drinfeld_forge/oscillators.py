@@ -1,0 +1,305 @@
+"""Normal ordering of oscillator polynomials, and the two cutoff-free
+stages that let the `rep` and `casimir` checks skip their matrices.
+
+A letter is (CREATE, m) or (ANNIHILATE, m) for the oscillator of Cartan
+index m, and a word is a tuple of letters read as their operator product
+(the rightmost letter acts first). A word is normal-ordered when its
+letters are nondecreasing: creators before annihilators, each ascending in
+m. A polynomial is a dict word -> Scalar holding no zero. The generator
+images are the polynomials of the `reps` docstring, and the argument for
+why the two stages imply a zero protected residual is given there too.
+"""
+
+from __future__ import annotations
+
+from .elements import Element
+from .generators import GeneratorId
+from .linalg import accumulate
+from .reps import CasimirElement, Representation, _jw_sign, occupation_raise
+from .scalars import HALF, INV_SQRT2, ONE
+
+CREATE, ANNIHILATE = 0, 1
+
+
+class Oscillators:
+    """Normal ordering in the algebra of one oscillator statistics.
+
+    The statistics enter only through the exchange `sign`: adjacent letters
+    out of order swap with a factor `sign`, and an annihilator passing its
+    own creator also leaves the contraction, so b b+ = b+ b + 1 for bosons
+    (sign +1) and a a+ = -a+ a + 1 for fermions (sign -1). With sign -1 a
+    repeated letter is zero (a a = a+ a+ = 0). Normal-ordered words are a
+    basis of both algebras, so a polynomial is zero exactly when its
+    normal-ordered form is.
+    """
+
+    def __init__(self, sign: int):
+        self.sign = sign
+
+    def multiply(self, word: tuple, letters: tuple) -> dict:
+        """word * letters, normal-ordered, for a normal-ordered `word`:
+        word -> integer coefficient. `multiply((), w)` orders any word w."""
+        terms = {word: 1}
+        for letter in letters:
+            out = {}
+            for w, n in terms.items():
+                for moved, factor in self._times(w, letter):
+                    total = out.get(moved, 0) + n * factor
+                    if total:
+                        out[moved] = total
+                    else:
+                        del out[moved]
+            terms = out
+        return terms
+
+    def _times(self, word: tuple, letter: tuple) -> list:
+        """A normal-ordered word times one letter: [(word, factor), ...]."""
+        split = sum(1 for kind, _ in word if kind == CREATE)
+        creators, annihilators = word[:split], word[split:]
+        if letter[0] == ANNIHILATE:
+            placed = self._insert(annihilators, letter, 1)
+            if placed is None:
+                return []
+            return [(creators + placed[0], placed[1])]
+        # the creator passes the annihilators from the right; passing its
+        # own annihilator also leaves the contraction, with both removed
+        out = []
+        factor = 1
+        for t in range(len(annihilators) - 1, -1, -1):
+            if annihilators[t][1] == letter[1]:
+                out.append((creators + annihilators[:t] + annihilators[t + 1:],
+                            factor))
+            factor *= self.sign
+        placed = self._insert(creators, letter, factor)
+        if placed is not None:
+            out.append((placed[0] + annihilators, placed[1]))
+        return out
+
+    def _insert(self, run: tuple, letter: tuple, factor: int):
+        """`letter` appended to a sorted run of letters of its own kind and
+        swapped into place: (run, factor), or None when it is zero."""
+        pos = len(run)
+        while pos and run[pos - 1] > letter:
+            pos -= 1
+            factor *= self.sign
+        if pos and run[pos - 1] == letter and self.sign < 0:
+            return None
+        return run[:pos] + (letter,) + run[pos:], factor
+
+    def product(self, left: dict, right: dict) -> dict:
+        """left * right, normal-ordered, for a normal-ordered `left` and a
+        `right` given by any words."""
+        out = {}
+        for wl, cl in left.items():
+            for wr, cr in right.items():
+                coeff = cl * cr
+                for w, n in self.multiply(wl, wr).items():
+                    accumulate(out, w, coeff if n == 1 else coeff * n)
+        return out
+
+    def normal(self, poly: dict) -> dict:
+        """A polynomial given by any words, normal-ordered."""
+        return self.product({(): ONE}, poly)
+
+    def commutator(self, left: dict, right: dict) -> dict:
+        """[left, right] for normal-ordered polynomials, normal-ordered."""
+        out = self.product(left, right)
+        for word, value in self.product(right, left).items():
+            accumulate(out, word, -value)
+        return out
+
+
+def word_raise(word: tuple) -> int:
+    """Change of total occupation a word causes: creators minus
+    annihilators."""
+    return len(word) - 2 * sum(kind for kind, _ in word)
+
+
+def boson_act(word: tuple, state: tuple):
+    """A word on the unnormalized occupation state |n>, untruncated:
+    (factor, state) with word |n> = factor |state>, or None when it is 0."""
+    occupation = list(state)
+    factor = 1
+    for kind, index in reversed(word):
+        if kind == CREATE:
+            occupation[index - 1] += 1
+        elif occupation[index - 1]:
+            factor *= occupation[index - 1]
+            occupation[index - 1] -= 1
+        else:
+            return None
+    return factor, tuple(occupation)
+
+
+def fermion_act(word: tuple, mask: int):
+    """A word on the Fock state `mask`, with the Jordan-Wigner string of
+    `fermion_create`: (sign, mask) with word |mask> = sign |mask'>, or
+    None when it is 0."""
+    sign = 1
+    for kind, index in reversed(word):
+        bit = 1 << (index - 1)
+        if bool(mask & bit) != (kind == ANNIHILATE):
+            return None
+        mask ^= bit
+        sign *= _jw_sign(mask, index - 1)
+    return sign, mask
+
+
+# Two-letter (or one-letter) images, per statistics: kind -> (letter kinds,
+# coefficient for distinct indices, coefficient for equal ones). H and I
+# are handled apart, for their constants.
+_FERMION_WORDS = {
+    "F": ((CREATE, ANNIHILATE), ONE, None),
+    "S": ((CREATE, CREATE), ONE, None),
+    "T": ((ANNIHILATE, ANNIHILATE), -ONE, None),
+    "U": ((CREATE,), INV_SQRT2, INV_SQRT2),
+    "V": ((ANNIHILATE,), INV_SQRT2, INV_SQRT2),
+}
+_BOSON_WORDS = {
+    "F": ((CREATE, ANNIHILATE), ONE, None),
+    "P": ((CREATE, CREATE), ONE, INV_SQRT2),
+    "Q": ((ANNIHILATE, ANNIHILATE), -ONE, -INV_SQRT2),
+}
+
+
+def oscillator_image(gid: GeneratorId, fermionic: bool, lambdas):
+    """rho(gid) as the polynomial of the `reps` docstring's table (not yet
+    normal-ordered), or None when the kind has no realization."""
+    kind, i, j = gid
+    out = {}
+    if kind == "I":
+        accumulate(out, (), lambdas[i])
+    elif kind == "H":
+        out[((CREATE, i), (ANNIHILATE, i))] = ONE
+        out[()] = -HALF if fermionic else HALF
+    else:
+        entry = (_FERMION_WORDS if fermionic else _BOSON_WORDS).get(kind)
+        if entry is None:
+            return None
+        kinds, coeff, diagonal = entry
+        if j == i or j is None:
+            coeff = diagonal
+        if coeff is None:
+            return None
+        out[tuple(zip(kinds, (i, j)))] = coeff
+    return out
+
+
+class OscillatorProof:
+    """The two cutoff-free stages for one representation.
+
+    `image(g)` is rho(g) as a normal-ordered polynomial (stage 1 works on
+    these); `matches(g)` is stage 2, that the built matrix of g equals its
+    polynomial applied to every state, amplitudes above the cutoff dropped.
+    A truncated generator also needs its polynomial to raise the occupation
+    by at most `occupation_raise(g)`, which the protected columns assume.
+    """
+
+    def __init__(self, rep: Representation):
+        self.rep = rep
+        self.fermionic = rep.kind == "fermionic"
+        self.ordering = Oscillators(-1 if self.fermionic else 1)
+        self._images = {}
+        self._matches = {}
+        # states in column order, None (stage 2 fails) for a representation
+        # that is neither untruncated fermionic nor truncated bosonic
+        self._states = self._index_of = None
+        if self.fermionic:
+            if rep.states is None:
+                self._states = range(rep.space_dim)
+        elif rep.states is not None:
+            self._states = rep.states
+            self._index_of = {state: pos
+                              for pos, state in enumerate(rep.states)}
+
+    def image(self, gid: GeneratorId):
+        if gid not in self._images:
+            poly = oscillator_image(gid, self.fermionic, self.rep.lambdas)
+            self._images[gid] = (None if poly is None
+                                 else self.ordering.normal(poly))
+        return self._images[gid]
+
+    def matches(self, gid: GeneratorId) -> bool:
+        if gid not in self._matches:
+            self._matches[gid] = self._stage2(gid)
+        return self._matches[gid]
+
+    def _stage2(self, gid: GeneratorId) -> bool:
+        matrix = self.rep.matrices.get(gid)
+        if matrix is None or self._states is None:
+            return False
+        poly = self.image(gid)
+        if poly is None:
+            return False
+        if self._index_of is not None and any(
+                word_raise(word) > occupation_raise(gid) for word in poly):
+            return False
+        act = fermion_act if self.fermionic else boson_act
+        index_of = self._index_of
+        expected = {}
+        for word, coeff in poly.items():
+            scaled = {}
+            for col, state in enumerate(self._states):
+                moved = act(word, state)
+                if moved is None:
+                    continue
+                factor, target = moved
+                row = target if index_of is None else index_of.get(target)
+                if row is None:
+                    continue
+                value = scaled.get(factor)
+                if value is None:
+                    value = scaled[factor] = coeff * factor
+                if (row, col) in expected:
+                    accumulate(expected, (row, col), value)
+                else:
+                    expected[(row, col)] = value
+        return expected == matrix.entries
+
+    def clears_pair(self, p: GeneratorId, q: GeneratorId,
+                    bracket: Element) -> bool:
+        """Stage 2 for p, q and the bracket's generators, then stage 1:
+        [rho(p), rho(q)] - rho([p, q]) normal-orders to zero."""
+        if not all(self.matches(g) for g in (p, q, *bracket.support())):
+            return False
+        residual = self.ordering.commutator(self.image(p), self.image(q))
+        for gid, coeff in bracket.terms():
+            for word, value in self.image(gid).items():
+                accumulate(residual, word, -coeff * value)
+        return not residual
+
+    def casimir(self, cas: CasimirElement):
+        """The Casimir as a normal-ordered polynomial, or None when one of
+        its generators fails stage 2 or, truncated, its polynomial raises
+        the occupation past the Casimir's raise budget."""
+        if not all(self.matches(g) for g in cas.generators()):
+            return None
+        total = {}
+        for x, y, kind in cas.terms:
+            px = self._element(x)
+            if kind == "square":
+                pairs = [(px, px)]
+            else:
+                py = self._element(y)
+                pairs = [(px, py), (py, px)]
+            for left, right in pairs:
+                for word, value in self.ordering.product(left, right).items():
+                    accumulate(total, word, value)
+        budget = cas.raise_budget()
+        if self._index_of is not None and any(
+                word_raise(word) > budget for word in total):
+            return None
+        return total
+
+    def clears_generator(self, casimir, gid: GeneratorId) -> bool:
+        """Stage 2 for g, then stage 1: [C, rho(g)] normal-orders to zero,
+        for C the polynomial `casimir` returned (None clears nothing)."""
+        return (casimir is not None and self.matches(gid)
+                and not self.ordering.commutator(casimir, self.image(gid)))
+
+    def _element(self, elem: Element) -> dict:
+        out = {}
+        for gid, coeff in elem.terms():
+            for word, value in self.image(gid).items():
+                accumulate(out, word, coeff * value)
+        return out

@@ -33,14 +33,29 @@ commutes with that restriction, so the verdicts are those of the
 normalized basis.
 
 The homomorphism and Casimir checks count residual entries on those
-protected columns only (every column of a fermionic representation), so
-they compute nothing else. Column c of a product depends only on column c
-of its right factor, so for each pair they accumulate
+protected columns only (every column of a fermionic representation). They
+clear a pair in two stages before touching its matrices:
+
+  1. normal ordering: with each image written as the polynomial above,
+     [rho(p), rho(q)] - sum_k c_k rho(g_k) is normal-ordered in the Weyl
+     algebra (b b+ = b+ b + 1) or the Clifford algebra (a a+ = -a+ a + 1,
+     a a = 0), one routine for both (module `oscillators`); for
+     `casimir`, [C, rho(g)] with C the quartic Casimir polynomial;
+  2. the matrix gate, once per generator: its built matrix equals its
+     polynomial applied to every state, amplitudes above the cutoff
+     dropped (and a bosonic polynomial raises the occupation by at most
+     `occupation_raise`).
+
+A zero stage-1 residual whose generators all pass stage 2 makes the
+protected residual zero. Stage 2 makes each matrix the truncated operator
+of its polynomial. Column c of M_p M_q reads only states of occupation at
+most |c| + budget <= cutoff, which the truncation keeps, so on a
+protected column the matrix residual is the residual polynomial applied
+to |c>, and that is zero. Any other pair (or Casimir generator) computes
 A B[:, c] - B A[:, c] - sum_k c_k rho(g_k)[:, c] over the protected
 columns c into one exact sparse residual, from a column and a row index of
-A built once per outer generator, and count its nonzero entries. No
-product, commutator or difference matrix is formed, and the count is the
-one the whole matrices would give on the same columns.
+A, and counts its nonzero entries: the count the whole matrices would
+give on those columns, so a report never depends on which path ran.
 """
 
 from __future__ import annotations
@@ -86,9 +101,11 @@ class SparseMatrix:
     def add_entry(self, row: int, col: int, value: Scalar) -> None:
         accumulate(self.entries, (row, col), value)
 
-    def add_product(self, left: SparseMatrix, right: SparseMatrix) -> None:
-        """Add `left @ right` into this matrix in place."""
-        by_row = _rows(right)
+    def add_product(self, left: SparseMatrix, right: SparseMatrix,
+                    columns: set[int] | None = None) -> None:
+        """Add `left @ right` into this matrix in place, or only its
+        `columns` when given."""
+        by_row = _rows(right, columns=columns)
         for (row, mid), value in left.entries.items():
             for col, other in by_row.get(mid, ()):
                 self.add_entry(row, col, value * other)
@@ -120,11 +137,14 @@ class SparseMatrix:
         return self.dim == other.dim and self.entries == other.entries
 
 
-def _rows(mat: SparseMatrix, negate: bool = False) -> dict[int, list]:
-    """Row index of a matrix, or of its negative: row -> [(col, value), ...]."""
+def _rows(mat: SparseMatrix, negate: bool = False,
+          columns: set[int] | None = None) -> dict[int, list]:
+    """Row index of a matrix, or of its negative, on `columns` when given:
+    row -> [(col, value), ...]."""
     out = {}
     for (row, col), value in mat.entries.items():
-        out.setdefault(row, []).append((col, -value if negate else value))
+        if columns is None or col in columns:
+            out.setdefault(row, []).append((col, -value if negate else value))
     return out
 
 
@@ -348,10 +368,23 @@ def _residual_entries(left_cols, left_rows, right: SparseMatrix, expected,
     return len(acc)
 
 
+def _proof(rep: Representation):
+    # imported on use: a process runs the oscillator stages only when it
+    # runs a rep or casimir check, and no other command needs to load them
+    from .oscillators import OscillatorProof
+    return OscillatorProof(rep)
+
+
 def verify_rep_homomorphism(alg, rep: Representation) -> CheckReport:
     """Compare rho([x, y]) with the matrix commutator over all basis pairs,
     exactly, on the columns the truncation protects.
 
+    A pair passes without its matrix residual when
+    `oscillators.OscillatorProof` clears it: its generators and those of
+    its bracket pass stage 2 and its stage-1 residual is zero, which
+    together make that residual zero on every protected column (module
+    docstring). Every other pair computes the residual, so the report is
+    the one the matrices alone would give.
     A pair whose protected column set is empty compares nothing (budget-4
     pairs at cutoff 2 or 3); it still counts in `checked`, and the number
     of such pairs is reported as `details["unprotected"]` when nonzero.
@@ -366,19 +399,25 @@ def verify_rep_homomorphism(alg, rep: Representation) -> CheckReport:
     raises = {occupation_raise(gid) for gid in basis}
     columns = {a + b: protected_columns(rep, a + b)
                for a in raises for b in raises}
+    proof = _proof(rep)
     unprotected = 0
     for pos, p in enumerate(basis):
-        left = rep.matrix(p)
-        left_cols, left_rows = _columns(left), _rows(left, negate=True)
+        left_index = None
         for q in basis[pos + 1:]:
             budget = occupation_raise(p) + occupation_raise(q)
             if not columns[budget]:
                 unprotected += 1
                 continue
+            bracket = alg.bracket_gens(p, q)
+            if proof.clears_pair(p, q, bracket):
+                continue
+            if left_index is None:
+                left = rep.matrix(p)
+                left_index = (_columns(left), _rows(left, negate=True))
             expected = [(-coeff, rep.matrix(gid))
-                        for gid, coeff in alg.bracket_gens(p, q).terms()]
-            wrong = _residual_entries(left_cols, left_rows, rep.matrix(q),
-                                      expected, columns[budget])
+                        for gid, coeff in bracket.terms()]
+            wrong = _residual_entries(*left_index, rep.matrix(q), expected,
+                                      columns[budget])
             if wrong:
                 report.add_violation({"pair": [p.label, q.label],
                                       "entries": wrong})
@@ -394,13 +433,16 @@ class CasimirElement:
         self.terms = tuple(terms)
         self.label = label
 
+    def generators(self) -> set[GeneratorId]:
+        out = set()
+        for x, y, _ in self.terms:
+            out |= x.support()
+            if y is not None:
+                out |= y.support()
+        return out
+
     def raise_budget(self) -> int:
-        worst = 0
-        for x, y, kind in self.terms:
-            gids = set(x.support()) | (set(y.support()) if y is not None else set())
-            if any(g.kind == "P" for g in gids):
-                worst = max(worst, 2)
-        return worst
+        return max(map(occupation_raise, self.generators()), default=0)
 
 
 def casimir_quadratic(alg) -> CasimirElement:
@@ -423,16 +465,19 @@ def casimir_double(alg) -> CasimirElement:
     return CasimirElement(terms, "double")
 
 
-def casimir_matrix(rep: Representation, cas: CasimirElement) -> SparseMatrix:
+def casimir_matrix(rep: Representation, cas: CasimirElement,
+                   columns: set[int] | None = None) -> SparseMatrix:
+    """The Casimir's matrix, or only its `columns` when given (column c of
+    a product reads only column c of its right factor)."""
     total = SparseMatrix(rep.space_dim)
     for x, y, kind in cas.terms:
         mx = rep.element_matrix(x)
         if kind == "square":
-            total.add_product(mx, mx)
+            total.add_product(mx, mx, columns)
         else:
             my = rep.element_matrix(y)
-            total.add_product(mx, my)
-            total.add_product(my, mx)
+            total.add_product(mx, my, columns)
+            total.add_product(my, mx, columns)
     return total
 
 
@@ -441,28 +486,44 @@ def verify_casimir_commutes(alg, rep: Representation,
     """The Casimir matrix must commute with the whole representation, on
     the columns the truncation protects.
 
-    A generator whose protected column set is empty (a P generator at
-    cutoff 2 or 3) compares nothing; it still counts in `checked`, and the
-    number of such generators is reported as `details["unprotected"]` when
-    nonzero.
+    A generator g passes without its matrix residual when every generator
+    of the Casimir and g pass stage 2 and [C, rho(g)] normal-orders to
+    zero. The others compute [C, rho(g)] on their protected columns from a
+    Casimir matrix built only on the columns those residuals read, and not
+    at all when no generator needs it. A generator whose protected column
+    set is empty (a P generator at cutoff 2 or 3) compares nothing; it
+    still counts in `checked`, and the number of such generators is
+    reported as `details["unprotected"]` when nonzero.
     """
     name = f"casimir-{cas.label}-{rep.kind}"
-    matrix = casimir_matrix(rep, cas)
-    matrix_cols, matrix_rows = _columns(matrix), _rows(matrix, negate=True)
     report = CheckReport(check=name, passed=True, checked=len(alg.basis))
     base = cas.raise_budget()
     columns = {base + step: protected_columns(rep, base + step)
                for step in {occupation_raise(gid) for gid in alg.basis}}
+    proof = _proof(rep)
+    casimir = proof.casimir(cas)
     unprotected = 0
+    fallback = []
     for gid in alg.basis:
         budget = base + occupation_raise(gid)
         if not columns[budget]:
             unprotected += 1
-            continue
-        wrong = _residual_entries(matrix_cols, matrix_rows, rep.matrix(gid),
-                                  (), columns[budget])
-        if wrong:
-            report.add_violation({"gen": gid.label, "entries": wrong})
+        elif not proof.clears_generator(casimir, gid):
+            fallback.append((gid, columns[budget]))
+    if fallback:
+        # the protected columns, and the rows rho(g) reaches from them
+        needed = set()
+        for gid, cols in fallback:
+            needed |= cols
+            needed.update(row for row, col in rep.matrix(gid).entries
+                          if col in cols)
+        matrix = casimir_matrix(rep, cas, needed)
+        matrix_cols, matrix_rows = _columns(matrix), _rows(matrix, negate=True)
+        for gid, cols in fallback:
+            wrong = _residual_entries(matrix_cols, matrix_rows,
+                                      rep.matrix(gid), (), cols)
+            if wrong:
+                report.add_violation({"gen": gid.label, "entries": wrong})
     if unprotected:
         report.details["unprotected"] = unprotected
     return report

@@ -30,6 +30,7 @@ from drinfeld_forge import (Element, GeneratorId, SPAN_BUILDERS, Scalar,
                             verify_rep_homomorphism, verify_self_duality,
                             verify_subbialgebra, verify_twist, with_double)
 from drinfeld_forge.bialgebra import CocommutatorTable, wedge_insert
+from drinfeld_forge.oscillators import OscillatorProof
 from drinfeld_forge.reps import CasimirElement, Representation, SparseMatrix
 
 GRID = (("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -220,6 +221,16 @@ def test_criterion_09_mixed_splitting(capsys):
              "reconstruction, and conjugated self-duality exactly", ok)
 
 
+def _with_entry(rep, gid, key, value):
+    """The representation with entry `key` of rho(gid) set to `value`."""
+    entries = dict(rep.matrix(gid).entries)
+    entries[key] = value
+    matrices = dict(rep.matrices)
+    matrices[gid] = SparseMatrix(rep.space_dim, entries)
+    return Representation(rep.alg, rep.kind, matrices, rep.space_dim,
+                          rep.cutoff, rep.lambdas)
+
+
 def _mutation_fixtures():
     """Single-coefficient mutations, at least one per verifier; each must fail."""
     h1 = GeneratorId("H", 1)
@@ -281,13 +292,24 @@ def _mutation_fixtures():
     # that skips the unprotected columns still sees it
     c2 = build_series("C", 2)
     boson = bosonic_rep(c2, 4)
-    entries = dict(boson.matrix(f12).entries)
+    entries = boson.matrix(f12).entries
     key = min(k for k in entries if sum(boson.states[k[1]]) <= 2)
-    entries[key] = entries[key] * Scalar(2)
-    matrices = dict(boson.matrices)
-    matrices[f12] = SparseMatrix(boson.space_dim, entries)
-    doubled_c2 = Representation(c2, "bosonic", matrices, boson.space_dim,
-                                boson.cutoff, boson.lambdas)
+    doubled_c2 = _with_entry(boson, f12, key, entries[key] * Scalar(2))
+
+    # C2 with [P1,1, Q1,1] doubled against the unmutated bosonic matrices:
+    # the normal-ordered residual of that pair is no longer zero
+    p11, q11 = GeneratorId("P", 1, 1), GeneratorId("Q", 1, 1)
+    doubled_pq = mutate_bracket(c2, p11, q11,
+                                c2.bracket_gens(p11, q11).scale(Scalar(2)))
+
+    # B2 fermionic with rho(F1,2) given an entry on the vacuum column,
+    # where a+_1 a_2 has none: the matrix no longer follows its polynomial
+    b2 = build_series("B", 2)
+    vacuum_f12 = _with_entry(fermionic_rep(b2), f12, (0, 0), Scalar(1))
+
+    # the C2 Casimir over rho(F1,2) with its entry at column |0,2> doubled
+    key = next(k for k in entries if boson.states[k[1]] == (0, 2))
+    doubled_two = _with_entry(boson, f12, key, entries[key] * Scalar(2))
 
     # the quadratic Casimir of C2 with its first anticommutator doubled
     terms = list(casimir_quadratic(c2).terms)
@@ -339,8 +361,14 @@ def _mutation_fixtures():
             stretched_b1, fermionic_rep(stretched_b1))),
         ("rep-bosonic-entry", lambda: verify_rep_homomorphism(
             c2, doubled_c2)),
+        ("rep-bosonic-bracket", lambda: verify_rep_homomorphism(
+            doubled_pq, boson)),
+        ("rep-fermionic-entry", lambda: verify_rep_homomorphism(
+            b2, vacuum_f12)),
         ("casimir-commutes", lambda: verify_casimir_commutes(
             c2, boson, lopsided)),
+        ("casimir-commutes-entry", lambda: verify_casimir_commutes(
+            c2, doubled_two, casimir_quadratic(c2))),
         ("casimir-form", lambda: verify_casimir_form(perturbed)),
         ("casimir-invariance", lambda: ad_invariance_report(
             reweighted_a1, casimir_quadratic(reweighted_a1))),
@@ -355,3 +383,18 @@ def test_criterion_10_mutation_sensitivity(capsys):
     _verdict(capsys, 10,
              f"all {len(_mutation_fixtures())} single-coefficient "
              f"mutations fail their designated verifiers{tail}", ok)
+
+
+def test_entry_above_every_protected_budget_passes():
+    # rho(P1,1) with an entry on a column of total occupation 3 at cutoff 4:
+    # every pair and Casimir generator that reads P1,1 protects only
+    # columns of occupation at most 2, so the checks pass as before, and
+    # they pass by the matrix fallback, since stage 2 rejects the matrix
+    alg = build_series("C", 2)
+    rep = bosonic_rep(alg, 4)
+    p11 = GeneratorId("P", 1, 1)
+    col = next(pos for pos, state in enumerate(rep.states) if sum(state) == 3)
+    case = _with_entry(rep, p11, (0, col), Scalar(5))
+    assert not OscillatorProof(case).matches(p11)
+    assert _exact(verify_rep_homomorphism(alg, case))
+    assert _exact(verify_casimir_commutes(alg, case, casimir_quadratic(alg)))

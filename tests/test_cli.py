@@ -81,6 +81,15 @@ def test_unknown_check_exit_two(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize("checks", [",", "", " , "])
+def test_empty_check_list_exit_two(capsys, checks):
+    code, out, err = run(capsys, "verify", "--series", "A", "--rank", "1",
+                         "--checks", checks)
+    assert code == 2
+    assert "no checks selected" in err
+    assert out == ""
+
+
 def test_mixed_spec_rejects_canonical_only_checks(capsys):
     code, _, err = run(capsys, "verify", "--series", "D", "--rank", "2",
                        "--spec", "mixed:pairs=1-2", "--checks", "delta-agree")

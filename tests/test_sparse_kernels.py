@@ -7,10 +7,13 @@ pairing, their reports (checked counts, violation lists in order,
 residuals, values, truncation counts) and their crossed-bracket dicts
 must equal the dense enumeration in tests/dense_reference.py exactly.
 
-The representation homomorphism and Casimir checks compute their
-residuals on the protected columns only. On the oscillator grids at
-several cutoffs, and on representations with one matrix entry doubled
-or added, their reports must equal the whole-matrix loops exactly.
+The representation homomorphism and Casimir checks clear a pair or a
+generator by normal ordering when its matrices follow the oscillator
+formulas, and compute their residuals on the protected columns only
+otherwise. On the oscillator grids at several cutoffs, unmutated and with
+one matrix entry doubled or added, one bracket entry rescaled or extended,
+or one root anticommutator of a Casimir rescaled or dropped, their reports
+must equal the whole-matrix loops exactly.
 """
 
 import random
@@ -18,14 +21,14 @@ import random
 import pytest
 
 import dense_reference as dense
-from drinfeld_forge import (I, SQRT2, Element, Scalar, bosonic_rep,
-                            build_series, canonical_triple, casimir_double,
-                            casimir_quadratic, crossed_brackets,
-                            fermionic_rep, mutate_bracket, perturb_pairing,
-                            rescale_minus, split, verify_casimir_commutes,
-                            verify_compatibility, verify_form_invariance,
-                            verify_jacobi, verify_rep_homomorphism,
-                            with_double)
+from drinfeld_forge import (I, SQRT2, CasimirElement, Element, Scalar,
+                            bosonic_rep, build_series, canonical_triple,
+                            casimir_double, casimir_quadratic,
+                            crossed_brackets, fermionic_rep, mutate_bracket,
+                            perturb_pairing, rescale_minus, split,
+                            verify_casimir_commutes, verify_compatibility,
+                            verify_form_invariance, verify_jacobi,
+                            verify_rep_homomorphism, with_double)
 from drinfeld_forge.algebra import LieAlgebra
 from drinfeld_forge.errors import ClosureError, SpecError
 from drinfeld_forge.reps import (Representation, SparseMatrix,
@@ -132,13 +135,17 @@ def test_mutations_are_caught():
     assert any(not all(v) for v in verdicts[1:])
 
 
+def _assert_same_casimir(alg, rep, cas, label):
+    assert (verify_casimir_commutes(alg, rep, cas).to_dict()
+            == dense.verify_casimir_commutes(alg, rep, cas).to_dict()), \
+        (label, cas.label)
+
+
 def _assert_same_reps(alg, rep, label):
     assert (verify_rep_homomorphism(alg, rep).to_dict()
             == dense.verify_rep_homomorphism(alg, rep).to_dict()), label
     for cas in (casimir_quadratic(alg), casimir_double(alg)):
-        assert (verify_casimir_commutes(alg, rep, cas).to_dict()
-                == dense.verify_casimir_commutes(alg, rep, cas).to_dict()), \
-            (label, cas.label)
+        _assert_same_casimir(alg, rep, cas, label)
 
 
 def _with_entry(rep, gid, key, value):
@@ -171,24 +178,66 @@ def _mutated_reps(rep, rng):
     return out
 
 
+def _mutated_tables(alg, rng):
+    """The algebra with one bracket entry rescaled (or extended, when it is
+    zero), and with one extended by a term."""
+    out = []
+    for extend in (False, True):
+        p, q = rng.sample(alg.basis, 2)
+        value = alg.bracket_gens(p, q)
+        if value and not extend:
+            value = value.scale(rng.choice(FACTORS))
+        else:
+            value = value + Element.gen(rng.choice(alg.basis),
+                                        rng.choice(FACTORS))
+        out.append((f"[{p.label}, {q.label}]",
+                    mutate_bracket(alg, p, q, value)))
+    return out
+
+
+def _mutated_casimirs(alg, rng):
+    """Each Casimir with one root anticommutator rescaled, and with one
+    dropped (a Cartan or central square can be central on its own: H_i^2
+    is 1/4 in a fermionic representation)."""
+    out = []
+    for cas in (casimir_quadratic(alg), casimir_double(alg)):
+        terms = list(cas.terms)
+        pos = rng.choice([k for k, term in enumerate(terms)
+                          if term[2] == "anticommutator"])
+        x, y, kind = terms[pos]
+        rescaled = (x.scale(rng.choice(FACTORS)), y, kind)
+        out.append((f"{cas.label} term {pos} rescaled", CasimirElement(
+            terms[:pos] + [rescaled] + terms[pos + 1:], cas.label)))
+        out.append((f"{cas.label} term {pos} dropped", CasimirElement(
+            terms[:pos] + terms[pos + 1:], cas.label)))
+    return out
+
+
+def _assert_same_mutated(alg, rep, label):
+    rng = random.Random(label)
+    _assert_same_reps(alg, rep, label)
+    for name, case in _mutated_reps(rep, rng):
+        _assert_same_reps(alg, case, f"{label} {name}")
+    for name, mutated in _mutated_tables(alg, rng):
+        assert (verify_rep_homomorphism(mutated, rep).to_dict()
+                == dense.verify_rep_homomorphism(mutated, rep).to_dict()), \
+            f"{label} {name}"
+    for name, cas in _mutated_casimirs(alg, rng):
+        _assert_same_casimir(alg, rep, cas, f"{label} {name}")
+
+
 @pytest.mark.parametrize("series,rank", FERMIONIC)
 def test_rep_checks_match_dense_fermionic(series, rank):
     alg = build_series(series, rank)
-    rep = fermionic_rep(alg)
-    _assert_same_reps(alg, rep, f"{series}{rank}")
-    for label, case in _mutated_reps(rep, random.Random(f"{series}{rank}")):
-        _assert_same_reps(alg, case, f"{series}{rank} {label}")
+    _assert_same_mutated(alg, fermionic_rep(alg), f"{series}{rank}")
 
 
 @pytest.mark.parametrize("cutoff", CUTOFFS)
 @pytest.mark.parametrize("series,rank", BOSONIC)
 def test_rep_checks_match_dense_bosonic(series, rank, cutoff):
     alg = build_series(series, rank)
-    rep = bosonic_rep(alg, cutoff)
-    label = f"{series}{rank} cutoff {cutoff}"
-    _assert_same_reps(alg, rep, label)
-    for name, case in _mutated_reps(rep, random.Random(label)):
-        _assert_same_reps(alg, case, f"{label} {name}")
+    _assert_same_mutated(alg, bosonic_rep(alg, cutoff),
+                         f"{series}{rank} cutoff {cutoff}")
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -209,10 +258,17 @@ def test_rep_entry_off_the_protected_columns_passes(rank):
 
 
 def test_rep_mutations_are_caught():
-    # the mutated representations are not all trivially passing
+    # the mutated representations, tables and Casimirs are not all
+    # trivially passing
     alg = build_series("C", 2)
     rep = bosonic_rep(alg, 4)
-    cases = _mutated_reps(rep, random.Random("C2 cutoff 4"))
+    rng = random.Random("C2 cutoff 4")
+    cases = _mutated_reps(rep, rng)
     assert verify_rep_homomorphism(alg, rep).passed
     assert all(not verify_rep_homomorphism(alg, case).passed
                for _, case in cases)
+    # (an entry of a P with P bracket is compared on the vacuum only)
+    assert any(not verify_rep_homomorphism(mutated, rep).passed
+               for _, mutated in _mutated_tables(alg, rng))
+    assert all(not verify_casimir_commutes(alg, rep, cas).passed
+               for _, cas in _mutated_casimirs(alg, rng))
