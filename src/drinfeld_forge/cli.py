@@ -321,6 +321,18 @@ def _apply_config(parser, argv):
     unknown = set(data) - valid
     if unknown:
         raise SpecError("unknown config keys: " + ", ".join(sorted(unknown)))
+    # a string is converted by argparse as the flag's text would be
+    for key, value in data.items():
+        if key == "json":
+            ok, want = isinstance(value, bool), "true or false"
+        elif key in ("rank", "jobs", "cutoff"):
+            ok = isinstance(value, str) or type(value) is int
+            want = "an integer or a string"
+        else:
+            ok, want = isinstance(value, str), "a string"
+        if not ok:
+            raise SpecError(f"config key {key!r} must be {want}, got "
+                            f"{json.dumps(value)}")
     for action in parser._subparsers._group_actions:
         for subparser in action.choices.values():
             subparser.set_defaults(**{k: v for k, v in data.items()})

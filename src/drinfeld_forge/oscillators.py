@@ -1,13 +1,19 @@
-"""Normal ordering of oscillator polynomials, and the two cutoff-free
-stages that let the `rep` and `casimir` checks skip their matrices.
+"""Oscillator polynomials: the generator images, their one Fock action,
+their normal ordering, and the two cutoff-free stages that let the `rep`
+and `casimir` checks skip their matrices.
 
 A letter is (CREATE, m) or (ANNIHILATE, m) for the oscillator of Cartan
 index m, and a word is a tuple of letters read as their operator product
 (the rightmost letter acts first). A word is normal-ordered when its
 letters are nondecreasing: creators before annihilators, each ascending in
 m. A polynomial is a dict word -> Scalar holding no zero. The generator
-images are the polynomials of the `reps` docstring, and the argument for
-why the two stages imply a zero protected residual is given there too.
+images are the polynomials of the `reps` docstring (`oscillator_image`),
+and the argument for why the two stages imply a zero protected residual
+is given there too.
+
+`FockSpace.apply` is the one Fock action: the `reps` builders make each
+generator's matrix by applying its image to every state, and stage 2
+checks a matrix against the same action of its normal-ordered image.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from .elements import Element
 from .generators import GeneratorId
 from .linalg import accumulate
-from .reps import CasimirElement, Representation, _jw_sign, occupation_raise
+from .reps import CasimirElement, Representation, occupation_raise
 from .scalars import HALF, INV_SQRT2, ONE
 
 CREATE, ANNIHILATE = 0, 1
@@ -131,10 +137,18 @@ def boson_act(word: tuple, state: tuple):
     return factor, tuple(occupation)
 
 
+def _jw_sign(mask: int, mode: int) -> int:
+    """The Jordan-Wigner string: -1 to the number of modes below `mode`
+    occupied in `mask`."""
+    below = mask & ((1 << mode) - 1)
+    return -1 if bin(below).count("1") % 2 else 1
+
+
 def fermion_act(word: tuple, mask: int):
-    """A word on the Fock state `mask`, with the Jordan-Wigner string of
-    `fermion_create`: (sign, mask) with word |mask> = sign |mask'>, or
-    None when it is 0."""
+    """A word on the Fock state `mask` (bit m - 1 set when mode m is
+    occupied), each letter carrying the Jordan-Wigner string over the
+    lower modes: (sign, mask) with word |mask> = sign |mask'>, or None when
+    it is 0."""
     sign = 1
     for kind, index in reversed(word):
         bit = 1 << (index - 1)
@@ -143,6 +157,59 @@ def fermion_act(word: tuple, mask: int):
         mask ^= bit
         sign *= _jw_sign(mask, index - 1)
     return sign, mask
+
+
+def boson_states(modes: int, cutoff: int) -> list[tuple[int, ...]]:
+    """Occupation tuples of total at most `cutoff`, in sorted order."""
+    if modes == 0:
+        return [()]
+    return [(first,) + rest for first in range(cutoff + 1)
+            for rest in boson_states(modes - 1, cutoff - first)]
+
+
+class FockSpace:
+    """The Fock states of `modes` oscillators, in column order, and the
+    action of a polynomial on them.
+
+    Untruncated (`cutoff` None) the oscillators are fermions and the states
+    are the masks 0 .. 2^modes - 1. Truncated they are bosons and the states
+    are the occupation tuples of total at most `cutoff`, in sorted order.
+    """
+
+    def __init__(self, modes: int, cutoff: int | None = None):
+        self.cutoff = cutoff
+        if cutoff is None:
+            self.states = range(1 << modes)
+            self._act, self._index_of = fermion_act, None
+        else:
+            self.states = boson_states(modes, cutoff)
+            self._act = boson_act
+            self._index_of = {state: pos
+                              for pos, state in enumerate(self.states)}
+
+    def apply(self, poly: dict) -> dict:
+        """The matrix of a polynomial over the states, (row, col) -> Scalar
+        holding no zero, with amplitudes above the cutoff dropped."""
+        act, index_of = self._act, self._index_of
+        out = {}
+        for word, coeff in poly.items():
+            scaled = {}
+            for col, state in enumerate(self.states):
+                moved = act(word, state)
+                if moved is None:
+                    continue
+                factor, target = moved
+                row = target if index_of is None else index_of.get(target)
+                if row is None:
+                    continue
+                value = scaled.get(factor)
+                if value is None:
+                    value = scaled[factor] = coeff * factor
+                if (row, col) in out:
+                    accumulate(out, (row, col), value)
+                else:
+                    out[(row, col)] = value
+        return out
 
 
 # Two-letter (or one-letter) images, per statistics: kind -> (letter kinds,
@@ -189,32 +256,22 @@ class OscillatorProof:
     """The two cutoff-free stages for one representation.
 
     `image(g)` is rho(g) as a normal-ordered polynomial (stage 1 works on
-    these); `matches(g)` is stage 2, that the built matrix of g equals its
-    polynomial applied to every state, amplitudes above the cutoff dropped.
-    A truncated generator also needs its polynomial to raise the occupation
-    by at most `occupation_raise(g)`, which the protected columns assume.
+    these); `matches(g)` is stage 2, that the built matrix of g equals the
+    representation's `FockSpace.apply` of that polynomial. A truncated
+    generator also needs its polynomial to raise the occupation by at most
+    `occupation_raise(g)`, which the protected columns assume.
     """
 
     def __init__(self, rep: Representation):
         self.rep = rep
-        self.fermionic = rep.kind == "fermionic"
-        self.ordering = Oscillators(-1 if self.fermionic else 1)
+        self.truncated = rep.cutoff is not None
+        self.ordering = Oscillators(1 if self.truncated else -1)
         self._images = {}
         self._matches = {}
-        # states in column order, None (stage 2 fails) for a representation
-        # that is neither untruncated fermionic nor truncated bosonic
-        self._states = self._index_of = None
-        if self.fermionic:
-            if rep.states is None:
-                self._states = range(rep.space_dim)
-        elif rep.states is not None:
-            self._states = rep.states
-            self._index_of = {state: pos
-                              for pos, state in enumerate(rep.states)}
 
     def image(self, gid: GeneratorId):
         if gid not in self._images:
-            poly = oscillator_image(gid, self.fermionic, self.rep.lambdas)
+            poly = oscillator_image(gid, not self.truncated, self.rep.lambdas)
             self._images[gid] = (None if poly is None
                                  else self.ordering.normal(poly))
         return self._images[gid]
@@ -226,35 +283,13 @@ class OscillatorProof:
 
     def _stage2(self, gid: GeneratorId) -> bool:
         matrix = self.rep.matrices.get(gid)
-        if matrix is None or self._states is None:
-            return False
         poly = self.image(gid)
-        if poly is None:
+        if matrix is None or poly is None:
             return False
-        if self._index_of is not None and any(
+        if self.truncated and any(
                 word_raise(word) > occupation_raise(gid) for word in poly):
             return False
-        act = fermion_act if self.fermionic else boson_act
-        index_of = self._index_of
-        expected = {}
-        for word, coeff in poly.items():
-            scaled = {}
-            for col, state in enumerate(self._states):
-                moved = act(word, state)
-                if moved is None:
-                    continue
-                factor, target = moved
-                row = target if index_of is None else index_of.get(target)
-                if row is None:
-                    continue
-                value = scaled.get(factor)
-                if value is None:
-                    value = scaled[factor] = coeff * factor
-                if (row, col) in expected:
-                    accumulate(expected, (row, col), value)
-                else:
-                    expected[(row, col)] = value
-        return expected == matrix.entries
+        return self.rep.space.apply(poly) == matrix.entries
 
     def clears_pair(self, p: GeneratorId, q: GeneratorId,
                     bracket: Element) -> bool:
@@ -286,8 +321,7 @@ class OscillatorProof:
                 for word, value in self.ordering.product(left, right).items():
                     accumulate(total, word, value)
         budget = cas.raise_budget()
-        if self._index_of is not None and any(
-                word_raise(word) > budget for word in total):
+        if self.truncated and any(word_raise(word) > budget for word in total):
             return None
         return total
 

@@ -1,5 +1,10 @@
 """Oscillator representations used to cross-check the structure tables.
 
+This module's two tables are the one human-readable statement of the
+oscillator images. `oscillators.oscillator_image` holds them as
+polynomials, and the builders apply them: each generator's matrix is its
+polynomial applied to every Fock state (`oscillators.FockSpace.apply`).
+
 Fermionic (series A, B, D): the Fock space of N modes, dimension 2^N,
 with creation and annihilation operators carrying the alternating-sign
 string over lower-numbered modes so that distinct modes anticommute.
@@ -41,10 +46,12 @@ clear a pair in two stages before touching its matrices:
      algebra (b b+ = b+ b + 1) or the Clifford algebra (a a+ = -a+ a + 1,
      a a = 0), one routine for both (module `oscillators`); for
      `casimir`, [C, rho(g)] with C the quartic Casimir polynomial;
-  2. the matrix gate, once per generator: its built matrix equals its
-     polynomial applied to every state, amplitudes above the cutoff
-     dropped (and a bosonic polynomial raises the occupation by at most
-     `occupation_raise`).
+  2. the matrix gate, once per generator: the matrix the representation
+     holds equals its normal-ordered polynomial applied to every state,
+     amplitudes above the cutoff dropped (and a bosonic polynomial raises
+     the occupation by at most `occupation_raise`). The builders make
+     every matrix that way; a representation assembled or edited by other
+     means is held to the same action.
 
 A zero stage-1 residual whose generators all pass stage 2 makes the
 protected residual zero. Stage 2 makes each matrix the truncated operator
@@ -68,7 +75,7 @@ from .generators import (GeneratorId, cartan_count, dimension, mirror,
                          positive_roots)
 from .linalg import accumulate
 from .reporting import CheckReport
-from .scalars import HALF, INV_SQRT2, ONE, Scalar
+from .scalars import ONE, Scalar
 
 # Largest representation a builder accepts, as states times basis
 # generators: each generator's matrix holds about one entry per state. A7 at
@@ -90,14 +97,6 @@ class SparseMatrix:
                 if value:
                     self.entries[key] = value
 
-    @classmethod
-    def identity(cls, dim: int, scale: Scalar = ONE) -> SparseMatrix:
-        out = cls(dim)
-        if scale:
-            for k in range(dim):
-                out.entries[(k, k)] = scale
-        return out
-
     def add_entry(self, row: int, col: int, value: Scalar) -> None:
         accumulate(self.entries, (row, col), value)
 
@@ -109,27 +108,6 @@ class SparseMatrix:
         for (row, mid), value in left.entries.items():
             for col, other in by_row.get(mid, ()):
                 self.add_entry(row, col, value * other)
-
-    def __add__(self, other: SparseMatrix) -> SparseMatrix:
-        out = SparseMatrix(self.dim, self.entries)
-        for key, value in other.entries.items():
-            out.add_entry(*key, value)
-        return out
-
-    def scale(self, factor: Scalar) -> SparseMatrix:
-        out = SparseMatrix(self.dim)
-        if factor:
-            for key, value in self.entries.items():
-                out.entries[key] = value * factor
-        return out
-
-    def __matmul__(self, other: SparseMatrix) -> SparseMatrix:
-        out = SparseMatrix(self.dim)
-        out.add_product(self, other)
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
@@ -156,52 +134,6 @@ def _columns(mat: SparseMatrix) -> dict[int, list]:
     return out
 
 
-def _jw_sign(mask: int, mode: int) -> int:
-    below = mask & ((1 << mode) - 1)
-    return -1 if bin(below).count("1") % 2 else 1
-
-
-def fermion_create(modes: int, index: int) -> SparseMatrix:
-    """Creation operator for Cartan index `index` (1-based), JW signs."""
-    mode = index - 1
-    bit = 1 << mode
-    out = SparseMatrix(1 << modes)
-    for mask in range(1 << modes):
-        if not mask & bit:
-            out.entries[(mask | bit, mask)] = Scalar(_jw_sign(mask, mode))
-    return out
-
-
-def fermion_annihilate(modes: int, index: int) -> SparseMatrix:
-    mode = index - 1
-    bit = 1 << mode
-    out = SparseMatrix(1 << modes)
-    for mask in range(1 << modes):
-        if mask & bit:
-            out.entries[(mask & ~bit, mask)] = Scalar(_jw_sign(mask & ~bit, mode))
-    return out
-
-
-def boson_states(modes: int, cutoff: int) -> list[tuple[int, ...]]:
-    """Occupation tuples of total at most `cutoff`, in sorted order."""
-    if modes == 0:
-        return [()]
-    return [(first,) + rest for first in range(cutoff + 1)
-            for rest in boson_states(modes - 1, cutoff - first)]
-
-
-def boson_create(states, index_of, index: int) -> SparseMatrix:
-    """b+ on Cartan index `index` (1-based): |n> -> |n+1>, dropped above
-    the cutoff."""
-    pos = index - 1
-    out = SparseMatrix(len(states))
-    for col, state in enumerate(states):
-        row = index_of.get(state[:pos] + (state[pos] + 1,) + state[pos + 1:])
-        if row is not None:
-            out.entries[(row, col)] = ONE
-    return out
-
-
 def rep_size(series: str, rank: int, cutoff: int | None = None) -> int:
     """Estimated size of a representation, states times basis generators:
     2^N fermionic states, or C(N + cutoff, N) bosonic ones when a cutoff is
@@ -220,23 +152,21 @@ def _check_rep_size(alg, cutoff: int | None = None) -> None:
 
 
 class Representation:
-    """Matrices for every basis generator of one algebra.
-
-    A truncated (bosonic) representation keeps its occupation `states`, in
-    column order, so that the protected columns are read off them; an
-    untruncated one has `states` None.
+    """Matrices for every basis generator of one algebra, on the states of
+    one `oscillators.FockSpace`: fermionic when the space is untruncated,
+    bosonic when it has a `cutoff`. `states` lists the space's states in
+    column order, so that the protected columns are read off them.
     """
 
-    def __init__(self, alg, kind: str, matrices, space_dim: int,
-                 cutoff: int | None, lambdas):
+    def __init__(self, alg, matrices, space, lambdas):
         self.alg = alg
-        self.kind = kind
+        self.kind = "fermionic" if space.cutoff is None else "bosonic"
         self.matrices = matrices
-        self.space_dim = space_dim
-        self.cutoff = cutoff
+        self.space = space
+        self.states = space.states
+        self.space_dim = len(space.states)
+        self.cutoff = space.cutoff
         self.lambdas = dict(lambdas)
-        self.states = (None if cutoff is None else
-                       boson_states(cartan_count(alg.series, alg.rank), cutoff))
 
     def matrix(self, gid: GeneratorId) -> SparseMatrix:
         return self.matrices[gid]
@@ -260,36 +190,28 @@ def _normalize_lambdas(alg, lambdas):
     return table
 
 
+def _build(alg, cutoff: int | None, lambdas) -> Representation:
+    """Each generator's matrix: its oscillator image applied to every state
+    of the Fock space, fermionic when `cutoff` is None."""
+    # imported on use, as in `_proof`: only a process that builds a
+    # representation loads the oscillators
+    from .oscillators import FockSpace, oscillator_image
+    lam = _normalize_lambdas(alg, lambdas)
+    space = FockSpace(cartan_count(alg.series, alg.rank), cutoff)
+    matrices = {}
+    for gid in alg.basis:
+        poly = oscillator_image(gid, cutoff is None, lam)
+        if poly is None:
+            raise SpecError(f"kind {gid.kind!r} has no oscillator realization")
+        matrices[gid] = SparseMatrix(len(space.states), space.apply(poly))
+    return Representation(alg, matrices, space, lam)
+
+
 def fermionic_rep(alg, lambdas=None) -> Representation:
     if alg.series == "C":
         raise SpecError("series C has no fermionic oscillator realization here")
     _check_rep_size(alg)
-    n = cartan_count(alg.series, alg.rank)
-    lam = _normalize_lambdas(alg, lambdas)
-    dim = 1 << n
-    create = {i: fermion_create(n, i) for i in range(1, n + 1)}
-    destroy = {i: fermion_annihilate(n, i) for i in range(1, n + 1)}
-    matrices = {}
-    for gid in alg.basis:
-        kind, i, j = gid
-        if kind == "H":
-            number = create[i] @ destroy[i]
-            matrices[gid] = number + SparseMatrix.identity(dim, -HALF)
-        elif kind == "I":
-            matrices[gid] = SparseMatrix.identity(dim, lam[i])
-        elif kind == "F":
-            matrices[gid] = create[i] @ destroy[j]
-        elif kind == "S":
-            matrices[gid] = create[i] @ create[j]
-        elif kind == "T":
-            matrices[gid] = (destroy[i] @ destroy[j]).scale(Scalar(-1))
-        elif kind == "U":
-            matrices[gid] = create[i].scale(INV_SQRT2)
-        elif kind == "V":
-            matrices[gid] = destroy[i].scale(INV_SQRT2)
-        else:
-            raise SpecError(f"kind {kind!r} has no fermionic realization")
-    return Representation(alg, "fermionic", matrices, dim, None, lam)
+    return _build(alg, None, lambdas)
 
 
 def bosonic_rep(alg, cutoff: int, lambdas=None) -> Representation:
@@ -298,35 +220,7 @@ def bosonic_rep(alg, cutoff: int, lambdas=None) -> Representation:
     if cutoff < 2:
         raise SpecError("bosonic cutoff must be at least 2")
     _check_rep_size(alg, cutoff)
-    n = cartan_count(alg.series, alg.rank)
-    lam = _normalize_lambdas(alg, lambdas)
-    states = boson_states(n, cutoff)
-    index_of = {state: pos for pos, state in enumerate(states)}
-    dim = len(states)
-    create = {i: boson_create(states, index_of, i) for i in range(1, n + 1)}
-    # b|n> = n|n-1>: the transpose of b+, scaled by the occupation lowered
-    destroy = {i: SparseMatrix(dim, {(col, row): Scalar(states[row][i - 1])
-                                     for row, col in create[i].entries})
-               for i in range(1, n + 1)}
-    matrices = {}
-    for gid in alg.basis:
-        kind, i, j = gid
-        if kind == "H":
-            number = create[i] @ destroy[i]
-            matrices[gid] = number + SparseMatrix.identity(dim, HALF)
-        elif kind == "I":
-            matrices[gid] = SparseMatrix.identity(dim, lam[i])
-        elif kind == "F":
-            matrices[gid] = create[i] @ destroy[j]
-        elif kind == "P":
-            pair = create[i] @ create[j]
-            matrices[gid] = pair.scale(INV_SQRT2) if i == j else pair
-        elif kind == "Q":
-            pair = destroy[i] @ destroy[j]
-            matrices[gid] = pair.scale(-INV_SQRT2 if i == j else Scalar(-1))
-        else:
-            raise SpecError(f"kind {kind!r} has no bosonic realization")
-    return Representation(alg, "bosonic", matrices, dim, cutoff, lam)
+    return _build(alg, cutoff, lambdas)
 
 
 def occupation_raise(gid: GeneratorId) -> int:

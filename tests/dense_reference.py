@@ -8,7 +8,11 @@ dense crossed-bracket solve. The representation checks multiply whole
 matrices per basis pair (the commutator, rho of the bracket built by one
 copy per term, their difference) and only then count the residual on the
 protected columns, as the package did before it computed those columns
-alone. They are slow and independent of the support-driven kernels in
+alone. The representations themselves are built as the package built them
+before it applied the oscillator polynomials to the Fock states: products
+of Jordan-Wigner creation and annihilation matrices, and of occupation
+raising and lowering ones, one branch per generator kind. They are slow
+and independent of the support-driven kernels and of the Fock action in
 drinfeld_forge, which is what makes them a useful oracle. They are not
 part of the package and nothing outside the tests imports them.
 """
@@ -23,8 +27,8 @@ from drinfeld_forge.elements import Element
 from drinfeld_forge.errors import ClosureError
 from drinfeld_forge.generators import cartan_count
 from drinfeld_forge.reporting import CheckReport
-from drinfeld_forge.reps import SparseMatrix, boson_states, occupation_raise
-from drinfeld_forge.scalars import ZERO, Scalar
+from drinfeld_forge.reps import SparseMatrix, occupation_raise
+from drinfeld_forge.scalars import HALF, INV_SQRT2, ONE, ZERO, Scalar
 
 
 def _bracket(alg, x: Element, y: Element) -> Element:
@@ -202,16 +206,155 @@ def crossed_brackets(triple):
     return out
 
 
+def identity(dim: int, factor: Scalar = ONE) -> SparseMatrix:
+    """factor times the identity."""
+    return SparseMatrix(dim, {(k, k): factor for k in range(dim)})
+
+
+def add(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    out = dict(a.entries)
+    for key, value in b.entries.items():
+        out[key] = out.get(key, ZERO) + value
+    return SparseMatrix(a.dim, out)
+
+
+def scale(mat: SparseMatrix, factor: Scalar) -> SparseMatrix:
+    return SparseMatrix(mat.dim, {key: value * factor
+                                  for key, value in mat.entries.items()})
+
+
+def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """a b: sum over m of a[row, m] b[m, col], through a row index of b."""
+    b_rows = {}
+    for (mid, col), right in b.entries.items():
+        b_rows.setdefault(mid, []).append((col, right))
+    out = {}
+    for (row, mid), left in a.entries.items():
+        for col, right in b_rows.get(mid, ()):
+            out[(row, col)] = out.get((row, col), ZERO) + left * right
+    return SparseMatrix(a.dim, out)
+
+
+def _jw_sign(mask: int, mode: int) -> Scalar:
+    """-1 to the number of occupied modes below `mode`."""
+    return Scalar((-1) ** sum(1 for m in range(mode) if mask >> m & 1))
+
+
+def fermion_create(modes: int, index: int) -> SparseMatrix:
+    """a+ on Cartan index `index` (1-based), with the Jordan-Wigner string."""
+    bit = 1 << (index - 1)
+    return SparseMatrix(1 << modes, {
+        (mask | bit, mask): _jw_sign(mask, index - 1)
+        for mask in range(1 << modes) if not mask & bit})
+
+
+def fermion_annihilate(modes: int, index: int) -> SparseMatrix:
+    """a on Cartan index `index` (1-based), with the Jordan-Wigner string."""
+    bit = 1 << (index - 1)
+    return SparseMatrix(1 << modes, {
+        (mask & ~bit, mask): _jw_sign(mask & ~bit, index - 1)
+        for mask in range(1 << modes) if mask & bit})
+
+
+def boson_states(modes: int, cutoff: int) -> list[tuple[int, ...]]:
+    """Every occupation tuple of total at most `cutoff`, sorted."""
+    return sorted(state for state in itertools.product(range(cutoff + 1),
+                                                       repeat=modes)
+                  if sum(state) <= cutoff)
+
+
+def boson_create(states, index_of, index: int) -> SparseMatrix:
+    """b+ on Cartan index `index` (1-based): |n> -> |n+1>, dropped above
+    the cutoff."""
+    pos = index - 1
+    out = SparseMatrix(len(states))
+    for col, state in enumerate(states):
+        row = index_of.get(state[:pos] + (state[pos] + 1,) + state[pos + 1:])
+        if row is not None:
+            out.entries[(row, col)] = ONE
+    return out
+
+
+def _lambda_table(alg, lambdas):
+    table = {i: ONE for i in range(1, cartan_count(alg.series, alg.rank) + 1)}
+    table.update(lambdas or {})
+    return table
+
+
+def fermionic_matrices(alg, lambdas=None) -> dict:
+    """rho(g) for every basis generator g, from Jordan-Wigner products."""
+    n = cartan_count(alg.series, alg.rank)
+    lam = _lambda_table(alg, lambdas)
+    dim = 1 << n
+    create = {i: fermion_create(n, i) for i in range(1, n + 1)}
+    destroy = {i: fermion_annihilate(n, i) for i in range(1, n + 1)}
+    matrices = {}
+    for gid in alg.basis:
+        kind, i, j = gid
+        if kind == "H":
+            number = matmul(create[i], destroy[i])
+            matrices[gid] = add(number, identity(dim, -HALF))
+        elif kind == "I":
+            matrices[gid] = identity(dim, lam[i])
+        elif kind == "F":
+            matrices[gid] = matmul(create[i], destroy[j])
+        elif kind == "S":
+            matrices[gid] = matmul(create[i], create[j])
+        elif kind == "T":
+            matrices[gid] = scale(matmul(destroy[i], destroy[j]), Scalar(-1))
+        elif kind == "U":
+            matrices[gid] = scale(create[i], INV_SQRT2)
+        elif kind == "V":
+            matrices[gid] = scale(destroy[i], INV_SQRT2)
+        else:
+            raise ValueError(f"kind {kind!r} has no fermionic realization")
+    return matrices
+
+
+def bosonic_matrices(alg, cutoff: int, lambdas=None) -> dict:
+    """rho(g) for every basis generator g, from products of the truncated
+    raising and lowering matrices."""
+    n = cartan_count(alg.series, alg.rank)
+    lam = _lambda_table(alg, lambdas)
+    states = boson_states(n, cutoff)
+    index_of = {state: pos for pos, state in enumerate(states)}
+    dim = len(states)
+    create = {i: boson_create(states, index_of, i) for i in range(1, n + 1)}
+    # b|n> = n|n-1>: the transpose of b+, scaled by the occupation lowered
+    destroy = {i: SparseMatrix(dim, {(col, row): Scalar(states[row][i - 1])
+                                     for row, col in create[i].entries})
+               for i in range(1, n + 1)}
+    matrices = {}
+    for gid in alg.basis:
+        kind, i, j = gid
+        if kind == "H":
+            number = matmul(create[i], destroy[i])
+            matrices[gid] = add(number, identity(dim, HALF))
+        elif kind == "I":
+            matrices[gid] = identity(dim, lam[i])
+        elif kind == "F":
+            matrices[gid] = matmul(create[i], destroy[j])
+        elif kind == "P":
+            pair = matmul(create[i], create[j])
+            matrices[gid] = scale(pair, INV_SQRT2) if i == j else pair
+        elif kind == "Q":
+            pair = matmul(destroy[i], destroy[j])
+            matrices[gid] = scale(pair, -INV_SQRT2 if i == j else Scalar(-1))
+        else:
+            raise ValueError(f"kind {kind!r} has no bosonic realization")
+    return matrices
+
+
 def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """a b - b a, from two whole matrix products."""
-    return a @ b + (b @ a).scale(Scalar(-1))
+    return add(matmul(a, b), scale(matmul(b, a), Scalar(-1)))
 
 
 def element_matrix(rep, elem: Element) -> SparseMatrix:
     """rho(elem), copying the running sum once per term."""
     total = SparseMatrix(rep.space_dim)
     for gid, coeff in elem.terms():
-        total = total + rep.matrix(gid).scale(coeff)
+        total = add(total, scale(rep.matrix(gid), coeff))
     return total
 
 
@@ -248,7 +391,7 @@ def verify_rep_homomorphism(alg, rep) -> CheckReport:
         if actual == expected:
             continue
         wrong = _protected_entries(
-            actual + expected.scale(Scalar(-1)), columns)
+            add(actual, scale(expected, Scalar(-1))), columns)
         if wrong:
             report.add_violation({"pair": [p.label, q.label],
                                   "entries": wrong})
@@ -263,10 +406,10 @@ def casimir_matrix(rep, cas) -> SparseMatrix:
     for x, y, kind in cas.terms:
         mx = element_matrix(rep, x)
         if kind == "square":
-            total = total + mx @ mx
+            total = add(total, matmul(mx, mx))
         else:
             my = element_matrix(rep, y)
-            total = total + mx @ my + my @ mx
+            total = add(add(total, matmul(mx, my)), matmul(my, mx))
     return total
 
 

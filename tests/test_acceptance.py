@@ -204,7 +204,8 @@ def test_criterion_08_oscillator_representations(capsys):
 
     alg = build_series("B", 1)
     cas = casimir_matrix(fermionic_rep(alg), casimir_quadratic(alg))
-    ok = ok and cas == SparseMatrix.identity(2, Scalar(Fraction(3, 4)))
+    ok = ok and cas.entries == {(k, k): Scalar(Fraction(3, 4))
+                                for k in range(2)}
     _verdict(capsys, 8,
              f"fermionic, and bosonic at cutoff {BOSONIC_CUTOFF} on its "
              f"protected columns: homomorphism and Casimir centrality "
@@ -227,8 +228,7 @@ def _with_entry(rep, gid, key, value):
     entries[key] = value
     matrices = dict(rep.matrices)
     matrices[gid] = SparseMatrix(rep.space_dim, entries)
-    return Representation(rep.alg, rep.kind, matrices, rep.space_dim,
-                          rep.cutoff, rep.lambdas)
+    return Representation(rep.alg, matrices, rep.space, rep.lambdas)
 
 
 def _mutation_fixtures():

@@ -175,6 +175,18 @@ def test_bosonic_matrices_export_golden(capsys):
                    "0 2 0 0 -1 0\n")
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("B2", ["--series", "B", "--rank", "2"]),
+    ("A2_cutoff3", ["--series", "A", "--rank", "2", "--cutoff", "3"]),
+])
+def test_matrices_export_golden(capsys, name, argv):
+    # recorded while the builders still multiplied Jordan-Wigner and
+    # occupation matrices: applying the polynomials changes no byte
+    code, out, _ = run(capsys, "export", "--what", "matrices", *argv)
+    assert code == 0
+    assert out == (GOLDEN / f"export_matrices_{name}.txt").read_text()
+
+
 @pytest.mark.parametrize("series", ["A", "C"])
 def test_rep_casimir_json_golden(capsys, series):
     # recorded before the rep and Casimir checks computed only the
@@ -217,6 +229,22 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 2
     assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize("key,value", [("cutoff", 2.5), ("cutoff", [3]),
+                                       ("spec", 3), ("json", "false"),
+                                       ("rank", True)])
+def test_config_rejects_malformed_values(tmp_path, capsys, key, value):
+    # a float, list or number where a string or an integer belongs, the
+    # string "false" for a switch, a boolean for a count: exit 2, key named
+    cfg = tmp_path / "cfg.json"
+    data = {"series": "A", "rank": 1, "checks": "rep"}
+    data[key] = value
+    cfg.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"config key {key!r}" in err
 
 
 def test_missing_series_exit_two(capsys):
@@ -271,6 +299,12 @@ def test_verify_path_never_imports_numpy():
             "rc = cli.main(['verify', '--series', 'A', '--rank', '2', "
             "'--checks', 'jacobi,compatibility', '--jobs', '1'])\n"
             "assert rc == 0, rc\n"
+            # the oscillators load only with a representation
+            "for argv in (['build'], ['export', '--what', 'brackets'], "
+            "['verify', '--checks', 'jacobi,cocycle']):\n"
+            "    rc = cli.main(argv + ['--series', 'A', '--rank', '2'])\n"
+            "    assert rc == 0, (argv, rc)\n"
+            "    assert 'drinfeld_forge.oscillators' not in sys.modules, argv\n"
             "for series in ('A', 'C'):\n"
             "    rc = cli.main(['verify', '--series', series, '--rank', '2', "
             "'--checks', 'rep,casimir', '--jobs', '1'])\n"

@@ -141,7 +141,7 @@ def test_casimir_polynomial_is_the_casimir_matrix():
     for label, alg, rep in _reps():
         proof = OscillatorProof(rep)
         act = fermion_act if rep.cutoff is None else boson_act
-        states = (range(rep.space_dim) if rep.states is None else rep.states)
+        states = rep.states
         index_of = {state: pos for pos, state in enumerate(states)}
         for cas in (casimir_quadratic(alg), casimir_double(alg)):
             poly = proof.casimir(cas)
@@ -173,8 +173,7 @@ def _with_entry(rep, gid, key, value):
     entries = dict(rep.matrix(gid).entries)
     entries[key] = value
     matrices[gid] = SparseMatrix(rep.space_dim, entries)
-    return Representation(rep.alg, rep.kind, matrices, rep.space_dim,
-                          rep.cutoff, rep.lambdas)
+    return Representation(rep.alg, matrices, rep.space, rep.lambdas)
 
 
 def test_stage2_flags_an_entry_off_the_formula():

@@ -6,15 +6,14 @@ from fractions import Fraction
 import pytest
 
 import dense_reference as dense
-from drinfeld_forge import (GeneratorId, Scalar, SpecError, build_series,
-                            ad_invariance_report, bosonic_rep, casimir_double,
-                            casimir_matrix, casimir_quadratic, fermionic_rep,
-                            parse_label, verify_casimir_commutes,
-                            verify_rep_homomorphism)
-from drinfeld_forge.reps import (MAX_REP_SIZE, SparseMatrix, fermion_create,
-                                 fermion_annihilate, boson_states,
-                                 occupation_raise, protected_columns,
-                                 rep_size)
+from drinfeld_forge import (SQRT2, GeneratorId, Scalar, SpecError,
+                            ad_invariance_report, bosonic_rep, build_series,
+                            cartan_count, casimir_double, casimir_matrix,
+                            casimir_quadratic, fermionic_rep, parse_label,
+                            verify_casimir_commutes, verify_rep_homomorphism)
+from drinfeld_forge.oscillators import boson_states
+from drinfeld_forge.reps import (MAX_REP_SIZE, occupation_raise,
+                                 protected_columns, rep_size)
 
 FERMIONIC_GRID = [("A", 1), ("A", 2), ("A", 3), ("B", 1), ("B", 2), ("B", 3),
                   ("D", 2), ("D", 3)]
@@ -23,17 +22,19 @@ BOSONIC_GRID = [("A", 1), ("A", 2), ("C", 1), ("C", 2)]
 
 def test_fermion_anticommutators():
     n = 3
-    eye = SparseMatrix.identity(1 << n, Scalar(1))
+    eye = dense.identity(1 << n)
     for i in range(1, n + 1):
-        ci, ai = fermion_create(n, i), fermion_annihilate(n, i)
+        ci, ai = dense.fermion_create(n, i), dense.fermion_annihilate(n, i)
         for j in range(1, n + 1):
-            cj, aj = fermion_create(n, j), fermion_annihilate(n, j)
-            anti = ci @ aj + aj @ ci
+            cj = dense.fermion_create(n, j)
+            aj = dense.fermion_annihilate(n, j)
+            anti = dense.add(dense.matmul(ci, aj), dense.matmul(aj, ci))
             if i == j:
                 assert anti == eye
             else:
-                assert anti.is_zero()
-            assert (ci @ cj + cj @ ci).is_zero()
+                assert not anti.entries
+            assert not dense.add(dense.matmul(ci, cj),
+                                 dense.matmul(cj, ci)).entries
 
 
 def test_boson_states_are_cutoff_bounded():
@@ -85,7 +86,7 @@ def test_b1_quadratic_casimir_is_three_quarters_identity():
     alg = build_series("B", 1)
     rep = fermionic_rep(alg)
     cas = casimir_matrix(rep, casimir_quadratic(alg))
-    want = SparseMatrix.identity(rep.space_dim, Scalar(Fraction(3, 4)))
+    want = dense.identity(rep.space_dim, Scalar(Fraction(3, 4)))
     assert cas == want
 
 
@@ -127,7 +128,7 @@ def test_casimir_ad_invariance_table_level():
 def test_custom_central_charges():
     alg = build_series("B", 1)
     rep = fermionic_rep(alg, lambdas={1: Scalar(3)})
-    assert rep.matrix(GeneratorId("I", 1)) == SparseMatrix.identity(
+    assert rep.matrix(GeneratorId("I", 1)) == dense.identity(
         rep.space_dim, Scalar(3))
     assert verify_rep_homomorphism(alg, rep).passed
 
@@ -199,3 +200,43 @@ def test_rep_size_estimate():
 def test_oversized_rep_rejected():
     with pytest.raises(SpecError, match="too large"):
         fermionic_rep(build_series("B", 12))
+
+
+DIFFERENTIAL_FERMIONIC = [("A", 1), ("A", 2), ("A", 3), ("B", 1), ("B", 2),
+                          ("B", 3), ("B", 4), ("D", 2), ("D", 3), ("D", 4),
+                          ("D", 5)]
+DIFFERENTIAL_BOSONIC = [("A", 1), ("A", 2), ("A", 3), ("C", 1), ("C", 2),
+                        ("C", 3), ("C", 4)]
+LAMBDAS = {
+    "default": lambda n: None,
+    "lambda1-zero": lambda n: {1: Scalar(0)},
+    "lambda1-lambdaN": lambda n: {1: Scalar(Fraction(3, 2)), n: SQRT2},
+}
+
+
+def _same_matrices(alg, rep, want):
+    assert set(rep.matrices) == set(want) == set(alg.basis)
+    for gid in alg.basis:
+        assert rep.matrix(gid).entries == want[gid].entries, gid.label
+
+
+@pytest.mark.parametrize("charges", sorted(LAMBDAS))
+@pytest.mark.parametrize("series,rank", DIFFERENTIAL_FERMIONIC)
+def test_fermionic_matrices_equal_jordan_wigner_products(series, rank,
+                                                         charges):
+    # the builder applies each polynomial to the Fock states; the oracle
+    # multiplies Jordan-Wigner matrices, one branch per generator kind
+    alg = build_series(series, rank)
+    lambdas = LAMBDAS[charges](cartan_count(series, rank))
+    _same_matrices(alg, fermionic_rep(alg, lambdas),
+                   dense.fermionic_matrices(alg, lambdas))
+
+
+@pytest.mark.parametrize("charges", sorted(LAMBDAS))
+@pytest.mark.parametrize("series,rank", DIFFERENTIAL_BOSONIC)
+def test_bosonic_matrices_equal_occupation_products(series, rank, charges):
+    alg = build_series(series, rank)
+    lambdas = LAMBDAS[charges](cartan_count(series, rank))
+    for cutoff in (2, 3, 4, 6):
+        _same_matrices(alg, bosonic_rep(alg, cutoff, lambdas),
+                       dense.bosonic_matrices(alg, cutoff, lambdas))

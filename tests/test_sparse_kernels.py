@@ -154,8 +154,7 @@ def _with_entry(rep, gid, key, value):
     entries[key] = value
     matrices = dict(rep.matrices)
     matrices[gid] = SparseMatrix(rep.space_dim, entries)
-    return Representation(rep.alg, rep.kind, matrices, rep.space_dim,
-                          rep.cutoff, rep.lambdas)
+    return Representation(rep.alg, matrices, rep.space, rep.lambdas)
 
 
 def _mutated_reps(rep, rng):
