@@ -29,8 +29,8 @@ from .double import (SplittingSpec, split, verify_casimir_form,
 from .errors import ClosureError, RankError, SpecError
 from .generators import SERIES, dimension, validate_series_rank
 from .reps import (ad_invariance_report, bosonic_rep, casimir_double,
-                   casimir_quadratic, fermionic_rep, verify_casimir_commutes,
-                   verify_rep_homomorphism)
+                   casimir_quadratic, check_rep_size, fermionic_rep,
+                   verify_casimir_commutes, verify_rep_homomorphism)
 from .serialize import (delta_json, dumps_canonical, element_json,
                         matrix_text_exact, table_text, wedge_json)
 
@@ -51,13 +51,16 @@ EXPORTS = ("brackets", "delta", "rmatrix", "pairing", "matrices")
 MAX_DIMENSION = 512
 
 
+def _natural_cutoffs(series, cutoff):
+    """The cutoff of each natural representation of a series, in build
+    order: None for the fermionic one, `cutoff` for the bosonic one."""
+    return (([None] if series in ("A", "B", "D") else [])
+            + ([cutoff] if series in ("A", "C") else []))
+
+
 def _natural_reps(alg, cutoff):
-    reps = []
-    if alg.series in ("A", "B", "D"):
-        reps.append(fermionic_rep(alg))
-    if alg.series in ("A", "C"):
-        reps.append(bosonic_rep(alg, cutoff))
-    return reps
+    return [fermionic_rep(alg) if c is None else bosonic_rep(alg, c)
+            for c in _natural_cutoffs(alg.series, cutoff)]
 
 
 def _run_check(name, triple, args, cache):
@@ -178,11 +181,18 @@ def _run_build(args):
 def _run_verify(args):
     spec = SplittingSpec.parse(args.spec)
     names = _parse_checks(args.checks, spec)
+    wants_reps = "rep" in names or "casimir" in names
+    if wants_reps:
+        # sized from series, rank and cutoff alone, so that an oversized
+        # representation is refused before the algebra is built; a cutoff
+        # below 2 is refused by bosonic_rep
+        for cutoff in _natural_cutoffs(args.series, args.cutoff):
+            if cutoff is None or cutoff >= 2:
+                check_rep_size(args.series, args.rank, cutoff)
     triple = split(args.series, args.rank, spec)
     cache = {}
-    if "rep" in names or "casimir" in names:
-        # built once, before any check runs, so that a representation over
-        # the size limit is rejected at once
+    if wants_reps:
+        # built once, before any check runs
         cache["reps"] = _natural_reps(triple.double, args.cutoff)
     reports = []
     for name in names:

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 _VIOLATION_CAP = 200
 
 
-@dataclass
 class CheckReport:
-    """Outcome of one verifier: pass/fail plus the exact violations found."""
+    """Outcome of one verifier: pass/fail plus the exact violations found.
 
-    check: str
-    passed: bool
-    checked: int = 0
-    violations: list[dict] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    A plain class rather than a dataclass: `dataclasses` imports `inspect`
+    and, through it, `ast`, `dis` and `tokenize`, a fixed cost of every
+    process that reports a check.
+    """
+
+    def __init__(self, check: str, passed: bool, checked: int = 0,
+                 violations: list[dict] | None = None,
+                 details: dict | None = None):
+        self.check = check
+        self.passed = passed
+        self.checked = checked
+        self.violations = [] if violations is None else violations
+        self.details = {} if details is None else details
 
     def add_violation(self, violation: dict) -> None:
         self.passed = False

@@ -143,8 +143,9 @@ def rep_size(series: str, rank: int, cutoff: int | None = None) -> int:
     return states * dimension(series, rank)
 
 
-def _check_rep_size(alg, cutoff: int | None = None) -> None:
-    size = rep_size(alg.series, alg.rank, cutoff)
+def check_rep_size(series: str, rank: int, cutoff: int | None = None) -> None:
+    """Refuse a representation whose `rep_size` exceeds MAX_REP_SIZE."""
+    size = rep_size(series, rank, cutoff)
     if size > MAX_REP_SIZE:
         raise SpecError(f"representation too large: about {size:,} entries "
                         f"(states x generators), the limit is "
@@ -210,7 +211,7 @@ def _build(alg, cutoff: int | None, lambdas) -> Representation:
 def fermionic_rep(alg, lambdas=None) -> Representation:
     if alg.series == "C":
         raise SpecError("series C has no fermionic oscillator realization here")
-    _check_rep_size(alg)
+    check_rep_size(alg.series, alg.rank)
     return _build(alg, None, lambdas)
 
 
@@ -219,7 +220,7 @@ def bosonic_rep(alg, cutoff: int, lambdas=None) -> Representation:
         raise SpecError("series B and D have no bosonic oscillator realization here")
     if cutoff < 2:
         raise SpecError("bosonic cutoff must be at least 2")
-    _check_rep_size(alg, cutoff)
+    check_rep_size(alg.series, alg.rank, cutoff)
     return _build(alg, cutoff, lambdas)
 
 

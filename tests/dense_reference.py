@@ -3,14 +3,16 @@
 Each function enumerates the whole index cube, tuple by tuple, exactly
 as the package did before its verifiers learned to walk only the nonzero
 structure constants: the Jacobi triple loop, the compatibility quadruple
-loop over transposed tensors, the form-invariance triple loop and the
-dense crossed-bracket solve. The representation checks multiply whole
-matrices per basis pair (the commutator, rho of the bracket built by one
-copy per term, their difference) and only then count the residual on the
-protected columns, as the package did before it computed those columns
-alone. The representations themselves are built as the package built them
-before it applied the oscillator polynomials to the Fock states: products
-of Jordan-Wigner creation and annihilation matrices, and of occupation
+loop over transposed tensors, the form-invariance triple loop, the
+dense crossed-bracket solve, and the cocycle pair loop, which brackets
+every wedge factor of delta(y) with x and of delta(x) with y. The
+representation checks multiply whole matrices per basis pair (the
+commutator, rho of the bracket built by one copy per term, their
+difference) and only then count the residual on the protected columns,
+as the package did before it computed those columns alone. The
+representations themselves are built as the package built them before
+it applied the oscillator polynomials to the Fock states: products of
+Jordan-Wigner creation and annihilation matrices, and of occupation
 raising and lowering ones, one branch per generator kind. They are slow
 and independent of the support-driven kernels and of the Fock action in
 drinfeld_forge, which is what makes them a useful oracle. They are not
@@ -22,10 +24,12 @@ from __future__ import annotations
 import itertools
 
 from drinfeld_forge import serialize
+from drinfeld_forge.bialgebra import ad_wedge
 from drinfeld_forge.double import structure_tensors
 from drinfeld_forge.elements import Element
 from drinfeld_forge.errors import ClosureError
 from drinfeld_forge.generators import cartan_count
+from drinfeld_forge.linalg import accumulate
 from drinfeld_forge.reporting import CheckReport
 from drinfeld_forge.reps import SparseMatrix, occupation_raise
 from drinfeld_forge.scalars import HALF, INV_SQRT2, ONE, ZERO, Scalar
@@ -204,6 +208,21 @@ def crossed_brackets(triple):
                     beta[s] = total
             out[(p, q)] = (alpha, beta)
     return out
+
+
+def verify_cocycle(alg, table) -> CheckReport:
+    """delta([x, y]) = ad_x delta(y) - ad_y delta(x) over every basis pair,
+    bracketing every wedge factor with x and with y."""
+    report = CheckReport(check="cocycle", passed=True)
+    for x, y in itertools.combinations(alg.basis, 2):
+        report.checked += 1
+        lhs = table.delta_elem(alg.bracket_gens(x, y))
+        rhs = ad_wedge(alg, x, table.delta(y))
+        for key, val in ad_wedge(alg, y, table.delta(x)).items():
+            accumulate(rhs, key, -val)
+        if lhs != rhs:
+            report.add_violation({"pair": [x.label, y.label]})
+    return report
 
 
 def identity(dim: int, factor: Scalar = ONE) -> SparseMatrix:

@@ -275,6 +275,13 @@ def _mutation_fixtures():
     dropped[f13] = {key: val for key, val in table_a2.delta(f13).items()
                     if key != (f12, f23)}
 
+    # delta(I1) gains F1,2 ^ F2,1: I1 is central, so each pair it is in
+    # has [x, y] = 0, and only the ad_y delta(I1) terms see the mutation
+    i1 = GeneratorId("I", 1)
+    central_delta = dict(table_a2._table)
+    central_delta[i1] = dict(table_a2.delta(i1))
+    wedge_insert(central_delta[i1], a2.double.index, f12, f21, Scalar(1))
+
     # B1 fermionic rep against a double with [U1, V1] := 2 H1
     b1 = build_series("B", 1)
     u1, v1 = GeneratorId("U", 1), GeneratorId("V", 1)
@@ -345,6 +352,8 @@ def _mutation_fixtures():
             with_double(a1, reweighted_a1))),
         ("cocycle", lambda: verify_cocycle(
             a2.double, CocommutatorTable(a2.double, dropped))),
+        ("cocycle-central", lambda: verify_cocycle(
+            a2.double, CocommutatorTable(a2.double, central_delta))),
         ("cojacobi", lambda: verify_cojacobi(
             a2.double, CocommutatorTable(a2.double, cartan_wedge))),
         ("subbialg", lambda: verify_subbialgebra(
@@ -383,6 +392,18 @@ def test_criterion_10_mutation_sensitivity(capsys):
     _verdict(capsys, 10,
              f"all {len(_mutation_fixtures())} single-coefficient "
              f"mutations fail their designated verifiers{tail}", ok)
+
+
+def test_central_cocycle_mutation_sits_on_commuting_pairs():
+    # the violations are exactly the pairs of I1 with a root that moves
+    # F1,2 ^ F2,1, and each of them brackets to zero
+    report = dict(_mutation_fixtures())["cocycle-central"]()
+    pairs = [v["pair"] for v in report.violations]
+    assert pairs == [["I1", root] for root in
+                     ("F1,2", "F1,3", "F2,3", "F2,1", "F3,1", "F3,2")]
+    alg = build_series("A", 2)
+    gen = {gid.label: gid for gid in alg.basis}
+    assert not any(alg.bracket_gens(gen[x], gen[y]) for x, y in pairs)
 
 
 def test_entry_above_every_protected_budget_passes():

@@ -270,6 +270,25 @@ def test_oversized_rep_exit_two(capsys):
     assert "too large" in err and "841,695,875,020" in err
 
 
+@pytest.mark.parametrize("argv,size", [
+    (["--series", "D", "--rank", "16", "--checks", "rep"], "33,554,432"),
+    (["--series", "C", "--rank", "4", "--checks", "casimir",
+      "--cutoff", "30"], "1,855,040"),
+])
+def test_oversized_rep_exits_before_split(capsys, monkeypatch, argv, size):
+    # fermionic D16 and bosonic C4 at cutoff 30 are sized from series,
+    # rank and cutoff alone: the algebra is never built
+    def no_split(*args, **kwargs):
+        raise AssertionError("split ran before the size check")
+
+    monkeypatch.setattr("drinfeld_forge.cli.split", no_split)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: representation too large: about {size} entries "
+                   "(states x generators), the limit is 1,000,000\n")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_exit_two(capsys, jobs):
     code, out, err = run(capsys, "verify", "--series", "A", "--rank", "1",
@@ -310,6 +329,9 @@ def test_verify_path_never_imports_numpy():
             "'--checks', 'rep,casimir', '--jobs', '1'])\n"
             "    assert rc == 0, (series, rc)\n"
             "assert 'numpy' not in sys.modules\n"
+            # reports are plain objects, so nothing compiles dataclasses
+            "assert 'dataclasses' not in sys.modules\n"
+            "assert 'inspect' not in sys.modules\n"
             "assert 'multiprocessing' not in sys.modules\n"
             "assert 'concurrent.futures' not in sys.modules\n")
     env = dict(os.environ)

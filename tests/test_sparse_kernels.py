@@ -1,11 +1,14 @@
 """Differential tests: the support-driven kernels against the dense loops.
 
-jacobi, compatibility, forminv and crossed_brackets accumulate their
-residuals from the nonzero structure constants only. On canonical and
-mixed splittings, and on seeded mutations of the brackets and of the
+jacobi, compatibility, forminv, crossed_brackets and cocycle accumulate
+their residuals from the nonzero structure constants only. On canonical
+and mixed splittings, and on seeded mutations of the brackets and of the
 pairing, their reports (checked counts, violation lists in order,
 residuals, values, truncation counts) and their crossed-bracket dicts
 must equal the dense enumeration in tests/dense_reference.py exactly.
+cocycle is compared against the cocommutator derived from each input and
+against the one of the unmutated splitting, and on seeded mutations of
+the cocommutator table itself.
 
 The representation homomorphism and Casimir checks clear a pair or a
 generator by normal ordering when its matrices follow the oscillator
@@ -21,14 +24,17 @@ import random
 import pytest
 
 import dense_reference as dense
-from drinfeld_forge import (I, SQRT2, CasimirElement, Element, Scalar,
-                            bosonic_rep, build_series, canonical_triple,
-                            casimir_double, casimir_quadratic,
+from drinfeld_forge import (I, SQRT2, CasimirElement, CocommutatorTable,
+                            Element, Scalar, bosonic_rep, build_series,
+                            canonical_triple, casimir_double,
+                            casimir_quadratic, cocommutator_from_structure,
                             crossed_brackets, fermionic_rep, mutate_bracket,
                             perturb_pairing, rescale_minus, split,
-                            verify_casimir_commutes, verify_compatibility,
-                            verify_form_invariance, verify_jacobi,
-                            verify_rep_homomorphism, with_double)
+                            verify_casimir_commutes, verify_cocycle,
+                            verify_compatibility, verify_form_invariance,
+                            verify_jacobi, verify_rep_homomorphism,
+                            wedge_insert, with_double)
+from drinfeld_forge import bialgebra
 from drinfeld_forge.algebra import LieAlgebra
 from drinfeld_forge.errors import ClosureError, SpecError
 from drinfeld_forge.reps import (Representation, SparseMatrix,
@@ -90,7 +96,18 @@ def _crossed(kernel, triple):
     return list(out.items())
 
 
-def _assert_same(triple, label):
+def _cocycle(kernel, alg, triple):
+    """The cocycle report of alg against the cocommutator derived from
+    triple, or the error that deriving it raises (a mutated table can
+    leave a half of the splitting unclosed)."""
+    try:
+        table = cocommutator_from_structure(triple)
+    except (ClosureError, SpecError) as err:
+        return repr(err)
+    return kernel(alg, table).to_dict()
+
+
+def _assert_same(triple, label, base):
     assert (verify_jacobi(triple.double).to_dict()
             == dense.verify_jacobi(triple.double).to_dict()), label
     assert (verify_compatibility(triple).to_dict()
@@ -99,29 +116,101 @@ def _assert_same(triple, label):
             == dense.verify_form_invariance(triple).to_dict()), label
     assert (_crossed(crossed_brackets, triple)
             == _crossed(dense.crossed_brackets, triple)), label
+    # against its own cocommutator, and against the unmutated one
+    for source in (triple, base):
+        assert (_cocycle(verify_cocycle, triple.double, source)
+                == _cocycle(dense.verify_cocycle, triple.double, source)), \
+            label
 
 
 @pytest.mark.parametrize("series,rank", INSTANCES)
 def test_kernels_match_dense_canonical(series, rank):
     triple = canonical_triple(series, rank)
     for label, case in _inputs(triple, f"{series}{rank}"):
-        _assert_same(case, f"{series}{rank} {label}")
+        _assert_same(case, f"{series}{rank} {label}", triple)
 
 
 @pytest.mark.parametrize("series,rank,spec", MIXED)
 def test_kernels_match_dense_mixed(series, rank, spec):
     triple = split(series, rank, spec)
     for label, case in _inputs(triple, spec):
-        _assert_same(case, f"{series}{rank} {spec} {label}")
+        _assert_same(case, f"{series}{rank} {spec} {label}", triple)
 
 
 @pytest.mark.parametrize("series,rank", [("A", 4), ("D", 4)])
 def test_kernels_match_dense_past_the_violation_cap(series, rank):
-    case = _scrambled(canonical_triple(series, rank),
-                      random.Random(f"scrambled {series}{rank}"))
+    triple = canonical_triple(series, rank)
+    case = _scrambled(triple, random.Random(f"scrambled {series}{rank}"))
     report = verify_jacobi(case.double)
     assert report.details["violations_truncated"] > 0
-    _assert_same(case, f"{series}{rank} scrambled")
+    _assert_same(case, f"{series}{rank} scrambled", triple)
+
+
+def _mutated_deltas(alg, table, rng):
+    """The cocommutator table with one wedge term added to a delta(g), one
+    dropped from a delta(g), one added to the delta of a central I_i, and
+    one added whose factor has no bracket partner."""
+    partnered = {pos for pu, pv, _ in alg.entries() for pos in (pu, pv)}
+    paired = [alg.basis[pos] for pos in sorted(partnered)]
+    lonely = [gid for pos, gid in enumerate(alg.basis)
+              if pos not in partnered]
+    centrals = [gid for gid in alg.basis if gid.kind == "I"]
+    assert lonely and centrals
+
+    def edited(gid, name, edit):
+        wedge = dict(table.delta(gid))
+        edit(wedge)
+        deltas = dict(table.items())
+        deltas[gid] = wedge
+        return f"delta({gid.label}) {name}", CocommutatorTable(alg, deltas)
+
+    def added(gid, a, b):
+        factor = rng.choice(FACTORS)
+        return edited(gid, f"+ ({factor}) {a.label} ^ {b.label}",
+                      lambda wedge: wedge_insert(wedge, alg.index, a, b,
+                                                 factor))
+
+    gid = rng.choice([gid for gid, wedge in table.items() if wedge])
+    key = rng.choice(sorted(table.delta(gid),
+                            key=lambda k: (alg.index[k[0]], alg.index[k[1]])))
+    return [
+        added(rng.choice(alg.basis), *rng.sample(alg.basis, 2)),
+        edited(gid, f"- {key[0].label} ^ {key[1].label}",
+               lambda wedge: wedge.pop(key)),
+        added(rng.choice(centrals), *rng.sample(paired, 2)),
+        added(rng.choice(alg.basis), rng.choice(lonely), rng.choice(paired)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "series,rank,spec",
+    [(series, rank, "canonical") for series, rank in INSTANCES] + list(MIXED))
+def test_cocycle_matches_dense_on_mutated_deltas(series, rank, spec):
+    triple = split(series, rank, spec)
+    alg = triple.double
+    cases = _mutated_deltas(alg, cocommutator_from_structure(triple),
+                            random.Random(f"delta {series}{rank} {spec}"))
+    for label, table in cases:
+        assert (verify_cocycle(alg, table).to_dict()
+                == dense.verify_cocycle(alg, table).to_dict()), label
+    assert not all(verify_cocycle(alg, table).passed for _, table in cases)
+
+
+def test_cocycle_never_walks_the_pairs(monkeypatch):
+    # the residuals come from the joins alone: no basis pair is bracketed
+    # and no wedge is moved by ad_wedge
+    cases = [canonical_triple("A", 3), split("D", 3, "mixed:pairs=1-2")]
+    tables = [cocommutator_from_structure(triple) for triple in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_cocycle walked the basis pairs")
+
+    monkeypatch.setattr(LieAlgebra, "bracket", refuse)
+    monkeypatch.setattr(bialgebra, "ad_wedge", refuse)
+    for triple, table in zip(cases, tables):
+        report = verify_cocycle(triple.double, table)
+        dim = triple.double.dim
+        assert report.passed and report.checked == dim * (dim - 1) // 2
 
 
 def test_mutations_are_caught():
