@@ -40,7 +40,6 @@ normalized by antisymmetry and vanish on the diagonal. I_i are central.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from . import serialize
@@ -49,10 +48,11 @@ from .errors import ClosureError, ForeignGeneratorError
 from .generators import (GeneratorId, cartan_count, enumerate_generators,
                          resolve, weight)
 from .reporting import CheckReport
-from .scalars import ONE, SQRT2, ZERO, Scalar
+from .scalars import HALF, ONE, SQRT2, ZERO, Scalar
 
 _TWO = Scalar(2)
 _NEG_SQRT2 = -SQRT2
+_NEG_HALF = -HALF
 _PREC = {"H": 0, "F": 1, "P": 2, "S": 2, "Q": 3, "T": 3, "U": 4, "V": 5}
 
 
@@ -100,7 +100,7 @@ def _rule(series: str, g1: GeneratorId, g2: GeneratorId) -> Element:
         return -_rule(series, g2, g1)
 
     fermionic = series in ("B", "D")
-    acc = _Acc(Scalar(Fraction(1, 2) if fermionic else Fraction(-1, 2)))
+    acc = _Acc(HALF if fermionic else _NEG_HALF)
     pair = k1 + k2
 
     if pair == "HH" or pair in ("PP", "QQ", "SS", "TT", "SU", "TV"):
@@ -116,7 +116,7 @@ def _rule(series: str, g1: GeneratorId, g2: GeneratorId) -> Element:
         elif k2 in ("Q", "T"):
             acc.add(g2, Scalar(-((i == j) + (i == k))))
         elif k2 == "U":
-            acc.add(g2, Scalar(i == j))
+            acc.add(g2, Scalar(int(i == j)))
         elif k2 == "V":
             acc.add(g2, Scalar(-(i == j)))
         return acc.element()

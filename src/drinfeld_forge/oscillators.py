@@ -108,10 +108,28 @@ class Oscillators:
         return self.product({(): ONE}, poly)
 
     def commutator(self, left: dict, right: dict) -> dict:
-        """[left, right] for normal-ordered polynomials, normal-ordered."""
-        out = self.product(left, right)
-        for word, value in self.product(right, left).items():
-            accumulate(out, word, -value)
+        """[left, right] for normal-ordered polynomials, normal-ordered.
+
+        A pair of words on disjoint modes is skipped when
+        sign^(|wl| |wr|) is 1. Letters on different modes exchange with
+        `sign`, so moving wr past wl letter by letter gives
+        wl wr = sign^(|wl| |wr|) wr wl, and the two products of the pair
+        cancel exactly. An odd fermionic pair (such as a+_1 with a+_2)
+        anticommutes instead, and takes both products.
+        """
+        out = {}
+        rights = [(wr, cr, {m for _, m in wr}) for wr, cr in right.items()]
+        for wl, cl in left.items():
+            modes = {m for _, m in wl}
+            for wr, cr, others in rights:
+                if (self.sign ** (len(wl) * len(wr)) == 1
+                        and modes.isdisjoint(others)):
+                    continue
+                coeff = cl * cr
+                for w, n in self.multiply(wl, wr).items():
+                    accumulate(out, w, coeff if n == 1 else coeff * n)
+                for w, n in self.multiply(wr, wl).items():
+                    accumulate(out, w, -coeff if n == 1 else coeff * -n)
         return out
 
 
@@ -259,11 +277,19 @@ class OscillatorProof:
     these); `matches(g)` is stage 2, that the built matrix of g equals the
     representation's `FockSpace.apply` of that polynomial. A truncated
     generator also needs its polynomial to raise the occupation by at most
-    `occupation_raise(g)`, which the protected columns assume.
+    `occupation_raise(g)`, which the protected columns assume. Images and
+    verdicts are cached per generator. `Representation.proof` makes one
+    proof per representation, which is never edited in place, so the
+    caches hold for every check that reads them.
     """
 
     def __init__(self, rep: Representation):
-        self.rep = rep
+        # the parts it reads, not the representation, which holds the
+        # proof: a dropped representation is then freed at once, not by
+        # the cycle collector
+        self.matrices = rep.matrices
+        self.space = rep.space
+        self.lambdas = rep.lambdas
         self.truncated = rep.cutoff is not None
         self.ordering = Oscillators(1 if self.truncated else -1)
         self._images = {}
@@ -271,7 +297,7 @@ class OscillatorProof:
 
     def image(self, gid: GeneratorId):
         if gid not in self._images:
-            poly = oscillator_image(gid, not self.truncated, self.rep.lambdas)
+            poly = oscillator_image(gid, not self.truncated, self.lambdas)
             self._images[gid] = (None if poly is None
                                  else self.ordering.normal(poly))
         return self._images[gid]
@@ -282,14 +308,14 @@ class OscillatorProof:
         return self._matches[gid]
 
     def _stage2(self, gid: GeneratorId) -> bool:
-        matrix = self.rep.matrices.get(gid)
+        matrix = self.matrices.get(gid)
         poly = self.image(gid)
         if matrix is None or poly is None:
             return False
         if self.truncated and any(
                 word_raise(word) > occupation_raise(gid) for word in poly):
             return False
-        return self.rep.space.apply(poly) == matrix.entries
+        return self.space.apply(poly) == matrix.entries
 
     def clears_pair(self, p: GeneratorId, q: GeneratorId,
                     bracket: Element) -> bool:

@@ -45,7 +45,8 @@ clear a pair in two stages before touching its matrices:
      [rho(p), rho(q)] - sum_k c_k rho(g_k) is normal-ordered in the Weyl
      algebra (b b+ = b+ b + 1) or the Clifford algebra (a a+ = -a+ a + 1,
      a a = 0), one routine for both (module `oscillators`); for
-     `casimir`, [C, rho(g)] with C the quartic Casimir polynomial;
+     `casimir`, [C, rho(g)] with C the quartic Casimir polynomial. A
+     commutator skips each pair of words on disjoint modes that commute;
   2. the matrix gate, once per generator: the matrix the representation
      holds equals its normal-ordered polynomial applied to every state,
      amplitudes above the cutoff dropped (and a bosonic polynomial raises
@@ -63,6 +64,13 @@ A B[:, c] - B A[:, c] - sum_k c_k rho(g_k)[:, c] over the protected
 columns c into one exact sparse residual, from a column and a row index of
 A, and counts its nonzero entries: the count the whole matrices would
 give on those columns, so a report never depends on which path ran.
+
+Both stages read one `oscillators.OscillatorProof` per representation
+(`Representation.proof`), made on first use: the `rep` and `casimir`
+checks share its stage-2 verdicts and normal-ordered images, so each is
+computed once per generator, not once per check. A representation is
+therefore never edited in place; a helper that changes a matrix builds a
+new Representation, which gets its own proof.
 """
 
 from __future__ import annotations
@@ -157,6 +165,12 @@ class Representation:
     one `oscillators.FockSpace`: fermionic when the space is untruncated,
     bosonic when it has a `cutoff`. `states` lists the space's states in
     column order, so that the protected columns are read off them.
+
+    Instances are treated as immutable, as `LieAlgebra` instances are: a
+    helper that edits a matrix returns a new Representation. `proof()`
+    relies on this, since the `oscillators.OscillatorProof` it makes on
+    first use keeps its stage-2 verdicts and normal-ordered images for
+    every later check of the same representation.
     """
 
     def __init__(self, alg, matrices, space, lambdas):
@@ -168,6 +182,16 @@ class Representation:
         self.space_dim = len(space.states)
         self.cutoff = space.cutoff
         self.lambdas = dict(lambdas)
+        self._proof = None
+
+    def proof(self):
+        """The representation's one `oscillators.OscillatorProof`, shared
+        by the `rep` and `casimir` checks."""
+        if self._proof is None:
+            # imported on use, as in `_build`
+            from .oscillators import OscillatorProof
+            self._proof = OscillatorProof(self)
+        return self._proof
 
     def matrix(self, gid: GeneratorId) -> SparseMatrix:
         return self.matrices[gid]
@@ -194,8 +218,8 @@ def _normalize_lambdas(alg, lambdas):
 def _build(alg, cutoff: int | None, lambdas) -> Representation:
     """Each generator's matrix: its oscillator image applied to every state
     of the Fock space, fermionic when `cutoff` is None."""
-    # imported on use, as in `_proof`: only a process that builds a
-    # representation loads the oscillators
+    # imported on use: only a process that builds a representation loads
+    # the oscillators, and `oscillators` imports this module
     from .oscillators import FockSpace, oscillator_image
     lam = _normalize_lambdas(alg, lambdas)
     space = FockSpace(cartan_count(alg.series, alg.rank), cutoff)
@@ -263,13 +287,6 @@ def _residual_entries(left_cols, left_rows, right: SparseMatrix, expected,
     return len(acc)
 
 
-def _proof(rep: Representation):
-    # imported on use: a process runs the oscillator stages only when it
-    # runs a rep or casimir check, and no other command needs to load them
-    from .oscillators import OscillatorProof
-    return OscillatorProof(rep)
-
-
 def verify_rep_homomorphism(alg, rep: Representation) -> CheckReport:
     """Compare rho([x, y]) with the matrix commutator over all basis pairs,
     exactly, on the columns the truncation protects.
@@ -294,7 +311,7 @@ def verify_rep_homomorphism(alg, rep: Representation) -> CheckReport:
     raises = {occupation_raise(gid) for gid in basis}
     columns = {a + b: protected_columns(rep, a + b)
                for a in raises for b in raises}
-    proof = _proof(rep)
+    proof = rep.proof()
     unprotected = 0
     for pos, p in enumerate(basis):
         left_index = None
@@ -395,7 +412,7 @@ def verify_casimir_commutes(alg, rep: Representation,
     base = cas.raise_budget()
     columns = {base + step: protected_columns(rep, base + step)
                for step in {occupation_raise(gid) for gid in alg.basis}}
-    proof = _proof(rep)
+    proof = rep.proof()
     casimir = proof.casimir(cas)
     unprotected = 0
     fallback = []
@@ -430,6 +447,17 @@ def ad_invariance_report(alg, cas: CasimirElement) -> CheckReport:
     The symmetric tensor behind the Casimir (squares as g x g, anticommutator
     pairs as x x y + y x x) must be killed by ad_z x 1 + 1 x ad_z for every
     basis generator z.
+
+    The residual of z is the sum of c [z, a] x b + c a x [z, b] over the
+    tensor terms c a x b. The tensor is symmetric (c a x b comes with
+    c b x a), so that is the sum of c ([z, a] x b + b x [z, a]) over its
+    terms, and it is a join of nonzero data, as in
+    `bialgebra.verify_cocycle`: each nonzero bracket [z, a] from a
+    `partners` map with each tensor term whose left factor is a. A
+    generator that no join reaches has the residual 0 exactly.
+    The residuals are accumulated one z at a time, so only that row is
+    held. `checked` counts every basis generator, and the violations are
+    reported in basis order.
     """
     tensor = {}
     for x, y, kind in cas.terms:
@@ -438,16 +466,33 @@ def ad_invariance_report(alg, cas: CasimirElement) -> CheckReport:
             for ga, ca in left.terms():
                 for gb, cb in right.terms():
                     accumulate(tensor, (ga, gb), ca * cb)
+    # left factor a -> [(b, c)] over the tensor terms c a x b
+    factors = {}
+    for (ga, gb), coeff in tensor.items():
+        alg._check_member(ga)
+        alg._check_member(gb)
+        factors.setdefault(ga, []).append((gb, coeff))
+    basis = alg.basis
+    # generator z -> [(g, entry, negated)] for every nonzero [z, g], which
+    # is the stored entry, or its negative when negated
+    partners = {}
+    for pu, pv, entry in alg.entries():
+        for g, _ in entry.terms():
+            alg._check_member(g)
+        partners.setdefault(basis[pu], []).append((basis[pv], entry, False))
+        partners.setdefault(basis[pv], []).append((basis[pu], entry, True))
 
     report = CheckReport(check=f"casimir-invariance-{cas.label}", passed=True,
-                         checked=len(alg.basis))
-    for z in alg.basis:
+                         checked=len(basis))
+    for z in basis:
         moved = {}
-        for (ga, gb), coeff in tensor.items():
-            for gid, inner in alg.bracket_gens(z, ga).terms():
-                accumulate(moved, (gid, gb), coeff * inner)
-            for gid, inner in alg.bracket_gens(z, gb).terms():
-                accumulate(moved, (ga, gid), coeff * inner)
+        for g, entry, negated in partners.get(z, ()):
+            for gb, coeff in factors.get(g, ()):
+                factor = -coeff if negated else coeff
+                for gid, inner in entry.terms():
+                    value = factor * inner
+                    accumulate(moved, (gid, gb), value)
+                    accumulate(moved, (gb, gid), value)
         if moved:
             report.add_violation({"gen": z.label, "terms": len(moved)})
     return report

@@ -10,8 +10,11 @@ representation checks multiply whole matrices per basis pair (the
 commutator, rho of the bracket built by one copy per term, their
 difference) and only then count the residual on the protected columns,
 as the package did before it computed those columns alone. The
-representations themselves are built as the package built them before
-it applied the oscillator polynomials to the Fock states: products of
+Casimir ad-invariance check brackets every basis generator with both
+factors of every tensor term, as the package did before it joined the
+nonzero brackets with the tensor's factors. The representations
+themselves are built as the package built them before it applied the
+oscillator polynomials to the Fock states: products of
 Jordan-Wigner creation and annihilation matrices, and of occupation
 raising and lowering ones, one branch per generator kind. They are slow
 and independent of the support-driven kernels and of the Fock action in
@@ -448,4 +451,33 @@ def verify_casimir_commutes(alg, rep, cas) -> CheckReport:
             report.add_violation({"gen": gid.label, "entries": wrong})
     if unprotected:
         report.details["unprotected"] = unprotected
+    return report
+
+
+def ad_invariance_report(alg, cas) -> CheckReport:
+    """Exact table-level check that the Casimir symbol is ad-invariant.
+
+    The symmetric tensor behind the Casimir (squares as g x g, anticommutator
+    pairs as x x y + y x x) must be killed by ad_z x 1 + 1 x ad_z for every
+    basis generator z.
+    """
+    tensor = {}
+    for x, y, kind in cas.terms:
+        pairs = [(x, x)] if kind == "square" else [(x, y), (y, x)]
+        for left, right in pairs:
+            for ga, ca in left.terms():
+                for gb, cb in right.terms():
+                    accumulate(tensor, (ga, gb), ca * cb)
+
+    report = CheckReport(check=f"casimir-invariance-{cas.label}", passed=True,
+                         checked=len(alg.basis))
+    for z in alg.basis:
+        moved = {}
+        for (ga, gb), coeff in tensor.items():
+            for gid, inner in alg.bracket_gens(z, ga).terms():
+                accumulate(moved, (gid, gb), coeff * inner)
+            for gid, inner in alg.bracket_gens(z, gb).terms():
+                accumulate(moved, (ga, gid), coeff * inner)
+        if moved:
+            report.add_violation({"gen": z.label, "terms": len(moved)})
     return report

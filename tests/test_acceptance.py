@@ -326,6 +326,17 @@ def _mutation_fixtures():
     terms[first] = (x.scale(Scalar(2)), y, kind)
     lopsided = CasimirElement(terms, "quadratic")
 
+    # A3 with [F1,2, F3,4], a zero bracket of two generators on disjoint
+    # modes, given the value H1: the commutator skips that pair of words,
+    # and the residual still holds -rho(H1)
+    f12_f34 = mutate_bracket(a3, f12, f34, Element.gen(h1))
+
+    # B2 with [U1, U2] = S1,2 doubled: a+_1 and a+_2 act on disjoint modes
+    # but anticommute, so their commutator is not skipped
+    u2 = GeneratorId("U", 2)
+    doubled_uu = mutate_bracket(b2, u1, u2,
+                                b2.bracket_gens(u1, u2).scale(Scalar(2)))
+
     # brackets and a pairing entry that were zero become nonzero, so each
     # mutation sits outside the support the unmutated data would give
     h2 = GeneratorId("H", 2)
@@ -374,6 +385,10 @@ def _mutation_fixtures():
             doubled_pq, boson)),
         ("rep-fermionic-entry", lambda: verify_rep_homomorphism(
             b2, vacuum_f12)),
+        ("rep-bosonic-disjoint", lambda: verify_rep_homomorphism(
+            f12_f34, bosonic_rep(a3, 4))),
+        ("rep-fermionic-odd-pair", lambda: verify_rep_homomorphism(
+            doubled_uu, fermionic_rep(b2))),
         ("casimir-commutes", lambda: verify_casimir_commutes(
             c2, boson, lopsided)),
         ("casimir-commutes-entry", lambda: verify_casimir_commutes(
@@ -381,6 +396,8 @@ def _mutation_fixtures():
         ("casimir-form", lambda: verify_casimir_form(perturbed)),
         ("casimir-invariance", lambda: ad_invariance_report(
             reweighted_a1, casimir_quadratic(reweighted_a1))),
+        ("casimir-invariance-term", lambda: ad_invariance_report(
+            c2, lopsided)),
     )
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output shapes, byte stability."""
 
+import ast
 import json
 import os
 import pathlib
@@ -9,9 +10,11 @@ import sys
 import pytest
 
 import drinfeld_forge
+from drinfeld_forge import cli
 from drinfeld_forge.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+PERFBENCH_CHILD = GOLDEN.parent.parent / "perfbench" / "child.py"
 
 
 def run(capsys, *argv):
@@ -340,3 +343,16 @@ def test_verify_path_never_imports_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_stems_are_cli_attributes():
+    # `perfbench/child.py --trace 1` wraps every CLI_STEMS name on the cli
+    # module, so each must exist once cli is imported; the file is parsed,
+    # not imported
+    tree = ast.parse(PERFBENCH_CHILD.read_text())
+    stems = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets]
+                 == ["CLI_STEMS"])
+    assert stems
+    assert [name for name in stems if not hasattr(cli, name)] == []

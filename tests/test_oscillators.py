@@ -2,10 +2,13 @@
 
 `Oscillators` normal-orders words in b+/b (exchange sign +1) or a+/a
 (sign -1) with one routine. Its products must act on Fock states exactly
-as the factors applied in turn. Stage 2 must accept every matrix the
-builders make and reject an entry off the formula; stage 1 must clear
-every pair of an unmutated table and flag a mutated bracket; and on the
-unmutated grids no pair or generator may fall back to a matrix residual.
+as the factors applied in turn, and its commutator, which skips the pairs
+of words on disjoint modes that commute, must equal the difference of the
+two products. Stage 2 must accept every matrix the builders make and
+reject an entry off the formula, and run once per generator of a
+representation whichever checks read it; stage 1 must clear every pair
+of an unmutated table and flag a mutated bracket; and on the unmutated
+grids no pair or generator may fall back to a matrix residual.
 """
 
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from drinfeld_forge import (Scalar, bosonic_rep, build_series,
                             mutate_bracket, parse_label,
                             verify_casimir_commutes, verify_rep_homomorphism)
 from drinfeld_forge import reps
+from drinfeld_forge.cli import main
 from drinfeld_forge.linalg import accumulate
 from drinfeld_forge.oscillators import (ANNIHILATE, CREATE, OscillatorProof,
                                         Oscillators, boson_act, fermion_act)
@@ -31,6 +35,9 @@ CUTOFFS = (2, 3, 4, 6)
 LETTERS = st.tuples(st.sampled_from((CREATE, ANNIHILATE)),
                     st.integers(1, MODES))
 QUADRATIC = st.tuples(LETTERS, LETTERS)
+POLYNOMIAL = st.lists(st.tuples(st.lists(LETTERS, max_size=4).map(tuple),
+                                st.integers(-3, 3).filter(bool)),
+                      max_size=4)
 STATISTICS = {
     "bosonic": (1, boson_act,
                 st.tuples(*[st.integers(0, 4)] * MODES)),
@@ -90,6 +97,20 @@ def test_normal_ordered_word_acts_as_the_word(kind, word, data):
     assert _apply(act, poly, state) == _in_turn(act, (word,), state)
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(STATISTICS)), POLYNOMIAL, POLYNOMIAL)
+def test_commutator_is_the_difference_of_products(kind, left, right):
+    # the commutator skips even pairs of words on disjoint modes; the
+    # products it is compared with take every pair
+    osc = Oscillators(STATISTICS[kind][0])
+    left, right = (osc.normal({w: Scalar(c) for w, c in terms})
+                   for terms in (left, right))
+    want = osc.product(left, right)
+    for word, value in osc.product(right, left).items():
+        accumulate(want, word, -value)
+    assert osc.commutator(left, right) == want
+
+
 def test_exchange_relations():
     b, bd = (ANNIHILATE, 1), (CREATE, 1)
     c, cd = (ANNIHILATE, 2), (CREATE, 2)
@@ -102,6 +123,11 @@ def test_exchange_relations():
     assert fermions.multiply((), (c, bd)) == {(bd, c): -1}
     assert fermions.multiply((), (b, b)) == {}
     assert fermions.multiply((), (bd, cd, bd)) == {}
+    # disjoint modes: even words commute, odd fermionic ones anticommute
+    assert bosons.commutator({(bd,): ONE}, {(c,): ONE}) == {}
+    assert fermions.commutator({(bd, b): ONE}, {(cd,): ONE}) == {}
+    assert fermions.commutator({(bd,): ONE}, {(cd,): ONE}) == {
+        (bd, cd): Scalar(2)}
 
 
 def _reps():
@@ -179,9 +205,13 @@ def _with_entry(rep, gid, key, value):
 def test_stage2_flags_an_entry_off_the_formula():
     alg = build_series("D", 3)
     rep = fermionic_rep(alg)
+    assert verify_rep_homomorphism(alg, rep).passed
     f12 = parse_label("F1,2")
     case = _with_entry(rep, f12, (0, 0), Scalar(1))
-    proof = OscillatorProof(case)
+    # the edited copy gets its own proof, not the one the checks of `rep`
+    # filled in
+    proof = case.proof()
+    assert proof is not rep.proof() and rep.proof().matches(f12)
     assert not proof.matches(f12)
     assert all(proof.matches(gid) for gid in alg.basis if gid != f12)
     assert not verify_rep_homomorphism(alg, case).passed
@@ -215,3 +245,23 @@ def test_casimir_with_a_generator_off_the_formula_falls_back(monkeypatch):
     assert len(built) == 1
     assert built[0] and all(sum(case.states[col]) <= 4 - cas.raise_budget()
                             for col in built[0])
+
+
+def test_stage2_runs_once_per_generator(monkeypatch):
+    # `rep` and `casimir` share each representation's proof, so stage 2
+    # runs at most once per (representation, generator); a representation
+    # is told apart by its matrices
+    calls = []
+    real = OscillatorProof._stage2
+
+    def spy(self, gid):
+        calls.append((id(self.matrices), gid))
+        return real(self, gid)
+
+    monkeypatch.setattr(OscillatorProof, "_stage2", spy)
+    for series in ("A", "B", "C"):
+        calls.clear()
+        assert main(["verify", "--series", series, "--rank", "2",
+                     "--checks", "rep,casimir", "--cutoff", "4"]) == 0
+        assert calls and len(calls) == len(set(calls)), series
+        assert len({rep for rep, _ in calls}) == (2 if series == "A" else 1)

@@ -17,6 +17,12 @@ otherwise. On the oscillator grids at several cutoffs, unmutated and with
 one matrix entry doubled or added, one bracket entry rescaled or extended,
 or one root anticommutator of a Casimir rescaled or dropped, their reports
 must equal the whole-matrix loops exactly.
+
+The Casimir ad-invariance report joins the nonzero brackets with the
+Casimir tensor's factors. On canonical and mixed doubles, with one bracket
+entry rescaled or extended, or one root anticommutator of a Casimir
+rescaled or dropped, it must equal the walk over every generator and
+tensor term.
 """
 
 import random
@@ -25,7 +31,8 @@ import pytest
 
 import dense_reference as dense
 from drinfeld_forge import (I, SQRT2, CasimirElement, CocommutatorTable,
-                            Element, Scalar, bosonic_rep, build_series,
+                            Element, GeneratorId, Scalar,
+                            ad_invariance_report, bosonic_rep, build_series,
                             canonical_triple, casimir_double,
                             casimir_quadratic, cocommutator_from_structure,
                             crossed_brackets, fermionic_rep, mutate_bracket,
@@ -36,7 +43,8 @@ from drinfeld_forge import (I, SQRT2, CasimirElement, CocommutatorTable,
                             wedge_insert, with_double)
 from drinfeld_forge import bialgebra
 from drinfeld_forge.algebra import LieAlgebra
-from drinfeld_forge.errors import ClosureError, SpecError
+from drinfeld_forge.errors import (ClosureError, ForeignGeneratorError,
+                                   SpecError)
 from drinfeld_forge.reps import (Representation, SparseMatrix,
                                  protected_columns)
 
@@ -360,3 +368,53 @@ def test_rep_mutations_are_caught():
                for _, mutated in _mutated_tables(alg, rng))
     assert all(not verify_casimir_commutes(alg, rep, cas).passed
                for _, cas in _mutated_casimirs(alg, rng))
+
+
+@pytest.mark.parametrize(
+    "series,rank,spec",
+    [(series, rank, "canonical") for series, rank in INSTANCES] + list(MIXED))
+def test_ad_invariance_matches_dense(series, rank, spec):
+    alg = split(series, rank, spec).double
+    rng = random.Random(f"invariance {series}{rank} {spec}")
+    casimirs = (casimir_quadratic(alg), casimir_double(alg))
+    cases = [("unmutated", alg, cas) for cas in casimirs]
+    cases += [(name, mutated, cas) for name, mutated in _mutated_tables(alg, rng)
+              for cas in casimirs]
+    cases += [(name, alg, cas) for name, cas in _mutated_casimirs(alg, rng)]
+    for label, table, cas in cases:
+        assert (ad_invariance_report(table, cas).to_dict()
+                == dense.ad_invariance_report(table, cas).to_dict()), \
+            (label, cas.label)
+    assert all(ad_invariance_report(alg, cas).passed for cas in casimirs)
+    assert not all(ad_invariance_report(table, cas).passed
+                   for _, table, cas in cases)
+
+
+def test_ad_invariance_never_walks_the_pairs(monkeypatch):
+    # the residuals come from the join alone: no generator is bracketed
+    # with a tensor factor
+    cases = [build_series("A", 3), build_series("C", 2),
+             split("D", 3, "mixed:pairs=1-2").double]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ad_invariance_report walked the pairs")
+
+    monkeypatch.setattr(LieAlgebra, "bracket_gens", refuse)
+    for alg in cases:
+        for cas in (casimir_quadratic(alg), casimir_double(alg)):
+            report = ad_invariance_report(alg, cas)
+            assert report.passed and report.checked == alg.dim
+
+
+def test_ad_invariance_rejects_a_foreign_generator():
+    # the A3 Casimir names generators that the A2 table does not hold
+    small, cas = build_series("A", 2), casimir_quadratic(build_series("A", 3))
+    for kernel in (ad_invariance_report, dense.ad_invariance_report):
+        with pytest.raises(ForeignGeneratorError):
+            kernel(small, cas)
+    # and so does a table entry [F1,2, F2,3] := F1,4
+    f12, f23, f14 = (GeneratorId("F", 1, 2), GeneratorId("F", 2, 3),
+                     GeneratorId("F", 1, 4))
+    stray = mutate_bracket(small, f12, f23, Element.gen(f14))
+    with pytest.raises(ForeignGeneratorError):
+        ad_invariance_report(stray, casimir_quadratic(small))
