@@ -277,7 +277,8 @@ def _rule(series: str, g1: GeneratorId, g2: GeneratorId) -> Element:
 class LieAlgebra:
     """A basis, its index map, and the antisymmetric structure table.
 
-    Instances are treated as immutable; mutation helpers return copies.
+    Instances are treated as immutable; mutation helpers return copies,
+    whose memos (`adjoint`) start empty.
     """
 
     def __init__(self, series: str, rank: int, basis, table, n_indices: int):
@@ -287,6 +288,7 @@ class LieAlgebra:
         self.index = {gid: pos for pos, gid in enumerate(self.basis)}
         self.table = table
         self.n_indices = n_indices
+        self._adjoint = None
 
     @property
     def dim(self) -> int:
@@ -316,6 +318,29 @@ class LieAlgebra:
             pp, pq = index.get(p), index.get(q)
             if pp is not None and pq is not None and pp < pq and entry:
                 yield pp, pq, entry
+
+    def adjoint(self) -> dict:
+        """The adjoint index: generator g -> {h: [g, h]} over every nonzero
+        bracket of two members, read from `entries`.
+
+        Each entry [p, q] is listed under p as itself and under q as its
+        negation, in table order, and every term of it is checked to be a
+        member once, here (ForeignGeneratorError otherwise). A generator
+        that brackets every member to zero has no key. The kernels that
+        join nonzero data read this index instead of bracketing pairs; it
+        is built on first use and kept, which is sound because instances
+        are never edited in place.
+        """
+        if self._adjoint is None:
+            basis = self.basis
+            out = {}
+            for pu, pv, entry in self.entries():
+                for g, _ in entry.terms():
+                    self._check_member(g)
+                out.setdefault(basis[pu], {})[basis[pv]] = entry
+                out.setdefault(basis[pv], {})[basis[pu]] = -entry
+            self._adjoint = out
+        return self._adjoint
 
     def bracket(self, x, y) -> Element:
         if isinstance(x, GeneratorId):

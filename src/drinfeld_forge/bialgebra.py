@@ -50,28 +50,6 @@ def wedge_of_elements(index: dict, a: Element, b: Element, out=None,
     return out
 
 
-def wedge_to_tensor(wedge: dict) -> dict:
-    """Expand a normal-form wedge into the full antisymmetric 2-tensor."""
-    out = {}
-    for (ga, gb), coeff in wedge.items():
-        accumulate(out, (ga, gb), coeff)
-        accumulate(out, (gb, ga), -coeff)
-    return out
-
-
-def ad_wedge(alg: LieAlgebra, x, wedge: dict) -> dict:
-    """(ad_x x 1 + 1 x ad_x) applied to a wedge, back in normal form."""
-    if isinstance(x, GeneratorId):
-        x = Element.gen(x)
-    out = {}
-    for (ga, gb), coeff in wedge.items():
-        for g, c in alg.bracket(x, Element.gen(ga)).terms():
-            wedge_insert(out, alg.index, g, gb, c * coeff)
-        for g, c in alg.bracket(x, Element.gen(gb)).terms():
-            wedge_insert(out, alg.index, ga, g, c * coeff)
-    return out
-
-
 class CocommutatorTable:
     """Normal-form wedge delta(g) for every basis generator of one algebra."""
 
@@ -94,7 +72,15 @@ class CocommutatorTable:
 
 
 def cocommutator_from_structure(triple: ManinTriple) -> CocommutatorTable:
-    """Cocommutator read off the triple's structure tensors."""
+    """Cocommutator read off the triple's structure tensors.
+
+    Built on first use and kept on the triple, as its structure tensors
+    are: a triple is never edited in place, and the helpers that change
+    one (`with_double`, `perturb_pairing`, `rescale_minus`) return a new
+    triple whose memos start empty.
+    """
+    if triple._delta is not None:
+        return triple._delta
     f, c = structure_tensors(triple)
     alg = triple.double
     index = alg.index
@@ -125,7 +111,8 @@ def cocommutator_from_structure(triple: ManinTriple) -> CocommutatorTable:
             for key, val in src.items():
                 accumulate(out, key, coeff * val)
         table[gid] = out
-    return CocommutatorTable(alg, table)
+    triple._delta = CocommutatorTable(alg, table)
+    return triple._delta
 
 
 def cocommutator_explicit(alg: LieAlgebra, verbatim: bool = False) -> CocommutatorTable:
@@ -376,24 +363,20 @@ def verify_cocycle(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
     so each part of the residual is a join of nonzero data, as in
     verify_jacobi: delta([x, y]) walks every nonzero table entry [x, y]
     and the delta of each term of it; ad_y delta(x) walks every term of
-    delta(x) and every y with [y, s] nonzero; ad_x delta(y) walks every s
-    with [x, s] nonzero and every term of a delta(y) with the factor s. A
+    delta(x) and every y with [s, y] nonzero; ad_x delta(y) walks every s
+    with [x, s] nonzero and every term of a delta(y) with the factor s,
+    both read off the adjoint index (`LieAlgebra.adjoint`). A
     pair that no join reaches has the residual 0 exactly. The residuals
     are accumulated one first generator x at a time, so only that row is
     held. `checked` counts all C(dim, 2) pairs, and the violations are
     reported in basis order.
     """
     basis, index = alg.basis, alg.index
-    # generator g -> [(position of w, [w, g])] for every nonzero [w, g]
-    partners = {}
+    adjoint = alg.adjoint()
     # position of x -> [(position of y, [x, y])] for x before y
     rows = {}
     for pu, pv, entry in alg.entries():
-        for g, _ in entry.terms():
-            alg._check_member(g)
         rows.setdefault(pu, []).append((pv, entry))
-        partners.setdefault(basis[pv], []).append((pu, entry))
-        partners.setdefault(basis[pu], []).append((pv, -entry))
     # the terms v (s ^ t) of each delta, and factor s -> [(position of
     # the delta, t, v)] over all of them
     terms = []
@@ -418,19 +401,21 @@ def verify_cocycle(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
             for g, cg in entry.terms():
                 for key, val in table.delta(g).items():
                     accumulate(acc, key, cg * val)
-        # + ad_y delta(x) adds v [y, s] ^ t for each term of delta(x), and
-        # - ad_x delta(y) adds -v [x, s] ^ t = v [s, x] ^ t for each term
-        # of delta(y)
-        joined = [(py, bracket, t, v) for s, t, v in terms[px]
-                  for py, bracket in partners.get(s, ()) if py > px]
-        joined += [(py, bracket, t, v) for ps, bracket in partners.get(x, ())
-                   for py, t, v in factors.get(basis[ps], ()) if py > px]
+        # + ad_y delta(x) adds v [y, s] ^ t = v t ^ [s, y] for each term of
+        # delta(x), and - ad_x delta(y) adds -v [x, s] ^ t = v t ^ [x, s]
+        # for each term of delta(y)
+        joined = [(index[y], bracket, t, v) for s, t, v in terms[px]
+                  for y, bracket in adjoint.get(s, {}).items()
+                  if index[y] > px]
+        joined += [(py, bracket, t, v)
+                   for s, bracket in adjoint.get(x, {}).items()
+                   for py, t, v in factors.get(s, ()) if py > px]
         for py, bracket, t, v in joined:
             acc = residuals.get(py)
             if acc is None:
                 acc = residuals[py] = {}
             for h, ch in bracket.terms():
-                wedge_insert(acc, index, h, t, ch * v)
+                wedge_insert(acc, index, t, h, ch * v)
         for py in sorted(residuals):
             if residuals[py]:
                 report.add_violation({"pair": [x.label, basis[py].label]})
@@ -438,21 +423,55 @@ def verify_cocycle(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
 
 
 def verify_cojacobi(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
-    """Cyclic sum of (delta x id) o delta must vanish on every generator."""
+    """Cyclic sum of (delta x id) o delta must vanish on every generator.
+
+    Each delta(a) is a wedge, a sum of w (s ^ t) with s ^ t = s x t - t x s,
+    so X = (delta x id) delta(g), a sum of delta(a) x b, is antisymmetric
+    in its first two slots. Its cyclic sum R(x, y, z) = X(x, y, z) +
+    X(z, x, y) + X(y, z, x) is invariant under rotation and, by that
+    antisymmetry, changes sign when its first two slots swap: R is
+    alternating. So R is 0 on every triple with a repeated generator, and
+    on three distinct ones it is the sign of their order times its value on
+    the sorted triple. A term w_g (a ^ b) of delta(g) and a term w_a (s ^ t)
+    of delta(a) put w_g w_a (s ^ t) x b into X, whose cyclic sum is
+    w_g w_a times the full antisymmetrization of s x t x b: it adds w_g w_a,
+    times the sign that sorts (s, t, b), to the sorted triple of s, t and b,
+    and nothing when b is s or t; the other half of the term, -w_g b x a,
+    does the same with delta(b), the factor a and the opposite sign. Only
+    the sorted
+    distinct triples are therefore accumulated, straight from the
+    wedge-form deltas. `terms` counts the nonzero entries of the whole
+    3-tensor R, 6 per nonzero sorted triple.
+    """
+    index = alg.index
+    # generator -> [(position of s, position of t, w)] over the terms
+    # w (s ^ t) of its delta, with s before t
+    wedges = {}
+    for gid in alg.basis:
+        row = wedges[gid] = []
+        for (a, b), w in table.delta(gid).items():
+            ps, pt = index[a], index[b]
+            if ps < pt:
+                row.append((ps, pt, w))
+            elif ps > pt:
+                row.append((pt, ps, -w))
     report = CheckReport(check="cojacobi", passed=True,
                          checked=len(alg.basis))
-    full = {gid: wedge_to_tensor(table.delta(gid)) for gid in alg.basis}
     for gid in alg.basis:
-        xi = {}
-        for (a, b), coeff in full[gid].items():
-            for (x, y), inner in full[a].items():
-                accumulate(xi, (x, y, b), coeff * inner)
         residual = {}
-        for (x, y, z), val in xi.items():
-            for key in ((x, y, z), (y, z, x), (z, x, y)):
-                accumulate(residual, key, val)
+        for (a, b), w in table.delta(gid).items():
+            for third, outer, inner in ((index[b], w, wedges[a]),
+                                        (index[a], -w, wedges[b])):
+                for ps, pt, v in inner:
+                    if third > pt:
+                        accumulate(residual, (ps, pt, third), outer * v)
+                    elif third < ps:
+                        accumulate(residual, (third, ps, pt), outer * v)
+                    elif ps < third < pt:
+                        accumulate(residual, (ps, third, pt), -(outer * v))
         if residual:
-            report.add_violation({"gen": gid.label, "terms": len(residual)})
+            report.add_violation({"gen": gid.label,
+                                  "terms": 6 * len(residual)})
     return report
 
 
@@ -572,17 +591,58 @@ def build_r_matrix(triple: ManinTriple) -> RMatrix:
     return RMatrix(skew_root, skew_cartan, nonskew)
 
 
+def _ad_images(alg: LieAlgebra, wedge: dict):
+    """(z, (ad_z x 1 + 1 x ad_z) wedge) for every basis generator z, in
+    basis order, each image a normal-form wedge.
+
+    For each z only the wedge terms with a factor that z brackets to a
+    nonzero value are visited, through the adjoint index. They are taken
+    in the wedge's order, the first factor's bracket before the second's
+    and each bracket term by term, so every image is built by the same
+    sequence of additions as a walk over all terms would make, and its
+    dict lists its terms in the same order.
+    """
+    index = alg.index
+    terms = list(wedge.items())
+    # factor -> positions in `terms` of the wedge terms it is in
+    holders = {}
+    for pos, ((ga, gb), _) in enumerate(terms):
+        for g in (ga, gb):
+            alg._check_member(g)
+            holders.setdefault(g, []).append(pos)
+    adjoint = alg.adjoint()
+    for z in alg.basis:
+        brackets = adjoint.get(z, {})
+        out = {}
+        for pos in sorted({pos for h in brackets
+                           for pos in holders.get(h, ())}):
+            (ga, gb), coeff = terms[pos]
+            left = brackets.get(ga)
+            if left is not None:
+                for g, c in left.terms():
+                    wedge_insert(out, index, g, gb, c * coeff)
+            right = brackets.get(gb)
+            if right is not None:
+                for g, c in right.terms():
+                    wedge_insert(out, index, ga, g, c * coeff)
+        yield z, out
+
+
 def verify_coboundary(triple: ManinTriple, table: CocommutatorTable | None = None,
                       include_cartan: bool = True) -> CheckReport:
-    """delta must equal the coboundary of the skew r-matrix part."""
+    """delta must equal the coboundary of the skew r-matrix part.
+
+    The coboundary of r at z is (ad_z x 1 + 1 x ad_z) r, applied through
+    the adjoint index (`_ad_images`); each residual lists its terms in
+    the order of that image, then the delta terms it lacks.
+    """
     alg = triple.double
     if table is None:
         table = cocommutator_from_structure(triple)
     rmat = build_r_matrix(triple)
     wedge = rmat.skew_wedge(include_cartan)
     report = CheckReport(check="coboundary", passed=True, checked=alg.dim)
-    for gid in alg.basis:
-        actual = ad_wedge(alg, gid, wedge)
+    for gid, actual in _ad_images(alg, wedge):
         expected = table.delta(gid)
         if actual != expected:
             diff = dict(actual)
@@ -597,25 +657,42 @@ def verify_coboundary(triple: ManinTriple, table: CocommutatorTable | None = Non
 
 
 def verify_cybe(triple: ManinTriple) -> CheckReport:
-    """[r12, r13] + [r12, r23] + [r13, r23] = 0 for the nonskew r."""
+    """[r12, r13] + [r12, r23] + [r13, r23] = 0 for the nonskew r.
+
+    With r = sum r_gh g x h over the double basis (`RMatrix.nonskew`), the
+    three brackets are the sums of r_gh r_g'h' times [g, g'] x h x h',
+    g x [h, g'] x h' and g x g' x [h, h'], so each is a join of r with
+    itself through the adjoint index, and a product with a zero bracket
+    is never formed. `checked` counts the pairs of matched basis pairs,
+    and the sample is the first five residual terms in basis order.
+    """
     alg = triple.double
-    pairs = [(triple.elem(m), triple.elem(p))
-             for m, p in zip(triple.sminus, triple.splus)]
+    adjoint = alg.adjoint()
+    r = build_r_matrix(triple).nonskew
+    # first factor -> [(second, r_gh)], and second factor -> [(first, r_gh)]
+    by_first, by_second = {}, {}
+    for (g, h), v in r.items():
+        by_first.setdefault(g, []).append((h, v))
+        by_second.setdefault(h, []).append((g, v))
     tensor = {}
-
-    def add_product(ea: Element, eb: Element, ec: Element) -> None:
-        for ga, ca in ea.terms():
-            for gb, cb in eb.terms():
-                factor = ca * cb
-                for gc, cc in ec.terms():
-                    accumulate(tensor, (ga, gb, gc), factor * cc)
-
-    for za, plus_a in pairs:
-        for zb, plus_b in pairs:
-            add_product(alg.bracket(za, zb), plus_a, plus_b)
-            add_product(za, alg.bracket(plus_a, zb), plus_b)
-            add_product(za, zb, alg.bracket(plus_a, plus_b))
-    report = CheckReport(check="cybe", passed=True, checked=len(pairs) ** 2)
+    for (g, h), v in r.items():
+        for g2, bracket in adjoint.get(g, {}).items():    # [r12, r13]
+            for h2, v2 in by_first.get(g2, ()):
+                factor = v * v2
+                for k, c in bracket.terms():
+                    accumulate(tensor, (k, h, h2), c * factor)
+        for g2, bracket in adjoint.get(h, {}).items():    # [r12, r23]
+            for h2, v2 in by_first.get(g2, ()):
+                factor = v * v2
+                for k, c in bracket.terms():
+                    accumulate(tensor, (g, k, h2), c * factor)
+        for h2, bracket in adjoint.get(h, {}).items():    # [r13, r23]
+            for g2, v2 in by_second.get(h2, ()):
+                factor = v * v2
+                for k, c in bracket.terms():
+                    accumulate(tensor, (g, g2, k), c * factor)
+    report = CheckReport(check="cybe", passed=True,
+                         checked=triple.half_dim ** 2)
     if tensor:
         sample = sorted(tensor.items(),
                         key=lambda kv: tuple(alg.index[g] for g in kv[0]))[:5]
@@ -664,14 +741,14 @@ def twisted_cartan_part(triple: ManinTriple) -> tuple[dict, str]:
 
 
 def verify_twist(triple: ManinTriple) -> CheckReport:
-    """The twisted Cartan part must be invariant under every generator."""
+    """The twisted Cartan part must be invariant under every generator,
+    applied through the adjoint index as in verify_coboundary."""
     alg = triple.double
     wedge, mode = twisted_cartan_part(triple)
     report = CheckReport(check="twist", passed=True, checked=alg.dim)
     report.details["mode"] = mode
     report.details["twisted_terms"] = len(wedge)
-    for gid in alg.basis:
-        moved = ad_wedge(alg, gid, wedge)
+    for gid, moved in _ad_images(alg, wedge):
         if moved:
             report.add_violation({
                 "gen": gid.label,
@@ -682,34 +759,63 @@ def verify_twist(triple: ManinTriple) -> CheckReport:
 
 
 def verify_chain_embedding(series: str, rank: int,
-                           big_double: LieAlgebra | None = None) -> CheckReport:
+                           big_double: LieAlgebra | None = None,
+                           small_triple: ManinTriple | None = None
+                           ) -> CheckReport:
     """The index shift i -> i+1 embeds rank n into rank n+1.
 
     Both the brackets and the structure-derived cocommutators must commute
     with the shift, exactly. big_double substitutes a replacement (typically
-    mutated) rank n+1 double on the receiving side.
+    mutated) rank n+1 double on the receiving side. small_triple is the
+    canonical rank n triple when the caller already holds one, so that its
+    structure tensors and cocommutator are reused; it is split otherwise.
+
+    The brackets are compared by joining the nonzero entries of both
+    tables over the shifted image: a pair that neither table holds is
+    0 = 0. `checked` counts every pair of rank n generators and every
+    generator, and the violations are reported in basis order.
     """
-    small = build_series(series, rank)
+    if small_triple is None:
+        small_triple = canonical_triple(series, rank)
+    elif (small_triple.spec.mode != "canonical"
+          or small_triple.double.series != series
+          or small_triple.double.rank != rank):
+        raise SpecError(f"the chain starts from the canonical {series}{rank} "
+                        "triple")
+    small = small_triple.double
     big_triple = canonical_triple(series, rank + 1)
     if big_double is not None:
         big_triple = with_double(big_triple, big_double)
     big = big_triple.double
     phi = {g: shift_generator(g, 1) for g in small.basis}
-    report = CheckReport(check="chain", passed=True)
+    for g in phi.values():
+        big._check_member(g)
+    dim = small.dim
+    report = CheckReport(check="chain", passed=True,
+                         checked=dim * (dim - 1) // 2 + dim)
     report.details["ranks"] = [rank, rank + 1]
-    for a, b in itertools.combinations(small.basis, 2):
-        report.checked += 1
-        want = Element()
-        for g, c in small.bracket_gens(a, b).terms():
-            want.add_term(phi[g], c)
-        got = big.bracket_gens(phi[a], phi[b])
+    # (position of a, position of b) -> [shifted [a, b], [phi a, phi b]],
+    # each as its terms, for a before b
+    pairs = {}
+    for pa, pb, entry in small.entries():
+        pairs[(pa, pb)] = [{phi[g]: c for g, c in entry.terms()}, {}]
+    back = {shifted: pos for pos, shifted in enumerate(phi.values())}
+    for pu, pv, entry in big.entries():
+        pa, pb = back.get(big.basis[pu]), back.get(big.basis[pv])
+        if pa is None or pb is None:
+            continue
+        got = dict(entry.terms())
+        if pa > pb:
+            pa, pb, got = pb, pa, {g: -c for g, c in got.items()}
+        pairs.setdefault((pa, pb), [{}, {}])[1] = got
+    for (pa, pb), (want, got) in sorted(pairs.items()):
         if got != want:
             report.add_violation({"kind": "bracket",
-                                  "pair": [a.label, b.label]})
-    small_delta = cocommutator_from_structure(canonical_triple(series, rank))
+                                  "pair": [small.basis[pa].label,
+                                           small.basis[pb].label]})
+    small_delta = cocommutator_from_structure(small_triple)
     big_delta = cocommutator_from_structure(big_triple)
     for g in small.basis:
-        report.checked += 1
         want = {}
         for (a, b), val in small_delta.delta(g).items():
             wedge_insert(want, big.index, phi[a], phi[b], val)

@@ -91,27 +91,29 @@ def _run_check(name, triple, args, cache):
     if name == "rep":
         return [verify_rep_homomorphism(alg, rep) for rep in cache["reps"]]
     if name == "chain":
-        return [verify_chain_embedding(alg.series, alg.rank)]
+        # the canonical triple under verification is the chain's rank n
+        small = triple if triple.spec.mode == "canonical" else None
+        return [verify_chain_embedding(alg.series, alg.rank,
+                                       small_triple=small)]
+    if name == "cybe":
+        return [verify_cybe(triple)]
+    if name == "twist":
+        return [verify_twist(triple)]
 
-    if "delta" not in cache:
-        cache["delta"] = cocommutator_from_structure(triple)
-    table = cache["delta"]
+    # kept on the triple, so every check reads one table
+    table = cocommutator_from_structure(triple)
     if name == "cocycle":
         return [verify_cocycle(alg, table)]
     if name == "cojacobi":
         return [verify_cojacobi(alg, table)]
     if name == "coboundary":
         return [verify_coboundary(triple, table)]
-    if name == "cybe":
-        return [verify_cybe(triple)]
     if name == "subbialg":
         if args.sub in ("An", "Anc", "Dn") and triple.spec.mode != "canonical":
             raise SpecError(f"span {args.sub!r} needs the full set of "
                             "central charges")
         label, span = SPAN_BUILDERS[args.sub](triple)
         return [verify_subbialgebra(alg, table, span, label)]
-    if name == "twist":
-        return [verify_twist(triple)]
     raise SpecError(f"unknown check {name!r}")
 
 

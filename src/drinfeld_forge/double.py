@@ -190,8 +190,12 @@ class ManinTriple:
             self._pairing_rows.setdefault(mgid, []).append((pgid, value))
         self.minus_factor = minus_factor
         self._minus_inv = minus_factor.inv()
+        # memos, kept because a triple is never edited in place: the
+        # pairing inverse, the structure tensors and the cocommutator
+        # (`bialgebra.cocommutator_from_structure`)
         self._pinv = None
         self._tensors = None
+        self._delta = None
 
     @property
     def half_dim(self) -> int:
@@ -285,26 +289,52 @@ def structure_tensors(triple: ManinTriple):
     f[(b, c)] maps upper position a to f^a_{b,c}; c[(a, b)] maps lower
     position c to c^{a,b}_c. Raises ClosureError if either half fails to
     close, since the constants are then not well defined.
+
+    Only the member pairs whose supports meet a nonzero table entry are
+    bracketed, through the double's adjoint index, term by term in the
+    order `LieAlgebra.bracket` takes; every other pair brackets to exactly
+    0, which lies in either half, so it adds no entry and no ClosureError.
     """
     if triple._tensors is not None:
         return triple._tensors
+    rows = triple.double.adjoint()
 
     def side_tensor(basis, index, side_name):
+        elems = [triple.elem(gid) for gid in basis]
+        # generator h -> positions of the members whose support holds h
+        holders = {}
+        for pos, elem in enumerate(elems):
+            for gid, _ in elem.terms():
+                holders.setdefault(gid, []).append(pos)
         tensor = {}
-        for b, c in itertools.combinations(range(len(basis)), 2):
-            out = triple.double.bracket(triple.elem(basis[b]),
-                                        triple.elem(basis[c]))
-            rot = triple.decompose(out)
-            vec = {}
-            for gid, coeff in rot.items():
-                pos = index.get(gid)
-                if pos is None:
-                    raise ClosureError(
-                        f"[{basis[b].label}, {basis[c].label}] leaves {side_name}")
-                vec[pos] = coeff
-            if vec:
-                tensor[(b, c)] = vec
-                tensor[(c, b)] = {pos: -val for pos, val in vec.items()}
+        for b, x in enumerate(elems):
+            partners = sorted({c for gx, _ in x.terms()
+                               for h in rows.get(gx, ())
+                               for c in holders.get(h, ()) if c > b})
+            for c in partners:
+                out = Element()
+                for gx, cx in x.terms():
+                    row = rows.get(gx)
+                    if row is None:
+                        continue
+                    for gy, cy in elems[c].terms():
+                        entry = row.get(gy)
+                        if entry is not None:
+                            factor = cx * cy
+                            for gid, coeff in entry.terms():
+                                out.add_term(gid, coeff * factor)
+                rot = triple.decompose(out)
+                vec = {}
+                for gid, coeff in rot.items():
+                    pos = index.get(gid)
+                    if pos is None:
+                        raise ClosureError(f"[{basis[b].label}, "
+                                           f"{basis[c].label}] leaves "
+                                           f"{side_name}")
+                    vec[pos] = coeff
+                if vec:
+                    tensor[(b, c)] = vec
+                    tensor[(c, b)] = {pos: -val for pos, val in vec.items()}
         return tensor
 
     f = side_tensor(triple.splus, triple.plus_index, "s+")

@@ -317,17 +317,19 @@ class OscillatorProof:
             return False
         return self.space.apply(poly) == matrix.entries
 
-    def clears_pair(self, p: GeneratorId, q: GeneratorId,
-                    bracket: Element) -> bool:
+    def pair_residual(self, p: GeneratorId, q: GeneratorId,
+                      bracket: Element):
         """Stage 2 for p, q and the bracket's generators, then stage 1:
-        [rho(p), rho(q)] - rho([p, q]) normal-orders to zero."""
+        [rho(p), rho(q)] - rho([p, q]) normal-ordered, a polynomial that is
+        empty exactly when the pair is cleared, or None when stage 2 fails
+        and stage 1 decides nothing."""
         if not all(self.matches(g) for g in (p, q, *bracket.support())):
-            return False
+            return None
         residual = self.ordering.commutator(self.image(p), self.image(q))
         for gid, coeff in bracket.terms():
             for word, value in self.image(gid).items():
                 accumulate(residual, word, -coeff * value)
-        return not residual
+        return residual
 
     def casimir(self, cas: CasimirElement):
         """The Casimir as a normal-ordered polynomial, or None when one of
@@ -351,11 +353,13 @@ class OscillatorProof:
             return None
         return total
 
-    def clears_generator(self, casimir, gid: GeneratorId) -> bool:
-        """Stage 2 for g, then stage 1: [C, rho(g)] normal-orders to zero,
-        for C the polynomial `casimir` returned (None clears nothing)."""
-        return (casimir is not None and self.matches(gid)
-                and not self.ordering.commutator(casimir, self.image(gid)))
+    def generator_residual(self, casimir, gid: GeneratorId):
+        """Stage 2 for g, then stage 1: [C, rho(g)] normal-ordered, for C
+        the polynomial `casimir` returned, or None when g fails stage 2 or
+        `casimir` is None."""
+        if casimir is None or not self.matches(gid):
+            return None
+        return self.ordering.commutator(casimir, self.image(gid))
 
     def _element(self, elem: Element) -> dict:
         out = {}

@@ -65,6 +65,17 @@ columns c into one exact sparse residual, from a column and a row index of
 A, and counts its nonzero entries: the count the whole matrices would
 give on those columns, so a report never depends on which path ran.
 
+A nonzero stage-1 residual whose generators all pass stage 2 is a
+violation even when that count is zero. The Fock representations of the
+Weyl and Clifford algebras are faithful: a nonzero normal-ordered
+polynomial moves some state (the one its annihilators fit exactly, for
+a term with fewest annihilators), so the pair fails on the untruncated
+space, though a truncation may protect no column it moves. At cutoff 4,
+C2 with [P1,2, P2,2] extended by i Q1,2 has the residual i b_1 b_2, which
+moves |1,1> only, while the pair protects the vacuum alone.
+Such a violation reports "entries": 0 and the residual's number of
+monomials.
+
 Both stages read one `oscillators.OscillatorProof` per representation
 (`Representation.proof`), made on first use: the `rep` and `casimir`
 checks share its stage-2 verdicts and normal-ordered images, so each is
@@ -296,10 +307,15 @@ def verify_rep_homomorphism(alg, rep: Representation) -> CheckReport:
     its bracket pass stage 2 and its stage-1 residual is zero, which
     together make that residual zero on every protected column (module
     docstring). Every other pair computes the residual, so the report is
-    the one the matrices alone would give.
-    A pair whose protected column set is empty compares nothing (budget-4
-    pairs at cutoff 2 or 3); it still counts in `checked`, and the number
-    of such pairs is reported as `details["unprotected"]` when nonzero.
+    the one the matrices alone would give, with one addition: a pair whose
+    generators all pass stage 2 and whose stage-1 residual is nonzero is a
+    violation even where its protected matrix residual is zero, reported
+    as {"pair": [p, q], "entries": 0, "monomials": n} with n the number of
+    monomials of that residual.
+    A pair whose protected column set is empty compares no matrix entry
+    (budget-4 pairs at cutoff 2 or 3); it still counts in `checked`, and
+    the number of such pairs is reported as `details["unprotected"]` when
+    nonzero.
     """
     name = f"rep-{rep.kind}"
     basis = alg.basis
@@ -316,23 +332,27 @@ def verify_rep_homomorphism(alg, rep: Representation) -> CheckReport:
     for pos, p in enumerate(basis):
         left_index = None
         for q in basis[pos + 1:]:
-            budget = occupation_raise(p) + occupation_raise(q)
-            if not columns[budget]:
-                unprotected += 1
-                continue
             bracket = alg.bracket_gens(p, q)
-            if proof.clears_pair(p, q, bracket):
-                continue
-            if left_index is None:
-                left = rep.matrix(p)
-                left_index = (_columns(left), _rows(left, negate=True))
-            expected = [(-coeff, rep.matrix(gid))
-                        for gid, coeff in bracket.terms()]
-            wrong = _residual_entries(*left_index, rep.matrix(q), expected,
-                                      columns[budget])
+            residual = proof.pair_residual(p, q, bracket)
+            cols = columns[occupation_raise(p) + occupation_raise(q)]
+            wrong = 0
+            if not cols:
+                unprotected += 1
+            elif residual is None or residual:
+                if left_index is None:
+                    left = rep.matrix(p)
+                    left_index = (_columns(left), _rows(left, negate=True))
+                expected = [(-coeff, rep.matrix(gid))
+                            for gid, coeff in bracket.terms()]
+                wrong = _residual_entries(*left_index, rep.matrix(q),
+                                          expected, cols)
             if wrong:
                 report.add_violation({"pair": [p.label, q.label],
                                       "entries": wrong})
+            elif residual:
+                report.add_violation({"pair": [p.label, q.label],
+                                      "entries": 0,
+                                      "monomials": len(residual)})
     if unprotected:
         report.details["unprotected"] = unprotected
     return report
@@ -402,10 +422,13 @@ def verify_casimir_commutes(alg, rep: Representation,
     of the Casimir and g pass stage 2 and [C, rho(g)] normal-orders to
     zero. The others compute [C, rho(g)] on their protected columns from a
     Casimir matrix built only on the columns those residuals read, and not
-    at all when no generator needs it. A generator whose protected column
-    set is empty (a P generator at cutoff 2 or 3) compares nothing; it
-    still counts in `checked`, and the number of such generators is
-    reported as `details["unprotected"]` when nonzero.
+    at all when no generator needs it. As in verify_rep_homomorphism, a
+    generator that passes stage 2 with a nonzero [C, rho(g)] is a
+    violation even where its protected matrix residual is zero:
+    {"gen": g, "entries": 0, "monomials": n}. A generator whose protected
+    column set is empty (a P generator at cutoff 2 or 3) compares no
+    matrix entry; it still counts in `checked`, and the number of such
+    generators is reported as `details["unprotected"]` when nonzero.
     """
     name = f"casimir-{cas.label}-{rep.kind}"
     report = CheckReport(check=name, passed=True, checked=len(alg.basis))
@@ -415,13 +438,17 @@ def verify_casimir_commutes(alg, rep: Representation,
     proof = rep.proof()
     casimir = proof.casimir(cas)
     unprotected = 0
-    fallback = []
+    # (g, its protected columns, its stage-1 residual) for every generator
+    # that stage 1 does not clear
+    pending = []
     for gid in alg.basis:
-        budget = base + occupation_raise(gid)
-        if not columns[budget]:
+        cols = columns[base + occupation_raise(gid)]
+        residual = proof.generator_residual(casimir, gid)
+        if not cols:
             unprotected += 1
-        elif not proof.clears_generator(casimir, gid):
-            fallback.append((gid, columns[budget]))
+        if residual is None or residual:
+            pending.append((gid, cols, residual))
+    fallback = [(gid, cols) for gid, cols, _ in pending if cols]
     if fallback:
         # the protected columns, and the rows rho(g) reaches from them
         needed = set()
@@ -431,11 +458,14 @@ def verify_casimir_commutes(alg, rep: Representation,
                           if col in cols)
         matrix = casimir_matrix(rep, cas, needed)
         matrix_cols, matrix_rows = _columns(matrix), _rows(matrix, negate=True)
-        for gid, cols in fallback:
-            wrong = _residual_entries(matrix_cols, matrix_rows,
-                                      rep.matrix(gid), (), cols)
-            if wrong:
-                report.add_violation({"gen": gid.label, "entries": wrong})
+    for gid, cols, residual in pending:
+        wrong = (_residual_entries(matrix_cols, matrix_rows,
+                                   rep.matrix(gid), (), cols) if cols else 0)
+        if wrong:
+            report.add_violation({"gen": gid.label, "entries": wrong})
+        elif residual:
+            report.add_violation({"gen": gid.label, "entries": 0,
+                                  "monomials": len(residual)})
     if unprotected:
         report.details["unprotected"] = unprotected
     return report
@@ -452,12 +482,12 @@ def ad_invariance_report(alg, cas: CasimirElement) -> CheckReport:
     tensor terms c a x b. The tensor is symmetric (c a x b comes with
     c b x a), so that is the sum of c ([z, a] x b + b x [z, a]) over its
     terms, and it is a join of nonzero data, as in
-    `bialgebra.verify_cocycle`: each nonzero bracket [z, a] from a
-    `partners` map with each tensor term whose left factor is a. A
-    generator that no join reaches has the residual 0 exactly.
-    The residuals are accumulated one z at a time, so only that row is
-    held. `checked` counts every basis generator, and the violations are
-    reported in basis order.
+    `bialgebra.verify_cocycle`: each nonzero bracket [z, a] from the
+    adjoint index (`LieAlgebra.adjoint`) with each tensor term whose left
+    factor is a. A generator that no join reaches has the residual 0
+    exactly. The residuals are accumulated one z at a time, so only that
+    row is held. `checked` counts every basis generator, and the
+    violations are reported in basis order.
     """
     tensor = {}
     for x, y, kind in cas.terms:
@@ -473,24 +503,15 @@ def ad_invariance_report(alg, cas: CasimirElement) -> CheckReport:
         alg._check_member(gb)
         factors.setdefault(ga, []).append((gb, coeff))
     basis = alg.basis
-    # generator z -> [(g, entry, negated)] for every nonzero [z, g], which
-    # is the stored entry, or its negative when negated
-    partners = {}
-    for pu, pv, entry in alg.entries():
-        for g, _ in entry.terms():
-            alg._check_member(g)
-        partners.setdefault(basis[pu], []).append((basis[pv], entry, False))
-        partners.setdefault(basis[pv], []).append((basis[pu], entry, True))
-
+    adjoint = alg.adjoint()
     report = CheckReport(check=f"casimir-invariance-{cas.label}", passed=True,
                          checked=len(basis))
     for z in basis:
         moved = {}
-        for g, entry, negated in partners.get(z, ()):
+        for g, bracket in adjoint.get(z, {}).items():
             for gb, coeff in factors.get(g, ()):
-                factor = -coeff if negated else coeff
-                for gid, inner in entry.terms():
-                    value = factor * inner
+                for gid, inner in bracket.terms():
+                    value = coeff * inner
                     accumulate(moved, (gid, gb), value)
                     accumulate(moved, (gb, gid), value)
         if moved:

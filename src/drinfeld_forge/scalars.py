@@ -110,6 +110,11 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
+        # equal values hash equal: __eq__ compares a rational value with
+        # ints and Fractions, so it hashes as its Fraction (its int when
+        # den is 1)
+        if not (self._q or self._r or self._s):
+            return hash(Fraction(self._p, self._den))
         return hash(self.components)
 
     def __reduce__(self):

@@ -58,6 +58,9 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
+        # a rational value hashes as its Fraction, so it agrees with __eq__
+        if self.is_rational():
+            return hash(self.a)
         return hash(self.components)
 
     def __reduce__(self):

@@ -11,7 +11,7 @@ import pathlib
 import time
 from fractions import Fraction
 
-from drinfeld_forge import (Element, GeneratorId, SPAN_BUILDERS, Scalar,
+from drinfeld_forge import (I, Element, GeneratorId, SPAN_BUILDERS, Scalar,
                             a_chain_span, ad_invariance_report, bosonic_rep,
                             build_series, canonical_triple, casimir_matrix,
                             casimir_quadratic, cocommutator_explicit,
@@ -345,6 +345,27 @@ def _mutation_fixtures():
         a2.double, f12, f13, Element.gen(f23)))
     nonmirror_pairing = perturb_pairing(a2, f21, f13, Scalar(1))
 
+    # zero entries made nonzero, one per kernel that joins nonzero data
+    # through the adjoint index: a delta wedge term, a Cartan bracket, a
+    # bracket of two positive roots that leaves s+, and one in the shifted
+    # image of A2 inside A3
+    new_wedge = dict(table_a2._table)
+    new_wedge[f12] = dict(table_a2.delta(f12))
+    wedge_insert(new_wedge[f12], a2.double.index, f13, f23, Scalar(1))
+    cartan_root_a2 = with_double(a2, mutate_bracket(
+        a2.double, h1, f23, Element.gen(f12)))
+    escaped_a2 = with_double(a2, mutate_bracket(
+        a2.double, f12, f13, Element.gen(f21)))
+    f24 = GeneratorId("F", 2, 4)
+    imaged_a3 = mutate_bracket(a3, f23, f24, Element.gen(f34))
+
+    # C2 at cutoff 4 with [P1,2, P2,2] := i Q1,2: the normal-ordered
+    # residual i b_1 b_2 moves only |1,1>, and the pair protects only the
+    # vacuum, so only stage 1 sees it
+    p12, p22, q12 = (GeneratorId("P", 1, 2), GeneratorId("P", 2, 2),
+                     GeneratorId("Q", 1, 2))
+    unseen_c2 = mutate_bracket(c2, p12, p22, Element.gen(q12, I))
+
     return (
         ("jacobi", lambda: verify_jacobi(traced_a2)),
         ("jacobi-new-bracket", lambda: verify_jacobi(cartan_a2)),
@@ -398,6 +419,18 @@ def _mutation_fixtures():
             reweighted_a1, casimir_quadratic(reweighted_a1))),
         ("casimir-invariance-term", lambda: ad_invariance_report(
             c2, lopsided)),
+        ("cojacobi-new-wedge", lambda: verify_cojacobi(
+            a2.double, CocommutatorTable(a2.double, new_wedge))),
+        ("coboundary-new-bracket", lambda: verify_coboundary(cartan_root_a2)),
+        ("twist-new-bracket", lambda: verify_twist(
+            with_double(a2, cartan_a2))),
+        ("cybe-new-bracket", lambda: verify_cybe(with_double(a2, cartan_a2))),
+        ("closure-tensors-new-bracket", lambda: verify_self_duality(
+            escaped_a2)),
+        ("chain-new-bracket", lambda: verify_chain_embedding(
+            "A", 2, big_double=imaged_a3)),
+        ("rep-bosonic-stage1", lambda: verify_rep_homomorphism(
+            unseen_c2, boson)),
     )
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from drinfeld_forge import (Element, GeneratorId, HALF, I, NotASubalgebraError,
                             ONE, Scalar, SpecError, SPAN_BUILDERS,
-                            a_chain_span, ad_wedge, build_r_matrix,
+                            a_chain_span, build_r_matrix,
                             build_series, canonical_triple,
                             cocommutator_explicit, cocommutator_from_structure,
                             delta_discrepancy_audit, mutate_bracket,
@@ -14,6 +14,8 @@ from drinfeld_forge import (Element, GeneratorId, HALF, I, NotASubalgebraError,
                             verify_subbialgebra, verify_twist, wedge_insert,
                             with_double)
 from drinfeld_forge.bialgebra import twisted_cartan_part, wedge_of_elements
+
+from dense_reference import ad_wedge
 
 AGREE_GRID = [("A", 1), ("A", 2), ("B", 1), ("B", 2), ("B", 3), ("C", 1),
               ("C", 2), ("C", 3), ("D", 2), ("D", 3)]

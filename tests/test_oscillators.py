@@ -7,16 +7,17 @@ of words on disjoint modes that commute, must equal the difference of the
 two products. Stage 2 must accept every matrix the builders make and
 reject an entry off the formula, and run once per generator of a
 representation whichever checks read it; stage 1 must clear every pair
-of an unmutated table and flag a mutated bracket; and on the unmutated
-grids no pair or generator may fall back to a matrix residual.
+of an unmutated table and flag a mutated bracket, also where no column
+the truncation protects shows it; and on the unmutated grids no pair or
+generator may fall back to a matrix residual.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld_forge import (Scalar, bosonic_rep, build_series,
-                            casimir_double, casimir_quadratic, fermionic_rep,
-                            mutate_bracket, parse_label,
+from drinfeld_forge import (I, CasimirElement, Element, Scalar, bosonic_rep,
+                            build_series, casimir_double, casimir_quadratic,
+                            fermionic_rep, mutate_bracket, parse_label,
                             verify_casimir_commutes, verify_rep_homomorphism)
 from drinfeld_forge import reps
 from drinfeld_forge.cli import main
@@ -187,11 +188,41 @@ def test_stage1_flags_a_mutated_bracket():
     proof = OscillatorProof(rep)
     p, q = parse_label("P1,1"), parse_label("Q1,1")
     bracket = alg.bracket_gens(p, q)
-    assert proof.clears_pair(p, q, bracket)
-    assert not proof.clears_pair(p, q, bracket.scale(Scalar(2)))
+    assert proof.pair_residual(p, q, bracket) == {}
+    assert proof.pair_residual(p, q, bracket.scale(Scalar(2)))
     mutated = mutate_bracket(alg, p, q, bracket.scale(Scalar(2)))
     report = verify_rep_homomorphism(mutated, rep)
     assert [v["pair"] for v in report.violations] == [["P1,1", "Q1,1"]]
+
+
+def test_stage1_flags_what_no_protected_column_shows():
+    # C2 with [P1,2, P2,2] := i Q1,2: the residual i b_1 b_2 moves only
+    # |1,1>, and at cutoff 4 the pair protects only the vacuum
+    alg = build_series("C", 2)
+    p, q = parse_label("P1,2"), parse_label("P2,2")
+    mutated = mutate_bracket(alg, p, q, Element.gen(parse_label("Q1,2"), I))
+    report = verify_rep_homomorphism(mutated, bosonic_rep(alg, 4))
+    assert report.violations == [{"pair": ["P1,2", "P2,2"], "entries": 0,
+                                  "monomials": 1}]
+    # at cutoff 6 the matrices show it, and the report is theirs
+    report = verify_rep_homomorphism(mutated, bosonic_rep(alg, 6))
+    assert report.violations == [{"pair": ["P1,2", "P2,2"], "entries": 1}]
+
+    # the C1 Casimir with its anticommutator doubled: at cutoff 2, P1,1
+    # protects no column and Q1,1 only the vacuum, which [C, rho(Q1,1)]
+    # leaves alone
+    c1 = build_series("C", 1)
+    (h, _, square), (x, y, anti) = casimir_quadratic(c1).terms
+    cas = CasimirElement([(h, None, square), (x.scale(Scalar(2)), y, anti)],
+                         "quadratic")
+    report = verify_casimir_commutes(c1, bosonic_rep(c1, 2), cas)
+    assert report.violations == [
+        {"gen": "P1,1", "entries": 0, "monomials": 2},
+        {"gen": "Q1,1", "entries": 0, "monomials": 2}]
+    assert report.details == {"unprotected": 1}
+    report = verify_casimir_commutes(c1, bosonic_rep(c1, 4), cas)
+    assert report.violations == [{"gen": "P1,1", "entries": 1},
+                                 {"gen": "Q1,1", "entries": 1}]
 
 
 def _with_entry(rep, gid, key, value):

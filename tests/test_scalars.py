@@ -191,13 +191,18 @@ def test_mixed_operands_match_reference(x, n):
 def test_rational_values_compare_and_hash_like_numbers(n, den):
     x = Scalar(n)
     assert x == n and n == x
-    assert hash(x) == hash(ref(x))
+    # equal values hash equal, so a Scalar finds a number's dict entry
+    assert hash(x) == hash(n) == hash(ref(x))
+    assert len({x, n}) == 1 and {n: "n"}.get(x) == "n"
     assert x.is_rational()
     assert x != n + 1
     # same numerator over another denominator
     other = Fraction(Fraction(n).numerator, den)
     assert (x == other) == (Fraction(n) == other)
     assert (x == other) == (ref(x) == other)
+    y = Scalar(other)
+    assert y == other and hash(y) == hash(other) == hash(ref(y))
+    assert {other: "q"}.get(y) == "q"
 
 
 @given(wide_rationals, wide_rationals, wide_rationals, wide_rationals)

@@ -1,14 +1,22 @@
 """Differential tests: the support-driven kernels against the dense loops.
 
-jacobi, compatibility, forminv, crossed_brackets and cocycle accumulate
-their residuals from the nonzero structure constants only. On canonical
-and mixed splittings, and on seeded mutations of the brackets and of the
-pairing, their reports (checked counts, violation lists in order,
-residuals, values, truncation counts) and their crossed-bracket dicts
-must equal the dense enumeration in tests/dense_reference.py exactly.
-cocycle is compared against the cocommutator derived from each input and
-against the one of the unmutated splitting, and on seeded mutations of
-the cocommutator table itself.
+jacobi, compatibility, forminv, crossed_brackets, cocycle, cojacobi,
+coboundary, twist, cybe, the structure tensors and chain accumulate their
+residuals from the nonzero structure constants only, the bialgebra ones
+through the adjoint index. On canonical and mixed splittings, and on
+seeded mutations of the brackets and of the pairing, their reports
+(checked counts, violation lists in order, residuals, values, truncation
+counts), their crossed-bracket dicts and their structure tensors (key
+order included) must equal the dense enumeration in
+tests/dense_reference.py exactly, and an input that leaves a half
+unclosed must raise the same error. cocycle, cojacobi and coboundary are
+compared against the cocommutator derived from each input and against
+the one of the unmutated splitting, and on seeded edits of the
+cocommutator table itself; chain on seeded mutations of the receiving
+double. Guards patch the pair walks (`LieAlgebra.bracket`,
+`bracket_gens`, the reference `ad_wedge`) to raise inside the joined
+kernels, and check that every memo of a triple starts empty on the copies
+the mutation helpers return.
 
 The representation homomorphism and Casimir checks clear a pair or a
 generator by normal ordering when its matrices follow the oscillator
@@ -16,7 +24,11 @@ formulas, and compute their residuals on the protected columns only
 otherwise. On the oscillator grids at several cutoffs, unmutated and with
 one matrix entry doubled or added, one bracket entry rescaled or extended,
 or one root anticommutator of a Casimir rescaled or dropped, their reports
-must equal the whole-matrix loops exactly.
+must equal the whole-matrix loops exactly, but for one expected
+difference: a pair or generator whose normal-ordered residual is nonzero
+is a violation ("entries": 0) even where the truncation protects no
+column it moves. The whole-matrix loops pass those inputs; each such
+violation must instead be flagged by them at a cutoff 6 higher.
 
 The Casimir ad-invariance report joins the nonzero brackets with the
 Casimir tensor's factors. On canonical and mixed doubles, with one bracket
@@ -37,11 +49,14 @@ from drinfeld_forge import (I, SQRT2, CasimirElement, CocommutatorTable,
                             casimir_quadratic, cocommutator_from_structure,
                             crossed_brackets, fermionic_rep, mutate_bracket,
                             perturb_pairing, rescale_minus, split,
-                            verify_casimir_commutes, verify_cocycle,
-                            verify_compatibility, verify_form_invariance,
-                            verify_jacobi, verify_rep_homomorphism,
-                            wedge_insert, with_double)
-from drinfeld_forge import bialgebra
+                            structure_tensors, verify_casimir_commutes,
+                            verify_chain_embedding, verify_closure,
+                            verify_coboundary, verify_cocycle,
+                            verify_cojacobi, verify_compatibility,
+                            verify_cybe, verify_form_invariance,
+                            verify_jacobi, verify_reconstruction,
+                            verify_rep_homomorphism, verify_self_duality,
+                            verify_twist, wedge_insert, with_double)
 from drinfeld_forge.algebra import LieAlgebra
 from drinfeld_forge.errors import (ClosureError, ForeignGeneratorError,
                                    SpecError)
@@ -96,6 +111,15 @@ def _inputs(triple, seed):
     return out
 
 
+def _outcome(thunk):
+    """The report of a check as a dict, or the error it raises (a mutated
+    table can leave a half of the splitting unclosed)."""
+    try:
+        return thunk().to_dict()
+    except (ClosureError, SpecError) as err:
+        return repr(err)
+
+
 def _crossed(kernel, triple):
     try:
         out = kernel(triple)
@@ -104,15 +128,21 @@ def _crossed(kernel, triple):
     return list(out.items())
 
 
-def _cocycle(kernel, alg, triple):
-    """The cocycle report of alg against the cocommutator derived from
-    triple, or the error that deriving it raises (a mutated table can
-    leave a half of the splitting unclosed)."""
+def _tensors(kernel, triple):
+    """Both structure tensors with every dict in key order, or the error."""
     try:
-        table = cocommutator_from_structure(triple)
+        tensors = kernel(triple)
+    except ClosureError as err:
+        return repr(err)
+    return [[(key, list(vec.items())) for key, vec in tensor.items()]
+            for tensor in tensors]
+
+
+def _table(triple):
+    try:
+        return cocommutator_from_structure(triple)
     except (ClosureError, SpecError) as err:
         return repr(err)
-    return kernel(alg, table).to_dict()
 
 
 def _assert_same(triple, label, base):
@@ -124,11 +154,29 @@ def _assert_same(triple, label, base):
             == dense.verify_form_invariance(triple).to_dict()), label
     assert (_crossed(crossed_brackets, triple)
             == _crossed(dense.crossed_brackets, triple)), label
+    assert (_tensors(structure_tensors, triple)
+            == _tensors(dense.structure_tensors_pairwise, triple)), label
+    alg = triple.double
     # against its own cocommutator, and against the unmutated one
     for source in (triple, base):
-        assert (_cocycle(verify_cocycle, triple.double, source)
-                == _cocycle(dense.verify_cocycle, triple.double, source)), \
-            label
+        table = _table(source)
+        if isinstance(table, str):
+            # the error of the structure tensors it is read off
+            assert table == _tensors(dense.structure_tensors_pairwise,
+                                     source), label
+            continue
+        for kernel, reference in ((verify_cocycle, dense.verify_cocycle),
+                                  (verify_cojacobi, dense.verify_cojacobi)):
+            assert (kernel(alg, table).to_dict()
+                    == reference(alg, table).to_dict()), (label, kernel)
+        for cartan in (True, False):
+            assert (verify_coboundary(triple, table, cartan).to_dict()
+                    == dense.verify_coboundary(triple, table,
+                                               cartan).to_dict()), label
+    assert (_outcome(lambda: verify_twist(triple))
+            == _outcome(lambda: dense.verify_twist(triple))), label
+    assert (verify_cybe(triple).to_dict()
+            == dense.verify_cybe(triple).to_dict()), label
 
 
 @pytest.mark.parametrize("series,rank", INSTANCES)
@@ -204,21 +252,213 @@ def test_cocycle_matches_dense_on_mutated_deltas(series, rank, spec):
     assert not all(verify_cocycle(alg, table).passed for _, table in cases)
 
 
+def _seeded_deltas(alg, table, rng, count):
+    """The cocommutator table with `count` seeded edits, each one wedge
+    term added to (possibly where it was zero) or dropped from a delta."""
+    out = []
+    for _ in range(count):
+        gid = rng.choice(alg.basis)
+        wedge = dict(table.delta(gid))
+        if wedge and rng.random() < 0.3:
+            key = rng.choice(sorted(wedge, key=lambda k: (alg.index[k[0]],
+                                                          alg.index[k[1]])))
+            del wedge[key]
+            name = f"- {key[0].label} ^ {key[1].label}"
+        else:
+            a, b = rng.sample(alg.basis, 2)
+            factor = rng.choice(FACTORS)
+            wedge_insert(wedge, alg.index, a, b, factor)
+            name = f"+ ({factor}) {a.label} ^ {b.label}"
+        deltas = dict(table.items())
+        deltas[gid] = wedge
+        out.append((f"delta({gid.label}) {name}",
+                    CocommutatorTable(alg, deltas)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "series,rank,spec",
+    [(series, rank, "canonical") for series, rank in INSTANCES] + list(MIXED))
+def test_cojacobi_and_coboundary_match_dense_on_mutated_deltas(series, rank,
+                                                              spec):
+    triple = split(series, rank, spec)
+    alg = triple.double
+    rng = random.Random(f"cojacobi {series}{rank} {spec}")
+    table = cocommutator_from_structure(triple)
+    cases = _mutated_deltas(alg, table, rng) + _seeded_deltas(alg, table,
+                                                               rng, 6)
+    for label, case in cases:
+        assert (verify_cojacobi(alg, case).to_dict()
+                == dense.verify_cojacobi(alg, case).to_dict()), label
+        assert (verify_coboundary(triple, case).to_dict()
+                == dense.verify_coboundary(triple, case).to_dict()), label
+    assert not all(verify_cojacobi(alg, case).passed for _, case in cases)
+    assert not any(verify_coboundary(triple, case).passed
+                   for _, case in cases)
+
+
+CHAIN = (("A", 1), ("A", 2), ("A", 3), ("B", 1), ("B", 2), ("C", 1),
+         ("C", 2), ("D", 2), ("D", 3))
+
+
+def _chain_doubles(series, rank, rng):
+    """Receiving doubles: unmutated, two seeded table mutations, and a zero
+    bracket inside the shifted image made nonzero."""
+    big = canonical_triple(series, rank + 1)
+    out = [("unmutated", None)]
+    out += [(label, case.double)
+            for label, case in _mutated_brackets(big, rng, 2)]
+    small = build_series(series, rank)
+    image = [GeneratorId(g.kind, g.i + 1, None if g.j is None else g.j + 1)
+             for g in small.basis]
+    p, q = rng.choice([(p, q) for k, p in enumerate(image)
+                       for q in image[k + 1:]
+                       if not big.double.bracket_gens(p, q)])
+    out.append((f"[{p.label}, {q.label}] new",
+                mutate_bracket(big.double, p, q,
+                               Element.gen(rng.choice(image),
+                                           rng.choice(FACTORS)))))
+    return out
+
+
+@pytest.mark.parametrize("series,rank", CHAIN)
+def test_chain_matches_dense(series, rank):
+    rng = random.Random(f"chain {series}{rank}")
+    cases = _chain_doubles(series, rank, rng)
+    for label, big in cases:
+        want = _outcome(lambda: dense.verify_chain_embedding(
+            series, rank, big_double=big))
+        assert _outcome(lambda: verify_chain_embedding(
+            series, rank, big_double=big)) == want, label
+        # a rank n triple the caller built gives the same report
+        assert _outcome(lambda: verify_chain_embedding(
+            series, rank, big_double=big,
+            small_triple=split(series, rank))) == want, label
+    assert verify_chain_embedding(series, rank).passed
+    # the new bracket is a violation, or leaves a half of rank n+1 unclosed
+    caught = _outcome(lambda: verify_chain_embedding(
+        series, rank, big_double=cases[-1][1]))
+    assert isinstance(caught, str) or not caught["pass"]
+
+
+def test_chain_refuses_another_triple():
+    for triple in (split("D", 3, "mixed:pairs=1-2"), canonical_triple("D", 2)):
+        with pytest.raises(SpecError):
+            verify_chain_embedding("D", 3, small_triple=triple)
+
+
+def _refuse_walks(monkeypatch, kernel):
+    """Make every pair walk raise: the element and generator brackets, and
+    the reference ad_wedge."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{kernel} walked the pairs")
+
+    monkeypatch.setattr(LieAlgebra, "bracket", refuse)
+    monkeypatch.setattr(LieAlgebra, "bracket_gens", refuse)
+    monkeypatch.setattr(dense, "ad_wedge", refuse)
+
+
 def test_cocycle_never_walks_the_pairs(monkeypatch):
     # the residuals come from the joins alone: no basis pair is bracketed
     # and no wedge is moved by ad_wedge
     cases = [canonical_triple("A", 3), split("D", 3, "mixed:pairs=1-2")]
     tables = [cocommutator_from_structure(triple) for triple in cases]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("verify_cocycle walked the basis pairs")
-
-    monkeypatch.setattr(LieAlgebra, "bracket", refuse)
-    monkeypatch.setattr(bialgebra, "ad_wedge", refuse)
+    _refuse_walks(monkeypatch, "verify_cocycle")
     for triple, table in zip(cases, tables):
         report = verify_cocycle(triple.double, table)
         dim = triple.double.dim
         assert report.passed and report.checked == dim * (dim - 1) // 2
+
+
+@pytest.mark.parametrize("series,rank,spec", [("A", 3, "canonical"),
+                                              ("C", 2, "canonical"),
+                                              ("B", 2, "canonical"),
+                                              ("D", 3, "mixed:pairs=1-2")])
+def test_bialgebra_kernels_never_walk_the_pairs(monkeypatch, series, rank,
+                                                spec):
+    # split before the walks are refused (a mixed split restricts the
+    # table pair by pair), over copies of the doubles, so that the
+    # tensors, the adjoint indexes and the cocommutators are all built
+    # under the guard
+    def fresh(triple):
+        alg = triple.double
+        return with_double(triple, LieAlgebra(alg.series, alg.rank, alg.basis,
+                                              alg.table, alg.n_indices))
+
+    triple = fresh(split(series, rank, spec))
+    small = fresh(split(series, rank)) if spec == "canonical" else None
+    big = fresh(split(series, rank + 1)).double
+    _refuse_walks(monkeypatch, "a joined kernel")
+    assert triple._tensors is None and triple.double._adjoint is None
+    table = cocommutator_from_structure(triple)
+    alg = triple.double
+    reports = [verify_cojacobi(alg, table), verify_coboundary(triple),
+               verify_cybe(triple)]
+    if small is not None:
+        reports.append(verify_twist(triple))
+        reports.append(verify_chain_embedding(series, rank, big_double=big,
+                                              small_triple=small))
+    assert all(report.passed for report in reports)
+
+
+def test_memos_start_empty_on_every_copy():
+    # every memo of a triple and of its double filled, then each helper's
+    # copy must see its own change: stale tensors, cocommutators, adjoint
+    # indexes or pairing inverses would let these checks pass
+    triple = split("A", 2)
+    alg = triple.double
+    alg.adjoint()
+    structure_tensors(triple)
+    cocommutator_from_structure(triple)
+    triple.pairing_inverse()
+    h1, h2 = GeneratorId("H", 1), GeneratorId("H", 2)
+    f12, f13 = GeneratorId("F", 1, 2), GeneratorId("F", 1, 3)
+    f21, f23 = GeneratorId("F", 2, 1), GeneratorId("F", 2, 3)
+
+    # zero brackets made nonzero: one that s+ still holds, and two that
+    # leave s- or s+ unclosed
+    rooted = with_double(triple, mutate_bracket(alg, f12, f13,
+                                                Element.gen(f23)))
+    assert rooted.double._adjoint is None and rooted._tensors is None
+    assert rooted._delta is None and rooted._pinv is None
+    table = cocommutator_from_structure(rooted)
+    assert not verify_cocycle(rooted.double, table).passed
+    assert not verify_cojacobi(rooted.double, table).passed
+    assert not verify_coboundary(rooted).passed
+    assert not verify_cybe(rooted).passed
+    moved = with_double(triple, mutate_bracket(alg, h1, h2, Element.gen(f12)))
+    assert not verify_twist(moved).passed
+    with pytest.raises(ClosureError):
+        cocommutator_from_structure(moved)
+    escaped = with_double(triple, mutate_bracket(alg, f12, f13,
+                                                 Element.gen(f21)))
+    assert not verify_self_duality(escaped).passed
+    assert not verify_closure(escaped).passed
+
+    rescaled = rescale_minus(triple, Scalar(3))
+    assert rescaled._tensors is None and rescaled._delta is None
+    assert not verify_self_duality(rescaled).passed
+
+    perturbed = perturb_pairing(triple, triple.sminus[0], triple.splus[1],
+                                Scalar(1))
+    assert perturbed._pinv is None and perturbed._tensors is None
+    assert not verify_reconstruction(perturbed).passed
+
+    # a restricted table indexes only its own members, and a mutation of
+    # it gets an index of its own
+    borel = {g for g in alg.basis
+             if g.kind == "H" or (g.kind == "F" and g.i < g.j)}
+    sub = alg.restrict([g for g in alg.basis if g in borel])
+    assert sub._adjoint is None
+    index = sub.adjoint()
+    assert set(index) <= borel
+    assert all(h in borel and entry.support() <= borel
+               for row in index.values() for h, entry in row.items())
+    cut = mutate_bracket(sub, h1, f12, Element())
+    assert f12 in index[h1] and f12 not in cut.adjoint()[h1]
+    # and the original's memos are untouched
+    assert verify_cybe(triple).passed and verify_coboundary(triple).passed
 
 
 def test_mutations_are_caught():
@@ -232,15 +472,51 @@ def test_mutations_are_caught():
     assert any(not all(v) for v in verdicts[1:])
 
 
+def _deeper(rep):
+    """The representation's builder at a cutoff 6 higher: every state a
+    nonzero normal-ordered residual of these checks moves first (at most 3
+    annihilations deep) lies on a column that a budget of 4 protects
+    there. A fermionic representation is not truncated, so stage 1 adds
+    nothing to it."""
+    assert rep.cutoff is not None
+    return bosonic_rep(rep.alg, rep.cutoff + 6, rep.lambdas)
+
+
+def _assert_matches_dense(got, want, deeper, key, label):
+    """`got` equals the whole-matrix report `want`, except for the
+    violations with "entries": 0 that stage 1 adds. The whole-matrix loops
+    pass those on the columns this cutoff protects, so each must be
+    flagged by `deeper()`, their report at a higher cutoff, instead."""
+    added = [v for v in got["violations"] if not v["entries"]]
+    if added:
+        assert all(v["monomials"] > 0 for v in added), label
+        flagged = [v[key] for v in deeper()["violations"]]
+        assert all(v[key] in flagged for v in added), (label, added)
+        kept = [v for v in got["violations"] if v["entries"]]
+        got = dict(got, violations=kept)
+        got["pass"] = not kept
+    assert got == want, label
+
+
+def _assert_same_rep(alg, rep, label):
+    _assert_matches_dense(
+        verify_rep_homomorphism(alg, rep).to_dict(),
+        dense.verify_rep_homomorphism(alg, rep).to_dict(),
+        lambda: dense.verify_rep_homomorphism(alg, _deeper(rep)).to_dict(),
+        "pair", label)
+
+
 def _assert_same_casimir(alg, rep, cas, label):
-    assert (verify_casimir_commutes(alg, rep, cas).to_dict()
-            == dense.verify_casimir_commutes(alg, rep, cas).to_dict()), \
-        (label, cas.label)
+    _assert_matches_dense(
+        verify_casimir_commutes(alg, rep, cas).to_dict(),
+        dense.verify_casimir_commutes(alg, rep, cas).to_dict(),
+        lambda: dense.verify_casimir_commutes(alg, _deeper(rep),
+                                              cas).to_dict(),
+        "gen", (label, cas.label))
 
 
 def _assert_same_reps(alg, rep, label):
-    assert (verify_rep_homomorphism(alg, rep).to_dict()
-            == dense.verify_rep_homomorphism(alg, rep).to_dict()), label
+    _assert_same_rep(alg, rep, label)
     for cas in (casimir_quadratic(alg), casimir_double(alg)):
         _assert_same_casimir(alg, rep, cas, label)
 
@@ -315,9 +591,7 @@ def _assert_same_mutated(alg, rep, label):
     for name, case in _mutated_reps(rep, rng):
         _assert_same_reps(alg, case, f"{label} {name}")
     for name, mutated in _mutated_tables(alg, rng):
-        assert (verify_rep_homomorphism(mutated, rep).to_dict()
-                == dense.verify_rep_homomorphism(mutated, rep).to_dict()), \
-            f"{label} {name}"
+        _assert_same_rep(mutated, rep, f"{label} {name}")
     for name, cas in _mutated_casimirs(alg, rng):
         _assert_same_casimir(alg, rep, cas, f"{label} {name}")
 
