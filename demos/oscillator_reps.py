@@ -3,8 +3,9 @@
 Builds the fermionic rep of B1 (matrices over the exact scalar field),
 checks the bracket homomorphism, and shows the quadratic Casimir acting
 as 3/4 times the identity. Then the bosonic rep of C1 at a finite
-cutoff, in the occupation basis, where the homomorphism and Casimir
-centrality hold exactly on the columns the truncation protects.
+cutoff, in the occupation basis: the homomorphism and Casimir centrality
+are decided on the normal-ordered oscillator polynomials, so they hold
+on the whole Fock space, and each matrix is its polynomial's truncation.
 
     python3 demos/oscillator_reps.py
 """
@@ -49,7 +50,8 @@ def main() -> None:
     print(" ", verify_rep_homomorphism(alg, rep).summary())
     cas = casimir_quadratic(alg)
     print(" ", verify_casimir_commutes(alg, rep, cas).summary())
-    print("  exact equality on every column the cutoff protects")
+    print("  exact on the whole Fock space; each matrix is its "
+          "polynomial truncated at the cutoff")
 
 
 if __name__ == "__main__":

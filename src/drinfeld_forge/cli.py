@@ -329,7 +329,7 @@ def _apply_config(parser, argv):
     if not isinstance(data, dict):
         raise SpecError("config must be a JSON object")
     valid = {"series", "rank", "spec", "checks", "jobs", "cutoff", "sub",
-             "json", "out", "what"}
+             "json", "out"}
     unknown = set(data) - valid
     if unknown:
         raise SpecError("unknown config keys: " + ", ".join(sorted(unknown)))
@@ -345,9 +345,19 @@ def _apply_config(parser, argv):
         if not ok:
             raise SpecError(f"config key {key!r} must be {want}, got "
                             f"{json.dumps(value)}")
-    for action in parser._subparsers._group_actions:
-        for subparser in action.choices.values():
-            subparser.set_defaults(**{k: v for k, v in data.items()})
+    subparsers = [subparser for action in parser._subparsers._group_actions
+                  for subparser in action.choices.values()]
+    # argparse checks a flag's choices, never a default's
+    for subparser in subparsers:
+        for action in subparser._actions:
+            if (action.dest in data and action.choices is not None
+                    and data[action.dest] not in action.choices):
+                raise SpecError(
+                    f"config key {action.dest!r} must be one of "
+                    f"{', '.join(action.choices)}, got "
+                    f"{json.dumps(data[action.dest])}")
+    for subparser in subparsers:
+        subparser.set_defaults(**data)
 
 
 def main(argv=None):

@@ -1,28 +1,33 @@
 """Oscillator polynomials: the generator images, their one Fock action,
-their normal ordering, and the two cutoff-free stages that let the `rep`
-and `casimir` checks skip their matrices.
+their normal ordering, and the two stages that decide the `rep` and
+`casimir` checks.
 
 A letter is (CREATE, m) or (ANNIHILATE, m) for the oscillator of Cartan
 index m, and a word is a tuple of letters read as their operator product
 (the rightmost letter acts first). A word is normal-ordered when its
 letters are nondecreasing: creators before annihilators, each ascending in
 m. A polynomial is a dict word -> Scalar holding no zero. The generator
-images are the polynomials of the `reps` docstring (`oscillator_image`),
-and the argument for why the two stages imply a zero protected residual
-is given there too.
+images are the polynomials of the `reps` docstring (`oscillator_image`).
 
-`FockSpace.apply` is the one Fock action: the `reps` builders make each
-generator's matrix by applying its image to every state, and stage 2
-checks a matrix against the same action of its normal-ordered image.
+Stage 1 normal-orders each residual polynomial and reads no matrix: since
+normal-ordered words are a basis of the Weyl and Clifford algebras, and
+their Fock representations are faithful, a residual is zero exactly when
+the identity holds on the whole Fock space, whatever the cutoff (the
+`reps` docstring gives the argument). Stage 2 ties the matrices to that
+verdict: `FockSpace.apply` is the one Fock action, the `reps` builders
+make each generator's matrix by applying its image to every state, and
+stage 2 counts the entries in which a held matrix differs from the same
+action of its normal-ordered image.
 """
 
 from __future__ import annotations
 
 from .elements import Element
+from .errors import SpecError
 from .generators import GeneratorId
 from .linalg import accumulate
-from .reps import CasimirElement, Representation, occupation_raise
-from .scalars import HALF, INV_SQRT2, ONE
+from .reps import CasimirElement, Representation
+from .scalars import HALF, INV_SQRT2, ONE, ZERO
 
 CREATE, ANNIHILATE = 0, 1
 
@@ -133,12 +138,6 @@ class Oscillators:
         return out
 
 
-def word_raise(word: tuple) -> int:
-    """Change of total occupation a word causes: creators minus
-    annihilators."""
-    return len(word) - 2 * sum(kind for kind, _ in word)
-
-
 def boson_act(word: tuple, state: tuple):
     """A word on the unnormalized occupation state |n>, untruncated:
     (factor, state) with word |n> = factor |state>, or None when it is 0."""
@@ -247,9 +246,9 @@ _BOSON_WORDS = {
 }
 
 
-def oscillator_image(gid: GeneratorId, fermionic: bool, lambdas):
-    """rho(gid) as the polynomial of the `reps` docstring's table (not yet
-    normal-ordered), or None when the kind has no realization."""
+def oscillator_image(gid: GeneratorId, fermionic: bool, lambdas) -> dict:
+    """rho(gid) as the polynomial of the `reps` docstring's table, not yet
+    normal-ordered; a kind with no realization is refused."""
     kind, i, j = gid
     out = {}
     if kind == "I":
@@ -258,14 +257,12 @@ def oscillator_image(gid: GeneratorId, fermionic: bool, lambdas):
         out[((CREATE, i), (ANNIHILATE, i))] = ONE
         out[()] = -HALF if fermionic else HALF
     else:
-        entry = (_FERMION_WORDS if fermionic else _BOSON_WORDS).get(kind)
-        if entry is None:
-            return None
-        kinds, coeff, diagonal = entry
+        words = _FERMION_WORDS if fermionic else _BOSON_WORDS
+        kinds, coeff, diagonal = words.get(kind, ((), None, None))
         if j == i or j is None:
             coeff = diagonal
         if coeff is None:
-            return None
+            raise SpecError(f"kind {kind!r} has no oscillator realization")
         out[tuple(zip(kinds, (i, j)))] = coeff
     return out
 
@@ -273,14 +270,14 @@ def oscillator_image(gid: GeneratorId, fermionic: bool, lambdas):
 class OscillatorProof:
     """The two cutoff-free stages for one representation.
 
-    `image(g)` is rho(g) as a normal-ordered polynomial (stage 1 works on
-    these); `matches(g)` is stage 2, that the built matrix of g equals the
-    representation's `FockSpace.apply` of that polynomial. A truncated
-    generator also needs its polynomial to raise the occupation by at most
-    `occupation_raise(g)`, which the protected columns assume. Images and
-    verdicts are cached per generator. `Representation.proof` makes one
-    proof per representation, which is never edited in place, so the
-    caches hold for every check that reads them.
+    `image(g)` is rho(g) as a normal-ordered polynomial, and stage 1
+    (`pair_residual`, `casimir`, `generator_residual`) works on these
+    alone. `wrong_entries(g)` is stage 2: the number of entries in which
+    the held matrix of g differs from the representation's
+    `FockSpace.apply` of that polynomial. Images and stage-2 counts are
+    cached per generator. `Representation.proof` makes one proof per
+    representation, which is never edited in place, so the caches hold
+    for every check that reads them.
     """
 
     def __init__(self, rep: Representation):
@@ -290,53 +287,42 @@ class OscillatorProof:
         self.matrices = rep.matrices
         self.space = rep.space
         self.lambdas = rep.lambdas
-        self.truncated = rep.cutoff is not None
-        self.ordering = Oscillators(1 if self.truncated else -1)
+        self.fermionic = rep.cutoff is None
+        self.ordering = Oscillators(-1 if self.fermionic else 1)
         self._images = {}
-        self._matches = {}
+        self._wrong = {}
 
-    def image(self, gid: GeneratorId):
+    def image(self, gid: GeneratorId) -> dict:
         if gid not in self._images:
-            poly = oscillator_image(gid, not self.truncated, self.lambdas)
-            self._images[gid] = (None if poly is None
-                                 else self.ordering.normal(poly))
+            self._images[gid] = self.ordering.normal(
+                oscillator_image(gid, self.fermionic, self.lambdas))
         return self._images[gid]
 
-    def matches(self, gid: GeneratorId) -> bool:
-        if gid not in self._matches:
-            self._matches[gid] = self._stage2(gid)
-        return self._matches[gid]
+    def wrong_entries(self, gid: GeneratorId) -> int:
+        if gid not in self._wrong:
+            self._wrong[gid] = self._stage2(gid)
+        return self._wrong[gid]
 
-    def _stage2(self, gid: GeneratorId) -> bool:
-        matrix = self.matrices.get(gid)
-        poly = self.image(gid)
-        if matrix is None or poly is None:
-            return False
-        if self.truncated and any(
-                word_raise(word) > occupation_raise(gid) for word in poly):
-            return False
-        return self.space.apply(poly) == matrix.entries
+    def _stage2(self, gid: GeneratorId) -> int:
+        want = self.space.apply(self.image(gid))
+        held = self.matrices[gid].entries
+        if want == held:
+            return 0
+        return sum(1 for key in want.keys() | held.keys()
+                   if want.get(key, ZERO) != held.get(key, ZERO))
 
     def pair_residual(self, p: GeneratorId, q: GeneratorId,
-                      bracket: Element):
-        """Stage 2 for p, q and the bracket's generators, then stage 1:
-        [rho(p), rho(q)] - rho([p, q]) normal-ordered, a polynomial that is
-        empty exactly when the pair is cleared, or None when stage 2 fails
-        and stage 1 decides nothing."""
-        if not all(self.matches(g) for g in (p, q, *bracket.support())):
-            return None
+                      bracket: Element) -> dict:
+        """[rho(p), rho(q)] - rho([p, q]) normal-ordered: a polynomial that
+        is empty exactly when the pair holds on the whole Fock space."""
         residual = self.ordering.commutator(self.image(p), self.image(q))
         for gid, coeff in bracket.terms():
             for word, value in self.image(gid).items():
                 accumulate(residual, word, -coeff * value)
         return residual
 
-    def casimir(self, cas: CasimirElement):
-        """The Casimir as a normal-ordered polynomial, or None when one of
-        its generators fails stage 2 or, truncated, its polynomial raises
-        the occupation past the Casimir's raise budget."""
-        if not all(self.matches(g) for g in cas.generators()):
-            return None
+    def casimir(self, cas: CasimirElement) -> dict:
+        """The Casimir as a normal-ordered polynomial."""
         total = {}
         for x, y, kind in cas.terms:
             px = self._element(x)
@@ -348,17 +334,11 @@ class OscillatorProof:
             for left, right in pairs:
                 for word, value in self.ordering.product(left, right).items():
                     accumulate(total, word, value)
-        budget = cas.raise_budget()
-        if self.truncated and any(word_raise(word) > budget for word in total):
-            return None
         return total
 
-    def generator_residual(self, casimir, gid: GeneratorId):
-        """Stage 2 for g, then stage 1: [C, rho(g)] normal-ordered, for C
-        the polynomial `casimir` returned, or None when g fails stage 2 or
-        `casimir` is None."""
-        if casimir is None or not self.matches(gid):
-            return None
+    def generator_residual(self, casimir: dict, gid: GeneratorId) -> dict:
+        """[C, rho(g)] normal-ordered, for C the polynomial `casimir`
+        returned."""
         return self.ordering.commutator(casimir, self.image(gid))
 
     def _element(self, elem: Element) -> dict:

@@ -31,54 +31,57 @@ to
   I_i -> lambda_i * Id
 
 so every entry is exact too: an integer, a half-integer, or a multiple of
-1/sqrt2. Truncation discards amplitudes above the cutoff, so homomorphism
-checks compare only columns whose total occupation keeps every
-intermediate state inside the retained space. A diagonal similarity
-commutes with that restriction, so the verdicts are those of the
-normalized basis.
+1/sqrt2. Truncation discards amplitudes above the cutoff. A diagonal
+similarity commutes with that, so the matrices are those of the
+normalized basis up to the similarity.
 
-The homomorphism and Casimir checks count residual entries on those
-protected columns only (every column of a fermionic representation). They
-clear a pair in two stages before touching its matrices:
+The homomorphism and Casimir checks decide every basis pair (or Casimir
+generator) from these polynomials alone, at any cutoff, and hold each
+matrix to its polynomial once:
 
-  1. normal ordering: with each image written as the polynomial above,
-     [rho(p), rho(q)] - sum_k c_k rho(g_k) is normal-ordered in the Weyl
-     algebra (b b+ = b+ b + 1) or the Clifford algebra (a a+ = -a+ a + 1,
-     a a = 0), one routine for both (module `oscillators`); for
-     `casimir`, [C, rho(g)] with C the quartic Casimir polynomial. A
-     commutator skips each pair of words on disjoint modes that commute;
+  1. normal ordering: [rho(p), rho(q)] - sum_k c_k rho(g_k) is
+     normal-ordered in the Weyl algebra (b b+ = b+ b + 1) or the Clifford
+     algebra (a a+ = -a+ a + 1, a a = 0), one routine for both (module
+     `oscillators`); for `casimir`, [C, rho(g)] with C the quartic
+     Casimir polynomial. A commutator skips each pair of words on
+     disjoint modes that commute. Each nonzero residual is a violation;
   2. the matrix gate, once per generator: the matrix the representation
-     holds equals its normal-ordered polynomial applied to every state,
-     amplitudes above the cutoff dropped (and a bosonic polynomial raises
-     the occupation by at most `occupation_raise`). The builders make
-     every matrix that way; a representation assembled or edited by other
-     means is held to the same action.
+     holds must equal its normal-ordered polynomial applied to every
+     state, amplitudes above the cutoff dropped. The builders make every
+     matrix that way; a representation assembled or edited by other
+     means is held to the same action, and each generator whose matrix
+     differs is a violation.
 
-A zero stage-1 residual whose generators all pass stage 2 makes the
-protected residual zero. Stage 2 makes each matrix the truncated operator
-of its polynomial. Column c of M_p M_q reads only states of occupation at
-most |c| + budget <= cutoff, which the truncation keeps, so on a
-protected column the matrix residual is the residual polynomial applied
-to |c>, and that is zero. Any other pair (or Casimir generator) computes
-A B[:, c] - B A[:, c] - sum_k c_k rho(g_k)[:, c] over the protected
-columns c into one exact sparse residual, from a column and a row index of
-A, and counts its nonzero entries: the count the whole matrices would
-give on those columns, so a report never depends on which path ran.
+Stage 1 is the verdict because the Fock representations of the Weyl and
+Clifford algebras are faithful. Normal-ordered words are a basis of both
+algebras, and a nonzero normal-ordered polynomial moves some state: the
+one its annihilators fit exactly, for a term with fewest annihilators. So
+a residual is zero exactly when the pair holds on the whole untruncated
+Fock space, at every cutoff at once. Stage 2 makes each held matrix the
+truncation of that exact operator, so a representation with no violation
+is the truncation of a true representation of the table. No matrix
+product is formed. A product of truncated matrices differs from the
+truncated product on the states near the cutoff, so a verdict read off
+matrix products would depend on the cutoff. At cutoff 4, for instance,
+C2 with [P1,2, P2,2] extended by i Q1,2 has the residual i b_1 b_2,
+which moves only |1,1>, a state that no product of a P with a P keeps
+inside the space; stage 1 reports its one monomial at every cutoff.
 
-A nonzero stage-1 residual whose generators all pass stage 2 is a
-violation even when that count is zero. The Fock representations of the
-Weyl and Clifford algebras are faithful: a nonzero normal-ordered
-polynomial moves some state (the one its annihilators fit exactly, for
-a term with fewest annihilators), so the pair fails on the untruncated
-space, though a truncation may protect no column it moves. At cutoff 4,
-C2 with [P1,2, P2,2] extended by i Q1,2 has the residual i b_1 b_2, which
-moves |1,1> only, while the pair protects the vacuum alone.
-Such a violation reports "entries": 0 and the residual's number of
-monomials.
+Reports, violations in basis order:
+
+  rep-{kind}: {"matrix": g, "entries": n} for each generator whose matrix
+      differs from its polynomial's action in n entries, then
+      {"pair": [p, q], "monomials": n} for each pair whose residual has
+      n monomials;
+  casimir-{label}-{kind}: the same matrix violations, then
+      {"gen": g, "monomials": n}.
+
+`checked` counts the basis pairs (`rep`) or generators (`casimir`), and
+`rep` gives the details `space_dim` and, when truncated, `cutoff`.
 
 Both stages read one `oscillators.OscillatorProof` per representation
 (`Representation.proof`), made on first use: the `rep` and `casimir`
-checks share its stage-2 verdicts and normal-ordered images, so each is
+checks share its stage-2 counts and normal-ordered images, so each is
 computed once per generator, not once per check. A representation is
 therefore never edited in place; a helper that changes a matrix builds a
 new Representation, which gets its own proof.
@@ -119,11 +122,11 @@ class SparseMatrix:
     def add_entry(self, row: int, col: int, value: Scalar) -> None:
         accumulate(self.entries, (row, col), value)
 
-    def add_product(self, left: SparseMatrix, right: SparseMatrix,
-                    columns: set[int] | None = None) -> None:
-        """Add `left @ right` into this matrix in place, or only its
-        `columns` when given."""
-        by_row = _rows(right, columns=columns)
+    def add_product(self, left: SparseMatrix, right: SparseMatrix) -> None:
+        """Add `left @ right` into this matrix in place."""
+        by_row = {}
+        for (row, col), value in right.entries.items():
+            by_row.setdefault(row, []).append((col, value))
         for (row, mid), value in left.entries.items():
             for col, other in by_row.get(mid, ()):
                 self.add_entry(row, col, value * other)
@@ -132,25 +135,6 @@ class SparseMatrix:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
         return self.dim == other.dim and self.entries == other.entries
-
-
-def _rows(mat: SparseMatrix, negate: bool = False,
-          columns: set[int] | None = None) -> dict[int, list]:
-    """Row index of a matrix, or of its negative, on `columns` when given:
-    row -> [(col, value), ...]."""
-    out = {}
-    for (row, col), value in mat.entries.items():
-        if columns is None or col in columns:
-            out.setdefault(row, []).append((col, -value if negate else value))
-    return out
-
-
-def _columns(mat: SparseMatrix) -> dict[int, list]:
-    """Column index of a matrix: col -> [(row, value), ...]."""
-    out = {}
-    for (row, col), value in mat.entries.items():
-        out.setdefault(col, []).append((row, value))
-    return out
 
 
 def rep_size(series: str, rank: int, cutoff: int | None = None) -> int:
@@ -174,13 +158,12 @@ def check_rep_size(series: str, rank: int, cutoff: int | None = None) -> None:
 class Representation:
     """Matrices for every basis generator of one algebra, on the states of
     one `oscillators.FockSpace`: fermionic when the space is untruncated,
-    bosonic when it has a `cutoff`. `states` lists the space's states in
-    column order, so that the protected columns are read off them.
+    bosonic when it has a `cutoff`.
 
     Instances are treated as immutable, as `LieAlgebra` instances are: a
     helper that edits a matrix returns a new Representation. `proof()`
     relies on this, since the `oscillators.OscillatorProof` it makes on
-    first use keeps its stage-2 verdicts and normal-ordered images for
+    first use keeps its stage-2 counts and normal-ordered images for
     every later check of the same representation.
     """
 
@@ -189,7 +172,6 @@ class Representation:
         self.kind = "fermionic" if space.cutoff is None else "bosonic"
         self.matrices = matrices
         self.space = space
-        self.states = space.states
         self.space_dim = len(space.states)
         self.cutoff = space.cutoff
         self.lambdas = dict(lambdas)
@@ -234,12 +216,8 @@ def _build(alg, cutoff: int | None, lambdas) -> Representation:
     from .oscillators import FockSpace, oscillator_image
     lam = _normalize_lambdas(alg, lambdas)
     space = FockSpace(cartan_count(alg.series, alg.rank), cutoff)
-    matrices = {}
-    for gid in alg.basis:
-        poly = oscillator_image(gid, cutoff is None, lam)
-        if poly is None:
-            raise SpecError(f"kind {gid.kind!r} has no oscillator realization")
-        matrices[gid] = SparseMatrix(len(space.states), space.apply(poly))
+    matrices = {gid: SparseMatrix(len(space.states), space.apply(
+        oscillator_image(gid, cutoff is None, lam))) for gid in alg.basis}
     return Representation(alg, matrices, space, lam)
 
 
@@ -259,102 +237,33 @@ def bosonic_rep(alg, cutoff: int, lambdas=None) -> Representation:
     return _build(alg, cutoff, lambdas)
 
 
-def occupation_raise(gid: GeneratorId) -> int:
-    """Largest total-occupation increase the image of a generator causes."""
-    return 2 if gid.kind == "P" else 0
-
-
-def protected_columns(rep: Representation, budget: int) -> set[int]:
-    """Columns whose total occupation keeps `budget` raises within the
-    cutoff: every column of an untruncated representation."""
-    if rep.cutoff is None:
-        return set(range(rep.space_dim))
-    return {pos for pos, state in enumerate(rep.states)
-            if sum(state) + budget <= rep.cutoff}
-
-
-def _residual_entries(left_cols, left_rows, right: SparseMatrix, expected,
-                      columns: set[int]) -> int:
-    """Nonzero entries of [A, B] - sum_k c_k M_k on `columns`.
-
-    A is given by its column index and its row index scaled by -1,
-    B = `right`, and `expected` holds the pairs (-c_k, M_k). Column c of
-    A B reads only column c of B, and column c of B A only the entries
-    (m, c) of A, so nothing off `columns` is computed.
-    """
-    acc = {}
-    for (mid, col), value in right.entries.items():
-        if col in columns:
-            for row, left in left_cols.get(mid, ()):
-                accumulate(acc, (row, col), left * value)
-    for (row, mid), value in right.entries.items():
-        for col, left in left_rows.get(mid, ()):
-            if col in columns:
-                accumulate(acc, (row, col), value * left)
-    for coeff, mat in expected:
-        for (row, col), value in mat.entries.items():
-            if col in columns:
-                accumulate(acc, (row, col), value * coeff)
-    return len(acc)
+def _matrix_violations(report: CheckReport, proof, basis) -> None:
+    """Stage 2: one violation per generator whose matrix differs from its
+    polynomial's action."""
+    for gid in basis:
+        wrong = proof.wrong_entries(gid)
+        if wrong:
+            report.add_violation({"matrix": gid.label, "entries": wrong})
 
 
 def verify_rep_homomorphism(alg, rep: Representation) -> CheckReport:
-    """Compare rho([x, y]) with the matrix commutator over all basis pairs,
-    exactly, on the columns the truncation protects.
-
-    A pair passes without its matrix residual when
-    `oscillators.OscillatorProof` clears it: its generators and those of
-    its bracket pass stage 2 and its stage-1 residual is zero, which
-    together make that residual zero on every protected column (module
-    docstring). Every other pair computes the residual, so the report is
-    the one the matrices alone would give, with one addition: a pair whose
-    generators all pass stage 2 and whose stage-1 residual is nonzero is a
-    violation even where its protected matrix residual is zero, reported
-    as {"pair": [p, q], "entries": 0, "monomials": n} with n the number of
-    monomials of that residual.
-    A pair whose protected column set is empty compares no matrix entry
-    (budget-4 pairs at cutoff 2 or 3); it still counts in `checked`, and
-    the number of such pairs is reported as `details["unprotected"]` when
-    nonzero.
-    """
-    name = f"rep-{rep.kind}"
+    """rho([p, q]) = [rho(p), rho(q)] for every basis pair, decided on the
+    normal-ordered polynomials, with every matrix held to its polynomial
+    (module docstring)."""
     basis = alg.basis
-    report = CheckReport(check=name, passed=True,
+    report = CheckReport(check=f"rep-{rep.kind}", passed=True,
                          checked=len(basis) * (len(basis) - 1) // 2)
     report.details["space_dim"] = rep.space_dim
     if rep.cutoff is not None:
         report.details["cutoff"] = rep.cutoff
-    raises = {occupation_raise(gid) for gid in basis}
-    columns = {a + b: protected_columns(rep, a + b)
-               for a in raises for b in raises}
     proof = rep.proof()
-    unprotected = 0
+    _matrix_violations(report, proof, basis)
     for pos, p in enumerate(basis):
-        left_index = None
         for q in basis[pos + 1:]:
-            bracket = alg.bracket_gens(p, q)
-            residual = proof.pair_residual(p, q, bracket)
-            cols = columns[occupation_raise(p) + occupation_raise(q)]
-            wrong = 0
-            if not cols:
-                unprotected += 1
-            elif residual is None or residual:
-                if left_index is None:
-                    left = rep.matrix(p)
-                    left_index = (_columns(left), _rows(left, negate=True))
-                expected = [(-coeff, rep.matrix(gid))
-                            for gid, coeff in bracket.terms()]
-                wrong = _residual_entries(*left_index, rep.matrix(q),
-                                          expected, cols)
-            if wrong:
+            residual = proof.pair_residual(p, q, alg.bracket_gens(p, q))
+            if residual:
                 report.add_violation({"pair": [p.label, q.label],
-                                      "entries": wrong})
-            elif residual:
-                report.add_violation({"pair": [p.label, q.label],
-                                      "entries": 0,
                                       "monomials": len(residual)})
-    if unprotected:
-        report.details["unprotected"] = unprotected
     return report
 
 
@@ -372,9 +281,6 @@ class CasimirElement:
             if y is not None:
                 out |= y.support()
         return out
-
-    def raise_budget(self) -> int:
-        return max(map(occupation_raise, self.generators()), default=0)
 
 
 def casimir_quadratic(alg) -> CasimirElement:
@@ -397,77 +303,38 @@ def casimir_double(alg) -> CasimirElement:
     return CasimirElement(terms, "double")
 
 
-def casimir_matrix(rep: Representation, cas: CasimirElement,
-                   columns: set[int] | None = None) -> SparseMatrix:
-    """The Casimir's matrix, or only its `columns` when given (column c of
-    a product reads only column c of its right factor)."""
+def casimir_matrix(rep: Representation, cas: CasimirElement) -> SparseMatrix:
+    """The Casimir's matrix, from products of the held matrices."""
     total = SparseMatrix(rep.space_dim)
     for x, y, kind in cas.terms:
         mx = rep.element_matrix(x)
         if kind == "square":
-            total.add_product(mx, mx, columns)
+            total.add_product(mx, mx)
         else:
             my = rep.element_matrix(y)
-            total.add_product(mx, my, columns)
-            total.add_product(my, mx, columns)
+            total.add_product(mx, my)
+            total.add_product(my, mx)
     return total
 
 
 def verify_casimir_commutes(alg, rep: Representation,
                             cas: CasimirElement) -> CheckReport:
-    """The Casimir matrix must commute with the whole representation, on
-    the columns the truncation protects.
-
-    A generator g passes without its matrix residual when every generator
-    of the Casimir and g pass stage 2 and [C, rho(g)] normal-orders to
-    zero. The others compute [C, rho(g)] on their protected columns from a
-    Casimir matrix built only on the columns those residuals read, and not
-    at all when no generator needs it. As in verify_rep_homomorphism, a
-    generator that passes stage 2 with a nonzero [C, rho(g)] is a
-    violation even where its protected matrix residual is zero:
-    {"gen": g, "entries": 0, "monomials": n}. A generator whose protected
-    column set is empty (a P generator at cutoff 2 or 3) compares no
-    matrix entry; it still counts in `checked`, and the number of such
-    generators is reported as `details["unprotected"]` when nonzero.
-    """
-    name = f"casimir-{cas.label}-{rep.kind}"
-    report = CheckReport(check=name, passed=True, checked=len(alg.basis))
-    base = cas.raise_budget()
-    columns = {base + step: protected_columns(rep, base + step)
-               for step in {occupation_raise(gid) for gid in alg.basis}}
+    """[C, rho(g)] = 0 for every basis generator g, decided on the
+    normal-ordered polynomials, with every matrix held to its polynomial
+    (module docstring). A Casimir generator outside the algebra is
+    refused, as no polynomial of the algebra's images stands for it."""
+    for gid in cas.generators():
+        alg._check_member(gid)
+    report = CheckReport(check=f"casimir-{cas.label}-{rep.kind}", passed=True,
+                         checked=len(alg.basis))
     proof = rep.proof()
+    _matrix_violations(report, proof, alg.basis)
     casimir = proof.casimir(cas)
-    unprotected = 0
-    # (g, its protected columns, its stage-1 residual) for every generator
-    # that stage 1 does not clear
-    pending = []
     for gid in alg.basis:
-        cols = columns[base + occupation_raise(gid)]
         residual = proof.generator_residual(casimir, gid)
-        if not cols:
-            unprotected += 1
-        if residual is None or residual:
-            pending.append((gid, cols, residual))
-    fallback = [(gid, cols) for gid, cols, _ in pending if cols]
-    if fallback:
-        # the protected columns, and the rows rho(g) reaches from them
-        needed = set()
-        for gid, cols in fallback:
-            needed |= cols
-            needed.update(row for row, col in rep.matrix(gid).entries
-                          if col in cols)
-        matrix = casimir_matrix(rep, cas, needed)
-        matrix_cols, matrix_rows = _columns(matrix), _rows(matrix, negate=True)
-    for gid, cols, residual in pending:
-        wrong = (_residual_entries(matrix_cols, matrix_rows,
-                                   rep.matrix(gid), (), cols) if cols else 0)
-        if wrong:
-            report.add_violation({"gen": gid.label, "entries": wrong})
-        elif residual:
-            report.add_violation({"gen": gid.label, "entries": 0,
+        if residual:
+            report.add_violation({"gen": gid.label,
                                   "monomials": len(residual)})
-    if unprotected:
-        report.details["unprotected"] = unprotected
     return report
 
 

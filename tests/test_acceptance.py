@@ -2,7 +2,10 @@
 
 Every identity is checked in exact arithmetic, so "pass" means zero
 violations with no tolerance, truncated bosonic representations
-included (on the columns their cutoff protects). The only wall-clock
+included: their homomorphism and Casimir verdicts are read off the
+normal-ordered oscillator polynomials, which decide them on the whole
+Fock space, and each matrix must equal its polynomial's truncated
+action. The only wall-clock
 budgets are JACOBI_BUDGET for the whole Jacobi grid and CYBE_BUDGET per
 CYBE instance.
 """
@@ -207,9 +210,10 @@ def test_criterion_08_oscillator_representations(capsys):
     ok = ok and cas.entries == {(k, k): Scalar(Fraction(3, 4))
                                 for k in range(2)}
     _verdict(capsys, 8,
-             f"fermionic, and bosonic at cutoff {BOSONIC_CUTOFF} on its "
-             f"protected columns: homomorphism and Casimir centrality "
-             f"exact; B1 Casimir is exactly 3/4 times the identity", ok)
+             f"fermionic, and bosonic with matrices at cutoff "
+             f"{BOSONIC_CUTOFF}: homomorphism and Casimir centrality exact "
+             f"on the whole Fock space; B1 Casimir is exactly 3/4 times "
+             f"the identity", ok)
 
 
 def test_criterion_09_mixed_splitting(capsys):
@@ -295,12 +299,12 @@ def _mutation_fixtures():
                                   Element.gen(f24).scale(Scalar(2)))
 
     # C2 bosonic at cutoff 4 with one rho(F1,2) entry doubled, on a column
-    # of total occupation at most 2 (protected for every pair), so a check
-    # that skips the unprotected columns still sees it
+    # of total occupation at most 2 (protected for every pair)
     c2 = build_series("C", 2)
     boson = bosonic_rep(c2, 4)
+    states = boson.space.states
     entries = boson.matrix(f12).entries
-    key = min(k for k in entries if sum(boson.states[k[1]]) <= 2)
+    key = min(k for k in entries if sum(states[k[1]]) <= 2)
     doubled_c2 = _with_entry(boson, f12, key, entries[key] * Scalar(2))
 
     # C2 with [P1,1, Q1,1] doubled against the unmutated bosonic matrices:
@@ -315,8 +319,14 @@ def _mutation_fixtures():
     vacuum_f12 = _with_entry(fermionic_rep(b2), f12, (0, 0), Scalar(1))
 
     # the C2 Casimir over rho(F1,2) with its entry at column |0,2> doubled
-    key = next(k for k in entries if boson.states[k[1]] == (0, 2))
+    key = next(k for k in entries if states[k[1]] == (0, 2))
     doubled_two = _with_entry(boson, f12, key, entries[key] * Scalar(2))
+
+    # rho(P1,1) given an entry on a column of total occupation 3: every
+    # pair and Casimir generator that reads P1,1 protects only columns of
+    # occupation at most 2, so only the matrix gate sees it
+    col = next(pos for pos, state in enumerate(states) if sum(state) == 3)
+    high_p11 = _with_entry(boson, p11, (0, col), Scalar(5))
 
     # the quadratic Casimir of C2 with its first anticommutator doubled
     terms = list(casimir_quadratic(c2).terms)
@@ -431,6 +441,10 @@ def _mutation_fixtures():
             "A", 2, big_double=imaged_a3)),
         ("rep-bosonic-stage1", lambda: verify_rep_homomorphism(
             unseen_c2, boson)),
+        ("rep-bosonic-high-entry", lambda: verify_rep_homomorphism(
+            c2, high_p11)),
+        ("casimir-commutes-high-entry", lambda: verify_casimir_commutes(
+            c2, high_p11, casimir_quadratic(c2))),
     )
 
 
@@ -456,16 +470,19 @@ def test_central_cocycle_mutation_sits_on_commuting_pairs():
     assert not any(alg.bracket_gens(gen[x], gen[y]) for x, y in pairs)
 
 
-def test_entry_above_every_protected_budget_passes():
+def test_entry_above_every_protected_budget_fails():
     # rho(P1,1) with an entry on a column of total occupation 3 at cutoff 4:
     # every pair and Casimir generator that reads P1,1 protects only
-    # columns of occupation at most 2, so the checks pass as before, and
-    # they pass by the matrix fallback, since stage 2 rejects the matrix
+    # columns of occupation at most 2, yet the matrix differs from its
+    # polynomial in that entry, which both checks report on their own
     alg = build_series("C", 2)
     rep = bosonic_rep(alg, 4)
     p11 = GeneratorId("P", 1, 1)
-    col = next(pos for pos, state in enumerate(rep.states) if sum(state) == 3)
+    col = next(pos for pos, state in enumerate(rep.space.states)
+               if sum(state) == 3)
     case = _with_entry(rep, p11, (0, col), Scalar(5))
-    assert not OscillatorProof(case).matches(p11)
-    assert _exact(verify_rep_homomorphism(alg, case))
-    assert _exact(verify_casimir_commutes(alg, case, casimir_quadratic(alg)))
+    assert OscillatorProof(case).wrong_entries(p11) == 1
+    wrong = [{"matrix": "P1,1", "entries": 1}]
+    assert verify_rep_homomorphism(alg, case).violations == wrong
+    assert verify_casimir_commutes(alg, case,
+                                   casimir_quadratic(alg)).violations == wrong

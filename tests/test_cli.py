@@ -232,16 +232,27 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 2
     assert "unknown config keys" in err
+    # `export --what` is required on the command line, so a config `what`
+    # would never be read
+    cfg.write_text(json.dumps({"series": "A", "rank": 1,
+                               "what": "brackets"}))
+    code, out, err = run(capsys, "export", "--what", "brackets",
+                         "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "unknown config keys: what" in err
 
 
 @pytest.mark.parametrize("key,value", [("cutoff", 2.5), ("cutoff", [3]),
                                        ("spec", 3), ("json", "false"),
-                                       ("rank", True)])
+                                       ("rank", True), ("sub", "bogus"),
+                                       ("series", "Z")])
 def test_config_rejects_malformed_values(tmp_path, capsys, key, value):
     # a float, list or number where a string or an integer belongs, the
-    # string "false" for a switch, a boolean for a count: exit 2, key named
+    # string "false" for a switch, a boolean for a count, a string outside
+    # the option's choices: exit 2, key named
     cfg = tmp_path / "cfg.json"
-    data = {"series": "A", "rank": 1, "checks": "rep"}
+    data = {"series": "A", "rank": 1, "checks": "subbialg"}
     data[key] = value
     cfg.write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--config", str(cfg))

@@ -1,12 +1,16 @@
-"""Source hygiene: every name a package module imports is used in it, and
-no package module imports another one's private (underscore) names."""
+"""Source hygiene: every name a package module imports is used in it, no
+package module imports another one's private (underscore) names, and no
+package function, class or method is left unnamed."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "drinfeld_forge"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "drinfeld_forge"
+# where a package definition may be named
+READERS = ("src", "tests", "demos", "perfbench")
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
 ALL_MODULES = sorted(SRC.glob("*.py"))
 
@@ -59,3 +63,76 @@ def test_checker_sees_a_private_import():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda path: path.name)
 def test_no_private_name_crosses_modules(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def definitions(source: str) -> list[tuple[str, bool]]:
+    """Module-level functions and classes, and the methods of those
+    classes but for dunder ones: [(name, is_method), ...]."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, functions + (ast.ClassDef,)):
+            out.append((node.name, False))
+        if isinstance(node, ast.ClassDef):
+            out += [(item.name, True) for item in node.body
+                    if isinstance(item, functions)
+                    and not (item.name.startswith("__")
+                             and item.name.endswith("__"))]
+    return out
+
+
+def references(sources) -> tuple[set[str], set[str]]:
+    """(bare, attributes) that the sources name. A bare name is read as a
+    name, imported, given as an identifier string (getattr, monkeypatch),
+    or read as an attribute of anything but `self` or `cls` (`reps.f`);
+    every attribute read counts as an attribute."""
+    bare, attributes = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                bare.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                bare.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if not (isinstance(node.value, ast.Name)
+                        and node.value.id in ("self", "cls")):
+                    bare.add(node.attr)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                bare.add(node.value)
+    return bare, attributes
+
+
+def unnamed(modules: dict[str, str], sources) -> list[str]:
+    """Definitions of `modules` (name -> source) that no source names: a
+    function or class must be named bare, a method at least as an
+    attribute."""
+    bare, attributes = references(sources)
+    return [f"{module}: {name}" for module, source in modules.items()
+            for name, method in definitions(source)
+            if name not in bare and not (method and name in attributes)]
+
+
+def test_checker_sees_a_leftover_helper():
+    # a helper that only shares its name with another class's attribute
+    # is still unnamed, and so is a method that nothing calls
+    module = ("def _rows(mat):\n    return {}\n"
+              "class Space:\n"
+              "    def __init__(self):\n        self.dim = self.size()\n"
+              "    def size(self):\n        return 0\n"
+              "    def unused(self):\n        return 1\n")
+    other = ("from .reps import Space\n"
+             "class Basis:\n"
+             "    def __init__(self):\n        self._rows = Space().dim\n")
+    assert unnamed({"reps": module}, [module, other]) == [
+        "reps: _rows", "reps: unused"]
+
+
+def test_every_definition_is_named():
+    sources = [path.read_text(encoding="utf-8") for folder in READERS
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    modules = {path.name: path.read_text(encoding="utf-8")
+               for path in ALL_MODULES}
+    assert unnamed(modules, sources) == []

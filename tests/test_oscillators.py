@@ -4,22 +4,24 @@
 (sign -1) with one routine. Its products must act on Fock states exactly
 as the factors applied in turn, and its commutator, which skips the pairs
 of words on disjoint modes that commute, must equal the difference of the
-two products. Stage 2 must accept every matrix the builders make and
-reject an entry off the formula, and run once per generator of a
+two products. Stage 2 must accept every matrix the builders make, count
+each entry off the formula, and run once per generator of a
 representation whichever checks read it; stage 1 must clear every pair
-of an unmutated table and flag a mutated bracket, also where no column
-the truncation protects shows it; and on the unmutated grids no pair or
-generator may fall back to a matrix residual.
+of an unmutated table and flag a mutated bracket with the same report at
+every cutoff, also where no column the truncation protects shows it; and
+neither check may multiply matrices, on unmutated or mutated inputs.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dense
+
 from drinfeld_forge import (I, CasimirElement, Element, Scalar, bosonic_rep,
-                            build_series, casimir_double, casimir_quadratic,
-                            fermionic_rep, mutate_bracket, parse_label,
-                            verify_casimir_commutes, verify_rep_homomorphism)
-from drinfeld_forge import reps
+                            build_series, casimir_double, casimir_matrix,
+                            casimir_quadratic, fermionic_rep, mutate_bracket,
+                            parse_label, verify_casimir_commutes,
+                            verify_rep_homomorphism)
 from drinfeld_forge.cli import main
 from drinfeld_forge.linalg import accumulate
 from drinfeld_forge.oscillators import (ANNIHILATE, CREATE, OscillatorProof,
@@ -145,21 +147,39 @@ def _reps():
 def test_stage2_accepts_every_built_matrix():
     for label, alg, rep in _reps():
         proof = OscillatorProof(rep)
-        assert all(proof.matches(gid) for gid in alg.basis), label
+        assert not any(proof.wrong_entries(gid) for gid in alg.basis), label
 
 
 def test_unmutated_grid_never_falls_back(monkeypatch):
-    # every pair and every generator is cleared by the two stages: no
-    # matrix residual is computed and no Casimir matrix is built
+    # the verdicts read polynomials and each matrix once: no matrix
+    # product is formed, unmutated or with a bracket, a matrix entry or a
+    # Casimir term edited
     def refuse(*args, **kwargs):
-        raise AssertionError("fell back to the matrices")
+        raise AssertionError("multiplied matrices")
 
-    monkeypatch.setattr(reps, "_residual_entries", refuse)
-    monkeypatch.setattr(reps, "casimir_matrix", refuse)
+    monkeypatch.setattr(SparseMatrix, "add_product", refuse)
     for label, alg, rep in _reps():
+        casimirs = (casimir_quadratic(alg), casimir_double(alg))
         assert verify_rep_homomorphism(alg, rep).passed, label
-        for cas in (casimir_quadratic(alg), casimir_double(alg)):
+        for cas in casimirs:
             assert verify_casimir_commutes(alg, rep, cas).passed, label
+        p, q = alg.basis[-2:]
+        mutated = mutate_bracket(alg, p, q, alg.bracket_gens(p, q)
+                                 + Element.gen(alg.basis[0]))
+        assert not verify_rep_homomorphism(mutated, rep).passed, label
+        gid = alg.basis[-1]
+        key = next(iter(rep.matrix(gid).entries))
+        case = _with_entry(rep, gid, key, Scalar(7))
+        assert not verify_rep_homomorphism(alg, case).passed, label
+        x, y, kind = casimirs[0].terms[-1]
+        lopsided = CasimirElement(
+            casimirs[0].terms[:-1] + ((x.scale(Scalar(2)), y, kind),),
+            "quadratic")
+        for cas in casimirs + (lopsided,):
+            assert not verify_casimir_commutes(alg, case, cas).passed, label
+        # (a lopsided Casimir can stay central in a small representation)
+        report = verify_casimir_commutes(alg, rep, lopsided)
+        assert report.checked == alg.dim, label
 
 
 def test_casimir_polynomial_is_the_casimir_matrix():
@@ -168,13 +188,13 @@ def test_casimir_polynomial_is_the_casimir_matrix():
     for label, alg, rep in _reps():
         proof = OscillatorProof(rep)
         act = fermion_act if rep.cutoff is None else boson_act
-        states = rep.states
+        states = rep.space.states
         index_of = {state: pos for pos, state in enumerate(states)}
         for cas in (casimir_quadratic(alg), casimir_double(alg)):
             poly = proof.casimir(cas)
-            matrix = reps.casimir_matrix(rep, cas)
-            budget = cas.raise_budget()
-            for col in reps.protected_columns(rep, budget):
+            matrix = casimir_matrix(rep, cas)
+            budget = dense.raise_budget(cas)
+            for col in dense.protected_columns(rep, budget):
                 want = {(row, c): value for (row, c), value
                         in matrix.entries.items() if c == col}
                 got = {(index_of[state], col): value for state, value
@@ -197,16 +217,15 @@ def test_stage1_flags_a_mutated_bracket():
 
 def test_stage1_flags_what_no_protected_column_shows():
     # C2 with [P1,2, P2,2] := i Q1,2: the residual i b_1 b_2 moves only
-    # |1,1>, and at cutoff 4 the pair protects only the vacuum
+    # |1,1>, and at cutoff 4 the pair protects only the vacuum; the report
+    # is the residual's at every cutoff
     alg = build_series("C", 2)
     p, q = parse_label("P1,2"), parse_label("P2,2")
     mutated = mutate_bracket(alg, p, q, Element.gen(parse_label("Q1,2"), I))
-    report = verify_rep_homomorphism(mutated, bosonic_rep(alg, 4))
-    assert report.violations == [{"pair": ["P1,2", "P2,2"], "entries": 0,
-                                  "monomials": 1}]
-    # at cutoff 6 the matrices show it, and the report is theirs
-    report = verify_rep_homomorphism(mutated, bosonic_rep(alg, 6))
-    assert report.violations == [{"pair": ["P1,2", "P2,2"], "entries": 1}]
+    for cutoff in CUTOFFS:
+        report = verify_rep_homomorphism(mutated, bosonic_rep(alg, cutoff))
+        assert report.violations == [{"pair": ["P1,2", "P2,2"],
+                                      "monomials": 1}], cutoff
 
     # the C1 Casimir with its anticommutator doubled: at cutoff 2, P1,1
     # protects no column and Q1,1 only the vacuum, which [C, rho(Q1,1)]
@@ -215,14 +234,11 @@ def test_stage1_flags_what_no_protected_column_shows():
     (h, _, square), (x, y, anti) = casimir_quadratic(c1).terms
     cas = CasimirElement([(h, None, square), (x.scale(Scalar(2)), y, anti)],
                          "quadratic")
-    report = verify_casimir_commutes(c1, bosonic_rep(c1, 2), cas)
-    assert report.violations == [
-        {"gen": "P1,1", "entries": 0, "monomials": 2},
-        {"gen": "Q1,1", "entries": 0, "monomials": 2}]
-    assert report.details == {"unprotected": 1}
-    report = verify_casimir_commutes(c1, bosonic_rep(c1, 4), cas)
-    assert report.violations == [{"gen": "P1,1", "entries": 1},
-                                 {"gen": "Q1,1", "entries": 1}]
+    for cutoff in CUTOFFS:
+        report = verify_casimir_commutes(c1, bosonic_rep(c1, cutoff), cas)
+        assert report.violations == [{"gen": "P1,1", "monomials": 2},
+                                     {"gen": "Q1,1", "monomials": 2}], cutoff
+        assert not report.details
 
 
 def _with_entry(rep, gid, key, value):
@@ -242,40 +258,29 @@ def test_stage2_flags_an_entry_off_the_formula():
     # the edited copy gets its own proof, not the one the checks of `rep`
     # filled in
     proof = case.proof()
-    assert proof is not rep.proof() and rep.proof().matches(f12)
-    assert not proof.matches(f12)
-    assert all(proof.matches(gid) for gid in alg.basis if gid != f12)
-    assert not verify_rep_homomorphism(alg, case).passed
+    assert proof is not rep.proof() and not rep.proof().wrong_entries(f12)
+    assert proof.wrong_entries(f12) == 1
+    assert not any(proof.wrong_entries(gid) for gid in alg.basis
+                   if gid != f12)
+    wrong = [{"matrix": "F1,2", "entries": 1}]
+    assert verify_rep_homomorphism(alg, case).violations == wrong
     # a central charge moved off its table value
     case = _with_entry(rep, parse_label("I1"), (3, 3), Scalar(2))
-    assert not OscillatorProof(case).matches(parse_label("I1"))
+    assert OscillatorProof(case).wrong_entries(parse_label("I1")) == 1
 
-
-def test_casimir_with_a_generator_off_the_formula_falls_back(monkeypatch):
-    # one bad generator in the Casimir: every generator falls back, and
-    # the Casimir matrix is built on the columns their residuals read
+    # C2 at cutoff 4 with the rho(F1,2) entry taking |0,2> to |1,1>
+    # doubled: a matrix violation of both checks, while the Casimir
+    # polynomial still commutes with every image (doubling the entry that
+    # takes |0,1> to |1,0> would keep the Casimir matrix central on the
+    # one-particle states)
     alg = build_series("C", 2)
     rep = bosonic_rep(alg, 4)
-    f12 = parse_label("F1,2")
-    # the entry taking |0,2> to |1,1> (doubling the one that takes |0,1>
-    # to |1,0> keeps the Casimir central on the one-particle states)
     key = next(k for k in rep.matrix(f12).entries
-               if rep.states[k[1]] == (0, 2))
+               if rep.space.states[k[1]] == (0, 2))
     case = _with_entry(rep, f12, key, rep.matrix(f12).entries[key] * Scalar(2))
-    built = []
-    real = reps.casimir_matrix
-
-    def spy(rep, cas, columns=None):
-        built.append(columns)
-        return real(rep, cas, columns)
-
-    monkeypatch.setattr(reps, "casimir_matrix", spy)
-    cas = casimir_quadratic(alg)
-    assert OscillatorProof(case).casimir(cas) is None
-    assert not verify_casimir_commutes(alg, case, cas).passed
-    assert len(built) == 1
-    assert built[0] and all(sum(case.states[col]) <= 4 - cas.raise_budget()
-                            for col in built[0])
+    assert verify_rep_homomorphism(alg, case).violations == wrong
+    for cas in (casimir_quadratic(alg), casimir_double(alg)):
+        assert verify_casimir_commutes(alg, case, cas).violations == wrong
 
 
 def test_stage2_runs_once_per_generator(monkeypatch):

@@ -11,9 +11,9 @@ from drinfeld_forge import (SQRT2, GeneratorId, Scalar, SpecError,
                             cartan_count, casimir_double, casimir_matrix,
                             casimir_quadratic, fermionic_rep, parse_label,
                             verify_casimir_commutes, verify_rep_homomorphism)
+from drinfeld_forge.errors import ForeignGeneratorError
 from drinfeld_forge.oscillators import boson_states
-from drinfeld_forge.reps import (MAX_REP_SIZE, occupation_raise,
-                                 protected_columns, rep_size)
+from drinfeld_forge.reps import MAX_REP_SIZE, rep_size
 
 FERMIONIC_GRID = [("A", 1), ("A", 2), ("A", 3), ("B", 1), ("B", 2), ("B", 3),
                   ("D", 2), ("D", 3)]
@@ -66,8 +66,8 @@ def test_bosonic_homomorphism_protected(series, rank):
     report = verify_rep_homomorphism(alg, rep)
     assert report.passed, report.to_dict()
     for p, q in itertools.combinations(alg.basis, 2):
-        columns = protected_columns(rep, occupation_raise(p)
-                                    + occupation_raise(q))
+        columns = dense.protected_columns(rep, dense.occupation_raise(p)
+                                          + dense.occupation_raise(q))
         actual = dense.commutator(rep.matrix(p), rep.matrix(q))
         expected = dense.element_matrix(rep, alg.bracket_gens(p, q))
         assert _on_columns(actual, columns) == _on_columns(expected, columns)
@@ -94,7 +94,7 @@ def test_c1_quadratic_casimir_uniform_diagonal():
     alg = build_series("C", 1)
     rep = bosonic_rep(alg, 6)
     cas = casimir_matrix(rep, casimir_quadratic(alg))
-    cols = protected_columns(rep, 2)
+    cols = dense.protected_columns(rep, 2)
     assert cols
     assert _on_columns(cas, cols) == {(c, c): Scalar(Fraction(-3, 4))
                                       for c in cols}
@@ -133,6 +133,15 @@ def test_custom_central_charges():
     assert verify_rep_homomorphism(alg, rep).passed
 
 
+def test_casimir_of_another_algebra_rejected():
+    # the A3 Casimir names H4 and F1,4, which neither A2 nor its
+    # representation holds
+    alg = build_series("A", 2)
+    with pytest.raises(ForeignGeneratorError, match="not in the A2 basis"):
+        verify_casimir_commutes(alg, fermionic_rep(alg),
+                                casimir_quadratic(build_series("A", 3)))
+
+
 def test_lambda_out_of_range_rejected():
     alg = build_series("B", 1)
     with pytest.raises(SpecError):
@@ -158,31 +167,11 @@ def test_mutation_breaks_homomorphism():
     assert [v["pair"] for v in report.violations] == [["P1,1", "Q1,1"]]
 
 
-def test_unprotected_pairs_are_reported():
-    # at cutoff 3 a budget-4 pair (P with P) and, under a Casimir of raise
-    # budget 2, a P generator keep no column inside the space: they count
-    # as checked but compare nothing, and the reports say how many
-    alg = build_series("C", 2)
-    rep = bosonic_rep(alg, 3)
-    assert not protected_columns(rep, 4)
-    report = verify_rep_homomorphism(alg, rep)
-    assert report.passed and report.checked == 66
-    assert report.details["unprotected"] == 3
-    report = verify_casimir_commutes(alg, rep, casimir_quadratic(alg))
-    assert report.passed and report.checked == 12
-    assert report.details == {"unprotected": 3}
-    # from cutoff 4 every pair and generator keeps a column: no new key
-    rep = bosonic_rep(alg, 4)
-    assert "unprotected" not in verify_rep_homomorphism(alg, rep).details
-    assert not verify_casimir_commutes(alg, rep,
-                                       casimir_quadratic(alg)).details
-
-
 def test_protected_columns_shrink_with_budget():
     alg = build_series("C", 1)
     rep = bosonic_rep(alg, 4)
-    all_cols = protected_columns(rep, 0)
-    tight = protected_columns(rep, 2)
+    all_cols = dense.protected_columns(rep, 0)
+    tight = dense.protected_columns(rep, 2)
     assert set(tight) < set(all_cols)
     assert len(all_cols) == rep.space_dim
 

@@ -18,17 +18,19 @@ double. Guards patch the pair walks (`LieAlgebra.bracket`,
 kernels, and check that every memo of a triple starts empty on the copies
 the mutation helpers return.
 
-The representation homomorphism and Casimir checks clear a pair or a
-generator by normal ordering when its matrices follow the oscillator
-formulas, and compute their residuals on the protected columns only
-otherwise. On the oscillator grids at several cutoffs, unmutated and with
+The representation homomorphism and Casimir checks decide each pair or
+generator by normal ordering alone, and hold each matrix to its
+polynomial. On the oscillator grids at several cutoffs, unmutated and with
 one matrix entry doubled or added, one bracket entry rescaled or extended,
-or one root anticommutator of a Casimir rescaled or dropped, their reports
-must equal the whole-matrix loops exactly, but for one expected
-difference: a pair or generator whose normal-ordered residual is nonzero
-is a violation ("entries": 0) even where the truncation protects no
-column it moves. The whole-matrix loops pass those inputs; each such
-violation must instead be flagged by them at a cutoff 6 higher.
+or one root anticommutator of a Casimir rescaled or dropped, they are
+compared with the whole-matrix loops, which count residual entries on the
+columns the truncation protects. Each edited matrix is a violation of its
+own, with the number of entries in which it differs from the oracle's
+matrix, and the one verdict never passes where the loops fail. Where
+every matrix follows its polynomial, the pairs and generators it flags
+contain those the loops flag, and equal them on a fermionic
+representation, which is not truncated, or else equal those the loops
+flag at a cutoff 6 higher.
 
 The Casimir ad-invariance report joins the nonzero brackets with the
 Casimir tensor's factors. On canonical and mixed doubles, with one bracket
@@ -60,8 +62,7 @@ from drinfeld_forge import (I, SQRT2, CasimirElement, CocommutatorTable,
 from drinfeld_forge.algebra import LieAlgebra
 from drinfeld_forge.errors import (ClosureError, ForeignGeneratorError,
                                    SpecError)
-from drinfeld_forge.reps import (Representation, SparseMatrix,
-                                 protected_columns)
+from drinfeld_forge.reps import Representation, SparseMatrix
 
 INSTANCES = (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
              ("C", 2), ("C", 3), ("D", 3), ("D", 4))
@@ -476,49 +477,74 @@ def _deeper(rep):
     """The representation's builder at a cutoff 6 higher: every state a
     nonzero normal-ordered residual of these checks moves first (at most 3
     annihilations deep) lies on a column that a budget of 4 protects
-    there. A fermionic representation is not truncated, so stage 1 adds
-    nothing to it."""
-    assert rep.cutoff is not None
+    there."""
     return bosonic_rep(rep.alg, rep.cutoff + 6, rep.lambdas)
 
 
-def _assert_matches_dense(got, want, deeper, key, label):
-    """`got` equals the whole-matrix report `want`, except for the
-    violations with "entries": 0 that stage 1 adds. The whole-matrix loops
-    pass those on the columns this cutoff protects, so each must be
-    flagged by `deeper()`, their report at a higher cutoff, instead."""
-    added = [v for v in got["violations"] if not v["entries"]]
-    if added:
-        assert all(v["monomials"] > 0 for v in added), label
-        flagged = [v[key] for v in deeper()["violations"]]
-        assert all(v[key] in flagged for v in added), (label, added)
-        kept = [v for v in got["violations"] if v["entries"]]
-        got = dict(got, violations=kept)
-        got["pass"] = not kept
-    assert got == want, label
+def _wrong_matrices(rep):
+    """The stage-2 violations, counted against the oracle's matrices."""
+    alg = rep.alg
+    if rep.cutoff is None:
+        built = dense.fermionic_matrices(alg, rep.lambdas)
+    else:
+        built = dense.bosonic_matrices(alg, rep.cutoff, rep.lambdas)
+    out = []
+    for gid in alg.basis:
+        held, want = rep.matrix(gid).entries, built[gid].entries
+        wrong = sum(1 for key in held.keys() | want.keys()
+                    if held.get(key) != want.get(key))
+        if wrong:
+            out.append({"matrix": gid.label, "entries": wrong})
+    return out
 
 
-def _assert_same_rep(alg, rep, label):
+def _assert_matches_dense(got, want, deeper, key, label, matrices):
+    """`got`, the one verdict, against `want`, the whole-matrix report at
+    the same cutoff. `matrices` are the stage-2 violations, which lead
+    `got`. Where there are none, the flagged pairs (or generators) contain
+    the oracle's, and equal them when `deeper` is None (a fermionic
+    representation), or else equal those of `deeper()`, the oracle's
+    report at a cutoff 6 higher."""
+    assert got["checked"] == want["checked"], label
+    assert got.get("details") == want.get("details"), label
+    assert got["violations"][:len(matrices)] == matrices, label
+    assert want["pass"] or not got["pass"], label
+    if matrices:
+        return
+    assert all(v["monomials"] > 0 for v in got["violations"]), label
+    flagged = [v[key] for v in got["violations"]]
+    shown = [v[key] for v in want["violations"]]
+    assert all(item in flagged for item in shown), (label, shown, flagged)
+    if deeper is None:
+        assert flagged == shown, label
+    else:
+        assert flagged == [v[key] for v in deeper()["violations"]], label
+
+
+def _assert_same_rep(alg, rep, label, matrices):
+    deeper = None if rep.cutoff is None else (
+        lambda: dense.verify_rep_homomorphism(alg, _deeper(rep)).to_dict())
     _assert_matches_dense(
         verify_rep_homomorphism(alg, rep).to_dict(),
         dense.verify_rep_homomorphism(alg, rep).to_dict(),
-        lambda: dense.verify_rep_homomorphism(alg, _deeper(rep)).to_dict(),
-        "pair", label)
+        deeper, "pair", label, matrices)
 
 
-def _assert_same_casimir(alg, rep, cas, label):
+def _assert_same_casimir(alg, rep, cas, label, matrices):
+    deeper = None if rep.cutoff is None else (
+        lambda: dense.verify_casimir_commutes(alg, _deeper(rep),
+                                              cas).to_dict())
     _assert_matches_dense(
         verify_casimir_commutes(alg, rep, cas).to_dict(),
         dense.verify_casimir_commutes(alg, rep, cas).to_dict(),
-        lambda: dense.verify_casimir_commutes(alg, _deeper(rep),
-                                              cas).to_dict(),
-        "gen", (label, cas.label))
+        deeper, "gen", (label, cas.label), matrices)
 
 
 def _assert_same_reps(alg, rep, label):
-    _assert_same_rep(alg, rep, label)
+    matrices = _wrong_matrices(rep)
+    _assert_same_rep(alg, rep, label, matrices)
     for cas in (casimir_quadratic(alg), casimir_double(alg)):
-        _assert_same_casimir(alg, rep, cas, label)
+        _assert_same_casimir(alg, rep, cas, label, matrices)
 
 
 def _with_entry(rep, gid, key, value):
@@ -541,7 +567,7 @@ def _mutated_reps(rep, rng):
     out = [(f"{gid.label} {key} doubled",
             _with_entry(rep, gid, key, value * rng.choice(FACTORS)))]
     budget = 0 if rep.cutoff is None else 2
-    column = rng.choice(sorted(protected_columns(rep, budget)))
+    column = rng.choice(sorted(dense.protected_columns(rep, budget)))
     gid = rng.choice(rep.alg.basis)
     row = rng.choice([row for row in range(rep.space_dim)
                       if (row, column) not in rep.matrix(gid).entries])
@@ -591,9 +617,9 @@ def _assert_same_mutated(alg, rep, label):
     for name, case in _mutated_reps(rep, rng):
         _assert_same_reps(alg, case, f"{label} {name}")
     for name, mutated in _mutated_tables(alg, rng):
-        _assert_same_rep(mutated, rep, f"{label} {name}")
+        _assert_same_rep(mutated, rep, f"{label} {name}", [])
     for name, cas in _mutated_casimirs(alg, rng):
-        _assert_same_casimir(alg, rep, cas, f"{label} {name}")
+        _assert_same_casimir(alg, rep, cas, f"{label} {name}", [])
 
 
 @pytest.mark.parametrize("series,rank", FERMIONIC)
@@ -611,25 +637,30 @@ def test_rep_checks_match_dense_bosonic(series, rank, cutoff):
 
 
 @pytest.mark.parametrize("rank", [1, 2])
-def test_rep_entry_off_the_protected_columns_passes(rank):
-    # rho(P) at a column of occupation above cutoff - 2: no pair that
-    # involves P protects that column, so both sides must pass
+def test_rep_entry_off_the_protected_columns_fails(rank):
+    # rho(P) with an entry on a column of occupation above cutoff - 2: no
+    # pair that involves P protects that column, so the whole-matrix loops
+    # pass, but the matrix now differs from its polynomial in one entry
     alg = build_series("C", rank)
     rep = bosonic_rep(alg, 4)
-    top = [pos for pos, state in enumerate(rep.states) if sum(state) > 2]
+    top = [pos for pos, state in enumerate(rep.space.states)
+           if sum(state) > 2]
     for gid in alg.basis:
         if gid.kind != "P":
             continue
         case = _with_entry(rep, gid, (0, top[-1]), Scalar(5))
-        assert verify_rep_homomorphism(alg, case).passed
+        wrong = [{"matrix": gid.label, "entries": 1}]
+        assert verify_rep_homomorphism(alg, case).violations == wrong
+        assert dense.verify_rep_homomorphism(alg, case).passed
         for cas in (casimir_quadratic(alg), casimir_double(alg)):
-            assert verify_casimir_commutes(alg, case, cas).passed
+            assert verify_casimir_commutes(alg, case, cas).violations == wrong
+            assert dense.verify_casimir_commutes(alg, case, cas).passed
         _assert_same_reps(alg, case, f"C{rank} {gid.label}")
 
 
 def test_rep_mutations_are_caught():
-    # the mutated representations, tables and Casimirs are not all
-    # trivially passing
+    # every mutated representation, table and Casimir fails, even where
+    # the truncation protects no column that shows it
     alg = build_series("C", 2)
     rep = bosonic_rep(alg, 4)
     rng = random.Random("C2 cutoff 4")
@@ -637,8 +668,7 @@ def test_rep_mutations_are_caught():
     assert verify_rep_homomorphism(alg, rep).passed
     assert all(not verify_rep_homomorphism(alg, case).passed
                for _, case in cases)
-    # (an entry of a P with P bracket is compared on the vacuum only)
-    assert any(not verify_rep_homomorphism(mutated, rep).passed
+    assert all(not verify_rep_homomorphism(mutated, rep).passed
                for _, mutated in _mutated_tables(alg, rng))
     assert all(not verify_casimir_commutes(alg, rep, cas).passed
                for _, cas in _mutated_casimirs(alg, rng))
