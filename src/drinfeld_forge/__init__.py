@@ -12,12 +12,11 @@ from .bialgebra import (CocommutatorTable, RMatrix, SPAN_BUILDERS,
                         a_chain_span, build_r_matrix,
                         cocommutator_explicit, cocommutator_from_structure,
                         delta_discrepancy_audit, discrepancy_report_markdown,
-                        orthogonal_span_in_b,
-                        sminus_span, splus_span, twisted_cartan_part,
+                        orthogonal_span_in_b, twisted_cartan_part,
                         verify_chain_embedding, verify_coboundary,
                         verify_cocycle, verify_cojacobi, verify_cybe,
                         verify_delta_agreement, verify_subbialgebra,
-                        verify_twist, wedge_insert, wedge_of_elements)
+                        verify_twist, wedge_insert)
 from .double import (CartanRotation, ManinTriple, SplittingSpec,
                      canonical_triple, crossed_brackets, perturb_pairing,
                      rescale_minus, split, structure_tensors,
@@ -30,7 +29,7 @@ from .errors import (ClosureError, ForeignGeneratorError, NotASubalgebraError,
                      RankError, SpecError)
 from .generators import (SERIES, GeneratorId, cartan_count, dimension,
                          enumerate_generators, mirror, parse_label,
-                         positive_roots, resolve, validate_series_rank, weight)
+                         positive_roots, validate_series_rank, weight)
 from .reporting import CheckReport
 from .reps import (CasimirElement, Representation, ad_invariance_report,
                    bosonic_rep, casimir_double, casimir_matrix,
@@ -39,87 +38,3 @@ from .reps import (CasimirElement, Representation, ad_invariance_report,
 from .scalars import HALF, I, I_SQRT2, INV_SQRT2, ONE, SQRT2, ZERO, Scalar
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CartanRotation",
-    "CasimirElement",
-    "CheckReport",
-    "ClosureError",
-    "CocommutatorTable",
-    "Element",
-    "ForeignGeneratorError",
-    "GeneratorId",
-    "HALF",
-    "I",
-    "INV_SQRT2",
-    "I_SQRT2",
-    "LieAlgebra",
-    "ManinTriple",
-    "NotASubalgebraError",
-    "ONE",
-    "RMatrix",
-    "RankError",
-    "Representation",
-    "SERIES",
-    "SPAN_BUILDERS",
-    "SQRT2",
-    "Scalar",
-    "SpecError",
-    "SplittingSpec",
-    "ZERO",
-    "a_chain_span",
-    "ad_invariance_report",
-    "bosonic_rep",
-    "build_r_matrix",
-    "build_series",
-    "canonical_triple",
-    "cartan_count",
-    "casimir_double",
-    "casimir_matrix",
-    "casimir_quadratic",
-    "cocommutator_explicit",
-    "cocommutator_from_structure",
-    "crossed_brackets",
-    "delta_discrepancy_audit",
-    "discrepancy_report_markdown",
-    "dimension",
-    "enumerate_generators",
-    "fermionic_rep",
-    "mirror",
-    "mutate_bracket",
-    "orthogonal_span_in_b",
-    "parse_label",
-    "perturb_pairing",
-    "positive_roots",
-    "rescale_minus",
-    "resolve",
-    "shift_generator",
-    "sminus_span",
-    "split",
-    "splus_span",
-    "structure_tensors",
-    "twisted_cartan_part",
-    "validate_series_rank",
-    "verify_casimir_commutes",
-    "verify_casimir_form",
-    "verify_chain_embedding",
-    "verify_closure",
-    "verify_coboundary",
-    "verify_cocycle",
-    "verify_cojacobi",
-    "verify_compatibility",
-    "verify_cybe",
-    "verify_delta_agreement",
-    "verify_form_invariance",
-    "verify_jacobi",
-    "verify_pairing",
-    "verify_reconstruction",
-    "verify_rep_homomorphism",
-    "verify_self_duality",
-    "verify_subbialgebra",
-    "verify_twist",
-    "wedge_insert",
-    "wedge_of_elements",
-    "with_double",
-    "__version__",
-]

@@ -343,6 +343,13 @@ class LieAlgebra:
         return self._adjoint
 
     def bracket(self, x, y) -> Element:
+        """[x, y] of two elements or generators, read from the adjoint index.
+
+        Every term of x and y must be a member (ForeignGeneratorError
+        otherwise). The index is built on the first call and checks every
+        term of every entry, so a table that holds a non-member anywhere
+        raises here, whichever pair is asked for.
+        """
         if isinstance(x, GeneratorId):
             x = Element.gen(x)
         if isinstance(y, GeneratorId):
@@ -350,34 +357,22 @@ class LieAlgebra:
         out = Element()
         if not x or not y:
             return out
-        # the stored entries are read in place: [p, q] for p before q in
-        # the basis, its negation for the reversed order
-        index, table = self.index, self.table
-        ys = []
-        for gy, cy in y.terms():
-            py = index.get(gy)
-            if py is None:
-                self._check_member(gy)
-            ys.append((py, gy, cy))
+        index = self.index
+        for elem in (x, y):
+            for gid, _ in elem.terms():
+                if gid not in index:
+                    self._check_member(gid)
+        rows = self.adjoint()
         for gx, cx in x.terms():
-            px = index.get(gx)
-            if px is None:
-                self._check_member(gx)
-            for py, gy, cy in ys:
-                if px < py:
-                    entry = table.get((gx, gy))
-                    if entry is None:
-                        continue
+            row = rows.get(gx)
+            if row is None:
+                continue
+            for gy, cy in y.terms():
+                entry = row.get(gy)
+                if entry is not None:
                     factor = cx * cy
-                elif px > py:
-                    entry = table.get((gy, gx))
-                    if entry is None:
-                        continue
-                    factor = -(cx * cy)
-                else:
-                    continue
-                for gid, coeff in entry.terms():
-                    out.add_term(gid, coeff * factor)
+                    for gid, coeff in entry.terms():
+                        out.add_term(gid, coeff * factor)
         return out
 
     def weight_of(self, gid: GeneratorId) -> tuple[int, ...]:
@@ -396,11 +391,9 @@ class LieAlgebra:
                 raise ClosureError(
                     f"[{p.label}, {q.label}] leaves the restricted span")
             if out:
-                key = (p, q) if self.index[p] < self.index[q] else (q, p)
-                entry = out if key == (p, q) else -out
-                table[key] = entry
-        sub = LieAlgebra(self.series, self.rank, keep, table, self.n_indices)
-        return sub
+                # combinations(keep) puts p before q in the sub's order
+                table[(p, q)] = out
+        return LieAlgebra(self.series, self.rank, keep, table, self.n_indices)
 
     def to_json(self) -> dict:
         return serialize.table_json(self.series, self.rank, self.basis, self.table)
@@ -453,34 +446,30 @@ def verify_jacobi(alg: LieAlgebra) -> CheckReport:
     Each of its three terms is a bracket [[u, v], w] of a nonzero table
     entry [u, v] with the third generator, so the residuals are
     accumulated by walking every table entry, every term g of it, and
-    every w with [g, w] nonzero; a triple that no walk reaches has the
+    every w with [g, w] nonzero in the adjoint index (which checks that
+    every term is a member); a triple that no walk reaches has the
     residual 0 exactly. `checked` counts all C(dim, 3) triples, and the
     violations are reported in basis order.
     """
     basis, index = alg.basis, alg.index
-    entries = list(alg.entries())
-    # generator g -> [(position of w, entry, negated)]: [g, w] = +-entry
-    partners = {}
-    for pu, pv, entry in entries:
-        partners.setdefault(basis[pu], []).append((pv, entry, False))
-        partners.setdefault(basis[pv], []).append((pu, entry, True))
+    rows = alg.adjoint()
     residuals = {}
-    for pu, pv, entry in entries:
+    for pu, pv, entry in alg.entries():
         for g, cg in entry.terms():
-            alg._check_member(g)
-            for pw, inner, negated in partners.get(g, ()):
+            for w, inner in rows.get(g, {}).items():
+                pw = index[w]
                 if pw == pu or pw == pv:
                     continue
                 # [[u, v], w] enters the sorted triple's residual with a
                 # minus sign exactly when w lies between u and v
+                factor = cg
                 if pw > pv:
                     key = (pu, pv, pw)
                 elif pw < pu:
                     key = (pw, pu, pv)
                 else:
                     key = (pu, pw, pv)
-                    negated = not negated
-                factor = -cg if negated else cg
+                    factor = -cg
                 acc = residuals.get(key)
                 if acc is None:
                     acc = residuals[key] = Element()

@@ -357,8 +357,9 @@ def _mutation_fixtures():
 
     # zero entries made nonzero, one per kernel that joins nonzero data
     # through the adjoint index: a delta wedge term, a Cartan bracket, a
-    # bracket of two positive roots that leaves s+, and one in the shifted
-    # image of A2 inside A3
+    # bracket of two positive roots that leaves s+ (seen by the structure
+    # tensors and by closure, which share one walk), and one in the
+    # shifted image of A2 inside A3
     new_wedge = dict(table_a2._table)
     new_wedge[f12] = dict(table_a2.delta(f12))
     wedge_insert(new_wedge[f12], a2.double.index, f13, f23, Scalar(1))
@@ -437,6 +438,7 @@ def _mutation_fixtures():
         ("cybe-new-bracket", lambda: verify_cybe(with_double(a2, cartan_a2))),
         ("closure-tensors-new-bracket", lambda: verify_self_duality(
             escaped_a2)),
+        ("closure-new-bracket", lambda: verify_closure(escaped_a2)),
         ("chain-new-bracket", lambda: verify_chain_embedding(
             "A", 2, big_double=imaged_a3)),
         ("rep-bosonic-stage1", lambda: verify_rep_homomorphism(

@@ -149,6 +149,19 @@ def test_foreign_generator_rejected():
     alg = build_series("A", 1)
     with pytest.raises(ForeignGeneratorError):
         alg.bracket_gens(GeneratorId("P", 1, 1), hgen(1))
+    with pytest.raises(ForeignGeneratorError):
+        alg.bracket(GeneratorId("P", 1, 1), hgen(1))
+
+
+def test_element_bracket_rejects_a_foreign_table_entry():
+    # the adjoint index checks every entry on the first element bracket,
+    # so [H1, F1,2] raises though only [F1,2, F2,3] := F1,4 is foreign
+    alg = build_series("A", 2)
+    f12, f23, f14 = (GeneratorId("F", 1, 2), GeneratorId("F", 2, 3),
+                     GeneratorId("F", 1, 4))
+    stray = mutate_bracket(alg, f12, f23, Element.gen(f14))
+    with pytest.raises(ForeignGeneratorError):
+        stray.bracket(hgen(1), f12)
 
 
 def test_mutation_breaks_jacobi():
@@ -193,6 +206,18 @@ def test_restrict_keeps_subtable():
     assert sub.dim == len(keep)
     f12, f23 = GeneratorId("F", 1, 2), GeneratorId("F", 2, 3)
     assert sub.bracket_gens(f12, f23) == alg.bracket_gens(f12, f23)
+
+
+def test_restrict_out_of_basis_order_keeps_every_bracket():
+    # the sub-algebra reads its keys in the order of keep, not the parent's
+    alg = build_series("A", 2)
+    keep = [gid for gid in reversed(alg.basis) if gid.kind in ("H", "F")]
+    sub = alg.restrict(keep)
+    for p, q in itertools.product(keep, repeat=2):
+        assert sub.bracket_gens(p, q) == alg.bracket_gens(p, q), (p, q)
+        assert sub.bracket(p, q) == alg.bracket(p, q), (p, q)
+    assert len(list(sub.entries())) == len(list(alg.entries())) > 0
+    assert verify_jacobi(sub).passed
 
 
 def test_identity_injection_embeds_brackets():

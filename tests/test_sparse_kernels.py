@@ -3,8 +3,10 @@
 jacobi, compatibility, forminv, crossed_brackets, cocycle, cojacobi,
 coboundary, twist, cybe, the structure tensors and chain accumulate their
 residuals from the nonzero structure constants only, the bialgebra ones
-through the adjoint index. On canonical and mixed splittings, and on
-seeded mutations of the brackets and of the pairing, their reports
+through the adjoint index; closure shares the structure tensors' walk,
+and reconstruction brackets every crossed pair through the index. On
+canonical and mixed splittings, and on seeded mutations of the brackets
+and of the pairing, their reports
 (checked counts, violation lists in order, residuals, values, truncation
 counts), their crossed-bracket dicts and their structure tensors (key
 order included) must equal the dense enumeration in
@@ -13,10 +15,11 @@ unclosed must raise the same error. cocycle, cojacobi and coboundary are
 compared against the cocommutator derived from each input and against
 the one of the unmutated splitting, and on seeded edits of the
 cocommutator table itself; chain on seeded mutations of the receiving
-double. Guards patch the pair walks (`LieAlgebra.bracket`,
-`bracket_gens`, the reference `ad_wedge`) to raise inside the joined
-kernels, and check that every memo of a triple starts empty on the copies
-the mutation helpers return.
+double. Guards patch the pair walks to raise inside the joined kernels:
+`bracket_gens`, the reference `ad_wedge`, and `LieAlgebra.bracket` on a
+pair with no term pair that brackets to a nonzero value. Other tests
+check that every memo of a triple starts empty on the copies the
+mutation helpers return.
 
 The representation homomorphism and Casimir checks decide each pair or
 generator by normal ordering alone, and hold each matrix to its
@@ -149,6 +152,10 @@ def _table(triple):
 def _assert_same(triple, label, base):
     assert (verify_jacobi(triple.double).to_dict()
             == dense.verify_jacobi(triple.double).to_dict()), label
+    assert (verify_closure(triple).to_dict()
+            == dense.verify_closure(triple).to_dict()), label
+    assert (verify_reconstruction(triple).to_dict()
+            == dense.verify_reconstruction(triple).to_dict()), label
     assert (verify_compatibility(triple).to_dict()
             == dense.verify_compatibility(triple).to_dict()), label
     assert (verify_form_invariance(triple).to_dict()
@@ -349,13 +356,25 @@ def test_chain_refuses_another_triple():
 
 
 def _refuse_walks(monkeypatch, kernel):
-    """Make every pair walk raise: the element and generator brackets, and
-    the reference ad_wedge."""
+    """Make every pair walk raise: the generator bracket, the reference
+    ad_wedge, and the element bracket of a pair in which no term of x
+    brackets a term of y to a nonzero value in the adjoint index."""
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"{kernel} walked the pairs")
 
-    monkeypatch.setattr(LieAlgebra, "bracket", refuse)
+    joined = LieAlgebra.bracket
+
+    def bracket(alg, x, y):
+        terms = [elem.terms() if isinstance(elem, Element) else [(elem, 1)]
+                 for elem in (x, y)]
+        rows = alg.adjoint()
+        if not any(gy in rows.get(gx, ())
+                   for gx, _ in terms[0] for gy, _ in terms[1]):
+            refuse()
+        return joined(alg, x, y)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", bracket)
     monkeypatch.setattr(LieAlgebra, "bracket_gens", refuse)
     monkeypatch.setattr(dense, "ad_wedge", refuse)
 
@@ -394,13 +413,15 @@ def test_bialgebra_kernels_never_walk_the_pairs(monkeypatch, series, rank,
     assert triple._tensors is None and triple.double._adjoint is None
     table = cocommutator_from_structure(triple)
     alg = triple.double
-    reports = [verify_cojacobi(alg, table), verify_coboundary(triple),
-               verify_cybe(triple)]
+    reports = [verify_closure(triple), verify_cojacobi(alg, table),
+               verify_coboundary(triple), verify_cybe(triple)]
     if small is not None:
         reports.append(verify_twist(triple))
         reports.append(verify_chain_embedding(series, rank, big_double=big,
                                               small_triple=small))
     assert all(report.passed for report in reports)
+    with pytest.raises(AssertionError, match="walked the pairs"):
+        dense.structure_tensors_pairwise(triple)
 
 
 def test_memos_start_empty_on_every_copy():
