@@ -1,8 +1,9 @@
 """Oscillator representations: exact fermionic, truncated bosonic.
 
 Builds the fermionic rep of B1 (matrices over the exact scalar field),
-checks the bracket homomorphism, and shows the quadratic Casimir acting
-as 3/4 times the identity. Then the bosonic rep of C1 at a finite
+checks the bracket homomorphism, and shows the quadratic Casimir
+normal-ordering to the constant 3/4: 3/4 times the identity on the whole
+Fock space. Then the bosonic rep of C1 at a finite
 cutoff, in the occupation basis: the homomorphism and Casimir centrality
 are decided on the normal-ordered oscillator polynomials, so they hold
 on the whole Fock space, and each matrix is its polynomial's truncation.
@@ -10,7 +11,7 @@ on the whole Fock space, and each matrix is its polynomial's truncation.
     python3 demos/oscillator_reps.py
 """
 
-from drinfeld_forge import (Scalar, bosonic_rep, build_series, casimir_matrix,
+from drinfeld_forge import (Scalar, bosonic_rep, build_series,
                             casimir_quadratic, fermionic_rep, parse_label,
                             verify_casimir_commutes, verify_rep_homomorphism)
 
@@ -36,8 +37,11 @@ def main() -> None:
     print(" ", verify_rep_homomorphism(alg, rep).summary())
 
     cas = casimir_quadratic(alg)
-    print("  quadratic Casimir in this rep:")
-    print_exact(casimir_matrix(rep, cas))
+    # normal-ordered, the Casimir is one word, the empty one: a constant
+    [(word, value)] = rep.proof.casimir(cas).items()
+    assert word == ()
+    print(f"  quadratic Casimir, normal-ordered: the constant {value}, "
+          f"{value} times the identity on the whole Fock space")
     print(" ", verify_casimir_commutes(alg, rep, cas).summary())
     print(SEP)
 

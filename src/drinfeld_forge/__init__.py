@@ -32,8 +32,8 @@ from .generators import (SERIES, GeneratorId, cartan_count, dimension,
                          positive_roots, validate_series_rank, weight)
 from .reporting import CheckReport
 from .reps import (CasimirElement, Representation, ad_invariance_report,
-                   bosonic_rep, casimir_double, casimir_matrix,
-                   casimir_quadratic, fermionic_rep, verify_casimir_commutes,
+                   bosonic_rep, casimir_double, casimir_quadratic,
+                   fermionic_rep, verify_casimir_commutes,
                    verify_rep_homomorphism)
 from .scalars import HALF, I, I_SQRT2, INV_SQRT2, ONE, SQRT2, ZERO, Scalar
 

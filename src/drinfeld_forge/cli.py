@@ -45,9 +45,12 @@ _CANONICAL_ONLY = {"delta-agree", "twist"}
 
 EXPORTS = ("brackets", "delta", "rmatrix", "pairing", "matrices")
 
-# Largest algebra any subcommand builds. The bracket table alone grows
-# with the square of the dimension: build_series at dimension 512 (D16)
-# takes about 1.5 s on a 2-CPU Linux host, and A30 (dimension 992) 6 s.
+# Largest algebra a subcommand is asked for. `verify --checks chain` also
+# builds rank n+1, so the largest algebra any subcommand builds is D17
+# (dimension 578, from D16), then A22 (552, from A21) and B16 and C16 (544,
+# from B15 and C15). The bracket table alone grows with the square of the
+# dimension: build_series at dimension 512 (D16) takes about 1.5 s on a
+# 2-CPU Linux host, and A30 (dimension 992) 6 s.
 MAX_DIMENSION = 512
 
 
@@ -63,7 +66,7 @@ def _natural_reps(alg, cutoff):
             for c in _natural_cutoffs(alg.series, cutoff)]
 
 
-def _run_check(name, triple, args, cache):
+def _run_check(name, triple, args, reps):
     alg = triple.double
     if name == "jacobi":
         return [verify_jacobi(alg)]
@@ -85,11 +88,11 @@ def _run_check(name, triple, args, cache):
         out = [verify_casimir_form(triple),
                ad_invariance_report(alg, casimir_quadratic(alg)),
                ad_invariance_report(alg, casimir_double(alg))]
-        for rep in cache["reps"]:
+        for rep in reps:
             out.append(verify_casimir_commutes(alg, rep, casimir_quadratic(alg)))
         return out
     if name == "rep":
-        return [verify_rep_homomorphism(alg, rep) for rep in cache["reps"]]
+        return [verify_rep_homomorphism(alg, rep) for rep in reps]
     if name == "chain":
         # the canonical triple under verification is the chain's rank n
         small = triple if triple.spec.mode == "canonical" else None
@@ -192,13 +195,11 @@ def _run_verify(args):
             if cutoff is None or cutoff >= 2:
                 check_rep_size(args.series, args.rank, cutoff)
     triple = split(args.series, args.rank, spec)
-    cache = {}
-    if wants_reps:
-        # built once, before any check runs
-        cache["reps"] = _natural_reps(triple.double, args.cutoff)
+    # built once, before any check runs
+    reps = _natural_reps(triple.double, args.cutoff) if wants_reps else []
     reports = []
     for name in names:
-        reports.extend(_run_check(name, triple, args, cache))
+        reports.extend(_run_check(name, triple, args, reps))
     passed = all(r.passed for r in reports)
     if args.json:
         payload = {

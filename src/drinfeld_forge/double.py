@@ -40,6 +40,7 @@ from .generators import (GeneratorId, cartan_count, mirror, positive_roots,
                          validate_series_rank)
 from .linalg import accumulate, invert_matrix
 from .reporting import CheckReport
+from .reps import casimir_double
 from .scalars import I, INV_SQRT2, ONE, ZERO, Scalar
 
 _I_INV_SQRT2 = I * INV_SQRT2
@@ -650,9 +651,10 @@ def verify_casimir_form(triple: ManinTriple) -> CheckReport:
     """The dual-basis 2-tensor of the pairing in double coordinates.
 
     Sum over matched pairs, weighted by the inverse pairing, of the
-    symmetrized z x Z tensors; it must equal H x H plus I x I over the
-    retained Cartans plus mirror-symmetrized root pairs. Violations are
-    listed in basis order of the pair.
+    symmetrized z x Z tensors; it must equal the tensor of the double's
+    Casimir (`reps.casimir_double`): H x H plus I x I over the retained
+    Cartans plus mirror-symmetrized root pairs. Violations are listed in
+    basis order of the pair.
     """
     report = CheckReport(check="casimir-form", passed=True)
     try:
@@ -676,13 +678,7 @@ def verify_casimir_form(triple: ManinTriple) -> CheckReport:
                     accumulate(tensor, (gb, ga), prod)
 
     alg = triple.double
-    expected = {}
-    for gid in alg.basis:
-        if gid.kind in ("H", "I"):
-            accumulate(expected, (gid, gid), ONE)
-    for root in positive_roots(alg.series, alg.rank):
-        accumulate(expected, (root, mirror(root)), ONE)
-        accumulate(expected, (mirror(root), root), ONE)
+    expected = casimir_double(alg).tensor()
 
     keys = sorted(set(tensor) | set(expected),
                   key=lambda key: (alg.index[key[0]], alg.index[key[1]]))

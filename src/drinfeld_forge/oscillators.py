@@ -9,15 +9,16 @@ letters are nondecreasing: creators before annihilators, each ascending in
 m. A polynomial is a dict word -> Scalar holding no zero. The generator
 images are the polynomials of the `reps` docstring (`oscillator_image`).
 
-Stage 1 normal-orders each residual polynomial and reads no matrix: since
-normal-ordered words are a basis of the Weyl and Clifford algebras, and
-their Fock representations are faithful, a residual is zero exactly when
-the identity holds on the whole Fock space, whatever the cutoff (the
-`reps` docstring gives the argument). Stage 2 ties the matrices to that
-verdict: `FockSpace.apply` is the one Fock action, the `reps` builders
-make each generator's matrix by applying its image to every state, and
-stage 2 counts the entries in which a held matrix differs from the same
-action of its normal-ordered image.
+`OscillatorProof` holds them for one Fock space and its central charges,
+and reads no representation. Stage 1 normal-orders each residual
+polynomial and reads no matrix: since normal-ordered words are a basis of
+the Weyl and Clifford algebras, and their Fock representations are
+faithful, a residual is zero exactly when the identity holds on the whole
+Fock space, whatever the cutoff (the `reps` docstring gives the argument).
+`FockSpace.apply` is the one Fock action: `OscillatorProof.action` applies
+each normal-ordered image with it, the `reps` builders fill each matrix
+from that action, and stage 2 (`reps.Representation.wrong_entries`)
+counts the entries in which a held matrix differs from it.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from .elements import Element
 from .errors import SpecError
 from .generators import GeneratorId
 from .linalg import accumulate
-from .reps import CasimirElement, Representation
-from .scalars import HALF, INV_SQRT2, ONE, ZERO
+from .scalars import HALF, INV_SQRT2, ONE
 
 CREATE, ANNIHILATE = 0, 1
 
@@ -268,29 +268,22 @@ def oscillator_image(gid: GeneratorId, fermionic: bool, lambdas) -> dict:
 
 
 class OscillatorProof:
-    """The two cutoff-free stages for one representation.
+    """The cutoff-free images of one Fock space and its central charges.
 
-    `image(g)` is rho(g) as a normal-ordered polynomial, and stage 1
-    (`pair_residual`, `casimir`, `generator_residual`) works on these
-    alone. `wrong_entries(g)` is stage 2: the number of entries in which
-    the held matrix of g differs from the representation's
-    `FockSpace.apply` of that polynomial. Images and stage-2 counts are
-    cached per generator. `Representation.proof` makes one proof per
-    representation, which is never edited in place, so the caches hold
-    for every check that reads them.
+    `image(g)` is rho(g) as a normal-ordered polynomial, cached per
+    generator, and stage 1 (`pair_residual`, `casimir`,
+    `generator_residual`) works on these alone. `action(g)` is that
+    polynomial applied to every state (`FockSpace.apply`), computed afresh
+    on each call: the `reps` builders make each matrix from it, and stage 2
+    holds each matrix to it again. The proof reads no matrix.
     """
 
-    def __init__(self, rep: Representation):
-        # the parts it reads, not the representation, which holds the
-        # proof: a dropped representation is then freed at once, not by
-        # the cycle collector
-        self.matrices = rep.matrices
-        self.space = rep.space
-        self.lambdas = rep.lambdas
-        self.fermionic = rep.cutoff is None
+    def __init__(self, space: FockSpace, lambdas):
+        self.space = space
+        self.lambdas = lambdas
+        self.fermionic = space.cutoff is None
         self.ordering = Oscillators(-1 if self.fermionic else 1)
         self._images = {}
-        self._wrong = {}
 
     def image(self, gid: GeneratorId) -> dict:
         if gid not in self._images:
@@ -298,18 +291,9 @@ class OscillatorProof:
                 oscillator_image(gid, self.fermionic, self.lambdas))
         return self._images[gid]
 
-    def wrong_entries(self, gid: GeneratorId) -> int:
-        if gid not in self._wrong:
-            self._wrong[gid] = self._stage2(gid)
-        return self._wrong[gid]
-
-    def _stage2(self, gid: GeneratorId) -> int:
-        want = self.space.apply(self.image(gid))
-        held = self.matrices[gid].entries
-        if want == held:
-            return 0
-        return sum(1 for key in want.keys() | held.keys()
-                   if want.get(key, ZERO) != held.get(key, ZERO))
+    def action(self, gid: GeneratorId) -> dict:
+        """rho(g) on the states, (row, col) -> Scalar holding no zero."""
+        return self.space.apply(self.image(gid))
 
     def pair_residual(self, p: GeneratorId, q: GeneratorId,
                       bracket: Element) -> dict:
@@ -321,8 +305,9 @@ class OscillatorProof:
                 accumulate(residual, word, -coeff * value)
         return residual
 
-    def casimir(self, cas: CasimirElement) -> dict:
-        """The Casimir as a normal-ordered polynomial."""
+    def casimir(self, cas) -> dict:
+        """The Casimir (a `reps.CasimirElement`) as a normal-ordered
+        polynomial."""
         total = {}
         for x, y, kind in cas.terms:
             px = self._element(x)

@@ -2,8 +2,11 @@
 
 This module's two tables are the one human-readable statement of the
 oscillator images. `oscillators.oscillator_image` holds them as
-polynomials, and the builders apply them: each generator's matrix is its
-polynomial applied to every Fock state (`oscillators.FockSpace.apply`).
+polynomials, and each representation's `oscillators.OscillatorProof`
+normal-orders them once per generator. The builders apply them from
+there: each generator's matrix is its normal-ordered polynomial applied to
+every Fock state (`OscillatorProof.action`, through
+`oscillators.FockSpace.apply`).
 
 Fermionic (series A, B, D): the Fock space of N modes, dimension 2^N,
 with creation and annihilation operators carrying the alternating-sign
@@ -79,12 +82,14 @@ Reports, violations in basis order:
 `checked` counts the basis pairs (`rep`) or generators (`casimir`), and
 `rep` gives the details `space_dim` and, when truncated, `cutoff`.
 
-Both stages read one `oscillators.OscillatorProof` per representation
-(`Representation.proof`), made on first use: the `rep` and `casimir`
-checks share its stage-2 counts and normal-ordered images, so each is
-computed once per generator, not once per check. A representation is
+Each representation makes its one `oscillators.OscillatorProof`
+(`Representation.proof`) from its Fock space and central charges, and
+caches its own stage-2 counts (`Representation.wrong_entries`). The
+builder, stage 1 and stage 2 read the same normal-ordered images, and the
+`rep` and `casimir` checks share the stage-2 counts, so each is computed
+once per generator, not once per check or per stage. A representation is
 therefore never edited in place; a helper that changes a matrix builds a
-new Representation, which gets its own proof.
+new Representation, which gets its own proof and counts.
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ from .generators import (GeneratorId, cartan_count, dimension, mirror,
                          positive_roots)
 from .linalg import accumulate
 from .reporting import CheckReport
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 # Largest representation a builder accepts, as states times basis
 # generators: each generator's matrix holds about one entry per state. A7 at
@@ -118,18 +123,6 @@ class SparseMatrix:
             for key, value in entries.items():
                 if value:
                     self.entries[key] = value
-
-    def add_entry(self, row: int, col: int, value: Scalar) -> None:
-        accumulate(self.entries, (row, col), value)
-
-    def add_product(self, left: SparseMatrix, right: SparseMatrix) -> None:
-        """Add `left @ right` into this matrix in place."""
-        by_row = {}
-        for (row, col), value in right.entries.items():
-            by_row.setdefault(row, []).append((col, value))
-        for (row, mid), value in left.entries.items():
-            for col, other in by_row.get(mid, ()):
-                self.add_entry(row, col, value * other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
@@ -160,14 +153,19 @@ class Representation:
     one `oscillators.FockSpace`: fermionic when the space is untruncated,
     bosonic when it has a `cutoff`.
 
+    `proof` is the representation's one `oscillators.OscillatorProof`,
+    made from the space and the central charges alone: the builders fill
+    the matrices from its actions, and the `rep` and `casimir` checks read
+    its images. `wrong_entries(g)` is stage 2, cached per generator.
     Instances are treated as immutable, as `LieAlgebra` instances are: a
-    helper that edits a matrix returns a new Representation. `proof()`
-    relies on this, since the `oscillators.OscillatorProof` it makes on
-    first use keeps its stage-2 counts and normal-ordered images for
-    every later check of the same representation.
+    helper that edits a matrix returns a new Representation, which gets
+    its own proof and stage-2 counts.
     """
 
     def __init__(self, alg, matrices, space, lambdas):
+        # imported on use: only a process that builds a representation
+        # loads the oscillators
+        from .oscillators import OscillatorProof
         self.alg = alg
         self.kind = "fermionic" if space.cutoff is None else "bosonic"
         self.matrices = matrices
@@ -175,26 +173,26 @@ class Representation:
         self.space_dim = len(space.states)
         self.cutoff = space.cutoff
         self.lambdas = dict(lambdas)
-        self._proof = None
-
-    def proof(self):
-        """The representation's one `oscillators.OscillatorProof`, shared
-        by the `rep` and `casimir` checks."""
-        if self._proof is None:
-            # imported on use, as in `_build`
-            from .oscillators import OscillatorProof
-            self._proof = OscillatorProof(self)
-        return self._proof
+        self.proof = OscillatorProof(space, self.lambdas)
+        self._wrong = {}
 
     def matrix(self, gid: GeneratorId) -> SparseMatrix:
         return self.matrices[gid]
 
-    def element_matrix(self, elem: Element) -> SparseMatrix:
-        total = SparseMatrix(self.space_dim)
-        for gid, coeff in elem.terms():
-            for (row, col), value in self.matrices[gid].entries.items():
-                total.add_entry(row, col, value * coeff)
-        return total
+    def wrong_entries(self, gid: GeneratorId) -> int:
+        """The number of entries in which the held matrix of `gid` differs
+        from its polynomial's action (`OscillatorProof.action`)."""
+        if gid not in self._wrong:
+            self._wrong[gid] = self._stage2(gid)
+        return self._wrong[gid]
+
+    def _stage2(self, gid: GeneratorId) -> int:
+        want = self.proof.action(gid)
+        held = self.matrices[gid].entries
+        if want == held:
+            return 0
+        return sum(1 for key in want.keys() | held.keys()
+                   if want.get(key, ZERO) != held.get(key, ZERO))
 
 
 def _normalize_lambdas(alg, lambdas):
@@ -209,16 +207,16 @@ def _normalize_lambdas(alg, lambdas):
 
 
 def _build(alg, cutoff: int | None, lambdas) -> Representation:
-    """Each generator's matrix: its oscillator image applied to every state
-    of the Fock space, fermionic when `cutoff` is None."""
-    # imported on use: only a process that builds a representation loads
-    # the oscillators, and `oscillators` imports this module
-    from .oscillators import FockSpace, oscillator_image
-    lam = _normalize_lambdas(alg, lambdas)
+    """Each generator's matrix: the action of its normal-ordered image on
+    every state of the Fock space, read from the representation's proof,
+    fermionic when `cutoff` is None."""
+    # imported on use, as in `Representation`
+    from .oscillators import FockSpace
     space = FockSpace(cartan_count(alg.series, alg.rank), cutoff)
-    matrices = {gid: SparseMatrix(len(space.states), space.apply(
-        oscillator_image(gid, cutoff is None, lam))) for gid in alg.basis}
-    return Representation(alg, matrices, space, lam)
+    rep = Representation(alg, {}, space, _normalize_lambdas(alg, lambdas))
+    for gid in alg.basis:
+        rep.matrices[gid] = SparseMatrix(rep.space_dim, rep.proof.action(gid))
+    return rep
 
 
 def fermionic_rep(alg, lambdas=None) -> Representation:
@@ -237,11 +235,12 @@ def bosonic_rep(alg, cutoff: int, lambdas=None) -> Representation:
     return _build(alg, cutoff, lambdas)
 
 
-def _matrix_violations(report: CheckReport, proof, basis) -> None:
+def _matrix_violations(report: CheckReport, rep: Representation,
+                       basis) -> None:
     """Stage 2: one violation per generator whose matrix differs from its
     polynomial's action."""
     for gid in basis:
-        wrong = proof.wrong_entries(gid)
+        wrong = rep.wrong_entries(gid)
         if wrong:
             report.add_violation({"matrix": gid.label, "entries": wrong})
 
@@ -256,8 +255,8 @@ def verify_rep_homomorphism(alg, rep: Representation) -> CheckReport:
     report.details["space_dim"] = rep.space_dim
     if rep.cutoff is not None:
         report.details["cutoff"] = rep.cutoff
-    proof = rep.proof()
-    _matrix_violations(report, proof, basis)
+    proof = rep.proof
+    _matrix_violations(report, rep, basis)
     for pos, p in enumerate(basis):
         for q in basis[pos + 1:]:
             residual = proof.pair_residual(p, q, alg.bracket_gens(p, q))
@@ -282,6 +281,18 @@ class CasimirElement:
                 out |= y.support()
         return out
 
+    def tensor(self) -> dict:
+        """The symmetric 2-tensor behind the Casimir, (a, b) -> coefficient:
+        a square x x x, an anticommutator x x y + y x x."""
+        tensor = {}
+        for x, y, kind in self.terms:
+            pairs = [(x, x)] if kind == "square" else [(x, y), (y, x)]
+            for left, right in pairs:
+                for ga, ca in left.terms():
+                    for gb, cb in right.terms():
+                        accumulate(tensor, (ga, gb), ca * cb)
+        return tensor
+
 
 def casimir_quadratic(alg) -> CasimirElement:
     """Sum of Cartan squares plus anticommutators over root pairs."""
@@ -303,20 +314,6 @@ def casimir_double(alg) -> CasimirElement:
     return CasimirElement(terms, "double")
 
 
-def casimir_matrix(rep: Representation, cas: CasimirElement) -> SparseMatrix:
-    """The Casimir's matrix, from products of the held matrices."""
-    total = SparseMatrix(rep.space_dim)
-    for x, y, kind in cas.terms:
-        mx = rep.element_matrix(x)
-        if kind == "square":
-            total.add_product(mx, mx)
-        else:
-            my = rep.element_matrix(y)
-            total.add_product(mx, my)
-            total.add_product(my, mx)
-    return total
-
-
 def verify_casimir_commutes(alg, rep: Representation,
                             cas: CasimirElement) -> CheckReport:
     """[C, rho(g)] = 0 for every basis generator g, decided on the
@@ -327,8 +324,8 @@ def verify_casimir_commutes(alg, rep: Representation,
         alg._check_member(gid)
     report = CheckReport(check=f"casimir-{cas.label}-{rep.kind}", passed=True,
                          checked=len(alg.basis))
-    proof = rep.proof()
-    _matrix_violations(report, proof, alg.basis)
+    proof = rep.proof
+    _matrix_violations(report, rep, alg.basis)
     casimir = proof.casimir(cas)
     for gid in alg.basis:
         residual = proof.generator_residual(casimir, gid)
@@ -341,9 +338,8 @@ def verify_casimir_commutes(alg, rep: Representation,
 def ad_invariance_report(alg, cas: CasimirElement) -> CheckReport:
     """Exact table-level check that the Casimir symbol is ad-invariant.
 
-    The symmetric tensor behind the Casimir (squares as g x g, anticommutator
-    pairs as x x y + y x x) must be killed by ad_z x 1 + 1 x ad_z for every
-    basis generator z.
+    The symmetric tensor behind the Casimir (`CasimirElement.tensor`)
+    must be killed by ad_z x 1 + 1 x ad_z for every basis generator z.
 
     The residual of z is the sum of c [z, a] x b + c a x [z, b] over the
     tensor terms c a x b. The tensor is symmetric (c a x b comes with
@@ -356,16 +352,9 @@ def ad_invariance_report(alg, cas: CasimirElement) -> CheckReport:
     row is held. `checked` counts every basis generator, and the
     violations are reported in basis order.
     """
-    tensor = {}
-    for x, y, kind in cas.terms:
-        pairs = [(x, x)] if kind == "square" else [(x, y), (y, x)]
-        for left, right in pairs:
-            for ga, ca in left.terms():
-                for gb, cb in right.terms():
-                    accumulate(tensor, (ga, gb), ca * cb)
     # left factor a -> [(b, c)] over the tensor terms c a x b
     factors = {}
-    for (ga, gb), coeff in tensor.items():
+    for (ga, gb), coeff in cas.tensor().items():
         alg._check_member(ga)
         alg._check_member(gb)
         factors.setdefault(ga, []).append((gb, coeff))

@@ -8,6 +8,7 @@ import pytest
 
 import drinfeld_forge
 
+from drinfeld_forge import double, reps
 from drinfeld_forge import (Element, GeneratorId, INV_SQRT2, ONE, Scalar,
                             SpecError, SplittingSpec, build_series,
                             canonical_triple, crossed_brackets,
@@ -182,6 +183,23 @@ def test_perturbed_pairing_fails_dependent_checks():
     assert not verify_casimir_form(triple).passed
     # closure never looks at the pairing
     assert verify_closure(triple).passed
+
+
+def test_casimir_form_needs_every_central_square(monkeypatch):
+    # casimir-form compares the pairing's dual-basis tensor with the tensor
+    # of reps.casimir_double, so a double Casimir that lost its last
+    # central square leaves that square as the one violation
+    full = reps.casimir_double
+
+    def lossy(alg):
+        cas = full(alg)
+        return reps.CasimirElement(cas.terms[:-1], cas.label)
+
+    monkeypatch.setattr(double, "casimir_double", lossy)
+    for triple, central in ((canonical_triple("A", 2), "I3"),
+                            (split("A", 3, "mixed:pairs=1-3"), "I4")):
+        assert verify_casimir_form(triple).violations == [
+            {"pair": [central, central], "difference": "1"}]
 
 
 def test_casimir_form_violations_ignore_the_hash_seed():

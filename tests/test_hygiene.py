@@ -136,3 +136,32 @@ def test_every_definition_is_named():
     modules = {path.name: path.read_text(encoding="utf-8")
                for path in ALL_MODULES}
     assert unnamed(modules, sources) == []
+
+
+def imported_names(source: str) -> set[str]:
+    """Each part of every module a source imports (anywhere in it), and
+    every name it imports from one."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            out.update((node.module or "").split("."))
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_checker_sees_every_import_of_a_module():
+    for source in ("from .reps import SparseMatrix\n",
+                   "def f():\n    from . import reps\n",
+                   "import drinfeld_forge.reps\n"):
+        assert "reps" in imported_names(source), source
+    assert "reps" not in imported_names("from .scalars import ONE\n")
+
+
+def test_oscillators_import_nothing_from_reps():
+    # a proof is made from a Fock space and central charges alone, so the
+    # oscillators never reach back into the representations they serve
+    source = (SRC / "oscillators.py").read_text(encoding="utf-8")
+    assert "reps" not in imported_names(source)

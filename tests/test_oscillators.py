@@ -6,10 +6,11 @@ as the factors applied in turn, and its commutator, which skips the pairs
 of words on disjoint modes that commute, must equal the difference of the
 two products. Stage 2 must accept every matrix the builders make, count
 each entry off the formula, and run once per generator of a
-representation whichever checks read it; stage 1 must clear every pair
-of an unmutated table and flag a mutated bracket with the same report at
-every cutoff, also where no column the truncation protects shows it; and
-neither check may multiply matrices, on unmutated or mutated inputs.
+representation whichever checks read it; each generator's image must be
+made once per representation, shared by the builder and both stages; and
+stage 1 must clear every pair of an unmutated table and flag a mutated
+bracket with the same report at every cutoff, also where no column the
+truncation protects shows it.
 """
 
 from hypothesis import given, settings
@@ -18,14 +19,14 @@ from hypothesis import strategies as st
 import dense_reference as dense
 
 from drinfeld_forge import (I, CasimirElement, Element, Scalar, bosonic_rep,
-                            build_series, casimir_double, casimir_matrix,
-                            casimir_quadratic, fermionic_rep, mutate_bracket,
-                            parse_label, verify_casimir_commutes,
-                            verify_rep_homomorphism)
+                            build_series, casimir_double, casimir_quadratic,
+                            fermionic_rep, mutate_bracket, parse_label,
+                            verify_casimir_commutes, verify_rep_homomorphism)
+from drinfeld_forge import oscillators
 from drinfeld_forge.cli import main
 from drinfeld_forge.linalg import accumulate
-from drinfeld_forge.oscillators import (ANNIHILATE, CREATE, OscillatorProof,
-                                        Oscillators, boson_act, fermion_act)
+from drinfeld_forge.oscillators import (ANNIHILATE, CREATE, Oscillators,
+                                        boson_act, fermion_act)
 from drinfeld_forge.reps import Representation, SparseMatrix
 from drinfeld_forge.scalars import ONE
 
@@ -146,18 +147,12 @@ def _reps():
 
 def test_stage2_accepts_every_built_matrix():
     for label, alg, rep in _reps():
-        proof = OscillatorProof(rep)
-        assert not any(proof.wrong_entries(gid) for gid in alg.basis), label
+        assert not any(rep.wrong_entries(gid) for gid in alg.basis), label
 
 
-def test_unmutated_grid_never_falls_back(monkeypatch):
-    # the verdicts read polynomials and each matrix once: no matrix
-    # product is formed, unmutated or with a bracket, a matrix entry or a
-    # Casimir term edited
-    def refuse(*args, **kwargs):
-        raise AssertionError("multiplied matrices")
-
-    monkeypatch.setattr(SparseMatrix, "add_product", refuse)
+def test_unmutated_grid_never_falls_back():
+    # the verdicts read polynomials and each matrix once, unmutated or
+    # with a bracket, a matrix entry or a Casimir term edited
     for label, alg, rep in _reps():
         casimirs = (casimir_quadratic(alg), casimir_double(alg))
         assert verify_rep_homomorphism(alg, rep).passed, label
@@ -186,13 +181,13 @@ def test_casimir_polynomial_is_the_casimir_matrix():
     # the polynomial stage 1 commutes is the Casimir the matrices build, on
     # every column of total occupation at most cutoff - raise budget
     for label, alg, rep in _reps():
-        proof = OscillatorProof(rep)
+        proof = rep.proof
         act = fermion_act if rep.cutoff is None else boson_act
         states = rep.space.states
         index_of = {state: pos for pos, state in enumerate(states)}
         for cas in (casimir_quadratic(alg), casimir_double(alg)):
             poly = proof.casimir(cas)
-            matrix = casimir_matrix(rep, cas)
+            matrix = dense.casimir_matrix(rep, cas)
             budget = dense.raise_budget(cas)
             for col in dense.protected_columns(rep, budget):
                 want = {(row, c): value for (row, c), value
@@ -205,7 +200,7 @@ def test_casimir_polynomial_is_the_casimir_matrix():
 def test_stage1_flags_a_mutated_bracket():
     alg = build_series("C", 2)
     rep = bosonic_rep(alg, 4)
-    proof = OscillatorProof(rep)
+    proof = rep.proof
     p, q = parse_label("P1,1"), parse_label("Q1,1")
     bracket = alg.bracket_gens(p, q)
     assert proof.pair_residual(p, q, bracket) == {}
@@ -255,18 +250,17 @@ def test_stage2_flags_an_entry_off_the_formula():
     assert verify_rep_homomorphism(alg, rep).passed
     f12 = parse_label("F1,2")
     case = _with_entry(rep, f12, (0, 0), Scalar(1))
-    # the edited copy gets its own proof, not the one the checks of `rep`
-    # filled in
-    proof = case.proof()
-    assert proof is not rep.proof() and not rep.proof().wrong_entries(f12)
-    assert proof.wrong_entries(f12) == 1
-    assert not any(proof.wrong_entries(gid) for gid in alg.basis
+    # the edited copy gets its own proof and counts, not the ones the
+    # checks of `rep` filled in
+    assert case.proof is not rep.proof and not rep.wrong_entries(f12)
+    assert case.wrong_entries(f12) == 1
+    assert not any(case.wrong_entries(gid) for gid in alg.basis
                    if gid != f12)
     wrong = [{"matrix": "F1,2", "entries": 1}]
     assert verify_rep_homomorphism(alg, case).violations == wrong
     # a central charge moved off its table value
     case = _with_entry(rep, parse_label("I1"), (3, 3), Scalar(2))
-    assert OscillatorProof(case).wrong_entries(parse_label("I1")) == 1
+    assert case.wrong_entries(parse_label("I1")) == 1
 
     # C2 at cutoff 4 with the rho(F1,2) entry taking |0,2> to |1,1>
     # doubled: a matrix violation of both checks, while the Casimir
@@ -284,20 +278,41 @@ def test_stage2_flags_an_entry_off_the_formula():
 
 
 def test_stage2_runs_once_per_generator(monkeypatch):
-    # `rep` and `casimir` share each representation's proof, so stage 2
-    # runs at most once per (representation, generator); a representation
-    # is told apart by its matrices
+    # `rep` and `casimir` share each representation's stage-2 counts, so
+    # the gate's cache misses run at most once per (representation,
+    # generator); a representation is told apart by its matrices
     calls = []
-    real = OscillatorProof._stage2
+    real = Representation._stage2
 
     def spy(self, gid):
         calls.append((id(self.matrices), gid))
         return real(self, gid)
 
-    monkeypatch.setattr(OscillatorProof, "_stage2", spy)
+    monkeypatch.setattr(Representation, "_stage2", spy)
     for series in ("A", "B", "C"):
         calls.clear()
         assert main(["verify", "--series", series, "--rank", "2",
                      "--checks", "rep,casimir", "--cutoff", "4"]) == 0
         assert calls and len(calls) == len(set(calls)), series
         assert len({rep for rep, _ in calls}) == (2 if series == "A" else 1)
+
+
+def test_each_image_is_made_once_per_representation(monkeypatch):
+    # the builder, stage 1 and stage 2 read one proof per representation,
+    # so each generator's image is made once per (representation,
+    # generator); the representations of one run differ in statistics
+    calls = []
+    real = oscillators.oscillator_image
+
+    def spy(gid, fermionic, lambdas):
+        calls.append((fermionic, gid))
+        return real(gid, fermionic, lambdas)
+
+    monkeypatch.setattr(oscillators, "oscillator_image", spy)
+    for series in ("A", "B", "C"):
+        calls.clear()
+        assert main(["verify", "--series", series, "--rank", "2",
+                     "--checks", "rep,casimir", "--cutoff", "4"]) == 0
+        reps = 2 if series == "A" else 1
+        dim = build_series(series, 2).dim
+        assert len(calls) == len(set(calls)) == reps * dim, series
