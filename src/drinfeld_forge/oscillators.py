@@ -16,9 +16,9 @@ the Weyl and Clifford algebras, and their Fock representations are
 faithful, a residual is zero exactly when the identity holds on the whole
 Fock space, whatever the cutoff (the `reps` docstring gives the argument).
 `FockSpace.apply` is the one Fock action: `OscillatorProof.action` applies
-each normal-ordered image with it, the `reps` builders fill each matrix
-from that action, and stage 2 (`reps.Representation.wrong_entries`)
-counts the entries in which a held matrix differs from it.
+each normal-ordered image with it once, a matrix the `reps` builders make
+is that result, and stage 2 (`reps.Representation.wrong_entries`) counts
+the entries in which a held matrix differs from it.
 """
 
 from __future__ import annotations
@@ -273,9 +273,9 @@ class OscillatorProof:
     `image(g)` is rho(g) as a normal-ordered polynomial, cached per
     generator, and stage 1 (`pair_residual`, `casimir`,
     `generator_residual`) works on these alone. `action(g)` is that
-    polynomial applied to every state (`FockSpace.apply`), computed afresh
-    on each call: the `reps` builders make each matrix from it, and stage 2
-    holds each matrix to it again. The proof reads no matrix.
+    polynomial applied to every state (`FockSpace.apply`), cached too: a
+    matrix the `reps` builders make is that dict, and stage 2 holds each
+    matrix to it. The proof reads no matrix.
     """
 
     def __init__(self, space: FockSpace, lambdas):
@@ -284,6 +284,7 @@ class OscillatorProof:
         self.fermionic = space.cutoff is None
         self.ordering = Oscillators(-1 if self.fermionic else 1)
         self._images = {}
+        self._actions = {}
 
     def image(self, gid: GeneratorId) -> dict:
         if gid not in self._images:
@@ -293,7 +294,9 @@ class OscillatorProof:
 
     def action(self, gid: GeneratorId) -> dict:
         """rho(g) on the states, (row, col) -> Scalar holding no zero."""
-        return self.space.apply(self.image(gid))
+        if gid not in self._actions:
+            self._actions[gid] = self.space.apply(self.image(gid))
+        return self._actions[gid]
 
     def pair_residual(self, p: GeneratorId, q: GeneratorId,
                       bracket: Element) -> dict:

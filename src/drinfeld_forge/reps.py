@@ -40,7 +40,7 @@ normalized basis up to the similarity.
 
 The homomorphism and Casimir checks decide every basis pair (or Casimir
 generator) from these polynomials alone, at any cutoff, and hold each
-matrix to its polynomial once:
+matrix to its polynomial:
 
   1. normal ordering: [rho(p), rho(q)] - sum_k c_k rho(g_k) is
      normal-ordered in the Weyl algebra (b b+ = b+ b + 1) or the Clifford
@@ -48,12 +48,10 @@ matrix to its polynomial once:
      `oscillators`); for `casimir`, [C, rho(g)] with C the quartic
      Casimir polynomial. A commutator skips each pair of words on
      disjoint modes that commute. Each nonzero residual is a violation;
-  2. the matrix gate, once per generator: the matrix the representation
-     holds must equal its normal-ordered polynomial applied to every
-     state, amplitudes above the cutoff dropped. The builders make every
-     matrix that way; a representation assembled or edited by other
-     means is held to the same action, and each generator whose matrix
-     differs is a violation.
+  2. the matrix gate, once per generator: the held matrix must equal
+     its normal-ordered polynomial applied to every state, amplitudes
+     above the cutoff dropped. A built matrix is that action itself; any
+     other is held to it, and each one that differs is a violation.
 
 Stage 1 is the verdict because the Fock representations of the Weyl and
 Clifford algebras are faithful. Normal-ordered words are a basis of both
@@ -83,13 +81,12 @@ Reports, violations in basis order:
 `rep` gives the details `space_dim` and, when truncated, `cutoff`.
 
 Each representation makes its one `oscillators.OscillatorProof`
-(`Representation.proof`) from its Fock space and central charges, and
-caches its own stage-2 counts (`Representation.wrong_entries`). The
-builder, stage 1 and stage 2 read the same normal-ordered images, and the
-`rep` and `casimir` checks share the stage-2 counts, so each is computed
-once per generator, not once per check or per stage. A representation is
+(`Representation.proof`) from its Fock space and central charges. The
+proof caches each generator's normal-ordered image and its action on the
+states, and a built matrix is that action, so the builder and both stages
+of both checks compute each once per representation. A representation is
 therefore never edited in place; a helper that changes a matrix builds a
-new Representation, which gets its own proof and counts.
+new Representation, whose own proof applies every polynomial afresh.
 """
 
 from __future__ import annotations
@@ -97,7 +94,7 @@ from __future__ import annotations
 import math
 
 from .elements import Element
-from .errors import SpecError
+from .errors import ForeignGeneratorError, SpecError
 from .generators import (GeneratorId, cartan_count, dimension, mirror,
                          positive_roots)
 from .linalg import accumulate
@@ -154,12 +151,11 @@ class Representation:
     bosonic when it has a `cutoff`.
 
     `proof` is the representation's one `oscillators.OscillatorProof`,
-    made from the space and the central charges alone: the builders fill
-    the matrices from its actions, and the `rep` and `casimir` checks read
-    its images. `wrong_entries(g)` is stage 2, cached per generator.
-    Instances are treated as immutable, as `LieAlgebra` instances are: a
-    helper that edits a matrix returns a new Representation, which gets
-    its own proof and stage-2 counts.
+    made from the space and the central charges alone: a built matrix is
+    its cached action, and the `rep` and `casimir` checks read its images.
+    `wrong_entries(g)` is stage 2. Instances are treated as immutable, as
+    `LieAlgebra` instances are: a helper that edits a matrix returns a new
+    Representation, which gets its own proof.
     """
 
     def __init__(self, alg, matrices, space, lambdas):
@@ -174,7 +170,6 @@ class Representation:
         self.cutoff = space.cutoff
         self.lambdas = dict(lambdas)
         self.proof = OscillatorProof(space, self.lambdas)
-        self._wrong = {}
 
     def matrix(self, gid: GeneratorId) -> SparseMatrix:
         return self.matrices[gid]
@@ -182,11 +177,6 @@ class Representation:
     def wrong_entries(self, gid: GeneratorId) -> int:
         """The number of entries in which the held matrix of `gid` differs
         from its polynomial's action (`OscillatorProof.action`)."""
-        if gid not in self._wrong:
-            self._wrong[gid] = self._stage2(gid)
-        return self._wrong[gid]
-
-    def _stage2(self, gid: GeneratorId) -> int:
         want = self.proof.action(gid)
         held = self.matrices[gid].entries
         if want == held:
@@ -208,14 +198,15 @@ def _normalize_lambdas(alg, lambdas):
 
 def _build(alg, cutoff: int | None, lambdas) -> Representation:
     """Each generator's matrix: the action of its normal-ordered image on
-    every state of the Fock space, read from the representation's proof,
-    fermionic when `cutoff` is None."""
+    every state of the Fock space, the dict the representation's proof
+    caches, fermionic when `cutoff` is None."""
     # imported on use, as in `Representation`
     from .oscillators import FockSpace
     space = FockSpace(cartan_count(alg.series, alg.rank), cutoff)
     rep = Representation(alg, {}, space, _normalize_lambdas(alg, lambdas))
     for gid in alg.basis:
-        rep.matrices[gid] = SparseMatrix(rep.space_dim, rep.proof.action(gid))
+        matrix = rep.matrices[gid] = SparseMatrix(rep.space_dim)
+        matrix.entries = rep.proof.action(gid)
     return rep
 
 
@@ -238,7 +229,12 @@ def bosonic_rep(alg, cutoff: int, lambdas=None) -> Representation:
 def _matrix_violations(report: CheckReport, rep: Representation,
                        basis) -> None:
     """Stage 2: one violation per generator whose matrix differs from its
-    polynomial's action."""
+    polynomial's action, after refusing the first one that has no matrix."""
+    for gid in basis:
+        if gid not in rep.matrices:
+            raise ForeignGeneratorError(f"{gid.label} has no matrix in the "
+                                        f"{rep.alg.series}{rep.alg.rank} "
+                                        f"{rep.kind} representation")
     for gid in basis:
         wrong = rep.wrong_entries(gid)
         if wrong:

@@ -30,8 +30,9 @@ and independent of the support-driven kernels and of the Fock action in
 drinfeld_forge, which is what makes them a useful oracle: every element
 bracket is taken by `_bracket`, term pair by term pair through
 `bracket_gens`, which reads the table, so the oracle shares no code with
-the adjoint index. They are not
-part of the package and nothing outside the tests imports them.
+the adjoint index. `with_entry` makes the edited copies of a
+representation that the mutation tests hold to the matrix gate. They are
+not part of the package and nothing outside the tests imports them.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from drinfeld_forge.generators import GeneratorId
 from drinfeld_forge.generators import cartan_count
 from drinfeld_forge.linalg import accumulate
 from drinfeld_forge.reporting import CheckReport
-from drinfeld_forge.reps import SparseMatrix
+from drinfeld_forge.reps import Representation, SparseMatrix
 from drinfeld_forge.scalars import HALF, INV_SQRT2, ONE, ZERO, Scalar
 
 
@@ -603,6 +604,17 @@ def bosonic_matrices(alg, cutoff: int, lambdas=None) -> dict:
         else:
             raise ValueError(f"kind {kind!r} has no bosonic realization")
     return matrices
+
+
+def with_entry(rep, gid, key, value):
+    """The representation with entry `key` of rho(gid) set to `value`: a
+    new Representation, with its own proof, as the package never edits one
+    in place."""
+    entries = dict(rep.matrix(gid).entries)
+    entries[key] = value
+    matrices = dict(rep.matrices)
+    matrices[gid] = SparseMatrix(rep.space_dim, entries)
+    return Representation(rep.alg, matrices, rep.space, rep.lambdas)
 
 
 def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:

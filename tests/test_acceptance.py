@@ -35,7 +35,7 @@ from drinfeld_forge import (I, Element, GeneratorId, SPAN_BUILDERS, Scalar,
                             verify_rep_homomorphism, verify_self_duality,
                             verify_subbialgebra, verify_twist, with_double)
 from drinfeld_forge.bialgebra import CocommutatorTable, wedge_insert
-from drinfeld_forge.reps import CasimirElement, Representation, SparseMatrix
+from drinfeld_forge.reps import CasimirElement
 
 GRID = (("A", 1), ("A", 2), ("A", 3), ("A", 4),
         ("B", 1), ("B", 2), ("B", 3),
@@ -227,15 +227,6 @@ def test_criterion_09_mixed_splitting(capsys):
              "reconstruction, and conjugated self-duality exactly", ok)
 
 
-def _with_entry(rep, gid, key, value):
-    """The representation with entry `key` of rho(gid) set to `value`."""
-    entries = dict(rep.matrix(gid).entries)
-    entries[key] = value
-    matrices = dict(rep.matrices)
-    matrices[gid] = SparseMatrix(rep.space_dim, entries)
-    return Representation(rep.alg, matrices, rep.space, rep.lambdas)
-
-
 def _mutation_fixtures():
     """Single-coefficient mutations, at least one per verifier; each must fail."""
     h1 = GeneratorId("H", 1)
@@ -306,7 +297,7 @@ def _mutation_fixtures():
     states = boson.space.states
     entries = boson.matrix(f12).entries
     key = min(k for k in entries if sum(states[k[1]]) <= 2)
-    doubled_c2 = _with_entry(boson, f12, key, entries[key] * Scalar(2))
+    doubled_c2 = dense.with_entry(boson, f12, key, entries[key] * Scalar(2))
 
     # C2 with [P1,1, Q1,1] doubled against the unmutated bosonic matrices:
     # the normal-ordered residual of that pair is no longer zero
@@ -317,17 +308,17 @@ def _mutation_fixtures():
     # B2 fermionic with rho(F1,2) given an entry on the vacuum column,
     # where a+_1 a_2 has none: the matrix no longer follows its polynomial
     b2 = build_series("B", 2)
-    vacuum_f12 = _with_entry(fermionic_rep(b2), f12, (0, 0), Scalar(1))
+    vacuum_f12 = dense.with_entry(fermionic_rep(b2), f12, (0, 0), Scalar(1))
 
     # the C2 Casimir over rho(F1,2) with its entry at column |0,2> doubled
     key = next(k for k in entries if states[k[1]] == (0, 2))
-    doubled_two = _with_entry(boson, f12, key, entries[key] * Scalar(2))
+    doubled_two = dense.with_entry(boson, f12, key, entries[key] * Scalar(2))
 
     # rho(P1,1) given an entry on a column of total occupation 3: every
     # pair and Casimir generator that reads P1,1 protects only columns of
     # occupation at most 2, so only the matrix gate sees it
     col = next(pos for pos, state in enumerate(states) if sum(state) == 3)
-    high_p11 = _with_entry(boson, p11, (0, col), Scalar(5))
+    high_p11 = dense.with_entry(boson, p11, (0, col), Scalar(5))
 
     # the quadratic Casimir of C2 with its first anticommutator doubled
     terms = list(casimir_quadratic(c2).terms)
@@ -483,7 +474,7 @@ def test_entry_above_every_protected_budget_fails():
     p11 = GeneratorId("P", 1, 1)
     col = next(pos for pos, state in enumerate(rep.space.states)
                if sum(state) == 3)
-    case = _with_entry(rep, p11, (0, col), Scalar(5))
+    case = dense.with_entry(rep, p11, (0, col), Scalar(5))
     assert case.wrong_entries(p11) == 1
     wrong = [{"matrix": "P1,1", "entries": 1}]
     assert verify_rep_homomorphism(alg, case).violations == wrong

@@ -4,12 +4,12 @@
 (sign -1) with one routine. Its products must act on Fock states exactly
 as the factors applied in turn, and its commutator, which skips the pairs
 of words on disjoint modes that commute, must equal the difference of the
-two products. Stage 2 must accept every matrix the builders make, count
-each entry off the formula, and run once per generator of a
-representation whichever checks read it; each generator's image must be
-made once per representation, shared by the builder and both stages; and
-stage 1 must clear every pair of an unmutated table and flag a mutated
-bracket with the same report at every cutoff, also where no column the
+two products. Stage 2 must accept every matrix the builders make, each
+of which is its proof's cached Fock action, and count each entry off the
+formula; each generator's image and its Fock action must be made once
+per representation, shared by the builder and both stages; and stage 1
+must clear every pair of an unmutated table and flag a mutated bracket
+with the same report at every cutoff, also where no column the
 truncation protects shows it.
 """
 
@@ -25,9 +25,8 @@ from drinfeld_forge import (I, CasimirElement, Element, Scalar, bosonic_rep,
 from drinfeld_forge import oscillators
 from drinfeld_forge.cli import main
 from drinfeld_forge.linalg import accumulate
-from drinfeld_forge.oscillators import (ANNIHILATE, CREATE, Oscillators,
-                                        boson_act, fermion_act)
-from drinfeld_forge.reps import Representation, SparseMatrix
+from drinfeld_forge.oscillators import (ANNIHILATE, CREATE, FockSpace,
+                                        Oscillators, boson_act, fermion_act)
 from drinfeld_forge.scalars import ONE
 
 MODES = 3
@@ -146,7 +145,10 @@ def _reps():
 
 
 def test_stage2_accepts_every_built_matrix():
+    # a built matrix is its proof's cached action itself
     for label, alg, rep in _reps():
+        assert all(rep.matrix(gid).entries is rep.proof.action(gid)
+                   for gid in alg.basis), label
         assert not any(rep.wrong_entries(gid) for gid in alg.basis), label
 
 
@@ -164,7 +166,7 @@ def test_unmutated_grid_never_falls_back():
         assert not verify_rep_homomorphism(mutated, rep).passed, label
         gid = alg.basis[-1]
         key = next(iter(rep.matrix(gid).entries))
-        case = _with_entry(rep, gid, key, Scalar(7))
+        case = dense.with_entry(rep, gid, key, Scalar(7))
         assert not verify_rep_homomorphism(alg, case).passed, label
         x, y, kind = casimirs[0].terms[-1]
         lopsided = CasimirElement(
@@ -236,22 +238,14 @@ def test_stage1_flags_what_no_protected_column_shows():
         assert not report.details
 
 
-def _with_entry(rep, gid, key, value):
-    matrices = dict(rep.matrices)
-    entries = dict(rep.matrix(gid).entries)
-    entries[key] = value
-    matrices[gid] = SparseMatrix(rep.space_dim, entries)
-    return Representation(rep.alg, matrices, rep.space, rep.lambdas)
-
-
 def test_stage2_flags_an_entry_off_the_formula():
     alg = build_series("D", 3)
     rep = fermionic_rep(alg)
     assert verify_rep_homomorphism(alg, rep).passed
     f12 = parse_label("F1,2")
-    case = _with_entry(rep, f12, (0, 0), Scalar(1))
-    # the edited copy gets its own proof and counts, not the ones the
-    # checks of `rep` filled in
+    case = dense.with_entry(rep, f12, (0, 0), Scalar(1))
+    # the edited copy gets its own proof, which applies the polynomial
+    # afresh, not the cached action its edited matrix was copied from
     assert case.proof is not rep.proof and not rep.wrong_entries(f12)
     assert case.wrong_entries(f12) == 1
     assert not any(case.wrong_entries(gid) for gid in alg.basis
@@ -259,7 +253,7 @@ def test_stage2_flags_an_entry_off_the_formula():
     wrong = [{"matrix": "F1,2", "entries": 1}]
     assert verify_rep_homomorphism(alg, case).violations == wrong
     # a central charge moved off its table value
-    case = _with_entry(rep, parse_label("I1"), (3, 3), Scalar(2))
+    case = dense.with_entry(rep, parse_label("I1"), (3, 3), Scalar(2))
     assert case.wrong_entries(parse_label("I1")) == 1
 
     # C2 at cutoff 4 with the rho(F1,2) entry taking |0,2> to |1,1>
@@ -271,30 +265,32 @@ def test_stage2_flags_an_entry_off_the_formula():
     rep = bosonic_rep(alg, 4)
     key = next(k for k in rep.matrix(f12).entries
                if rep.space.states[k[1]] == (0, 2))
-    case = _with_entry(rep, f12, key, rep.matrix(f12).entries[key] * Scalar(2))
+    case = dense.with_entry(rep, f12, key, rep.matrix(f12).entries[key] * Scalar(2))
     assert verify_rep_homomorphism(alg, case).violations == wrong
     for cas in (casimir_quadratic(alg), casimir_double(alg)):
         assert verify_casimir_commutes(alg, case, cas).violations == wrong
 
 
 def test_stage2_runs_once_per_generator(monkeypatch):
-    # `rep` and `casimir` share each representation's stage-2 counts, so
-    # the gate's cache misses run at most once per (representation,
-    # generator); a representation is told apart by its matrices
+    # the builder and the gates of `rep` and `casimir` read each
+    # generator's one cached Fock action, so `FockSpace.apply` runs exactly
+    # once per (representation, generator); the representations of one run
+    # differ in statistics
     calls = []
-    real = Representation._stage2
+    real = FockSpace.apply
 
-    def spy(self, gid):
-        calls.append((id(self.matrices), gid))
-        return real(self, gid)
+    def spy(self, poly):
+        calls.append(self.cutoff is None)
+        return real(self, poly)
 
-    monkeypatch.setattr(Representation, "_stage2", spy)
+    monkeypatch.setattr(FockSpace, "apply", spy)
     for series in ("A", "B", "C"):
         calls.clear()
         assert main(["verify", "--series", series, "--rank", "2",
                      "--checks", "rep,casimir", "--cutoff", "4"]) == 0
-        assert calls and len(calls) == len(set(calls)), series
-        assert len({rep for rep, _ in calls}) == (2 if series == "A" else 1)
+        dim = build_series(series, 2).dim
+        kinds = (True, False) if series == "A" else (series == "B",)
+        assert sorted(calls) == sorted(kinds * dim), series
 
 
 def test_each_image_is_made_once_per_representation(monkeypatch):

@@ -12,7 +12,7 @@ from drinfeld_forge import (SQRT2, GeneratorId, Scalar, SpecError,
                             fermionic_rep, parse_label,
                             verify_casimir_commutes, verify_rep_homomorphism)
 from drinfeld_forge.errors import ForeignGeneratorError
-from drinfeld_forge.oscillators import boson_states
+from drinfeld_forge.oscillators import FockSpace, boson_states
 from drinfeld_forge.reps import MAX_REP_SIZE, rep_size
 
 FERMIONIC_GRID = [("A", 1), ("A", 2), ("A", 3), ("B", 1), ("B", 2), ("B", 3),
@@ -140,6 +140,23 @@ def test_casimir_of_another_algebra_rejected():
     with pytest.raises(ForeignGeneratorError, match="not in the A2 basis"):
         verify_casimir_commutes(alg, fermionic_rep(alg),
                                 casimir_quadratic(build_series("A", 3)))
+
+
+def test_representation_of_another_algebra_rejected(monkeypatch):
+    # A3 has H4 and B2 has S1,2, which the A2 representation holds no
+    # matrix for; each is named before any Fock action is computed
+    rep = fermionic_rep(build_series("A", 2))
+    applied = []
+    monkeypatch.setattr(FockSpace, "apply",
+                        lambda space, poly: applied.append(poly))
+    for series, rank, label in (("A", 3, "H4"), ("B", 2, "S1,2")):
+        alg = build_series(series, rank)
+        match = f"{label} has no matrix in the A2 fermionic representation"
+        with pytest.raises(ForeignGeneratorError, match=match):
+            verify_rep_homomorphism(alg, rep)
+        with pytest.raises(ForeignGeneratorError, match=match):
+            verify_casimir_commutes(alg, rep, casimir_quadratic(alg))
+    assert not applied
 
 
 def test_lambda_out_of_range_rejected():

@@ -65,7 +65,6 @@ from drinfeld_forge import (I, SQRT2, CasimirElement, CocommutatorTable,
 from drinfeld_forge.algebra import LieAlgebra
 from drinfeld_forge.errors import (ClosureError, ForeignGeneratorError,
                                    SpecError)
-from drinfeld_forge.reps import Representation, SparseMatrix
 
 INSTANCES = (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
              ("C", 2), ("C", 3), ("D", 3), ("D", 4))
@@ -568,15 +567,6 @@ def _assert_same_reps(alg, rep, label):
         _assert_same_casimir(alg, rep, cas, label, matrices)
 
 
-def _with_entry(rep, gid, key, value):
-    """The representation with entry `key` of rho(gid) set to `value`."""
-    entries = dict(rep.matrix(gid).entries)
-    entries[key] = value
-    matrices = dict(rep.matrices)
-    matrices[gid] = SparseMatrix(rep.space_dim, entries)
-    return Representation(rep.alg, matrices, rep.space, rep.lambdas)
-
-
 def _mutated_reps(rep, rng):
     """One entry doubled, and one new entry on a column that every pair
     of raise budget at most 2 protects (total occupation at most
@@ -586,14 +576,14 @@ def _mutated_reps(rep, rng):
     key = rng.choice(sorted(rep.matrix(gid).entries))
     value = rep.matrix(gid).entries[key]
     out = [(f"{gid.label} {key} doubled",
-            _with_entry(rep, gid, key, value * rng.choice(FACTORS)))]
+            dense.with_entry(rep, gid, key, value * rng.choice(FACTORS)))]
     budget = 0 if rep.cutoff is None else 2
     column = rng.choice(sorted(dense.protected_columns(rep, budget)))
     gid = rng.choice(rep.alg.basis)
     row = rng.choice([row for row in range(rep.space_dim)
                       if (row, column) not in rep.matrix(gid).entries])
     out.append((f"{gid.label} ({row}, {column}) new",
-                _with_entry(rep, gid, (row, column), rng.choice(FACTORS))))
+                dense.with_entry(rep, gid, (row, column), rng.choice(FACTORS))))
     return out
 
 
@@ -669,7 +659,7 @@ def test_rep_entry_off_the_protected_columns_fails(rank):
     for gid in alg.basis:
         if gid.kind != "P":
             continue
-        case = _with_entry(rep, gid, (0, top[-1]), Scalar(5))
+        case = dense.with_entry(rep, gid, (0, top[-1]), Scalar(5))
         wrong = [{"matrix": gid.label, "entries": 1}]
         assert verify_rep_homomorphism(alg, case).violations == wrong
         assert dense.verify_rep_homomorphism(alg, case).passed
