@@ -6,7 +6,8 @@ Shows the rotated basis, the pairing matrix, the crossed brackets
     python3 demos/manin_triple_tour.py
 """
 
-from drinfeld_forge import canonical_triple, crossed_brackets, parse_label
+from drinfeld_forge import (ZERO, canonical_triple, crossed_brackets,
+                            parse_label)
 
 SEP = "-" * 60
 
@@ -34,7 +35,8 @@ def main() -> None:
     print(SEP)
 
     print("pairing <s-_j, s+_k> (rows j, columns k):")
-    for row in triple.pairing_matrix():
+    for mgid in triple.sminus:
+        row = [triple.pairing.get((mgid, pgid), ZERO) for pgid in triple.splus]
         print("  [" + ", ".join(str(v) for v in row) + "]")
     print(SEP)
 

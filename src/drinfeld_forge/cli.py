@@ -258,11 +258,9 @@ def _run_export(args):
         }
         text = dumps_canonical(payload)
     elif args.what == "pairing":
-        rows = triple.pairing_matrix()
-        entries = {(r, c): value
-                   for r, row in enumerate(rows)
-                   for c, value in enumerate(row)}
-        text = matrix_text_exact(entries)
+        text = matrix_text_exact(
+            {(triple.minus_index[m], triple.plus_index[p]): value
+             for (m, p), value in triple.pairing.items()})
     else:
         text = _matrices_text(alg, args.cutoff)
     return _emit(text, args.out)

@@ -13,17 +13,18 @@ or a member of a two-index pair (i, j), rotating H_i with H_j,
 in which case I_i and I_j are dropped from the double. The canonical
 splitting makes every index central. s+ collects the rotated upper
 Cartans and the positive roots; s- mirrors it element for element, so
-the pairing matrix between matched bases is the identity.
+the pairing between matched bases is the identity.
 
 Structure constants are written f^a_{b,c} for s+ ([Z_b, Z_c] = f^a_{b,c} Z_a)
 and c^{a,b}_c for s- ([z^a, z^b] = c^{a,b}_c z^c). Crossed brackets are
 recovered from f, c and the stored pairing alone, by exact solves, so a
 perturbed pairing is detected rather than silently absorbed.
 
-f, c and the pairing are sparse, so the crossed-bracket solve and the
-compatibility and form-invariance checks walk only their nonzero
-entries: each accumulates its exact residual from products of nonzero
-constants, and every index tuple that no product reaches is 0 = 0.
+f, c, the pairing (stored once, read-only) and its inverse (sparse rows
+from `linalg.SpanBasis`) are sparse, so the crossed-bracket solve and
+the compatibility, form-invariance and Casimir-form checks walk only
+their nonzero entries: each accumulates its exact residual from products
+of nonzero constants, and every index tuple that no product reaches is 0 = 0.
 Reports still count every tuple covered and list violations in index
 order.
 """
@@ -32,13 +33,14 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from types import MappingProxyType
 
 from .algebra import LieAlgebra, build_series
 from .elements import Element
 from .errors import ClosureError, SpecError
 from .generators import (GeneratorId, cartan_count, mirror, positive_roots,
                          validate_series_rank)
-from .linalg import accumulate, invert_matrix
+from .linalg import SpanBasis, accumulate
 from .reporting import CheckReport
 from .reps import casimir_double
 from .scalars import I, INV_SQRT2, ONE, ZERO, Scalar
@@ -165,7 +167,8 @@ class CartanRotation:
             for gid, coeff in elem.terms():
                 for target, weight in self.from_cartan[gid]:
                     accumulate(back, target, coeff * weight)
-            assert back == {rot: ONE}
+            if back != {rot: ONE}:
+                raise SpecError(f"Cartan rotation fails to invert {rot.label}")
 
 
 class ManinTriple:
@@ -183,11 +186,15 @@ class ManinTriple:
         self.minus_index = {gid: k for k, gid in enumerate(self.sminus)}
         if pairing is None:
             pairing = {(m, p): ONE for m, p in zip(self.sminus, self.splus)}
-        self.pairing = dict(pairing)
+        # read-only, so that no memo below goes stale: an edited pairing
+        # is a new triple (`perturb_pairing`, `rescale_minus`)
+        self.pairing = MappingProxyType(dict(pairing))
         # s- member -> [(s+ member, value)], so a pairing walks only the
         # support of its arguments instead of every stored entry
         self._pairing_rows = {}
         for (mgid, pgid), value in self.pairing.items():
+            if mgid not in self.minus_index or pgid not in self.plus_index:
+                raise SpecError("the pairing must match s- with s+ members")
             self._pairing_rows.setdefault(mgid, []).append((pgid, value))
         self.minus_factor = minus_factor
         self._minus_inv = minus_factor.inv()
@@ -230,19 +237,27 @@ class ManinTriple:
                     out[gid] = out[gid] * self._minus_inv
         return out
 
-    def pairing_matrix(self) -> list[list[Scalar]]:
-        rows = []
-        for mgid in self.sminus:
-            rows.append([self.pairing.get((mgid, pgid), ZERO)
-                         for pgid in self.splus])
-        return rows
-
-    def pairing_inverse(self) -> list[list[Scalar]]:
+    def pairing_inverse(self) -> list[dict[int, Scalar]]:
+        """Inverse of the pairing P over basis positions, as sparse rows
+        (row r maps t to Pinv[r][t]), from one SpanBasis of the rows of
+        [P | 1], keyed (0, s) on P and (1, r) on the unit block. Its
+        pivot, the key of smallest repr, falls on P while a row has a P
+        coordinate left, so reducing e_j on P's half leaves minus row j of
+        the inverse; a remainder on P means P is singular (SpecError)."""
         if self._pinv is None:
-            try:
-                self._pinv = invert_matrix(self.pairing_matrix())
-            except ZeroDivisionError:
-                raise SpecError("pairing matrix is singular") from None
+            echelon = SpanBasis()
+            for r, mgid in enumerate(self.sminus):
+                row = {(0, self.plus_index[pgid]): value
+                       for pgid, value in self._pairing_rows.get(mgid, ())}
+                row[(1, r)] = ONE
+                echelon.add(row)
+            pinv = []
+            for j in range(self.half_dim):
+                rest = echelon.reduce({(0, j): ONE})
+                if any(side == 0 for side, _ in rest):
+                    raise SpecError("pairing matrix is singular")
+                pinv.append({r: -value for (_, r), value in rest.items()})
+            self._pinv = pinv
         return self._pinv
 
     def _pair_rot(self, rot_a: dict, rot_b: dict) -> Scalar:
@@ -350,24 +365,12 @@ def _grouped(tensor, slot: int = 0):
     return out
 
 
-def _sparse_rows(matrix):
-    """Nonzero entries of a dense matrix, by row and by column."""
-    rows = [{} for _ in matrix]
-    cols = [{} for _ in matrix]
-    for r, row in enumerate(matrix):
-        for col, value in enumerate(row):
-            if value:
-                rows[r][col] = value
-                cols[col][r] = value
-    return rows, cols
-
-
 def crossed_brackets(triple: ManinTriple):
     """[z^p, Z_q] coefficients solved from f, c and the stored pairing.
 
     Returns a dict keyed by (p, q) holding (alpha, beta): the s- and s+
     coefficient vectors over basis positions, every (p, q) present and
-    in row-major order. With P the pairing matrix,
+    in row-major order. With P the pairing over basis positions,
 
       alpha_t = sum_r (sum_s f^s_{q,r} P[p][s]) Pinv[r][t]
       beta_s = -sum_t Pinv[s][t] (sum_r c^{p,t}_r P[r][q])
@@ -376,8 +379,17 @@ def crossed_brackets(triple: ManinTriple):
     """
     f, c = structure_tensors(triple)
     k = triple.half_dim
-    p_rows, p_cols = _sparse_rows(triple.pairing_matrix())
-    pinv_rows, pinv_cols = _sparse_rows(triple.pairing_inverse())
+    p_rows = [{} for _ in range(k)]
+    p_cols = [{} for _ in range(k)]
+    for (mgid, pgid), value in triple.pairing.items():
+        if value:
+            r, s = triple.minus_index[mgid], triple.plus_index[pgid]
+            p_rows[r][s] = p_cols[s][r] = value
+    pinv_rows = triple.pairing_inverse()
+    pinv_cols = [{} for _ in range(k)]
+    for s, row in enumerate(pinv_rows):
+        for t, value in row.items():
+            pinv_cols[t][s] = value
     f_by_q = _grouped(f)
     c_by_p = _grouped(c)
     out = {}
@@ -650,7 +662,7 @@ def verify_form_invariance(triple: ManinTriple) -> CheckReport:
 def verify_casimir_form(triple: ManinTriple) -> CheckReport:
     """The dual-basis 2-tensor of the pairing in double coordinates.
 
-    Sum over matched pairs, weighted by the inverse pairing, of the
+    Sum over the nonzero entries of the inverse pairing of the weighted,
     symmetrized z x Z tensors; it must equal the tensor of the double's
     Casimir (`reps.casimir_double`): H x H plus I x I over the retained
     Cartans plus mirror-symmetrized root pairs. Violations are listed in
@@ -663,14 +675,10 @@ def verify_casimir_form(triple: ManinTriple) -> CheckReport:
         report.add_violation({"error": str(err)})
         return report
     tensor = {}
-    k = triple.half_dim
     minus_elems = [triple.elem(g) for g in triple.sminus]
     plus_elems = [triple.elem(g) for g in triple.splus]
-    for t in range(k):
-        for s in range(k):
-            weight = pinv[s][t]
-            if not weight:
-                continue
+    for s, row in enumerate(pinv):
+        for t, weight in row.items():
             for ga, ca in minus_elems[t].terms():
                 for gb, cb in plus_elems[s].terms():
                     prod = weight * ca * cb

@@ -118,7 +118,9 @@ def enumerate_generators(series: str, rank: int) -> tuple[GeneratorId, ...]:
     plus = positive_roots(series, rank)
     basis += plus
     basis += [mirror(g) for g in plus]
-    assert len(basis) == dimension(series, rank)
+    if len(basis) != dimension(series, rank):
+        raise RankError(f"{series}{rank} enumerates {len(basis)} generators, "
+                        f"not {dimension(series, rank)}")
     return tuple(basis)
 
 

@@ -6,14 +6,15 @@ a dict through it, and a coefficient that cancels is dropped at once,
 never stored as zero. Addition in the field is exact, so the dict it
 leaves equals the sum filtered of zeros at the end.
 
-Also used for span-membership tests (sub-bialgebra checks) and for
-inverting the pairing matrix when crossed brackets are reconstructed.
-Vectors are sparse dicts keyed by arbitrary hashable coordinates.
+`SpanBasis` is the one exact elimination of the package: it tests span
+membership (sub-bialgebra checks) and inverts the pairing of a Manin
+triple (`ManinTriple.pairing_inverse`). Vectors are sparse dicts keyed
+by arbitrary hashable coordinates.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ZERO, Scalar
 
 
 def accumulate(acc: dict, key, value: Scalar) -> None:
@@ -64,21 +65,3 @@ class SpanBasis:
     def __len__(self) -> int:
         return len(self._rows)
 
-
-def invert_matrix(rows: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Exact inverse of a small dense matrix; raises on singular input."""
-    n = len(rows)
-    aug = [[rows[r][c] for c in range(n)] + [ONE if k == r else ZERO for k in range(n)]
-           for r, row in enumerate(rows)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot_row is None:
-            raise ZeroDivisionError("singular pairing matrix")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = aug[col][col].inv()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]

@@ -4,7 +4,9 @@ Each function enumerates the whole index cube, tuple by tuple, exactly
 as the package did before its verifiers learned to walk only the nonzero
 structure constants: the Jacobi triple loop, the compatibility quadruple
 loop over transposed tensors, the form-invariance triple loop, the
-dense crossed-bracket solve, and the cocycle pair loop, which brackets
+dense crossed-bracket solve (with its own dense pairing matrix and
+Gauss-Jordan inverse, so the oracle shares no elimination with the
+package), and the cocycle pair loop, which brackets
 every wedge factor of delta(y) with x and of delta(x) with y. closure
 brackets every pair of members of each half, and reconstruction every s-
 member with every s+ member. The bialgebra checks are kept as they were before they read the adjoint
@@ -186,12 +188,41 @@ def verify_form_invariance(triple) -> CheckReport:
     return report
 
 
+def pairing_matrix(triple) -> list[list[Scalar]]:
+    """The stored pairing as a dense list: row j is the s- member j,
+    column s the s+ member s."""
+    return [[triple.pairing.get((mgid, pgid), ZERO) for pgid in triple.splus]
+            for mgid in triple.sminus]
+
+
+def invert_matrix(rows: list[list[Scalar]]) -> list[list[Scalar]]:
+    """Exact inverse of a dense matrix by Gauss-Jordan elimination, the
+    way the package inverted the pairing before it used SpanBasis.
+    Raises SpecError, as the package does, on a singular matrix."""
+    n = len(rows)
+    aug = [list(row) + [ONE if k == r else ZERO for k in range(n)]
+           for r, row in enumerate(rows)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot_row is None:
+            raise SpecError("pairing matrix is singular")
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        inv = aug[col][col].inv()
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
 def crossed_brackets(triple):
-    """[z^p, Z_q] by dense products with the pairing and its inverse."""
+    """[z^p, Z_q] by dense products with the pairing and its inverse,
+    both built here from the stored pairing."""
     f, c = structure_tensors(triple)
     k = triple.half_dim
-    P = triple.pairing_matrix()
-    Pinv = triple.pairing_inverse()
+    P = pairing_matrix(triple)
+    Pinv = invert_matrix(P)
     out = {}
     for p in range(k):
         for q in range(k):

@@ -257,8 +257,68 @@ def test_with_double_guards_series():
 
 
 def test_pairing_matrix_is_identity_for_canonical():
+    # both the stored pairing over basis positions and its sparse inverse
     triple = canonical_triple("D", 2)
-    rows = triple.pairing_matrix()
-    for r, row in enumerate(rows):
-        for c, value in enumerate(row):
-            assert value == (ONE if r == c else Scalar(0))
+    k = triple.half_dim
+    assert {(triple.minus_index[m], triple.plus_index[p]): value
+            for (m, p), value in triple.pairing.items()} == {
+                (r, r): ONE for r in range(k)}
+    assert triple.pairing_inverse() == [{r: ONE} for r in range(k)]
+
+
+def test_pairing_cannot_be_edited_in_place():
+    # the memoized inverse and pairing rows would go stale under an edit
+    # in place, so that casimir-form and forminv passed a pairing that
+    # pairing and reconstruction fail; an edited pairing is a new triple
+    triple = split("A", 2)
+    assert verify_casimir_form(triple).passed
+    key = (triple.sminus[3], triple.splus[4])
+    for held in (triple, canonical_triple("A", 2)):
+        with pytest.raises(TypeError):
+            held.pairing[key] = Scalar(1)
+        assert key not in held.pairing
+    perturbed = perturb_pairing(triple, *key, Scalar(1))
+    for check in (verify_pairing, verify_reconstruction,
+                  verify_form_invariance, verify_casimir_form):
+        assert check(triple).passed, check.__name__
+        assert not check(perturbed).passed, check.__name__
+
+
+def test_pairing_keys_must_match_the_halves():
+    base = canonical_triple("A", 1)
+    for key in ((base.splus[0], base.splus[1]),
+                (base.sminus[0], GeneratorId("X", 5))):
+        with pytest.raises(SpecError):
+            double.ManinTriple(base.double, base.spec, base.rotation,
+                               {key: ONE})
+
+
+def test_invariant_checks_survive_python_O():
+    # under -O an assert statement is stripped; the rotation round trip
+    # and the basis count must still raise
+    code = ("from drinfeld_forge import double, generators\n"
+            "from drinfeld_forge.errors import RankError, SpecError\n"
+            "from drinfeld_forge.scalars import ZERO\n"
+            "print(__debug__)\n"
+            "double._NEG_I_INV_SQRT2 = ZERO\n"
+            "try:\n"
+            "    double.CartanRotation(double.SplittingSpec(), 2)\n"
+            "except SpecError as err:\n"
+            "    print(err)\n"
+            "generators.dimension = lambda series, rank: 0\n"
+            "try:\n"
+            "    generators.enumerate_generators('A', 1)\n"
+            "except RankError as err:\n"
+            "    print(err)\n")
+    src = os.path.dirname(os.path.dirname(drinfeld_forge.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False",
+        "Cartan rotation fails to invert X1",
+        "A1 enumerates 6 generators, not 0",
+    ]

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, no
-package module imports another one's private (underscore) names, and no
-package function, class or method is left unnamed."""
+package module imports another one's private (underscore) names, no
+package function, class or method is left unnamed, and no package
+invariant rests on an assert statement, which `python -O` strips."""
 
 import ast
 import pathlib
@@ -165,3 +166,25 @@ def test_oscillators_import_nothing_from_reps():
     # oscillators never reach back into the representations they serve
     source = (SRC / "oscillators.py").read_text(encoding="utf-8")
     assert "reps" not in imported_names(source)
+
+
+def bare_asserts(source: str) -> list[str]:
+    """Assert statements, in line order."""
+    nodes = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Assert)]
+    return [f"line {node.lineno}"
+            for node in sorted(nodes, key=lambda node: node.lineno)]
+
+
+def test_checker_sees_a_bare_assert():
+    source = ("def f(x):\n"
+              "    if x:\n        assert x > 0, 'negative'\n"
+              "    return x\n"
+              "assert f(1)\n"
+              "raise AssertionError('kept under -O')\n")
+    assert bare_asserts(source) == ["line 3", "line 5"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda path: path.name)
+def test_no_bare_assert(path):
+    assert bare_asserts(path.read_text(encoding="utf-8")) == []

@@ -1,5 +1,9 @@
 """Differential tests: the support-driven kernels against the dense loops.
 
+The pairing inverse, which SpanBasis eliminates from the sparse pairing,
+must equal the reference's dense Gauss-Jordan inverse entry for entry,
+and a singular pairing must raise the same error on both sides.
+
 jacobi, compatibility, forminv, crossed_brackets, cocycle, cojacobi,
 coboundary, twist, cybe, the structure tensors and chain accumulate their
 residuals from the nonzero structure constants only, the bialgebra ones
@@ -47,8 +51,8 @@ import random
 import pytest
 
 import dense_reference as dense
-from drinfeld_forge import (I, SQRT2, CasimirElement, CocommutatorTable,
-                            Element, GeneratorId, Scalar,
+from drinfeld_forge import (HALF, I, ONE, SQRT2, ZERO, CasimirElement,
+                            CocommutatorTable, Element, GeneratorId, Scalar,
                             ad_invariance_report, bosonic_rep, build_series,
                             canonical_triple, casimir_double,
                             casimir_quadratic, cocommutator_from_structure,
@@ -198,6 +202,63 @@ def test_kernels_match_dense_mixed(series, rank, spec):
     triple = split(series, rank, spec)
     for label, case in _inputs(triple, spec):
         _assert_same(case, f"{series}{rank} {spec} {label}", triple)
+
+
+def _inverse(kernel, triple):
+    """The pairing inverse as dense rows, or the error."""
+    try:
+        return kernel(triple)
+    except SpecError as err:
+        return repr(err)
+
+
+def _sparse_inverse(triple):
+    rows = triple.pairing_inverse()
+    assert all(all(row.values()) for row in rows), "a zero was stored"
+    return [[row.get(t, ZERO) for t in range(triple.half_dim)]
+            for row in rows]
+
+
+def _dense_inverse(triple):
+    return dense.invert_matrix(dense.pairing_matrix(triple))
+
+
+@pytest.mark.parametrize("series,rank,spec", [
+    ("A", 2, "canonical"), ("B", 2, "canonical"), ("C", 2, "canonical"),
+    ("D", 3, "canonical"), ("D", 2, "mixed:pairs=1-2"),
+    ("D", 3, "mixed:pairs=1-2")])
+def test_pairing_inverse_matches_dense(series, rank, spec):
+    # SpanBasis on [P | 1] against the reference's own dense P and
+    # Gauss-Jordan inverse, on the stored pairing, on perturbations of one
+    # entry and of several, on rescaled halves, and on singular pairings
+    triple = split(series, rank, spec)
+    rng = random.Random(f"pairing inverse {series}{rank} {spec}")
+    k = triple.half_dim
+    minus, plus = triple.sminus, triple.splus
+    cases = [("stored", triple)]
+    for _ in range(4):
+        m, p = rng.randrange(k), rng.randrange(k)
+        factor = rng.choice(FACTORS)
+        cases.append((f"{minus[m].label},{plus[p].label} + {factor}",
+                      perturb_pairing(triple, minus[m], plus[p], factor)))
+    stacked = triple
+    for _ in range(k):
+        stacked = perturb_pairing(stacked, rng.choice(minus),
+                                  rng.choice(plus), rng.choice(FACTORS))
+    cases.append(("stacked", stacked))
+    for factor in (Scalar(2), Scalar(-1), HALF, SQRT2, I):
+        cases.append((f"rescaled {factor}", rescale_minus(triple, factor)))
+        cases.append((f"rescaled {factor} stacked",
+                      rescale_minus(stacked, factor)))
+    cases.append(("singular: zero diagonal",
+                  perturb_pairing(triple, minus[0], plus[0], -ONE)))
+    doubled = perturb_pairing(triple, minus[1], plus[0], Scalar(2))
+    cases.append(("singular: row 1 twice row 0",
+                  perturb_pairing(doubled, minus[1], plus[1], -ONE)))
+    for label, case in cases:
+        got = _inverse(_sparse_inverse, case)
+        assert got == _inverse(_dense_inverse, case), label
+        assert isinstance(got, str) == label.startswith("singular"), label
 
 
 @pytest.mark.parametrize("series,rank", [("A", 4), ("D", 4)])
