@@ -25,8 +25,9 @@ from `linalg.SpanBasis`) are sparse, so the crossed-bracket solve and
 the compatibility, form-invariance and Casimir-form checks walk only
 their nonzero entries: each accumulates its exact residual from products
 of nonzero constants, and every index tuple that no product reaches is 0 = 0.
-Reports still count every tuple covered and list violations in index
-order.
+The reconstruction check compares a crossed pair only where its solved
+value or its bracket in the double can be nonzero. Reports still count
+every tuple covered and list violations in index order.
 """
 
 from __future__ import annotations
@@ -310,17 +311,28 @@ def _half_brackets(triple: ManinTriple, basis):
     double = triple.double
     rows = double.adjoint()
     elems = [triple.elem(gid) for gid in basis]
-    # generator h -> positions of the members whose support holds h
+    holders = _holders(elems)
+    for b, x in enumerate(elems):
+        partners = sorted(c for c in _partners(rows, x, holders) if c > b)
+        for c in partners:
+            yield b, c, triple.decompose(double.bracket(x, elems[c]))
+
+
+def _holders(elems) -> dict:
+    """Generator h -> positions of the elements whose support holds h."""
     holders = {}
     for pos, elem in enumerate(elems):
         for gid, _ in elem.terms():
             holders.setdefault(gid, []).append(pos)
-    for b, x in enumerate(elems):
-        partners = sorted({c for gx, _ in x.terms()
-                           for h in rows.get(gx, ())
-                           for c in holders.get(h, ()) if c > b})
-        for c in partners:
-            yield b, c, triple.decompose(double.bracket(x, elems[c]))
+    return holders
+
+
+def _partners(rows, x: Element, holders: dict) -> set:
+    """Positions of the held elements whose bracket with x has a nonzero
+    term, read off the adjoint index `rows`; x brackets every other one
+    to exactly 0."""
+    return {pos for gx, _ in x.terms() for h in rows.get(gx, ())
+            for pos in holders.get(h, ())}
 
 
 def structure_tensors(triple: ManinTriple):
@@ -369,54 +381,60 @@ def crossed_brackets(triple: ManinTriple):
     """[z^p, Z_q] coefficients solved from f, c and the stored pairing.
 
     Returns a dict keyed by (p, q) holding (alpha, beta): the s- and s+
-    coefficient vectors over basis positions, every (p, q) present and
-    in row-major order. With P the pairing over basis positions,
+    coefficient vectors over basis positions, in row-major order, for
+    every pair whose solved value is nonzero; every pair not present
+    solves to 0. With P the pairing over basis positions,
 
       alpha_t = sum_r (sum_s f^s_{q,r} P[p][s]) Pinv[r][t]
       beta_s = -sum_t Pinv[s][t] (sum_r c^{p,t}_r P[r][q])
 
-    and both sums walk only the nonzero entries of f, c, P and Pinv.
+    and both sums walk only the nonzero entries of f, c, P and Pinv: for
+    each p, the inner sums are accumulated over the q they reach, so no
+    pair that no product reaches is visited.
     """
     f, c = structure_tensors(triple)
     k = triple.half_dim
     p_rows = [{} for _ in range(k)]
-    p_cols = [{} for _ in range(k)]
     for (mgid, pgid), value in triple.pairing.items():
         if value:
-            r, s = triple.minus_index[mgid], triple.plus_index[pgid]
-            p_rows[r][s] = p_cols[s][r] = value
+            p_rows[triple.minus_index[mgid]][triple.plus_index[pgid]] = value
     pinv_rows = triple.pairing_inverse()
     pinv_cols = [{} for _ in range(k)]
     for s, row in enumerate(pinv_rows):
         for t, value in row.items():
             pinv_cols[t][s] = value
-    f_by_q = _grouped(f)
+    # upper position s -> [(q, r, f^s_{q,r})]
+    f_by_upper = {}
+    for (q, r), vec in f.items():
+        for s, val in vec.items():
+            f_by_upper.setdefault(s, []).append((q, r, val))
     c_by_p = _grouped(c)
     out = {}
     for p in range(k):
-        for q in range(k):
-            alpha = {}
-            for r, vec in f_by_q.get(q, ()):
-                rhs = ZERO
-                for s, val in vec.items():
-                    weight = p_rows[p].get(s)
-                    if weight is not None:
-                        rhs = rhs + val * weight
-                if rhs:
-                    for t, inv in pinv_rows[r].items():
-                        accumulate(alpha, t, rhs * inv)
-            beta = {}
-            for t, vec in c_by_p.get(p, ()):
-                lhs = ZERO
-                for r, val in vec.items():
-                    weight = p_cols[q].get(r)
-                    if weight is not None:
-                        lhs = lhs - val * weight
-                if lhs:
-                    for s, inv in pinv_cols[t].items():
-                        accumulate(beta, s, inv * lhs)
-            out[(p, q)] = (dict(sorted(alpha.items())),
-                           dict(sorted(beta.items())))
+        rhs = {}                     # (q, r) -> sum_s f^s_{q,r} P[p][s]
+        for s, weight in p_rows[p].items():
+            for q, r, val in f_by_upper.get(s, ()):
+                accumulate(rhs, (q, r), val * weight)
+        alphas = {}
+        for (q, r), value in rhs.items():
+            alpha = alphas.setdefault(q, {})
+            for t, inv in pinv_rows[r].items():
+                accumulate(alpha, t, value * inv)
+        lhs = {}                     # (q, t) -> -sum_r c^{p,t}_r P[r][q]
+        for t, vec in c_by_p.get(p, ()):
+            for r, val in vec.items():
+                for q, weight in p_rows[r].items():
+                    accumulate(lhs, (q, t), -(val * weight))
+        betas = {}
+        for (q, t), value in lhs.items():
+            beta = betas.setdefault(q, {})
+            for s, inv in pinv_cols[t].items():
+                accumulate(beta, s, inv * value)
+        for q in sorted(alphas.keys() | betas.keys()):
+            alpha, beta = alphas.get(q, {}), betas.get(q, {})
+            if alpha or beta:
+                out[(p, q)] = (dict(sorted(alpha.items())),
+                               dict(sorted(beta.items())))
     return out
 
 
@@ -490,29 +508,46 @@ def verify_pairing(triple: ManinTriple) -> CheckReport:
 
 
 def verify_reconstruction(triple: ManinTriple) -> CheckReport:
-    """Crossed brackets solved from (f, c, pairing) must match the double."""
+    """Crossed brackets solved from (f, c, pairing) must match the double.
+
+    A pair (p, q) is decided only where its solved value is nonzero or
+    [z^p, Z_q] can be: where some term of z^p has a nonzero bracket in the
+    double's adjoint index with some term of Z_q. Every other pair is
+    0 = 0. `checked` counts all k^2 pairs, and violations come in
+    row-major order.
+    """
     report = CheckReport(check="reconstruction", passed=True)
     try:
         crossed = crossed_brackets(triple)
     except (ClosureError, SpecError) as err:
         report.add_violation({"error": str(err)})
         return report
-    for (p, q), (alpha, beta) in crossed.items():
-        report.checked += 1
-        actual = triple.double.bracket(triple.elem(triple.sminus[p]),
-                                       triple.elem(triple.splus[q]))
-        rot = triple.decompose(actual)
-        expected = {}
-        for t, val in alpha.items():
-            accumulate(expected, triple.sminus[t], val)
-        for s, val in beta.items():
-            accumulate(expected, triple.splus[s], val)
-        if rot != expected:
-            report.add_violation({
-                "pair": [triple.sminus[p].label, triple.splus[q].label],
-                "actual": sorted(g.label for g in rot),
-                "solved": sorted(g.label for g in expected),
-            })
+    k = triple.half_dim
+    report.checked = k * k
+    double = triple.double
+    rows = double.adjoint()
+    plus = [triple.elem(gid) for gid in triple.splus]
+    holders = _holders(plus)
+    solved = {}
+    for (p, q), value in crossed.items():
+        solved.setdefault(p, {})[q] = value
+    for p, mgid in enumerate(triple.sminus):
+        x = triple.elem(mgid)
+        row = solved.get(p, {})
+        for q in sorted(_partners(rows, x, holders) | row.keys()):
+            rot = triple.decompose(double.bracket(x, plus[q]))
+            alpha, beta = row.get(q, ({}, {}))
+            expected = {}
+            for t, val in alpha.items():
+                accumulate(expected, triple.sminus[t], val)
+            for s, val in beta.items():
+                accumulate(expected, triple.splus[s], val)
+            if rot != expected:
+                report.add_violation({
+                    "pair": [mgid.label, triple.splus[q].label],
+                    "actual": sorted(g.label for g in rot),
+                    "solved": sorted(g.label for g in expected),
+                })
     return report
 
 

@@ -1,4 +1,10 @@
-"""Finite exact linear combinations of generators."""
+"""Finite exact linear combinations of generators.
+
+The public constructor drops zero coefficients. Negation, scaling by a
+nonzero factor and copying build their terms directly: the field has no
+zero divisors, so none of their coefficients can be zero, and Scalars are
+immutable, so a coefficient may be shared with the source.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +14,18 @@ from .generators import GeneratorId
 from .linalg import accumulate
 from .scalars import ONE, ZERO, Scalar
 
+_new = object.__new__
+
 
 def _scalar(value) -> Scalar:
     return value if isinstance(value, Scalar) else Scalar(value)
+
+
+def _holding(terms: dict) -> Element:
+    """An Element holding `terms` itself, which must hold no zero."""
+    out = _new(Element)
+    out._terms = terms
+    return out
 
 
 class Element:
@@ -53,33 +68,33 @@ class Element:
 
     def add_term(self, gid: GeneratorId, coeff) -> None:
         """In-place accumulate; used by builders before an Element is shared."""
-        accumulate(self._terms, gid, _scalar(coeff))
+        accumulate(self._terms, gid,
+                   coeff if type(coeff) is Scalar else _scalar(coeff))
 
     def copy(self) -> Element:
-        dup = Element()
-        dup._terms.update(self._terms)
-        return dup
+        return _holding(dict(self._terms))
 
     def __add__(self, other: Element) -> Element:
-        out = Element(dict(self._terms))
+        terms = dict(self._terms)
         for gid, coeff in other._terms.items():
-            out.add_term(gid, coeff)
-        return out
+            accumulate(terms, gid, coeff)
+        return _holding(terms)
 
     def __sub__(self, other: Element) -> Element:
-        out = Element(dict(self._terms))
+        terms = dict(self._terms)
         for gid, coeff in other._terms.items():
-            out.add_term(gid, -coeff)
-        return out
+            accumulate(terms, gid, -coeff)
+        return _holding(terms)
 
     def __neg__(self) -> Element:
-        return Element({gid: -coeff for gid, coeff in self._terms.items()})
+        return _holding({gid: -coeff for gid, coeff in self._terms.items()})
 
     def scale(self, factor) -> Element:
         factor = _scalar(factor)
         if not factor:
             return Element()
-        return Element({gid: coeff * factor for gid, coeff in self._terms.items()})
+        return _holding({gid: coeff * factor
+                         for gid, coeff in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):

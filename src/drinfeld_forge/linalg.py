@@ -4,7 +4,8 @@
 sum of structure constants, wedges, tensors and matrix entries adds into
 a dict through it, and a coefficient that cancels is dropped at once,
 never stored as zero. Addition in the field is exact, so the dict it
-leaves equals the sum filtered of zeros at the end.
+leaves equals the sum filtered of zeros at the end. The first value at a
+key is stored as it is, not copied: Scalars are immutable and shared.
 
 `SpanBasis` is the one exact elimination of the package: it tests span
 membership (sub-bialgebra checks) and inverts the pairing of a Manin
@@ -14,16 +15,22 @@ by arbitrary hashable coordinates.
 
 from __future__ import annotations
 
-from .scalars import ZERO, Scalar
+from .scalars import Scalar
 
 
 def accumulate(acc: dict, key, value: Scalar) -> None:
-    """Add `value` at `key` of a sparse dict, dropping a sum that cancels."""
-    total = acc.get(key, ZERO) + value
+    """Add `value` at `key` of a sparse dict, dropping a sum that cancels.
+    A key's first value is stored itself."""
+    old = acc.get(key)
+    if old is None:
+        if value:
+            acc[key] = value
+        return
+    total = old + value
     if total:
         acc[key] = total
     else:
-        acc.pop(key, None)
+        del acc[key]
 
 
 class SpanBasis:

@@ -222,10 +222,7 @@ class FockSpace:
                 value = scaled.get(factor)
                 if value is None:
                     value = scaled[factor] = coeff * factor
-                if (row, col) in out:
-                    accumulate(out, (row, col), value)
-                else:
-                    out[(row, col)] = value
+                accumulate(out, (row, col), value)
         return out
 
 

@@ -8,17 +8,39 @@ directly; the rational components a, b, c, d are rebuilt as Fractions only
 when read. The field is closed under the operations used by the structure
 tables (i^2 = -1, sqrt2^2 = 2), so no floating point enters any bracket,
 pairing, or cocommutator.
+
+Scalars are immutable, so one Scalar is shared freely between tables,
+elements and matrices, and a product may return one of its operands: by
+a Scalar 1 it returns the other factor itself, and by -1 its negation,
+with no arithmetic (`__mul__` says which factor is read as the 1). Most
+structure constants of the completely determined basis are signs, so
+this is the common product. Any other rational Scalar factor
+(q = r = s = 0) takes 4 integer products instead of 16, and a Python int
+factor scales the numerators the same way, into a new Scalar, without
+being made a Scalar first. Only a product of two irrational factors
+takes the full formula.
+
+`fractions` is imported only where a Fraction is read or given: the
+components, `rational`, `from_strings`, `str` and `repr`, equality with
+and coercion of a Fraction, and the hash of a value whose denominator is
+not 1. Arithmetic, `to_strings` and the constants below never load it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 _new = object.__new__
 
 
+def _ratio(n: int, d: int) -> Fraction:
+    """n/d as a Fraction (d > 0)."""
+    from fractions import Fraction
+    return Fraction(n, d)
+
+
 def _frac(value) -> Fraction:
+    from fractions import Fraction
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
@@ -37,6 +59,21 @@ def _normalized(p: int, q: int, r: int, s: int, den: int) -> Scalar:
     new._r = r
     new._s = s
     new._den = den
+    return new
+
+
+def _times(x: Scalar, n: int, m: int) -> Scalar:
+    """x * n/m, for a rational n/m in lowest terms (m > 0), by 4 integer
+    products."""
+    den = x._den * m
+    if den != 1:
+        return _normalized(x._p * n, x._q * n, x._r * n, x._s * n, den)
+    new = _new(Scalar)
+    new._p = x._p * n
+    new._q = x._q * n
+    new._r = x._r * n
+    new._s = x._s * n
+    new._den = 1
     return new
 
 
@@ -65,23 +102,24 @@ class Scalar:
 
     @classmethod
     def rational(cls, p, q=1) -> Scalar:
+        from fractions import Fraction
         return cls(Fraction(p, q))
 
     @property
     def a(self) -> Fraction:
-        return Fraction(self._p, self._den)
+        return _ratio(self._p, self._den)
 
     @property
     def b(self) -> Fraction:
-        return Fraction(self._q, self._den)
+        return _ratio(self._q, self._den)
 
     @property
     def c(self) -> Fraction:
-        return Fraction(self._r, self._den)
+        return _ratio(self._r, self._den)
 
     @property
     def d(self) -> Fraction:
-        return Fraction(self._s, self._den)
+        return _ratio(self._s, self._den)
 
     @property
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -104,6 +142,7 @@ class Scalar:
         if isinstance(other, int):
             return (self._den == 1 and self._p == other
                     and not (self._q or self._r or self._s))
+        from fractions import Fraction
         if isinstance(other, Fraction):
             return (self._den == other.denominator and self._p == other.numerator
                     and not (self._q or self._r or self._s))
@@ -111,10 +150,15 @@ class Scalar:
 
     def __hash__(self):
         # equal values hash equal: __eq__ compares a rational value with
-        # ints and Fractions, so it hashes as its Fraction (its int when
-        # den is 1)
+        # ints and Fractions, so it hashes as its Fraction, and any value
+        # as the tuple of its components. Over den 1 each component is an
+        # int, whose hash is its Fraction's.
         if not (self._q or self._r or self._s):
-            return hash(Fraction(self._p, self._den))
+            if self._den == 1:
+                return hash(self._p)
+            return hash(_ratio(self._p, self._den))
+        if self._den == 1:
+            return hash((self._p, self._q, self._r, self._s))
         return hash(self.components)
 
     def __reduce__(self):
@@ -193,10 +237,31 @@ class Scalar:
         return other - self
 
     def __mul__(self, other) -> Scalar:
+        """The product. A rational Scalar factor (the right one, if both
+        are) scales the numerators of the other factor, and when it is 1 or
+        -1 the other factor itself or its negation is returned; an int
+        factor scales the numerators into a new Scalar."""
         if type(other) is not Scalar:
+            if type(other) is int:
+                return _times(self, other, 1)
             other = _coerce(other)
             if other is None:
                 return NotImplemented
+        if not (other._q or other._r or other._s):
+            # lowest terms: p == den only for 1, p == -den only for -1
+            n, m = other._p, other._den
+            if n == m:
+                return self
+            if n == -m:
+                return -self
+            return _times(self, n, m)
+        if not (self._q or self._r or self._s):
+            n, m = self._p, self._den
+            if n == m:
+                return other
+            if n == -m:
+                return -other
+            return _times(other, n, m)
         a1, b1, c1, d1 = self._p, self._q, self._r, self._s
         a2, b2, c2, d2 = other._p, other._q, other._r, other._s
         p = a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
@@ -264,12 +329,18 @@ class Scalar:
 
     def to_strings(self) -> list[str]:
         """Canonical 4-tuple of rational strings, lowest terms, q > 0."""
-        if self._den == 1:
+        den = self._den
+        if den == 1:
             return [str(self._p), str(self._q), str(self._r), str(self._s)]
-        return [str(x) for x in self.components]
+        out = []
+        for n in (self._p, self._q, self._r, self._s):
+            g = gcd(n, den)
+            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return out
 
     @classmethod
     def from_strings(cls, quad) -> Scalar:
+        from fractions import Fraction
         if len(quad) != 4:
             raise ValueError(f"scalar quad must have 4 entries, got {quad!r}")
         return cls(*(Fraction(s) for s in quad))
@@ -299,6 +370,7 @@ def _coerce(value) -> Scalar | None:
         return value
     if isinstance(value, int):
         return _normalized(int(value), 0, 0, 0, 1)
+    from fractions import Fraction
     if isinstance(value, Fraction):
         return _normalized(value.numerator, 0, 0, 0, value.denominator)
     return None
@@ -309,5 +381,5 @@ ONE = Scalar(1)
 I = Scalar(0, 1)
 SQRT2 = Scalar(0, 0, 1)
 I_SQRT2 = Scalar(0, 0, 0, 1)
-HALF = Scalar(Fraction(1, 2))
-INV_SQRT2 = Scalar(0, 0, Fraction(1, 2))     # 1/sqrt2 = sqrt2/2
+HALF = _normalized(1, 0, 0, 0, 2)
+INV_SQRT2 = _normalized(0, 0, 1, 0, 2)     # 1/sqrt2 = sqrt2/2

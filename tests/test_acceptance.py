@@ -362,6 +362,13 @@ def _mutation_fixtures():
     f24 = GeneratorId("F", 2, 4)
     imaged_a3 = mutate_bracket(a3, f23, f24, Element.gen(f34))
 
+    # the crossed bracket [F3,2, F1,2] of an s- root with an s+ root, zero
+    # and solved as zero, given the value F1,3: f, c and the pairing are
+    # unchanged, so only the double's side of that pair becomes nonzero
+    f32 = GeneratorId("F", 3, 2)
+    crossed_a2 = with_double(a2, mutate_bracket(
+        a2.double, f32, f12, Element.gen(f13)))
+
     # C2 at cutoff 4 with [P1,2, P2,2] := i Q1,2: the normal-ordered
     # residual i b_1 b_2 moves only |1,1>, and the pair protects only the
     # vacuum, so only stage 1 sees it
@@ -433,6 +440,8 @@ def _mutation_fixtures():
         ("closure-new-bracket", lambda: verify_closure(escaped_a2)),
         ("chain-new-bracket", lambda: verify_chain_embedding(
             "A", 2, big_double=imaged_a3)),
+        ("reconstruction-new-bracket",
+         lambda: verify_reconstruction(crossed_a2)),
         ("rep-bosonic-stage1", lambda: verify_rep_homomorphism(
             unseen_c2, boson)),
         ("rep-bosonic-high-entry", lambda: verify_rep_homomorphism(

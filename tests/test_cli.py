@@ -356,6 +356,35 @@ def test_verify_path_never_imports_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_verify_path_never_imports_fractions():
+    # the arithmetic runs on integer numerators, so neither the algebraic
+    # checks nor rep,casimir load `fractions` or, through it, `decimal`;
+    # the components are still Fractions once one is read
+    src = os.path.dirname(os.path.dirname(drinfeld_forge.__file__))
+    checks = ",".join(("jacobi", "closure", "pairing", "reconstruction",
+                       "compatibility", "selfdual", "forminv", "delta-agree",
+                       "cocycle", "cojacobi", "subbialg", "coboundary",
+                       "cybe", "twist", "chain"))
+    code = ("import sys\n"
+            "from drinfeld_forge import cli\n"
+            f"for argv in (['--checks', '{checks}'], "
+            "['--checks', 'rep,casimir', '--cutoff', '3']):\n"
+            "    rc = cli.main(['verify', '--series', 'A', '--rank', '2'] "
+            "+ argv)\n"
+            "    assert rc == 0, (argv, rc)\n"
+            "    for name in ('fractions', 'decimal', '_decimal'):\n"
+            "        assert name not in sys.modules, (argv, name)\n"
+            "from fractions import Fraction\n"
+            "from drinfeld_forge import HALF\n"
+            "assert type(HALF.a) is Fraction and HALF.a == Fraction(1, 2)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_perfbench_stems_are_cli_attributes():
     # `perfbench/child.py --trace 1` wraps every CLI_STEMS name on the cli
     # module, so each must exist once cli is imported; the file is parsed,

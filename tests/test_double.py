@@ -106,6 +106,12 @@ def test_crossed_bracket_oracles():
     assert alpha == {0: -half_rt2, 1: half_rt2}
     assert beta == {0: -half_rt2, 1: half_rt2}
 
+    # two Cartans commute, and a pair that solves to 0 is not stored
+    with pytest.raises(KeyError):
+        find("x^1", "X1")
+    assert list(crossed) == sorted(crossed) and len(crossed) == 5
+    assert all(alpha or beta for alpha, beta in crossed.values())
+
 
 def test_structure_tensors_antisymmetry():
     triple = canonical_triple("B", 2)

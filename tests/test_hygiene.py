@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, no
 package module imports another one's private (underscore) names, no
-package function, class or method is left unnamed, and no package
-invariant rests on an assert statement, which `python -O` strips."""
+package function, class or method is left unnamed, no package invariant
+rests on an assert statement, which `python -O` strips, and no package
+module imports `fractions` or `decimal` when it is itself imported."""
 
 import ast
 import pathlib
@@ -188,3 +189,51 @@ def test_checker_sees_a_bare_assert():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda path: path.name)
 def test_no_bare_assert(path):
     assert bare_asserts(path.read_text(encoding="utf-8")) == []
+
+
+# loaded only where a Fraction is read or given (`scalars`), so that the
+# verify path never pays for them or for the `_decimal` extension
+LAZY_MODULES = ("fractions", "decimal")
+
+
+def eager_imports(source: str, lazy=LAZY_MODULES) -> list[str]:
+    """Imports of a lazy module outside every function body: those run
+    when the module itself is imported."""
+    out = []
+
+    def visit(node, in_function):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            names = []
+        if not in_function:
+            out.extend(f"line {node.lineno}: {name}" for name in names
+                       if name.split(".")[0] in lazy)
+        inner = in_function or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner)
+
+    visit(ast.parse(source), False)
+    return out
+
+
+def test_checker_sees_an_eager_fractions_import():
+    source = ("import fractions\n"
+              "from decimal import Decimal\n"
+              "from .scalars import ONE\n"
+              "if ONE:\n    from fractions import Fraction\n"
+              "class Scalar:\n    import decimal.context\n"
+              "    def a(self):\n        from fractions import Fraction\n"
+              "        return Fraction(1)\n"
+              "def f():\n    import decimal\n")
+    assert eager_imports(source) == [
+        "line 1: fractions", "line 2: decimal", "line 5: fractions",
+        "line 7: decimal.context"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda path: path.name)
+def test_no_eager_fractions_import(path):
+    assert eager_imports(path.read_text(encoding="utf-8")) == []

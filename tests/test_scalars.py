@@ -245,3 +245,70 @@ def test_non_rational_components_are_rejected():
         Scalar(0.5)
     assert Scalar(1).__eq__(1.0) is NotImplemented
     assert Scalar(1).__add__(1.0) is NotImplemented
+
+
+# The short paths of the product: a Scalar factor 1 or -1 returns the
+# other factor or its negation, any other rational factor takes 4 integer
+# products, and a Python int scales the numerators without becoming a
+# Scalar. Each is held to the reference on either side of the product.
+
+signs = st.sampled_from([ONE, -ONE, Scalar(1), Scalar(-1),
+                         Scalar(Fraction(3, 3)), Scalar.rational(-2, 2)])
+
+rational_scalars = st.one_of(
+    st.builds(Scalar, wide_rationals), st.builds(Scalar, rationals),
+    st.sampled_from([ZERO, HALF, -HALF, Scalar(2), Scalar(-2),
+                     Scalar(Fraction(-3, 4)), Scalar(Fraction(4, 3))]))
+
+small_ints = st.one_of(st.integers(min_value=-40, max_value=40),
+                       st.integers(min_value=-10**30, max_value=10**30))
+
+
+@given(any_scalars, signs)
+def test_products_by_a_sign_match_reference(x, sign):
+    rx, rs = ref(x), ref(sign)
+    assert_same(x * sign, rx * rs)
+    assert_same(sign * x, rs * rx)
+    if sign == ONE:
+        # a factor 1 returns the other factor itself (Scalars are
+        # immutable); of two rationals, the right one is read as the factor
+        assert x * sign is x
+        assert sign * x is x or x.is_rational()
+    assert x * ONE == x == ONE * x
+    assert x * -ONE == -x == -ONE * x
+
+
+@given(any_scalars, rational_scalars)
+def test_products_by_a_rational_match_reference(x, q):
+    rx, rq = ref(x), ref(q)
+    assert_same(x * q, rx * rq)
+    assert_same(q * x, rq * rx)
+    assert_same(q * q, rq * rq)
+
+
+@given(any_scalars, small_ints)
+def test_products_by_an_int_match_reference(x, n):
+    rx = ref(x)
+    assert_same(x * n, rx * n)
+    assert_same(n * x, n * rx)
+    assert_same(x * n, x * Scalar(n))
+
+
+@pytest.mark.parametrize("x,n,want", [
+    (HALF, 2, ONE), (HALF, -2, -ONE), (INV_SQRT2, 2, SQRT2),
+    (Scalar(Fraction(1, 6), 0, Fraction(-1, 3)), 6, Scalar(1, 0, -2)),
+    (Scalar(0, Fraction(3, 4)), 4, Scalar(0, 3)), (HALF, 0, ZERO)])
+def test_products_that_clear_the_denominator_are_normal(x, n, want):
+    # den > 1 times an int, or a rational Scalar, lands on den 1
+    for got in (x * n, n * x, x * Scalar(n), Scalar(n) * x):
+        assert_same(got, ref(want))
+        assert normal_form(got) == normal_form(want)
+        assert got.to_strings() == want.to_strings()
+        assert hash(got) == hash(want)
+
+
+def test_to_strings_writes_lowest_terms_itself():
+    x = Scalar(Fraction(2, 4), 1, Fraction(-6, 8), Fraction(3, 12))
+    assert x.to_strings() == ["1/2", "1", "-3/4", "1/4"]
+    assert x.to_strings() == [str(v) for v in x.components]
+    assert (x * 4).to_strings() == ["2", "4", "-3", "1"]
