@@ -27,8 +27,8 @@ def main() -> None:
     table = cocommutator_from_structure(triple)
 
     print("cocommutator of A2 on a simple and on a composite root:")
-    show_wedge("delta(F1,2)", table.delta(parse_label("F1,2")))
-    show_wedge("delta(F1,3)", table.delta(parse_label("F1,3")))
+    show_wedge("delta(F1,2)", table[parse_label("F1,2")])
+    show_wedge("delta(F1,3)", table[parse_label("F1,3")])
     print(SEP)
 
     print("the structure-derived and closed-form tables agree:")
@@ -38,8 +38,8 @@ def main() -> None:
     rmat = build_r_matrix(triple)
     print("r-matrix skew parts (the nonskew part is the canonical")
     print("element of the pairing and drops out of delta):")
-    show_wedge("root part", rmat.skew_root)
-    show_wedge("Cartan part", rmat.skew_cartan)
+    show_wedge("root part", rmat["skew_root"])
+    show_wedge("Cartan part", rmat["skew_cartan"])
     print(SEP)
 
     print("delta is the coboundary of r, and r solves the classical")

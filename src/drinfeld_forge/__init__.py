@@ -8,8 +8,7 @@ stack bit-exactly, with oscillator matrix representations as cross-checks.
 
 from .algebra import (LieAlgebra, build_series, mutate_bracket,
                       shift_generator, verify_jacobi)
-from .bialgebra import (CocommutatorTable, RMatrix, SPAN_BUILDERS,
-                        a_chain_span, build_r_matrix,
+from .bialgebra import (SPAN_BUILDERS, a_chain_span, build_r_matrix,
                         cocommutator_explicit, cocommutator_from_structure,
                         delta_discrepancy_audit, discrepancy_report_markdown,
                         orthogonal_span_in_b, twisted_cartan_part,

@@ -299,25 +299,21 @@ class LieAlgebra:
             raise ForeignGeneratorError(f"{gid.label} is not in the {self.series}{self.rank} basis")
 
     def bracket_gens(self, p: GeneratorId, q: GeneratorId) -> Element:
+        """[p, q] of two members, read from the adjoint index as `bracket`
+        reads it: a fresh Element, which the caller may edit."""
         self._check_member(p)
         self._check_member(q)
-        if p == q:
-            return Element()
-        if self.index[p] < self.index[q]:
-            entry = self.table.get((p, q))
-            return entry.copy() if entry is not None else Element()
-        entry = self.table.get((q, p))
-        return -entry if entry is not None else Element()
+        entry = self.adjoint().get(p, {}).get(q)
+        return entry.copy() if entry is not None else Element()
 
     def entries(self):
-        """(position of p, position of q, [p, q]) for every nonzero stored
-        bracket of two members with p before q: the entries bracket_gens
-        reads."""
+        """(position of p, position of q, [p, q]) for every stored entry,
+        in table order. `build_series`, `mutate_bracket` and `restrict`
+        store each nonzero bracket of two members once, p before q, so
+        this is every nonzero bracket, each read once."""
         index = self.index
         for (p, q), entry in self.table.items():
-            pp, pq = index.get(p), index.get(q)
-            if pp is not None and pq is not None and pp < pq and entry:
-                yield pp, pq, entry
+            yield index[p], index[q], entry
 
     def adjoint(self) -> dict:
         """The adjoint index: generator g -> {h: [g, h]} over every nonzero
@@ -326,10 +322,10 @@ class LieAlgebra:
         Each entry [p, q] is listed under p as itself and under q as its
         negation, in table order, and every term of it is checked to be a
         member once, here (ForeignGeneratorError otherwise). A generator
-        that brackets every member to zero has no key. The kernels that
-        join nonzero data read this index instead of bracketing pairs; it
-        is built on first use and kept, which is sound because instances
-        are never edited in place.
+        that brackets every member to zero has no key. Both brackets and
+        the kernels that join nonzero data read this index; it is built
+        on first use and kept, which is sound because instances are never
+        edited in place.
         """
         if self._adjoint is None:
             basis = self.basis

@@ -4,9 +4,10 @@ The cocommutator comes in two independent forms. The structural one reads
 the Manin triple: delta(Z_p) = -c^{q,r}_p Z_q x Z_r on s+ and
 delta(z^p) = +f^p_{q,r} z^q x z^r on s-, transported to the H/I/root basis
 through the Cartan rotation. The explicit one is a closed-form table over
-the same basis. Both land in normal-form wedges (a x b - b x a stored at
-basis positions a < b), and verify_delta_agreement requires them to match
-generator by generator.
+the same basis. Both are plain dicts that map every basis generator, in
+basis order, to its normal-form wedge (a x b - b x a stored at basis
+positions a < b, no zero coefficient), and verify_delta_agreement requires
+them to match generator by generator.
 
 cocommutator_explicit(verbatim=True) reproduces the uncorrected reference
 transcription of the closed-form table; the default applies corrections.
@@ -50,29 +51,10 @@ def wedge_of_elements(index: dict, a: Element, b: Element, out=None,
     return out
 
 
-class CocommutatorTable:
-    """Normal-form wedge delta(g) for every basis generator of one algebra."""
-
-    def __init__(self, alg: LieAlgebra, table: dict):
-        self.alg = alg
-        self._table = table
-
-    def delta(self, gid: GeneratorId) -> dict:
-        return self._table.get(gid, {})
-
-    def delta_elem(self, elem: Element) -> dict:
-        out = {}
-        for gid, coeff in elem.terms():
-            for key, val in self.delta(gid).items():
-                accumulate(out, key, coeff * val)
-        return out
-
-    def items(self):
-        return ((gid, self._table.get(gid, {})) for gid in self.alg.basis)
-
-
-def cocommutator_from_structure(triple: ManinTriple) -> CocommutatorTable:
-    """Cocommutator read off the triple's structure tensors.
+def cocommutator_from_structure(triple: ManinTriple) -> dict:
+    """Cocommutator read off the triple's structure tensors: every basis
+    generator of the double, in basis order, mapped to its normal-form
+    wedge delta(g).
 
     Built on first use and kept on the triple, as its structure tensors
     are: a triple is never edited in place, and the helpers that change
@@ -111,12 +93,13 @@ def cocommutator_from_structure(triple: ManinTriple) -> CocommutatorTable:
             for key, val in src.items():
                 accumulate(out, key, coeff * val)
         table[gid] = out
-    triple._delta = CocommutatorTable(alg, table)
-    return triple._delta
+    triple._delta = table
+    return table
 
 
-def cocommutator_explicit(alg: LieAlgebra, verbatim: bool = False) -> CocommutatorTable:
-    """Closed-form cocommutator table for the canonical splitting.
+def cocommutator_explicit(alg: LieAlgebra, verbatim: bool = False) -> dict:
+    """Closed-form cocommutator for the canonical splitting: every basis
+    generator, in basis order, mapped to its normal-form wedge delta(g).
 
     verbatim=True keeps the uncorrected reference transcription: a wrong
     wedge partner in the diagonal Q entry, upward sums missing from the
@@ -237,7 +220,7 @@ def cocommutator_explicit(alg: LieAlgebra, verbatim: bool = False) -> Cocommutat
             for k in bounds:
                 wedge_insert(w, idx, F(k, i), GeneratorId("V", k), ONE)
         table[gid] = w
-    return CocommutatorTable(alg, table)
+    return table
 
 
 def delta_discrepancy_audit(alg: LieAlgebra) -> list[dict]:
@@ -247,8 +230,8 @@ def delta_discrepancy_audit(alg: LieAlgebra) -> list[dict]:
     transcribed = cocommutator_explicit(alg, verbatim=True)
     audit = []
     for gid in alg.basis:
-        good = corrected.delta(gid)
-        raw = transcribed.delta(gid)
+        good = corrected[gid]
+        raw = transcribed[gid]
         if good == raw:
             continue
         missing = [[a.label, b.label, str(v)] for (a, b), v in good.items()
@@ -340,8 +323,8 @@ def verify_delta_agreement(triple: ManinTriple) -> CheckReport:
     report = CheckReport(check="delta-agree", passed=True,
                          checked=len(triple.double.basis))
     for gid in triple.double.basis:
-        got = structural.delta(gid)
-        want = explicit.delta(gid)
+        got = structural[gid]
+        want = explicit[gid]
         if got != want:
             extra = [[a.label, b.label, str(v)] for (a, b), v in got.items()
                      if want.get((a, b)) != v]
@@ -353,7 +336,7 @@ def verify_delta_agreement(triple: ManinTriple) -> CheckReport:
     return report
 
 
-def verify_cocycle(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
+def verify_cocycle(alg: LieAlgebra, table: dict) -> CheckReport:
     """delta([x, y]) = ad_x delta(y) - ad_y delta(x) on every basis pair,
     exactly.
 
@@ -383,7 +366,7 @@ def verify_cocycle(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
     factors = {}
     for py, gid in enumerate(basis):
         row = []
-        for (a, b), w in table.delta(gid).items():
+        for (a, b), w in table[gid].items():
             alg._check_member(a)
             alg._check_member(b)
             row += ((a, b, w), (b, a, -w))
@@ -399,7 +382,7 @@ def verify_cocycle(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
         for py, entry in rows.get(px, ()):
             acc = residuals[py] = {}
             for g, cg in entry.terms():
-                for key, val in table.delta(g).items():
+                for key, val in table[g].items():
                     accumulate(acc, key, cg * val)
         # + ad_y delta(x) adds v [y, s] ^ t = v t ^ [s, y] for each term of
         # delta(x), and - ad_x delta(y) adds -v [x, s] ^ t = v t ^ [x, s]
@@ -422,7 +405,7 @@ def verify_cocycle(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
     return report
 
 
-def verify_cojacobi(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
+def verify_cojacobi(alg: LieAlgebra, table: dict) -> CheckReport:
     """Cyclic sum of (delta x id) o delta must vanish on every generator.
 
     Each delta(a) is a wedge, a sum of w (s ^ t) with s ^ t = s x t - t x s,
@@ -449,7 +432,7 @@ def verify_cojacobi(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
     wedges = {}
     for gid in alg.basis:
         row = wedges[gid] = []
-        for (a, b), w in table.delta(gid).items():
+        for (a, b), w in table[gid].items():
             ps, pt = index[a], index[b]
             if ps < pt:
                 row.append((ps, pt, w))
@@ -459,7 +442,7 @@ def verify_cojacobi(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
                          checked=len(alg.basis))
     for gid in alg.basis:
         residual = {}
-        for (a, b), w in table.delta(gid).items():
+        for (a, b), w in table[gid].items():
             for third, outer, inner in ((index[b], w, wedges[a]),
                                         (index[a], -w, wedges[b])):
                 for ps, pt, v in inner:
@@ -475,7 +458,7 @@ def verify_cojacobi(alg: LieAlgebra, table: CocommutatorTable) -> CheckReport:
     return report
 
 
-def verify_subbialgebra(alg: LieAlgebra, table: CocommutatorTable,
+def verify_subbialgebra(alg: LieAlgebra, table: dict,
                         elements: list[Element], label: str) -> CheckReport:
     """Span must close under the bracket and delta must land in its wedge.
 
@@ -498,7 +481,10 @@ def verify_subbialgebra(alg: LieAlgebra, table: CocommutatorTable,
     report.details["span"] = label
     report.details["span_dim"] = len(span)
     for elem in elements:
-        image = table.delta_elem(elem)
+        image = {}
+        for gid, coeff in elem.terms():
+            for key, val in table[gid].items():
+                accumulate(image, key, coeff * val)
         if not wedge_span.contains(image):
             outside = wedge_span.reduce(image)
             report.add_violation({
@@ -510,14 +496,6 @@ def verify_subbialgebra(alg: LieAlgebra, table: CocommutatorTable,
                                                       alg.index[kv[0][1]]))],
             })
     return report
-
-
-def splus_span(triple: ManinTriple) -> list[Element]:
-    return [triple.elem(g) for g in triple.splus]
-
-
-def sminus_span(triple: ManinTriple) -> list[Element]:
-    return [triple.elem(g) for g in triple.sminus]
 
 
 def a_chain_span(alg: LieAlgebra, centrals: bool = False) -> list[Element]:
@@ -548,8 +526,8 @@ def orthogonal_span_in_b(alg: LieAlgebra) -> list[Element]:
 
 
 SPAN_BUILDERS = {
-    "splus": lambda triple: ("s+", splus_span(triple)),
-    "sminus": lambda triple: ("s-", sminus_span(triple)),
+    "splus": lambda triple: ("s+", [triple.elem(g) for g in triple.splus]),
+    "sminus": lambda triple: ("s-", [triple.elem(g) for g in triple.sminus]),
     "An": lambda triple: ("A-chain", a_chain_span(triple.double)),
     "Anc": lambda triple: ("A-chain-central",
                            a_chain_span(triple.double, centrals=True)),
@@ -557,24 +535,11 @@ SPAN_BUILDERS = {
 }
 
 
-class RMatrix:
-    """Skew root and Cartan parts plus the full nonskew tensor."""
-
-    def __init__(self, skew_root: dict, skew_cartan: dict, nonskew: dict):
-        self.skew_root = skew_root
-        self.skew_cartan = skew_cartan
-        self.nonskew = nonskew
-
-    def skew_wedge(self, include_cartan: bool = True) -> dict:
-        out = dict(self.skew_root)
-        if include_cartan:
-            for key, val in self.skew_cartan.items():
-                accumulate(out, key, val)
-        return out
-
-
-def build_r_matrix(triple: ManinTriple) -> RMatrix:
-    """r = sum z^p x Z_p; its skew half splits into root and Cartan parts."""
+def build_r_matrix(triple: ManinTriple) -> dict:
+    """r = sum z^p x Z_p, as its three parts in export order: "nonskew",
+    the tensor r itself ((g, h) -> r_gh), then the normal-form wedges of
+    its skew half, split into "skew_root" and "skew_cartan" (the terms
+    with both factors an H or I)."""
     index = triple.double.index
     nonskew = {}
     for mgid, pgid in zip(triple.sminus, triple.splus):
@@ -588,7 +553,8 @@ def build_r_matrix(triple: ManinTriple) -> RMatrix:
         target = skew_cartan if ga.kind in ("H", "I") and gb.kind in ("H", "I") \
             else skew_root
         wedge_insert(target, index, ga, gb, val * HALF)
-    return RMatrix(skew_root, skew_cartan, nonskew)
+    return {"nonskew": nonskew, "skew_root": skew_root,
+            "skew_cartan": skew_cartan}
 
 
 def _ad_images(alg: LieAlgebra, wedge: dict):
@@ -628,7 +594,7 @@ def _ad_images(alg: LieAlgebra, wedge: dict):
         yield z, out
 
 
-def verify_coboundary(triple: ManinTriple, table: CocommutatorTable | None = None,
+def verify_coboundary(triple: ManinTriple, table: dict | None = None,
                       include_cartan: bool = True) -> CheckReport:
     """delta must equal the coboundary of the skew r-matrix part.
 
@@ -640,10 +606,13 @@ def verify_coboundary(triple: ManinTriple, table: CocommutatorTable | None = Non
     if table is None:
         table = cocommutator_from_structure(triple)
     rmat = build_r_matrix(triple)
-    wedge = rmat.skew_wedge(include_cartan)
+    wedge = dict(rmat["skew_root"])
+    if include_cartan:
+        for key, val in rmat["skew_cartan"].items():
+            accumulate(wedge, key, val)
     report = CheckReport(check="coboundary", passed=True, checked=alg.dim)
     for gid, actual in _ad_images(alg, wedge):
-        expected = table.delta(gid)
+        expected = table[gid]
         if actual != expected:
             diff = dict(actual)
             for key, val in expected.items():
@@ -659,16 +628,16 @@ def verify_coboundary(triple: ManinTriple, table: CocommutatorTable | None = Non
 def verify_cybe(triple: ManinTriple) -> CheckReport:
     """[r12, r13] + [r12, r23] + [r13, r23] = 0 for the nonskew r.
 
-    With r = sum r_gh g x h over the double basis (`RMatrix.nonskew`), the
-    three brackets are the sums of r_gh r_g'h' times [g, g'] x h x h',
-    g x [h, g'] x h' and g x g' x [h, h'], so each is a join of r with
-    itself through the adjoint index, and a product with a zero bracket
-    is never formed. `checked` counts the pairs of matched basis pairs,
+    With r = sum r_gh g x h over the double basis (the "nonskew" part of
+    `build_r_matrix`), the three brackets are the sums of r_gh r_g'h'
+    times [g, g'] x h x h', g x [h, g'] x h' and g x g' x [h, h'], so each
+    is a join of r with itself through the adjoint index, and a product
+    with a zero bracket is never formed. `checked` counts the pairs of matched basis pairs,
     and the sample is the first five residual terms in basis order.
     """
     alg = triple.double
     adjoint = alg.adjoint()
-    r = build_r_matrix(triple).nonskew
+    r = build_r_matrix(triple)["nonskew"]
     # first factor -> [(second, r_gh)], and second factor -> [(first, r_gh)]
     by_first, by_second = {}, {}
     for (g, h), v in r.items():
@@ -733,11 +702,10 @@ def twisted_cartan_part(triple: ManinTriple) -> tuple[dict, str]:
     if triple.spec.mode != "canonical":
         raise SpecError("the central twist is defined for the canonical "
                         "splitting only")
-    rmat = build_r_matrix(triple)
+    cartan = build_r_matrix(triple)["skew_cartan"]
     if triple.double.series == "A":
-        return (identify_centrals(rmat.skew_cartan, triple.double.index),
-                "identified")
-    return zero_centrals(rmat.skew_cartan), "zeroed"
+        return identify_centrals(cartan, triple.double.index), "identified"
+    return zero_centrals(cartan), "zeroed"
 
 
 def verify_twist(triple: ManinTriple) -> CheckReport:
@@ -817,8 +785,8 @@ def verify_chain_embedding(series: str, rank: int,
     big_delta = cocommutator_from_structure(big_triple)
     for g in small.basis:
         want = {}
-        for (a, b), val in small_delta.delta(g).items():
+        for (a, b), val in small_delta[g].items():
             wedge_insert(want, big.index, phi[a], phi[b], val)
-        if big_delta.delta(phi[g]) != want:
+        if big_delta[phi[g]] != want:
             report.add_violation({"kind": "delta", "gen": g.label})
     return report

@@ -241,21 +241,15 @@ def _run_export(args):
     if args.what == "brackets":
         text = table_text(alg.to_json())
     elif args.what == "delta":
-        table = cocommutator_from_structure(triple)
         payload = delta_json(alg.series, alg.rank, alg.basis,
-                             {gid: table.delta(gid) for gid in alg.basis})
+                             cocommutator_from_structure(triple))
         payload["spec"] = triple.spec.to_json()
         text = dumps_canonical(payload)
     elif args.what == "rmatrix":
-        rmat = build_r_matrix(triple)
-        payload = {
-            "series": alg.series,
-            "rank": alg.rank,
-            "spec": triple.spec.to_json(),
-            "nonskew": wedge_json(rmat.nonskew, alg.index),
-            "skew_root": wedge_json(rmat.skew_root, alg.index),
-            "skew_cartan": wedge_json(rmat.skew_cartan, alg.index),
-        }
+        payload = {"series": alg.series, "rank": alg.rank,
+                   "spec": triple.spec.to_json()}
+        for part, wedge in build_r_matrix(triple).items():
+            payload[part] = wedge_json(wedge, alg.index)
         text = dumps_canonical(payload)
     elif args.what == "pairing":
         text = matrix_text_exact(

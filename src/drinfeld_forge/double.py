@@ -84,19 +84,11 @@ class SplittingSpec:
                 "central set must list exactly the unpaired Cartan indices")
         return self.pairs, tuple(sorted(central))
 
-    def key(self):
-        return (self.pairs, self.central)
-
     def to_json(self) -> dict:
         out = {"mode": self.mode, "pairs": [list(p) for p in self.pairs]}
         if self.central is not None:
             out["central"] = sorted(self.central)
         return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> SplittingSpec:
-        return cls(tuple(tuple(p) for p in data.get("pairs", ())),
-                   data.get("central"))
 
     @classmethod
     def parse(cls, text: str) -> SplittingSpec:
@@ -288,9 +280,11 @@ def split(series: str, rank: int,
     alg = build_series(series, rank)
     kept_central = set(central)
     if len(kept_central) < n:
+        # no I_k has a nonzero bracket or is a term of one, so dropping
+        # the unpaired ones drops no entry of the table
         keep = [gid for gid in alg.basis
                 if gid.kind != "I" or gid.i in kept_central]
-        alg = alg.restrict(keep)
+        alg = LieAlgebra(series, rank, keep, alg.table, n)
     rotation = CartanRotation(spec, n)
     return ManinTriple(alg, spec, rotation)
 

@@ -55,11 +55,7 @@ class Oscillators:
             out = {}
             for w, n in terms.items():
                 for moved, factor in self._times(w, letter):
-                    total = out.get(moved, 0) + n * factor
-                    if total:
-                        out[moved] = total
-                    else:
-                        del out[moved]
+                    accumulate(out, moved, n * factor)
             terms = out
         return terms
 

@@ -50,12 +50,6 @@ def test_bad_specs_rejected(text):
         spec.resolve(3)
 
 
-def test_spec_json_round_trip():
-    spec = SplittingSpec.parse("mixed:pairs=1-2;central=3")
-    again = SplittingSpec.from_json(spec.to_json())
-    assert again.key() == spec.key()
-
-
 def test_canonical_rotation_shape():
     triple = canonical_triple("A", 1)
     assert [g.label for g in triple.splus] == ["X1", "X2", "F1,2"]

@@ -1,8 +1,10 @@
 """Source hygiene: every name a package module imports is used in it, no
 package module imports another one's private (underscore) names, no
-package function, class or method is left unnamed, no package invariant
-rests on an assert statement, which `python -O` strips, and no package
-module imports `fractions` or `decimal` when it is itself imported."""
+package function, class or method is left unnamed or named by the tests
+alone (but for an allowlist that gives each one's reason), no package
+invariant rests on an assert statement, which `python -O` strips, and no
+package module imports `fractions` or `decimal` when it is itself
+imported."""
 
 import ast
 import pathlib
@@ -132,12 +134,60 @@ def test_checker_sees_a_leftover_helper():
         "reps: _rows", "reps: unused"]
 
 
+def _sources(folders) -> list[str]:
+    return [path.read_text(encoding="utf-8") for folder in folders
+            for path in sorted((ROOT / folder).rglob("*.py"))]
+
+
+def _package_modules() -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in ALL_MODULES}
+
+
 def test_every_definition_is_named():
-    sources = [path.read_text(encoding="utf-8") for folder in READERS
-               for path in sorted((ROOT / folder).rglob("*.py"))]
-    modules = {path.name: path.read_text(encoding="utf-8")
-               for path in ALL_MODULES}
-    assert unnamed(modules, sources) == []
+    assert unnamed(_package_modules(), _sources(READERS)) == []
+
+
+# package definitions that only the tests name, each kept for a reason
+TEST_ONLY = {
+    "algebra.py: restrict": "the sub-table fixture of the kernel tests",
+    "algebra.py: weight_of": "kept for the planned `grading` verifier",
+    "scalars.py: rational": "field API, checked against fraction_scalar",
+    "scalars.py: is_rational": "field API, checked against fraction_scalar",
+    "scalars.py: conj_sqrt2": "field API, checked against fraction_scalar",
+    "scalars.py: from_strings": "field API, checked against fraction_scalar",
+}
+
+
+def named_only_by_tests(modules: dict[str, str], sources, tests) -> list[str]:
+    """Definitions of `modules` that the `tests` sources name and no other
+    source does."""
+    anywhere = set(unnamed(modules, list(sources) + list(tests)))
+    return [entry for entry in unnamed(modules, sources)
+            if entry not in anywhere]
+
+
+def test_checker_sees_a_helper_only_tests_name():
+    # `size` is named by the package, `parse` only by a test, and
+    # `unused` by nothing (test_every_definition_is_named reports it)
+    module = ("class Space:\n"
+              "    def __init__(self):\n        self.dim = self.size()\n"
+              "    def size(self):\n        return 0\n"
+              "    def unused(self):\n        return 1\n"
+              "def parse(text):\n    return Space()\n")
+    test = "from drinfeld_forge.reps import parse\nparse('')\n"
+    assert named_only_by_tests({"reps": module}, [module], [test]) == [
+        "reps: parse"]
+
+
+def test_no_helper_lives_for_the_tests_alone():
+    flagged = named_only_by_tests(
+        _package_modules(),
+        _sources(folder for folder in READERS if folder != "tests"),
+        _sources(["tests"]))
+    assert [entry for entry in flagged if entry not in TEST_ONLY] == []
+    # and no allowance outlives its definition's last package-side reader
+    assert [entry for entry in TEST_ONLY if entry not in flagged] == []
 
 
 def imported_names(source: str) -> set[str]:

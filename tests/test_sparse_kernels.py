@@ -21,9 +21,10 @@ unclosed must raise the same error. cocycle, cojacobi and coboundary are
 compared against the cocommutator derived from each input and against
 the one of the unmutated splitting, and on seeded edits of the
 cocommutator table itself; chain on seeded mutations of the receiving
-double. Guards patch the pair walks to raise inside the joined kernels:
-`bracket_gens`, the reference `ad_wedge`, and `LieAlgebra.bracket` on a
-pair with no term pair that brackets to a nonzero value. Other tests
+double. Guards patch the pair walks to raise inside the joined kernels
+and a mixed split: `bracket_gens`, the reference's `_bracket_gens` and
+`ad_wedge`, and `LieAlgebra.bracket` on a pair with no term pair that
+brackets to a nonzero value. Other tests
 check that every memo of a triple starts empty on the copies the
 mutation helpers return.
 
@@ -54,8 +55,8 @@ import pytest
 
 import dense_reference as dense
 from drinfeld_forge import (HALF, I, ONE, SQRT2, ZERO, CasimirElement,
-                            CocommutatorTable, Element, GeneratorId, Scalar,
-                            ad_invariance_report, bosonic_rep, build_series,
+                            Element, GeneratorId, Scalar, ad_invariance_report,
+                            bosonic_rep, build_series,
                             canonical_triple, casimir_double,
                             casimir_quadratic, cocommutator_from_structure,
                             crossed_brackets, fermionic_rep, mutate_bracket,
@@ -287,11 +288,9 @@ def _mutated_deltas(alg, table, rng):
     assert lonely and centrals
 
     def edited(gid, name, edit):
-        wedge = dict(table.delta(gid))
+        wedge = dict(table[gid])
         edit(wedge)
-        deltas = dict(table.items())
-        deltas[gid] = wedge
-        return f"delta({gid.label}) {name}", CocommutatorTable(alg, deltas)
+        return f"delta({gid.label}) {name}", {**table, gid: wedge}
 
     def added(gid, a, b):
         factor = rng.choice(FACTORS)
@@ -300,7 +299,7 @@ def _mutated_deltas(alg, table, rng):
                                                  factor))
 
     gid = rng.choice([gid for gid, wedge in table.items() if wedge])
-    key = rng.choice(sorted(table.delta(gid),
+    key = rng.choice(sorted(table[gid],
                             key=lambda k: (alg.index[k[0]], alg.index[k[1]])))
     return [
         added(rng.choice(alg.basis), *rng.sample(alg.basis, 2)),
@@ -331,7 +330,7 @@ def _seeded_deltas(alg, table, rng, count):
     out = []
     for _ in range(count):
         gid = rng.choice(alg.basis)
-        wedge = dict(table.delta(gid))
+        wedge = dict(table[gid])
         if wedge and rng.random() < 0.3:
             key = rng.choice(sorted(wedge, key=lambda k: (alg.index[k[0]],
                                                           alg.index[k[1]])))
@@ -342,10 +341,7 @@ def _seeded_deltas(alg, table, rng, count):
             factor = rng.choice(FACTORS)
             wedge_insert(wedge, alg.index, a, b, factor)
             name = f"+ ({factor}) {a.label} ^ {b.label}"
-        deltas = dict(table.items())
-        deltas[gid] = wedge
-        out.append((f"delta({gid.label}) {name}",
-                    CocommutatorTable(alg, deltas)))
+        out.append((f"delta({gid.label}) {name}", {**table, gid: wedge}))
     return out
 
 
@@ -421,9 +417,10 @@ def test_chain_refuses_another_triple():
 
 
 def _refuse_walks(monkeypatch, kernel):
-    """Make every pair walk raise: the generator bracket, the reference
-    ad_wedge, and the element bracket of a pair in which no term of x
-    brackets a term of y to a nonzero value in the adjoint index."""
+    """Make every pair walk raise: the generator bracket, the reference's
+    generator bracket and ad_wedge, and the element bracket of a pair in
+    which no term of x brackets a term of y to a nonzero value in the
+    adjoint index."""
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"{kernel} walked the pairs")
@@ -441,6 +438,7 @@ def _refuse_walks(monkeypatch, kernel):
 
     monkeypatch.setattr(LieAlgebra, "bracket", bracket)
     monkeypatch.setattr(LieAlgebra, "bracket_gens", refuse)
+    monkeypatch.setattr(dense, "_bracket_gens", refuse)
     monkeypatch.setattr(dense, "ad_wedge", refuse)
 
 
@@ -462,19 +460,18 @@ def test_cocycle_never_walks_the_pairs(monkeypatch):
                                               ("D", 3, "mixed:pairs=1-2")])
 def test_bialgebra_kernels_never_walk_the_pairs(monkeypatch, series, rank,
                                                 spec):
-    # split before the walks are refused (a mixed split restricts the
-    # table pair by pair), over copies of the doubles, so that the
+    # split under the guard, and over copies of the doubles, so that the
     # tensors, the adjoint indexes and the cocommutators are all built
-    # under the guard
+    # under it too
     def fresh(triple):
         alg = triple.double
         return with_double(triple, LieAlgebra(alg.series, alg.rank, alg.basis,
                                               alg.table, alg.n_indices))
 
+    _refuse_walks(monkeypatch, "a joined kernel")
     triple = fresh(split(series, rank, spec))
     small = fresh(split(series, rank)) if spec == "canonical" else None
     big = fresh(split(series, rank + 1)).double
-    _refuse_walks(monkeypatch, "a joined kernel")
     assert triple._tensors is None and triple.double._adjoint is None
     table = cocommutator_from_structure(triple)
     alg = triple.double
