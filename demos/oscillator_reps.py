@@ -42,7 +42,7 @@ def main() -> None:
     assert word == ()
     print(f"  quadratic Casimir, normal-ordered: the constant {value}, "
           f"{value} times the identity on the whole Fock space")
-    print(" ", verify_casimir_commutes(alg, rep, cas).summary())
+    print(" ", verify_casimir_commutes(alg, rep, cas, "quadratic").summary())
     print(SEP)
 
     alg = build_series("C", 1)
@@ -53,7 +53,7 @@ def main() -> None:
     print_exact(rep.matrix(parse_label("Q1,1")))
     print(" ", verify_rep_homomorphism(alg, rep).summary())
     cas = casimir_quadratic(alg)
-    print(" ", verify_casimir_commutes(alg, rep, cas).summary())
+    print(" ", verify_casimir_commutes(alg, rep, cas, "quadratic").summary())
     print("  exact on the whole Fock space; each matrix is its "
           "polynomial truncated at the cutoff")
 

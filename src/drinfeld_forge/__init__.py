@@ -30,10 +30,9 @@ from .generators import (SERIES, GeneratorId, cartan_count, dimension,
                          enumerate_generators, mirror, parse_label,
                          positive_roots, validate_series_rank, weight)
 from .reporting import CheckReport
-from .reps import (CasimirElement, Representation, ad_invariance_report,
-                   bosonic_rep, casimir_double, casimir_quadratic,
-                   fermionic_rep, verify_casimir_commutes,
-                   verify_rep_homomorphism)
+from .reps import (Representation, ad_invariance_report, bosonic_rep,
+                   casimir_double, casimir_quadratic, fermionic_rep,
+                   verify_casimir_commutes, verify_rep_homomorphism)
 from .scalars import HALF, I, I_SQRT2, INV_SQRT2, ONE, SQRT2, ZERO, Scalar
 
 __version__ = "0.1.0"

@@ -71,17 +71,16 @@ def cocommutator_from_structure(triple: ManinTriple) -> dict:
     minus_elems = [triple.elem(g) for g in triple.sminus]
     delta_plus = [dict() for _ in range(k)]
     delta_minus = [dict() for _ in range(k)]
-    for q, r in itertools.combinations(range(k), 2):
-        cvec = c.get((q, r))
-        if cvec:
-            for p, coeff in cvec.items():
-                wedge_of_elements(index, plus_elems[q], plus_elems[r],
-                                  delta_plus[p], -coeff)
-        fvec = f.get((q, r))
-        if fvec:
-            for p, coeff in fvec.items():
-                wedge_of_elements(index, minus_elems[q], minus_elems[r],
-                                  delta_minus[p], coeff)
+    # c feeds delta_plus and f delta_minus, each read over its own pairs
+    # q < r in index order
+    for q, r in sorted(key for key in c if key[0] < key[1]):
+        for p, coeff in c[(q, r)].items():
+            wedge_of_elements(index, plus_elems[q], plus_elems[r],
+                              delta_plus[p], -coeff)
+    for q, r in sorted(key for key in f if key[0] < key[1]):
+        for p, coeff in f[(q, r)].items():
+            wedge_of_elements(index, minus_elems[q], minus_elems[r],
+                              delta_minus[p], coeff)
     table = {}
     for gid in alg.basis:
         rot = triple.decompose(Element.gen(gid))

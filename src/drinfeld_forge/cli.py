@@ -86,10 +86,11 @@ def _run_check(name, triple, args, reps):
         return [verify_delta_agreement(triple)]
     if name == "casimir":
         out = [verify_casimir_form(triple),
-               ad_invariance_report(alg, casimir_quadratic(alg)),
-               ad_invariance_report(alg, casimir_double(alg))]
+               ad_invariance_report(alg, casimir_quadratic(alg), "quadratic"),
+               ad_invariance_report(alg, casimir_double(alg), "double")]
         for rep in reps:
-            out.append(verify_casimir_commutes(alg, rep, casimir_quadratic(alg)))
+            out.append(verify_casimir_commutes(
+                alg, rep, casimir_quadratic(alg), "quadratic"))
         return out
     if name == "rep":
         return [verify_rep_homomorphism(alg, rep) for rep in reps]

@@ -301,30 +301,18 @@ class OscillatorProof:
                 accumulate(residual, word, -coeff * value)
         return residual
 
-    def casimir(self, cas) -> dict:
-        """The Casimir (a `reps.CasimirElement`) as a normal-ordered
+    def casimir(self, tensor: dict) -> dict:
+        """The Casimir tensor (`reps.casimir_quadratic`), the sum of
+        c rho(a) rho(b) over its terms c a x b, as a normal-ordered
         polynomial."""
         total = {}
-        for x, y, kind in cas.terms:
-            px = self._element(x)
-            if kind == "square":
-                pairs = [(px, px)]
-            else:
-                py = self._element(y)
-                pairs = [(px, py), (py, px)]
-            for left, right in pairs:
-                for word, value in self.ordering.product(left, right).items():
-                    accumulate(total, word, value)
+        for (ga, gb), coeff in tensor.items():
+            product = self.ordering.product(self.image(ga), self.image(gb))
+            for word, value in product.items():
+                accumulate(total, word, coeff * value)
         return total
 
     def generator_residual(self, casimir: dict, gid: GeneratorId) -> dict:
         """[C, rho(g)] normal-ordered, for C the polynomial `casimir`
         returned."""
         return self.ordering.commutator(casimir, self.image(gid))
-
-    def _element(self, elem: Element) -> dict:
-        out = {}
-        for gid, coeff in elem.terms():
-            for word, value in self.image(gid).items():
-                accumulate(out, word, coeff * value)
-        return out

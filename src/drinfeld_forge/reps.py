@@ -80,6 +80,10 @@ Reports, violations in basis order:
 `checked` counts the basis pairs (`rep`) or generators (`casimir`), and
 `rep` gives the details `space_dim` and, when truncated, `cutoff`.
 
+A Casimir is its symmetric 2-tensor (`casimir_quadratic`,
+`casimir_double`), a dict (a, b) -> c for the term c a x b, and C is the
+sum of c rho(a) rho(b); a check that reads one takes its report's label.
+
 Each representation makes its one `oscillators.OscillatorProof`
 (`Representation.proof`) from its Fock space and central charges. The
 proof caches each generator's normal-ordered image and its action on the
@@ -93,7 +97,6 @@ from __future__ import annotations
 
 import math
 
-from .elements import Element
 from .errors import ForeignGeneratorError, SpecError
 from .generators import (GeneratorId, cartan_count, dimension, mirror,
                          positive_roots)
@@ -262,67 +265,44 @@ def verify_rep_homomorphism(alg, rep: Representation) -> CheckReport:
     return report
 
 
-class CasimirElement:
-    """Formal sum of squares and anticommutators of algebra elements."""
-
-    def __init__(self, terms, label: str):
-        self.terms = tuple(terms)
-        self.label = label
-
-    def generators(self) -> set[GeneratorId]:
-        out = set()
-        for x, y, _ in self.terms:
-            out |= x.support()
-            if y is not None:
-                out |= y.support()
-        return out
-
-    def tensor(self) -> dict:
-        """The symmetric 2-tensor behind the Casimir, (a, b) -> coefficient:
-        a square x x x, an anticommutator x x y + y x x."""
-        tensor = {}
-        for x, y, kind in self.terms:
-            pairs = [(x, x)] if kind == "square" else [(x, y), (y, x)]
-            for left, right in pairs:
-                for ga, ca in left.terms():
-                    for gb, cb in right.terms():
-                        accumulate(tensor, (ga, gb), ca * cb)
-        return tensor
-
-
-def casimir_quadratic(alg) -> CasimirElement:
-    """Sum of Cartan squares plus anticommutators over root pairs."""
-    terms = [(Element.gen(GeneratorId("H", i)), None, "square")
-             for i in range(1, cartan_count(alg.series, alg.rank) + 1)]
+def casimir_quadratic(alg) -> dict:
+    """The quadratic Casimir as its symmetric 2-tensor, (a, b) ->
+    coefficient: H_i x H_i over the Cartans, then r x m and m x r for each
+    positive root r and its mirror m."""
+    cartans = [GeneratorId("H", i)
+               for i in range(1, cartan_count(alg.series, alg.rank) + 1)]
+    tensor = {(h, h): ONE for h in cartans}
     for root in positive_roots(alg.series, alg.rank):
-        terms.append((Element.gen(root), Element.gen(mirror(root)), "anticommutator"))
-    return CasimirElement(terms, "quadratic")
+        tensor[(root, mirror(root))] = tensor[(mirror(root), root)] = ONE
+    return tensor
 
 
-def casimir_double(alg) -> CasimirElement:
-    """Casimir of the pairing: adds the retained central squares to the
-    quadratic one."""
-    base = casimir_quadratic(alg)
-    terms = list(base.terms)
+def casimir_double(alg) -> dict:
+    """The double's Casimir: the quadratic tensor, then I_k x I_k over the
+    retained central generators. As the double basis is its own dual, it
+    is also the pairing's form on the double."""
+    tensor = casimir_quadratic(alg)
     for gid in alg.basis:
         if gid.kind == "I":
-            terms.append((Element.gen(gid), None, "square"))
-    return CasimirElement(terms, "double")
+            tensor[(gid, gid)] = ONE
+    return tensor
 
 
-def verify_casimir_commutes(alg, rep: Representation,
-                            cas: CasimirElement) -> CheckReport:
-    """[C, rho(g)] = 0 for every basis generator g, decided on the
+def verify_casimir_commutes(alg, rep: Representation, tensor: dict,
+                            label: str) -> CheckReport:
+    """[C, rho(g)] = 0 for every basis generator g, for C the Casimir
+    `tensor` and the report named after `label`, decided on the
     normal-ordered polynomials, with every matrix held to its polynomial
-    (module docstring). A Casimir generator outside the algebra is
-    refused, as no polynomial of the algebra's images stands for it."""
-    for gid in cas.generators():
-        alg._check_member(gid)
-    report = CheckReport(check=f"casimir-{cas.label}-{rep.kind}", passed=True,
+    (module docstring). The first Casimir generator outside the algebra,
+    in tensor order, is refused: no image of the algebra stands for it."""
+    for ga, gb in tensor:
+        alg._check_member(ga)
+        alg._check_member(gb)
+    report = CheckReport(check=f"casimir-{label}-{rep.kind}", passed=True,
                          checked=len(alg.basis))
     proof = rep.proof
     _matrix_violations(report, rep, alg.basis)
-    casimir = proof.casimir(cas)
+    casimir = proof.casimir(tensor)
     for gid in alg.basis:
         residual = proof.generator_residual(casimir, gid)
         if residual:
@@ -331,32 +311,35 @@ def verify_casimir_commutes(alg, rep: Representation,
     return report
 
 
-def ad_invariance_report(alg, cas: CasimirElement) -> CheckReport:
+def ad_invariance_report(alg, tensor: dict, label: str) -> CheckReport:
     """Exact table-level check that the Casimir symbol is ad-invariant.
 
-    The symmetric tensor behind the Casimir (`CasimirElement.tensor`)
-    must be killed by ad_z x 1 + 1 x ad_z for every basis generator z.
+    The Casimir `tensor` must be killed by ad_z x 1 + 1 x ad_z for every
+    basis generator z; `label` names the report.
 
     The residual of z is the sum of c [z, a] x b + c a x [z, b] over the
-    tensor terms c a x b. The tensor is symmetric (c a x b comes with
-    c b x a), so that is the sum of c ([z, a] x b + b x [z, a]) over its
-    terms, and it is a join of nonzero data, as in
-    `bialgebra.verify_cocycle`: each nonzero bracket [z, a] from the
-    adjoint index (`LieAlgebra.adjoint`) with each tensor term whose left
-    factor is a. A generator that no join reaches has the residual 0
-    exactly. The residuals are accumulated one z at a time, so only that
-    row is held. `checked` counts every basis generator, and the
-    violations are reported in basis order.
+    tensor terms c a x b. The tensor must be symmetric (c a x b comes with
+    c b x a; an entry whose transpose differs raises SpecError), so that
+    is the sum of c ([z, a] x b + b x [z, a]) over its terms, and it is a
+    join of nonzero data, as in `bialgebra.verify_cocycle`: each nonzero
+    bracket [z, a] from the adjoint index (`LieAlgebra.adjoint`) with each
+    tensor term whose left factor is a. A generator that no join reaches
+    has the residual 0 exactly. The residuals are accumulated one z at a
+    time, so only that row is held. `checked` counts every basis
+    generator, and the violations are reported in basis order.
     """
     # left factor a -> [(b, c)] over the tensor terms c a x b
     factors = {}
-    for (ga, gb), coeff in cas.tensor().items():
+    for (ga, gb), coeff in tensor.items():
         alg._check_member(ga)
         alg._check_member(gb)
+        if tensor.get((gb, ga), ZERO) != coeff:
+            raise SpecError(f"the Casimir tensor is not symmetric at "
+                            f"({ga.label}, {gb.label})")
         factors.setdefault(ga, []).append((gb, coeff))
     basis = alg.basis
     adjoint = alg.adjoint()
-    report = CheckReport(check=f"casimir-invariance-{cas.label}", passed=True,
+    report = CheckReport(check=f"casimir-invariance-{label}", passed=True,
                          checked=len(basis))
     for z in basis:
         moved = {}

@@ -3,7 +3,11 @@
 Each function enumerates the whole index cube, tuple by tuple, exactly
 as the package did before its verifiers learned to walk only the nonzero
 structure constants: the Jacobi triple loop, the compatibility quadruple
-loop over transposed tensors, the form-invariance triple loop, the
+loop over transposed tensors, the form-invariance triple loop (the
+form read by `_pair_rot` over every stored pairing entry), the pairing
+check's intrinsic rule (H_i with H_i, I_i with I_i, each root with its
+mirror, its own statement of `reps.casimir_double`) on every pair of each
+half and every crossed pair, self-duality on all C(k, 2) pairs, the
 dense crossed-bracket solve (with its own dense pairing matrix and
 Gauss-Jordan inverse, so the oracle shares no elimination with the
 package), and the cocycle pair loop, which brackets
@@ -20,7 +24,8 @@ pair (the commutator, rho of the bracket built by one copy per term,
 their difference) and count the residual on the columns the truncation
 protects (`occupation_raise`, `protected_columns`): the truncated verdict
 that the package read off its matrices before the normal-ordered
-residual alone decided it. The
+residual alone decided it. Casimirs are
+read as their tensors, (a, b) -> c for the term c a x b. The
 Casimir ad-invariance check brackets every basis generator with both
 factors of every tensor term, as the package did before it joined the
 nonzero brackets with the tensor's factors. The representations
@@ -52,10 +57,11 @@ from drinfeld_forge.double import (canonical_triple, structure_tensors,
 from drinfeld_forge.elements import Element
 from drinfeld_forge.errors import ClosureError, SpecError
 from drinfeld_forge.generators import GeneratorId
-from drinfeld_forge.generators import cartan_count
+from drinfeld_forge.generators import cartan_count, mirror
 from drinfeld_forge.linalg import accumulate
 from drinfeld_forge.reporting import CheckReport
-from drinfeld_forge.reps import Representation, SparseMatrix
+from drinfeld_forge.reps import (Representation, SparseMatrix, casimir_double,
+                                 casimir_quadratic)
 from drinfeld_forge.scalars import HALF, INV_SQRT2, ONE, ZERO, Scalar
 
 
@@ -179,6 +185,83 @@ def verify_compatibility(triple) -> CheckReport:
     return report
 
 
+def _pair_rot(triple, rot_a: dict, rot_b: dict) -> Scalar:
+    """B of two elements given over the rotated members, summed over every
+    stored pairing entry in both orders."""
+    total = ZERO
+    if not rot_a or not rot_b:
+        return total
+    for (mgid, pgid), value in triple.pairing.items():
+        for minus, plus in ((rot_a, rot_b), (rot_b, rot_a)):
+            if mgid in minus and pgid in plus:
+                total = total + value * minus[mgid] * plus[pgid]
+    return total
+
+
+def verify_pairing(triple) -> CheckReport:
+    """The intrinsic form (H_i with H_i, I_i with I_i, each root with its
+    mirror) on every pair a <= b of each half, and against the stored
+    pairing on every s- x s+ pair."""
+    decomp = {gid: {k: v for k, v in triple.elem(gid).terms()}
+              for gid in triple.splus + triple.sminus}
+
+    def intrinsic(a, b) -> Scalar:
+        total = ZERO
+        for gid, ca in decomp[a].items():
+            if gid.kind in ("H", "I"):
+                cb = decomp[b].get(gid)
+            else:
+                cb = decomp[b].get(mirror(gid))
+            if cb is not None:
+                total = total + ca * cb
+        return total
+
+    report = CheckReport(check="pairing", passed=True)
+    for side, basis in (("s+", triple.splus), ("s-", triple.sminus)):
+        for a, b in itertools.combinations_with_replacement(basis, 2):
+            report.checked += 1
+            value = intrinsic(a, b)
+            if value:
+                report.add_violation({"side": side,
+                                      "pair": [a.label, b.label],
+                                      "value": str(value)})
+    for mgid in triple.sminus:
+        for pgid in triple.splus:
+            report.checked += 1
+            expected = triple.pairing.get((mgid, pgid), ZERO)
+            value = intrinsic(mgid, pgid)
+            if value - expected:
+                report.add_violation({"pair": [mgid.label, pgid.label],
+                                      "intrinsic": str(value),
+                                      "stored": str(expected)})
+    try:
+        triple.pairing_inverse()
+    except SpecError:
+        report.add_violation({"pairing": "singular"})
+    return report
+
+
+def verify_self_duality(triple) -> CheckReport:
+    """c against -f (i-conjugated under a mixed rotation), every p < q."""
+    conjugate = triple.spec.mode == "mixed"
+    report = CheckReport(check="selfdual", passed=True)
+    try:
+        f, c = structure_tensors(triple)
+    except ClosureError as err:
+        report.add_violation({"error": str(err)})
+        return report
+    for p, q in itertools.combinations(range(triple.half_dim), 2):
+        report.checked += 1
+        got = c.get((p, q), {})
+        want = {r: -(value.conj_i() if conjugate else value)
+                for r, value in f.get((p, q), {}).items()}
+        if got != want:
+            report.add_violation({
+                "pair": [triple.sminus[p].label, triple.sminus[q].label],
+            })
+    return report
+
+
 def verify_form_invariance(triple) -> CheckReport:
     """B([a, b], c) + B(b, [a, c]) = 0, every a and every b <= c."""
     basis = triple.double.basis
@@ -199,8 +282,8 @@ def verify_form_invariance(triple) -> CheckReport:
     for a in basis:
         for b, c in itertools.combinations_with_replacement(basis, 2):
             report.checked += 1
-            total = (triple._pair_rot(rot_bracket(a, b), rot_of[c])
-                     + triple._pair_rot(rot_of[b], rot_bracket(a, c)))
+            total = (_pair_rot(triple, rot_bracket(a, b), rot_of[c])
+                     + _pair_rot(triple, rot_of[b], rot_bracket(a, c)))
             if total:
                 report.add_violation({
                     "triple": [a.label, b.label, c.label],
@@ -690,9 +773,10 @@ def occupation_raise(gid: GeneratorId) -> int:
     return 2 if gid.kind == "P" else 0
 
 
-def raise_budget(cas) -> int:
-    """Largest total-occupation increase of a Casimir's generators."""
-    return max(map(occupation_raise, cas.generators()), default=0)
+def raise_budget(tensor) -> int:
+    """Largest total-occupation increase of a Casimir tensor's generators."""
+    return max((occupation_raise(gid) for key in tensor for gid in key),
+               default=0)
 
 
 def protected_columns(rep, budget: int) -> set[int]:
@@ -736,26 +820,30 @@ def verify_rep_homomorphism(alg, rep) -> CheckReport:
     return report
 
 
-def casimir_matrix(rep, cas) -> SparseMatrix:
-    """The Casimir's matrix, one whole-matrix sum per term."""
+def labelled_casimirs(alg) -> tuple:
+    """(label, tensor) of both Casimirs, labelled as `verify` labels
+    their reports."""
+    return (("quadratic", casimir_quadratic(alg)),
+            ("double", casimir_double(alg)))
+
+
+def casimir_matrix(rep, tensor) -> SparseMatrix:
+    """The Casimir's matrix, one whole-matrix product and sum per tensor
+    term."""
     total = SparseMatrix(rep.space_dim)
-    for x, y, kind in cas.terms:
-        mx = element_matrix(rep, x)
-        if kind == "square":
-            total = add(total, matmul(mx, mx))
-        else:
-            my = element_matrix(rep, y)
-            total = add(add(total, matmul(mx, my)), matmul(my, mx))
+    for (ga, gb), coeff in tensor.items():
+        product = matmul(rep.matrix(ga), rep.matrix(gb))
+        total = add(total, scale(product, coeff))
     return total
 
 
-def verify_casimir_commutes(alg, rep, cas) -> CheckReport:
+def verify_casimir_commutes(alg, rep, tensor, label) -> CheckReport:
     """[C, rho(g)] as a whole matrix, every basis generator g, on the
     columns the truncation protects."""
-    matrix = casimir_matrix(rep, cas)
-    report = CheckReport(check=f"casimir-{cas.label}-{rep.kind}",
+    matrix = casimir_matrix(rep, tensor)
+    report = CheckReport(check=f"casimir-{label}-{rep.kind}",
                          passed=True, checked=len(alg.basis))
-    budget = raise_budget(cas)
+    budget = raise_budget(tensor)
     for gid in alg.basis:
         columns = protected_columns(rep, budget + occupation_raise(gid))
         wrong = _protected_entries(commutator(matrix, rep.matrix(gid)),
@@ -765,22 +853,14 @@ def verify_casimir_commutes(alg, rep, cas) -> CheckReport:
     return report
 
 
-def ad_invariance_report(alg, cas) -> CheckReport:
+def ad_invariance_report(alg, tensor, label) -> CheckReport:
     """Exact table-level check that the Casimir symbol is ad-invariant.
 
-    The symmetric tensor behind the Casimir (squares as g x g, anticommutator
-    pairs as x x y + y x x) must be killed by ad_z x 1 + 1 x ad_z for every
-    basis generator z.
+    The Casimir tensor must be killed by ad_z x 1 + 1 x ad_z for every
+    basis generator z: both factors of every tensor term are bracketed
+    with z, so no symmetry of the tensor is assumed.
     """
-    tensor = {}
-    for x, y, kind in cas.terms:
-        pairs = [(x, x)] if kind == "square" else [(x, y), (y, x)]
-        for left, right in pairs:
-            for ga, ca in left.terms():
-                for gb, cb in right.terms():
-                    accumulate(tensor, (ga, gb), ca * cb)
-
-    report = CheckReport(check=f"casimir-invariance-{cas.label}", passed=True,
+    report = CheckReport(check=f"casimir-invariance-{label}", passed=True,
                          checked=len(alg.basis))
     for z in alg.basis:
         moved = {}

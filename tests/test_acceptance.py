@@ -23,9 +23,9 @@ from drinfeld_forge import (I, Element, GeneratorId, SPAN_BUILDERS, Scalar,
                             cocommutator_from_structure,
                             delta_discrepancy_audit,
                             discrepancy_report_markdown, fermionic_rep,
-                            mutate_bracket, orthogonal_span_in_b,
-                            perturb_pairing, rescale_minus, split,
-                            verify_casimir_commutes, verify_casimir_form,
+                            mirror, mutate_bracket, orthogonal_span_in_b,
+                            perturb_pairing, positive_roots, rescale_minus,
+                            split, verify_casimir_commutes, verify_casimir_form,
                             verify_chain_embedding, verify_closure,
                             verify_coboundary, verify_cocycle,
                             verify_cojacobi, verify_compatibility,
@@ -35,7 +35,6 @@ from drinfeld_forge import (I, Element, GeneratorId, SPAN_BUILDERS, Scalar,
                             verify_rep_homomorphism, verify_self_duality,
                             verify_subbialgebra, verify_twist, with_double)
 from drinfeld_forge.bialgebra import wedge_insert
-from drinfeld_forge.reps import CasimirElement
 
 GRID = (("A", 1), ("A", 2), ("A", 3), ("A", 4),
         ("B", 1), ("B", 2), ("B", 3),
@@ -197,14 +196,14 @@ def test_criterion_08_oscillator_representations(capsys):
         alg = build_series(series, rank)
         rep = fermionic_rep(alg)
         ok = ok and _exact(verify_rep_homomorphism(alg, rep))
-        ok = ok and _exact(verify_casimir_commutes(alg, rep,
-                                                   casimir_quadratic(alg)))
+        ok = ok and _exact(verify_casimir_commutes(
+            alg, rep, casimir_quadratic(alg), "quadratic"))
     for series, rank in BOSONIC_GRID:
         alg = build_series(series, rank)
         rep = bosonic_rep(alg, BOSONIC_CUTOFF)
         ok = ok and _exact(verify_rep_homomorphism(alg, rep))
-        ok = ok and _exact(verify_casimir_commutes(alg, rep,
-                                                   casimir_quadratic(alg)))
+        ok = ok and _exact(verify_casimir_commutes(
+            alg, rep, casimir_quadratic(alg), "quadratic"))
 
     alg = build_series("B", 1)
     cas = dense.casimir_matrix(fermionic_rep(alg), casimir_quadratic(alg))
@@ -321,12 +320,9 @@ def _mutation_fixtures():
     high_p11 = dense.with_entry(boson, p11, (0, col), Scalar(5))
 
     # the quadratic Casimir of C2 with its first anticommutator doubled
-    terms = list(casimir_quadratic(c2).terms)
-    first = next(pos for pos, term in enumerate(terms)
-                 if term[2] == "anticommutator")
-    x, y, kind = terms[first]
-    terms[first] = (x.scale(Scalar(2)), y, kind)
-    lopsided = CasimirElement(terms, "quadratic")
+    root = positive_roots("C", 2)[0]
+    lopsided = {**casimir_quadratic(c2), (root, mirror(root)): Scalar(2),
+                (mirror(root), root): Scalar(2)}
 
     # A3 with [F1,2, F3,4], a zero bracket of two generators on disjoint
     # modes, given the value H1: the commutator skips that pair of words,
@@ -421,14 +417,14 @@ def _mutation_fixtures():
         ("rep-fermionic-odd-pair", lambda: verify_rep_homomorphism(
             doubled_uu, fermionic_rep(b2))),
         ("casimir-commutes", lambda: verify_casimir_commutes(
-            c2, boson, lopsided)),
+            c2, boson, lopsided, "quadratic")),
         ("casimir-commutes-entry", lambda: verify_casimir_commutes(
-            c2, doubled_two, casimir_quadratic(c2))),
+            c2, doubled_two, casimir_quadratic(c2), "quadratic")),
         ("casimir-form", lambda: verify_casimir_form(perturbed)),
         ("casimir-invariance", lambda: ad_invariance_report(
-            reweighted_a1, casimir_quadratic(reweighted_a1))),
+            reweighted_a1, casimir_quadratic(reweighted_a1), "quadratic")),
         ("casimir-invariance-term", lambda: ad_invariance_report(
-            c2, lopsided)),
+            c2, lopsided, "quadratic")),
         ("cojacobi-new-wedge", lambda: verify_cojacobi(
             a2.double, new_wedge)),
         ("coboundary-new-bracket", lambda: verify_coboundary(cartan_root_a2)),
@@ -447,7 +443,7 @@ def _mutation_fixtures():
         ("rep-bosonic-high-entry", lambda: verify_rep_homomorphism(
             c2, high_p11)),
         ("casimir-commutes-high-entry", lambda: verify_casimir_commutes(
-            c2, high_p11, casimir_quadratic(c2))),
+            c2, high_p11, casimir_quadratic(c2), "quadratic")),
     )
 
 
@@ -487,5 +483,5 @@ def test_entry_above_every_protected_budget_fails():
     assert case.wrong_entries(p11) == 1
     wrong = [{"matrix": "P1,1", "entries": 1}]
     assert verify_rep_homomorphism(alg, case).violations == wrong
-    assert verify_casimir_commutes(alg, case,
-                                   casimir_quadratic(alg)).violations == wrong
+    assert verify_casimir_commutes(alg, case, casimir_quadratic(alg),
+                                   "quadratic").violations == wrong

@@ -192,8 +192,7 @@ def test_casimir_form_needs_every_central_square(monkeypatch):
     full = reps.casimir_double
 
     def lossy(alg):
-        cas = full(alg)
-        return reps.CasimirElement(cas.terms[:-1], cas.label)
+        return dict(list(full(alg).items())[:-1])
 
     monkeypatch.setattr(double, "casimir_double", lossy)
     for triple, central in ((canonical_triple("A", 2), "I3"),
@@ -202,18 +201,13 @@ def test_casimir_form_needs_every_central_square(monkeypatch):
             {"pair": [central, central], "difference": "1"}]
 
 
-def test_casimir_form_violations_ignore_the_hash_seed():
-    # a fresh interpreter per seed: set and dict orders of GeneratorId keys
-    # follow the string hash, which is seeded at interpreter start
-    code = ("from drinfeld_forge import canonical_triple, perturb_pairing, "
-            "verify_casimir_form\n"
-            "from drinfeld_forge.serialize import dumps_canonical\n"
-            "t = canonical_triple('A', 2)\n"
-            "t = perturb_pairing(t, t.sminus[3], t.splus[4], 1)\n"
-            "print(dumps_canonical(verify_casimir_form(t).to_dict()), end='')\n")
+def _under_seeds(code: str, seeds) -> list[str]:
+    """What `code` prints in a fresh interpreter per hash seed: set and
+    dict orders of GeneratorId keys follow the string hash, which is
+    seeded at interpreter start."""
     src = os.path.dirname(os.path.dirname(drinfeld_forge.__file__))
     outputs = []
-    for seed in ("0", "1"):
+    for seed in seeds:
         env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -221,8 +215,36 @@ def test_casimir_form_violations_ignore_the_hash_seed():
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
+    return outputs
+
+
+def test_casimir_form_violations_ignore_the_hash_seed():
+    code = ("from drinfeld_forge import canonical_triple, perturb_pairing, "
+            "verify_casimir_form\n"
+            "from drinfeld_forge.serialize import dumps_canonical\n"
+            "t = canonical_triple('A', 2)\n"
+            "t = perturb_pairing(t, t.sminus[3], t.splus[4], 1)\n"
+            "print(dumps_canonical(verify_casimir_form(t).to_dict()), end='')\n")
+    outputs = _under_seeds(code, ("0", "1"))
     assert outputs[0] == outputs[1]
     assert '"pass": false' in outputs[0]
+
+
+def test_foreign_casimir_generator_ignores_the_hash_seed():
+    # A3's Casimir against A2: the generator refused is the first that A2
+    # does not hold in tensor order, H4, whatever the hash seed
+    code = ("from drinfeld_forge import build_series, casimir_quadratic, "
+            "fermionic_rep, verify_casimir_commutes\n"
+            "from drinfeld_forge.errors import ForeignGeneratorError\n"
+            "alg = build_series('A', 2)\n"
+            "cas = casimir_quadratic(build_series('A', 3))\n"
+            "try:\n"
+            "    verify_casimir_commutes(alg, fermionic_rep(alg), cas, "
+            "'quadratic')\n"
+            "except ForeignGeneratorError as err:\n"
+            "    print(err.args[0], end='')\n")
+    outputs = _under_seeds(code, ("1", "2"))
+    assert outputs == ["H4 is not in the A2 basis"] * 2
 
 
 def test_perturbation_indices_validated():

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 import dense_reference as dense
 
-from drinfeld_forge import (I, CasimirElement, Element, Scalar, bosonic_rep,
-                            build_series, casimir_double, casimir_quadratic,
-                            fermionic_rep, mutate_bracket, parse_label,
+from drinfeld_forge import (I, Element, Scalar, bosonic_rep, build_series,
+                            casimir_quadratic, fermionic_rep, mirror,
+                            mutate_bracket, parse_label, positive_roots,
                             verify_casimir_commutes, verify_rep_homomorphism)
 from drinfeld_forge import oscillators
 from drinfeld_forge.cli import main
@@ -156,10 +156,10 @@ def test_unmutated_grid_never_falls_back():
     # the verdicts read polynomials and each matrix once, unmutated or
     # with a bracket, a matrix entry or a Casimir term edited
     for label, alg, rep in _reps():
-        casimirs = (casimir_quadratic(alg), casimir_double(alg))
+        casimirs = dense.labelled_casimirs(alg)
         assert verify_rep_homomorphism(alg, rep).passed, label
-        for cas in casimirs:
-            assert verify_casimir_commutes(alg, rep, cas).passed, label
+        for name, cas in casimirs:
+            assert verify_casimir_commutes(alg, rep, cas, name).passed, label
         p, q = alg.basis[-2:]
         mutated = mutate_bracket(alg, p, q, alg.bracket_gens(p, q)
                                  + Element.gen(alg.basis[0]))
@@ -168,14 +168,15 @@ def test_unmutated_grid_never_falls_back():
         key = next(iter(rep.matrix(gid).entries))
         case = dense.with_entry(rep, gid, key, Scalar(7))
         assert not verify_rep_homomorphism(alg, case).passed, label
-        x, y, kind = casimirs[0].terms[-1]
-        lopsided = CasimirElement(
-            casimirs[0].terms[:-1] + ((x.scale(Scalar(2)), y, kind),),
-            "quadratic")
-        for cas in casimirs + (lopsided,):
-            assert not verify_casimir_commutes(alg, case, cas).passed, label
+        # the last root anticommutator doubled, both of its entries
+        root = positive_roots(alg.series, alg.rank)[-1]
+        lopsided = {**casimirs[0][1], (root, mirror(root)): Scalar(2),
+                    (mirror(root), root): Scalar(2)}
+        for name, cas in casimirs + (("quadratic", lopsided),):
+            assert not verify_casimir_commutes(alg, case, cas,
+                                               name).passed, label
         # (a lopsided Casimir can stay central in a small representation)
-        report = verify_casimir_commutes(alg, rep, lopsided)
+        report = verify_casimir_commutes(alg, rep, lopsided, "quadratic")
         assert report.checked == alg.dim, label
 
 
@@ -187,7 +188,7 @@ def test_casimir_polynomial_is_the_casimir_matrix():
         act = fermion_act if rep.cutoff is None else boson_act
         states = rep.space.states
         index_of = {state: pos for pos, state in enumerate(states)}
-        for cas in (casimir_quadratic(alg), casimir_double(alg)):
+        for name, cas in dense.labelled_casimirs(alg):
             poly = proof.casimir(cas)
             matrix = dense.casimir_matrix(rep, cas)
             budget = dense.raise_budget(cas)
@@ -196,7 +197,7 @@ def test_casimir_polynomial_is_the_casimir_matrix():
                         in matrix.entries.items() if c == col}
                 got = {(index_of[state], col): value for state, value
                        in _apply(act, poly, states[col]).items()}
-                assert got == want, (label, cas.label, col)
+                assert got == want, (label, name, col)
 
 
 def test_stage1_flags_a_mutated_bracket():
@@ -228,11 +229,13 @@ def test_stage1_flags_what_no_protected_column_shows():
     # protects no column and Q1,1 only the vacuum, which [C, rho(Q1,1)]
     # leaves alone
     c1 = build_series("C", 1)
-    (h, _, square), (x, y, anti) = casimir_quadratic(c1).terms
-    cas = CasimirElement([(h, None, square), (x.scale(Scalar(2)), y, anti)],
-                         "quadratic")
+    p11, q11 = parse_label("P1,1"), parse_label("Q1,1")
+    cas = {**casimir_quadratic(c1), (p11, q11): Scalar(2),
+           (q11, p11): Scalar(2)}
+    assert len(cas) == 3
     for cutoff in CUTOFFS:
-        report = verify_casimir_commutes(c1, bosonic_rep(c1, cutoff), cas)
+        report = verify_casimir_commutes(c1, bosonic_rep(c1, cutoff), cas,
+                                         "quadratic")
         assert report.violations == [{"gen": "P1,1", "monomials": 2},
                                      {"gen": "Q1,1", "monomials": 2}], cutoff
         assert not report.details
@@ -267,8 +270,9 @@ def test_stage2_flags_an_entry_off_the_formula():
                if rep.space.states[k[1]] == (0, 2))
     case = dense.with_entry(rep, f12, key, rep.matrix(f12).entries[key] * Scalar(2))
     assert verify_rep_homomorphism(alg, case).violations == wrong
-    for cas in (casimir_quadratic(alg), casimir_double(alg)):
-        assert verify_casimir_commutes(alg, case, cas).violations == wrong
+    for name, cas in dense.labelled_casimirs(alg):
+        assert verify_casimir_commutes(alg, case, cas,
+                                       name).violations == wrong
 
 
 def test_stage2_runs_once_per_generator(monkeypatch):

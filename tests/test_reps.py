@@ -104,8 +104,8 @@ def test_c1_quadratic_casimir_uniform_diagonal():
 def test_fermionic_casimir_centrality(series, rank):
     alg = build_series(series, rank)
     rep = fermionic_rep(alg)
-    for cas in (casimir_quadratic(alg), casimir_double(alg)):
-        report = verify_casimir_commutes(alg, rep, cas)
+    for name, cas in dense.labelled_casimirs(alg):
+        report = verify_casimir_commutes(alg, rep, cas, name)
         assert report.passed, report.to_dict()
 
 
@@ -113,16 +113,64 @@ def test_fermionic_casimir_centrality(series, rank):
 def test_bosonic_casimir_centrality(series, rank):
     alg = build_series(series, rank)
     rep = bosonic_rep(alg, 6)
-    report = verify_casimir_commutes(alg, rep, casimir_quadratic(alg))
+    report = verify_casimir_commutes(alg, rep, casimir_quadratic(alg),
+                                     "quadratic")
     assert report.passed, report.to_dict()
 
 
 def test_casimir_ad_invariance_table_level():
     for series, rank in [("A", 2), ("B", 2), ("C", 2), ("D", 2)]:
         alg = build_series(series, rank)
-        for cas in (casimir_quadratic(alg), casimir_double(alg)):
-            report = ad_invariance_report(alg, cas)
-            assert report.passed, (series, rank, cas.label)
+        for name, cas in dense.labelled_casimirs(alg):
+            report = ad_invariance_report(alg, cas, name)
+            assert report.passed, (series, rank, name)
+
+
+def test_casimir_tensors_list_their_terms_in_order():
+    # the H squares, then r x m and m x r for each positive root, then
+    # (double only) the I squares, each with coefficient 1
+    alg = build_series("A", 1)
+    h1, h2, i1, i2 = map(parse_label, ("H1", "H2", "I1", "I2"))
+    e, f = parse_label("F1,2"), parse_label("F2,1")
+    quadratic = [(h1, h1), (h2, h2), (e, f), (f, e)]
+    assert list(casimir_quadratic(alg)) == quadratic
+    assert list(casimir_double(alg)) == quadratic + [(i1, i1), (i2, i2)]
+    assert set(casimir_double(alg).values()) == {Scalar(1)}
+
+
+def test_ad_invariance_refuses_an_asymmetric_tensor():
+    # the one-sided join reads c a x b as standing for c b x a too
+    alg = build_series("A", 2)
+    e, f = parse_label("F1,2"), parse_label("F2,1")
+    quadratic = casimir_quadratic(alg)
+    for tensor in ({**quadratic, (e, f): Scalar(2)},
+                   {key: value for key, value in quadratic.items()
+                    if key != (f, e)}):
+        with pytest.raises(SpecError, match="not symmetric"):
+            ad_invariance_report(alg, tensor, "quadratic")
+
+
+def test_edited_casimir_tensors_keep_their_violations():
+    # the anticommutator of F1,2 and F2,1 doubled (2 on both entries) or
+    # dropped (both entries gone) from the A2 quadratic Casimir: the
+    # violation lists that the same edits of its anticommutator term gave
+    alg = build_series("A", 2)
+    rep = fermionic_rep(alg)
+    e, f = parse_label("F1,2"), parse_label("F2,1")
+    quadratic = casimir_quadratic(alg)
+    doubled = {**quadratic, (e, f): Scalar(2), (f, e): Scalar(2)}
+    dropped = {key: value for key, value in quadratic.items()
+               if e not in key}
+    commutes = [{"gen": gen, "monomials": 2}
+                for gen in ("F1,3", "F2,3", "F3,1", "F3,2")]
+    invariance = [{"gen": gen, "terms": terms} for gen, terms in (
+        ("F1,2", 4), ("F1,3", 2), ("F2,3", 2), ("F2,1", 4), ("F3,1", 2),
+        ("F3,2", 2))]
+    for tensor in (doubled, dropped):
+        assert verify_casimir_commutes(alg, rep, tensor,
+                                       "quadratic").violations == commutes
+        assert ad_invariance_report(alg, tensor,
+                                    "quadratic").violations == invariance
 
 
 def test_custom_central_charges():
@@ -139,7 +187,8 @@ def test_casimir_of_another_algebra_rejected():
     alg = build_series("A", 2)
     with pytest.raises(ForeignGeneratorError, match="not in the A2 basis"):
         verify_casimir_commutes(alg, fermionic_rep(alg),
-                                casimir_quadratic(build_series("A", 3)))
+                                casimir_quadratic(build_series("A", 3)),
+                                "quadratic")
 
 
 def test_representation_of_another_algebra_rejected(monkeypatch):
@@ -155,7 +204,8 @@ def test_representation_of_another_algebra_rejected(monkeypatch):
         with pytest.raises(ForeignGeneratorError, match=match):
             verify_rep_homomorphism(alg, rep)
         with pytest.raises(ForeignGeneratorError, match=match):
-            verify_casimir_commutes(alg, rep, casimir_quadratic(alg))
+            verify_casimir_commutes(alg, rep, casimir_quadratic(alg),
+                                    "quadratic")
     assert not applied
 
 

@@ -9,7 +9,9 @@ coboundary, twist, cybe, the structure tensors and chain accumulate their
 residuals from the nonzero structure constants only, the bialgebra ones
 through the adjoint index; closure shares the structure tensors' walk,
 and reconstruction brackets only the crossed pairs with a nonzero solved
-value or a term pair that brackets to a nonzero value in the index. On
+value or a term pair that brackets to a nonzero value in the index;
+pairing joins the members' terms through the double's Casimir tensor,
+and selfdual compares only the pairs with an entry in f or c. On
 canonical and mixed splittings, and on seeded mutations of the brackets
 and of the pairing, their reports
 (checked counts, violation lists in order, residuals, values, truncation
@@ -54,19 +56,19 @@ import random
 import pytest
 
 import dense_reference as dense
-from drinfeld_forge import (HALF, I, ONE, SQRT2, ZERO, CasimirElement,
-                            Element, GeneratorId, Scalar, ad_invariance_report,
-                            bosonic_rep, build_series,
-                            canonical_triple, casimir_double,
+from drinfeld_forge import (HALF, I, ONE, SQRT2, ZERO, Element, GeneratorId,
+                            Scalar, ad_invariance_report, bosonic_rep,
+                            build_series, canonical_triple,
                             casimir_quadratic, cocommutator_from_structure,
-                            crossed_brackets, fermionic_rep, mutate_bracket,
-                            perturb_pairing, rescale_minus, split,
-                            structure_tensors, verify_casimir_commutes,
-                            verify_chain_embedding, verify_closure,
-                            verify_coboundary, verify_cocycle,
-                            verify_cojacobi, verify_compatibility,
-                            verify_cybe, verify_form_invariance,
-                            verify_jacobi, verify_reconstruction,
+                            crossed_brackets, fermionic_rep, mirror,
+                            mutate_bracket, perturb_pairing, positive_roots,
+                            rescale_minus, split, structure_tensors,
+                            verify_casimir_commutes, verify_chain_embedding,
+                            verify_closure, verify_coboundary,
+                            verify_cocycle, verify_cojacobi,
+                            verify_compatibility, verify_cybe,
+                            verify_form_invariance, verify_jacobi,
+                            verify_pairing, verify_reconstruction,
                             verify_rep_homomorphism, verify_self_duality,
                             verify_twist, wedge_insert, with_double)
 from drinfeld_forge.algebra import LieAlgebra
@@ -163,6 +165,10 @@ def _assert_same(triple, label, base):
             == dense.verify_jacobi(triple.double).to_dict()), label
     assert (verify_closure(triple).to_dict()
             == dense.verify_closure(triple).to_dict()), label
+    assert (verify_pairing(triple).to_dict()
+            == dense.verify_pairing(triple).to_dict()), label
+    assert (verify_self_duality(triple).to_dict()
+            == dense.verify_self_duality(triple).to_dict()), label
     assert (verify_reconstruction(triple).to_dict()
             == dense.verify_reconstruction(triple).to_dict()), label
     assert (verify_compatibility(triple).to_dict()
@@ -614,21 +620,21 @@ def _assert_same_rep(alg, rep, label, matrices):
         deeper, "pair", label, matrices)
 
 
-def _assert_same_casimir(alg, rep, cas, label, matrices):
+def _assert_same_casimir(alg, rep, cas, name, label, matrices):
     deeper = None if rep.cutoff is None else (
-        lambda: dense.verify_casimir_commutes(alg, _deeper(rep),
-                                              cas).to_dict())
+        lambda: dense.verify_casimir_commutes(alg, _deeper(rep), cas,
+                                              name).to_dict())
     _assert_matches_dense(
-        verify_casimir_commutes(alg, rep, cas).to_dict(),
-        dense.verify_casimir_commutes(alg, rep, cas).to_dict(),
-        deeper, "gen", (label, cas.label), matrices)
+        verify_casimir_commutes(alg, rep, cas, name).to_dict(),
+        dense.verify_casimir_commutes(alg, rep, cas, name).to_dict(),
+        deeper, "gen", (label, name), matrices)
 
 
 def _assert_same_reps(alg, rep, label):
     matrices = _wrong_matrices(rep)
     _assert_same_rep(alg, rep, label, matrices)
-    for cas in (casimir_quadratic(alg), casimir_double(alg)):
-        _assert_same_casimir(alg, rep, cas, label, matrices)
+    for name, cas in dense.labelled_casimirs(alg):
+        _assert_same_casimir(alg, rep, cas, name, label, matrices)
 
 
 def _mutated_reps(rep, rng):
@@ -669,20 +675,21 @@ def _mutated_tables(alg, rng):
 
 
 def _mutated_casimirs(alg, rng):
-    """Each Casimir with one root anticommutator rescaled, and with one
-    dropped (a Cartan or central square can be central on its own: H_i^2
-    is 1/4 in a fermionic representation)."""
+    """(case, label, tensor): each Casimir with one root anticommutator,
+    its entries (r, m) and (m, r), rescaled, and with one dropped (a
+    Cartan or central square can be central on its own: H_i^2 is 1/4 in a
+    fermionic representation)."""
     out = []
-    for cas in (casimir_quadratic(alg), casimir_double(alg)):
-        terms = list(cas.terms)
-        pos = rng.choice([k for k, term in enumerate(terms)
-                          if term[2] == "anticommutator"])
-        x, y, kind = terms[pos]
-        rescaled = (x.scale(rng.choice(FACTORS)), y, kind)
-        out.append((f"{cas.label} term {pos} rescaled", CasimirElement(
-            terms[:pos] + [rescaled] + terms[pos + 1:], cas.label)))
-        out.append((f"{cas.label} term {pos} dropped", CasimirElement(
-            terms[:pos] + terms[pos + 1:], cas.label)))
+    for name, cas in dense.labelled_casimirs(alg):
+        root = rng.choice(positive_roots(alg.series, alg.rank))
+        pair = ((root, mirror(root)), (mirror(root), root))
+        factor = rng.choice(FACTORS)
+        rescaled = {key: value * factor if key in pair else value
+                    for key, value in cas.items()}
+        dropped = {key: value for key, value in cas.items()
+                   if key not in pair}
+        out.append((f"{name} {root.label} rescaled", name, rescaled))
+        out.append((f"{name} {root.label} dropped", name, dropped))
     return out
 
 
@@ -693,8 +700,8 @@ def _assert_same_mutated(alg, rep, label):
         _assert_same_reps(alg, case, f"{label} {name}")
     for name, mutated in _mutated_tables(alg, rng):
         _assert_same_rep(mutated, rep, f"{label} {name}", [])
-    for name, cas in _mutated_casimirs(alg, rng):
-        _assert_same_casimir(alg, rep, cas, f"{label} {name}", [])
+    for case, name, cas in _mutated_casimirs(alg, rng):
+        _assert_same_casimir(alg, rep, cas, name, f"{label} {case}", [])
 
 
 @pytest.mark.parametrize("series,rank", FERMIONIC)
@@ -727,9 +734,10 @@ def test_rep_entry_off_the_protected_columns_fails(rank):
         wrong = [{"matrix": gid.label, "entries": 1}]
         assert verify_rep_homomorphism(alg, case).violations == wrong
         assert dense.verify_rep_homomorphism(alg, case).passed
-        for cas in (casimir_quadratic(alg), casimir_double(alg)):
-            assert verify_casimir_commutes(alg, case, cas).violations == wrong
-            assert dense.verify_casimir_commutes(alg, case, cas).passed
+        for name, cas in dense.labelled_casimirs(alg):
+            assert (verify_casimir_commutes(alg, case, cas, name).violations
+                    == wrong)
+            assert dense.verify_casimir_commutes(alg, case, cas, name).passed
         _assert_same_reps(alg, case, f"C{rank} {gid.label}")
 
 
@@ -745,8 +753,8 @@ def test_rep_mutations_are_caught():
                for _, case in cases)
     assert all(not verify_rep_homomorphism(mutated, rep).passed
                for _, mutated in _mutated_tables(alg, rng))
-    assert all(not verify_casimir_commutes(alg, rep, cas).passed
-               for _, cas in _mutated_casimirs(alg, rng))
+    assert all(not verify_casimir_commutes(alg, rep, cas, name).passed
+               for _, name, cas in _mutated_casimirs(alg, rng))
 
 
 @pytest.mark.parametrize(
@@ -755,18 +763,21 @@ def test_rep_mutations_are_caught():
 def test_ad_invariance_matches_dense(series, rank, spec):
     alg = split(series, rank, spec).double
     rng = random.Random(f"invariance {series}{rank} {spec}")
-    casimirs = (casimir_quadratic(alg), casimir_double(alg))
-    cases = [("unmutated", alg, cas) for cas in casimirs]
-    cases += [(name, mutated, cas) for name, mutated in _mutated_tables(alg, rng)
-              for cas in casimirs]
-    cases += [(name, alg, cas) for name, cas in _mutated_casimirs(alg, rng)]
-    for label, table, cas in cases:
-        assert (ad_invariance_report(table, cas).to_dict()
-                == dense.ad_invariance_report(table, cas).to_dict()), \
-            (label, cas.label)
-    assert all(ad_invariance_report(alg, cas).passed for cas in casimirs)
-    assert not all(ad_invariance_report(table, cas).passed
-                   for _, table, cas in cases)
+    casimirs = dense.labelled_casimirs(alg)
+    cases = [("unmutated", alg, name, cas) for name, cas in casimirs]
+    cases += [(case, mutated, name, cas)
+              for case, mutated in _mutated_tables(alg, rng)
+              for name, cas in casimirs]
+    cases += [(case, alg, name, cas)
+              for case, name, cas in _mutated_casimirs(alg, rng)]
+    for case, table, name, cas in cases:
+        assert (ad_invariance_report(table, cas, name).to_dict()
+                == dense.ad_invariance_report(table, cas, name).to_dict()), \
+            (case, name)
+    assert all(ad_invariance_report(alg, cas, name).passed
+               for name, cas in casimirs)
+    assert not all(ad_invariance_report(table, cas, name).passed
+                   for _, table, name, cas in cases)
 
 
 def test_ad_invariance_never_walks_the_pairs(monkeypatch):
@@ -780,8 +791,8 @@ def test_ad_invariance_never_walks_the_pairs(monkeypatch):
 
     monkeypatch.setattr(LieAlgebra, "bracket_gens", refuse)
     for alg in cases:
-        for cas in (casimir_quadratic(alg), casimir_double(alg)):
-            report = ad_invariance_report(alg, cas)
+        for name, cas in dense.labelled_casimirs(alg):
+            report = ad_invariance_report(alg, cas, name)
             assert report.passed and report.checked == alg.dim
 
 
@@ -790,10 +801,10 @@ def test_ad_invariance_rejects_a_foreign_generator():
     small, cas = build_series("A", 2), casimir_quadratic(build_series("A", 3))
     for kernel in (ad_invariance_report, dense.ad_invariance_report):
         with pytest.raises(ForeignGeneratorError):
-            kernel(small, cas)
+            kernel(small, cas, "quadratic")
     # and so does a table entry [F1,2, F2,3] := F1,4
     f12, f23, f14 = (GeneratorId("F", 1, 2), GeneratorId("F", 2, 3),
                      GeneratorId("F", 1, 4))
     stray = mutate_bracket(small, f12, f23, Element.gen(f14))
     with pytest.raises(ForeignGeneratorError):
-        ad_invariance_report(stray, casimir_quadratic(small))
+        ad_invariance_report(stray, casimir_quadratic(small), "quadratic")
