@@ -17,12 +17,12 @@ from .bialgebra import (SPAN_BUILDERS, a_chain_span, build_r_matrix,
                         verify_delta_agreement, verify_subbialgebra,
                         verify_twist, wedge_insert)
 from .double import (CartanRotation, ManinTriple, SplittingSpec,
-                     canonical_triple, crossed_brackets, perturb_pairing,
-                     rescale_minus, split, structure_tensors,
-                     verify_casimir_form, verify_closure,
-                     verify_compatibility, verify_form_invariance,
-                     verify_pairing, verify_reconstruction,
-                     verify_self_duality, with_double)
+                     canonical_triple, casimir_double, casimir_quadratic,
+                     crossed_brackets, perturb_pairing, rescale_minus,
+                     split, structure_tensors, verify_casimir_form,
+                     verify_closure, verify_compatibility,
+                     verify_form_invariance, verify_pairing,
+                     verify_reconstruction, verify_self_duality, with_double)
 from .elements import Element
 from .errors import (ClosureError, ForeignGeneratorError, NotASubalgebraError,
                      RankError, SpecError)
@@ -31,8 +31,8 @@ from .generators import (SERIES, GeneratorId, cartan_count, dimension,
                          positive_roots, validate_series_rank, weight)
 from .reporting import CheckReport
 from .reps import (Representation, ad_invariance_report, bosonic_rep,
-                   casimir_double, casimir_quadratic, fermionic_rep,
-                   verify_casimir_commutes, verify_rep_homomorphism)
+                   fermionic_rep, verify_casimir_commutes,
+                   verify_rep_homomorphism)
 from .scalars import HALF, I, I_SQRT2, INV_SQRT2, ONE, SQRT2, ZERO, Scalar
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 
 from .algebra import LieAlgebra, build_series, shift_generator
-from .double import (ManinTriple, canonical_triple, structure_tensors,
-                     with_double)
+from .double import (ManinTriple, bracket_pairs, canonical_triple,
+                     structure_tensors, with_double)
 from .elements import Element
 from .errors import NotASubalgebraError, SpecError
 from .generators import GeneratorId, resolve
@@ -222,6 +222,13 @@ def cocommutator_explicit(alg: LieAlgebra, verbatim: bool = False) -> dict:
     return table
 
 
+def _wedge_only_in(wedge: dict, other: dict) -> list[list[str]]:
+    """[a, b, coeff] labels of the terms of `wedge` that `other` lacks or
+    holds with another coefficient, in `wedge`'s order."""
+    return [[a.label, b.label, str(v)] for (a, b), v in wedge.items()
+            if other.get((a, b)) != v]
+
+
 def delta_discrepancy_audit(alg: LieAlgebra) -> list[dict]:
     """Terms where the reference transcription disagrees with the corrected
     table: one entry per affected generator."""
@@ -231,13 +238,10 @@ def delta_discrepancy_audit(alg: LieAlgebra) -> list[dict]:
     for gid in alg.basis:
         good = corrected[gid]
         raw = transcribed[gid]
-        if good == raw:
-            continue
-        missing = [[a.label, b.label, str(v)] for (a, b), v in good.items()
-                   if raw.get((a, b)) != v]
-        spurious = [[a.label, b.label, str(v)] for (a, b), v in raw.items()
-                    if good.get((a, b)) != v]
-        audit.append({"gen": gid.label, "missing": missing, "spurious": spurious})
+        if good != raw:
+            audit.append({"gen": gid.label,
+                          "missing": _wedge_only_in(good, raw),
+                          "spurious": _wedge_only_in(raw, good)})
     return audit
 
 
@@ -245,8 +249,8 @@ REPORT_INSTANCES = (("A", 2), ("C", 1), ("C", 3), ("D", 3), ("B", 2),
                     ("B", 3))
 
 
-def discrepancy_report_markdown(instances=REPORT_INSTANCES) -> str:
-    """Render the audit over representative instances as a Markdown report.
+def discrepancy_report_markdown() -> str:
+    """Render the audit over the `REPORT_INSTANCES` as a Markdown report.
 
     The structure-derived cocommutator is authoritative: every mismatch
     below is a defect of the reference transcription of the closed-form
@@ -285,7 +289,7 @@ def discrepancy_report_markdown(instances=REPORT_INSTANCES) -> str:
         "meaning of the pairing symbols computationally.",
         "",
     ]
-    for series, rank in instances:
+    for series, rank in REPORT_INSTANCES:
         alg = build_series(series, rank)
         audit = delta_discrepancy_audit(alg)
         lines.append(f"## {series}{rank}")
@@ -325,13 +329,9 @@ def verify_delta_agreement(triple: ManinTriple) -> CheckReport:
         got = structural[gid]
         want = explicit[gid]
         if got != want:
-            extra = [[a.label, b.label, str(v)] for (a, b), v in got.items()
-                     if want.get((a, b)) != v]
-            lacking = [[a.label, b.label, str(v)] for (a, b), v in want.items()
-                       if got.get((a, b)) != v]
             report.add_violation({"gen": gid.label,
-                                  "structural_only": extra,
-                                  "explicit_only": lacking})
+                                  "structural_only": _wedge_only_in(got, want),
+                                  "explicit_only": _wedge_only_in(want, got)})
     return report
 
 
@@ -462,13 +462,17 @@ def verify_subbialgebra(alg: LieAlgebra, table: dict,
     """Span must close under the bracket and delta must land in its wedge.
 
     Raises NotASubalgebraError if the span is not even a subalgebra, since
-    the wedge membership question is then ill posed.
+    the wedge membership question is then ill posed. Every term of every
+    element is checked for membership first (ForeignGeneratorError), and
+    only the pairs `double.bracket_pairs` joins are bracketed: every other
+    pair brackets to exactly 0, which lies in the span.
     """
     span = SpanBasis()
     for elem in elements:
+        for gid, _ in elem.terms():
+            alg._check_member(gid)
         span.add({g: c for g, c in elem.terms()})
-    for a, b in itertools.combinations(elements, 2):
-        out = alg.bracket(a, b)
+    for _, _, out in bracket_pairs(alg, elements):
         if not span.contains({g: c for g, c in out.terms()}):
             raise NotASubalgebraError(
                 f"{label}: bracket of span members leaves the span")
@@ -672,14 +676,15 @@ def verify_cybe(triple: ManinTriple) -> CheckReport:
     return report
 
 
-def identify_centrals(wedge: dict, index: dict, target: int = 1) -> dict:
-    """Merge every I_k into I_target inside a wedge."""
+def identify_centrals(wedge: dict, index: dict) -> dict:
+    """Merge every I_k into I_1 inside a wedge."""
+    first = GeneratorId("I", 1)
     out = {}
     for (ga, gb), val in wedge.items():
         if ga.kind == "I":
-            ga = GeneratorId("I", target)
+            ga = first
         if gb.kind == "I":
-            gb = GeneratorId("I", target)
+            gb = first
         wedge_insert(out, index, ga, gb, val)
     return out
 

@@ -22,15 +22,16 @@ from .bialgebra import (SPAN_BUILDERS, build_r_matrix,
                         verify_coboundary, verify_cocycle, verify_cojacobi,
                         verify_cybe, verify_delta_agreement,
                         verify_subbialgebra, verify_twist)
-from .double import (SplittingSpec, split, verify_casimir_form,
-                     verify_closure, verify_compatibility,
-                     verify_form_invariance, verify_pairing,
-                     verify_reconstruction, verify_self_duality)
+from .double import (SplittingSpec, casimir_double, casimir_quadratic,
+                     split, verify_casimir_form, verify_closure,
+                     verify_compatibility, verify_form_invariance,
+                     verify_pairing, verify_reconstruction,
+                     verify_self_duality)
 from .errors import ClosureError, RankError, SpecError
 from .generators import SERIES, dimension, validate_series_rank
-from .reps import (ad_invariance_report, bosonic_rep, casimir_double,
-                   casimir_quadratic, check_rep_size, fermionic_rep,
-                   verify_casimir_commutes, verify_rep_homomorphism)
+from .reps import (ad_invariance_report, bosonic_rep, check_rep_size,
+                   fermionic_rep, verify_casimir_commutes,
+                   verify_rep_homomorphism)
 from .serialize import (delta_json, dumps_canonical, element_json,
                         matrix_text_exact, table_text, wedge_json)
 
@@ -152,12 +153,10 @@ def _splitting_payload(triple):
                         "element": element_json(triple.elem(gid), index)}
                        for gid in members]
     sides["pairing"] = [
-        {"minus": m.label, "plus": p.label, "value": value.to_strings()}
-        for (m, p), value in sorted(
-            triple.pairing.items(),
-            key=lambda kv: (triple.minus_index[kv[0][0]],
-                            triple.plus_index[kv[0][1]]))
-        if value]
+        {"minus": triple.sminus[m].label, "plus": triple.splus[p].label,
+         "value": value.to_strings()}
+        for m, row in enumerate(triple.pairing_rows)
+        for p, value in sorted(row.items())]
     return sides
 
 
@@ -254,8 +253,8 @@ def _run_export(args):
         text = dumps_canonical(payload)
     elif args.what == "pairing":
         text = matrix_text_exact(
-            {(triple.minus_index[m], triple.plus_index[p]): value
-             for (m, p), value in triple.pairing.items()})
+            {(m, p): value for m, row in enumerate(triple.pairing_rows)
+             for p, value in row.items()})
     else:
         text = _matrices_text(alg, args.cutoff)
     return _emit(text, args.out)

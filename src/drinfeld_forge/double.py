@@ -20,9 +20,10 @@ and c^{a,b}_c for s- ([z^a, z^b] = c^{a,b}_c z^c). Crossed brackets are
 recovered from f, c and the stored pairing alone, by exact solves, so a
 perturbed pairing is detected rather than silently absorbed.
 
-f, c, the pairing (stored once, read-only), its inverse (sparse rows
-from `linalg.SpanBasis`) and the double's form, its Casimir tensor
-(`reps.casimir_double`, as the double basis is its own dual), are sparse,
+f, c, the pairing (stored once, read-only, with one positional view,
+`ManinTriple.pairing_rows`), its inverse (sparse rows from
+`linalg.SpanBasis`) and the double's form, its Casimir tensor
+(`casimir_double`, as the double basis is its own dual), are sparse,
 so the crossed-bracket solve and the pairing, self-duality,
 compatibility, form-invariance and Casimir-form checks walk only their
 nonzero entries: each accumulates its exact residual from products of
@@ -44,7 +45,6 @@ from .generators import (GeneratorId, cartan_count, mirror, positive_roots,
                          validate_series_rank)
 from .linalg import SpanBasis, accumulate
 from .reporting import CheckReport
-from .reps import casimir_double
 from .scalars import I, INV_SQRT2, ONE, ZERO, Scalar
 
 _I_INV_SQRT2 = I * INV_SQRT2
@@ -183,9 +183,15 @@ class ManinTriple:
         # read-only, so that no memo below goes stale: an edited pairing
         # is a new triple (`perturb_pairing`, `rescale_minus`)
         self.pairing = MappingProxyType(dict(pairing))
-        for mgid, pgid in self.pairing:
+        # the one positional view of the pairing: row m maps each plus
+        # position to its nonzero value, in the pairing's order
+        rows = [{} for _ in self.sminus]
+        for (mgid, pgid), value in self.pairing.items():
             if mgid not in self.minus_index or pgid not in self.plus_index:
                 raise SpecError("the pairing must match s- with s+ members")
+            if value:
+                rows[self.minus_index[mgid]][self.plus_index[pgid]] = value
+        self.pairing_rows = tuple(rows)
         self.minus_factor = minus_factor
         self._minus_inv = minus_factor.inv()
         # memos, kept because a triple is never edited in place: the
@@ -235,14 +241,11 @@ class ManinTriple:
         coordinate left, so reducing e_j on P's half leaves minus row j of
         the inverse; a remainder on P means P is singular (SpecError)."""
         if self._pinv is None:
-            rows = [{} for _ in self.sminus]
-            for (mgid, pgid), value in self.pairing.items():
-                row = rows[self.minus_index[mgid]]
-                row[(0, self.plus_index[pgid])] = value
             echelon = SpanBasis()
-            for r, row in enumerate(rows):
-                row[(1, r)] = ONE
-                echelon.add(row)
+            for r, row in enumerate(self.pairing_rows):
+                augmented = {(0, s): value for s, value in row.items()}
+                augmented[(1, r)] = ONE
+                echelon.add(augmented)
             pinv = []
             for j in range(self.half_dim):
                 rest = echelon.reduce({(0, j): ONE})
@@ -281,21 +284,28 @@ def canonical_triple(series: str, rank: int) -> ManinTriple:
 
 
 def _half_brackets(triple: ManinTriple, basis):
-    """(b, c, decompose([basis[b], basis[c]])) for every pair b < c of
-    members of one half whose supports meet a nonzero bracket, in
-    `itertools.combinations` order.
-
-    The partners of each member are read off the double's adjoint index;
-    every other pair brackets to exactly 0, which lies in either half.
-    """
-    double = triple.double
-    rows = double.adjoint()
+    """(b, c, decompose([basis[b], basis[c]])) for every pair of members
+    of one half that `bracket_pairs` joins; every other pair brackets to
+    exactly 0, which lies in either half."""
     elems = [triple.elem(gid) for gid in basis]
+    for b, c, out in bracket_pairs(triple.double, elems):
+        yield b, c, triple.decompose(out)
+
+
+def bracket_pairs(alg: LieAlgebra, elems):
+    """(b, c, [elems[b], elems[c]]) for every pair b < c of the elements
+    whose supports meet a nonzero bracket, in `itertools.combinations`
+    order.
+
+    The partners of each element are read off the adjoint index; every
+    other pair brackets to exactly 0 and is not visited, so a term that
+    no visited pair holds is never checked for membership here.
+    """
+    rows = alg.adjoint()
     holders = _holders(elems)
     for b, x in enumerate(elems):
-        partners = sorted(c for c in _partners(rows, x, holders) if c > b)
-        for c in partners:
-            yield b, c, triple.decompose(double.bracket(x, elems[c]))
+        for c in sorted(c for c in _partners(rows, x, holders) if c > b):
+            yield b, c, alg.bracket(x, elems[c])
 
 
 def _holders(elems) -> dict:
@@ -374,10 +384,7 @@ def crossed_brackets(triple: ManinTriple):
     """
     f, c = structure_tensors(triple)
     k = triple.half_dim
-    p_rows = [{} for _ in range(k)]
-    for (mgid, pgid), value in triple.pairing.items():
-        if value:
-            p_rows[triple.minus_index[mgid]][triple.plus_index[pgid]] = value
+    p_rows = triple.pairing_rows
     pinv_rows = triple.pairing_inverse()
     pinv_cols = [{} for _ in range(k)]
     for s, row in enumerate(pinv_rows):
@@ -441,11 +448,34 @@ def verify_closure(triple: ManinTriple) -> CheckReport:
     return report
 
 
+def casimir_quadratic(alg) -> dict:
+    """The quadratic Casimir as its symmetric 2-tensor, (a, b) ->
+    coefficient: H_i x H_i over the Cartans, then r x m and m x r for each
+    positive root r and its mirror m."""
+    cartans = [GeneratorId("H", i)
+               for i in range(1, cartan_count(alg.series, alg.rank) + 1)]
+    tensor = {(h, h): ONE for h in cartans}
+    for root in positive_roots(alg.series, alg.rank):
+        tensor[(root, mirror(root))] = tensor[(mirror(root), root)] = ONE
+    return tensor
+
+
+def casimir_double(alg) -> dict:
+    """The double's Casimir: the quadratic tensor, then I_k x I_k over the
+    retained central generators. As the double basis is its own dual, it
+    is also the pairing's form on the double."""
+    tensor = casimir_quadratic(alg)
+    for gid in alg.basis:
+        if gid.kind == "I":
+            tensor[(gid, gid)] = ONE
+    return tensor
+
+
 def verify_pairing(triple: ManinTriple) -> CheckReport:
     """Isotropy of both halves and agreement with the intrinsic form.
 
     The intrinsic form puts H_i with H_i, I_i with I_i, and each root with
-    its mirror (the tensor `reps.casimir_double`); both halves must be
+    its mirror (the tensor `casimir_double`); both halves must be
     isotropic for it, and the cross Gram matrix must match the stored
     pairing and be invertible. The Gram matrix joins each member's terms
     through the tensor with the members holding their partners. `checked`
@@ -470,8 +500,9 @@ def verify_pairing(triple: ManinTriple) -> CheckReport:
             report.add_violation({"side": "s+" if a < k else "s-",
                                   "pair": [members[a].label, members[b].label],
                                   "value": str(value)})
-    stored = {(k + triple.minus_index[mgid], triple.plus_index[pgid]): value
-              for (mgid, pgid), value in triple.pairing.items()}
+    stored = {(k + m, p): value
+              for m, row in enumerate(triple.pairing_rows)
+              for p, value in row.items()}
     for a, b in sorted({key for key in gram if key[1] < k <= key[0]}
                        | stored.keys()):
         value, expected = gram.get((a, b), ZERO), stored.get((a, b), ZERO)
@@ -681,7 +712,7 @@ def verify_casimir_form(triple: ManinTriple) -> CheckReport:
 
     Sum over the nonzero entries of the inverse pairing of the weighted,
     symmetrized z x Z tensors; it must equal the tensor of the double's
-    Casimir (`reps.casimir_double`): H x H plus I x I over the retained
+    Casimir (`casimir_double`): H x H plus I x I over the retained
     Cartans plus mirror-symmetrized root pairs. Violations are listed in
     basis order of the pair.
     """
@@ -743,10 +774,12 @@ def with_double(triple: ManinTriple, double: LieAlgebra) -> ManinTriple:
 
 def perturb_pairing(triple: ManinTriple, mgid: GeneratorId, pgid: GeneratorId,
                     delta: Scalar) -> ManinTriple:
-    """Add delta to one pairing entry, leaving the algebra untouched."""
+    """Add delta to one pairing entry, leaving the algebra and the s-
+    rescaling (`minus_factor`) untouched."""
     if mgid not in triple.minus_index or pgid not in triple.plus_index:
         raise SpecError("perturbation indices must name s- and s+ members")
     pairing = dict(triple.pairing)
     accumulate(pairing, (mgid, pgid),
                delta if isinstance(delta, Scalar) else Scalar(delta))
-    return ManinTriple(triple.double, triple.spec, triple.rotation, pairing)
+    return ManinTriple(triple.double, triple.spec, triple.rotation, pairing,
+                       minus_factor=triple.minus_factor)

@@ -302,7 +302,7 @@ class OscillatorProof:
         return residual
 
     def casimir(self, tensor: dict) -> dict:
-        """The Casimir tensor (`reps.casimir_quadratic`), the sum of
+        """The Casimir tensor (`double.casimir_quadratic`), the sum of
         c rho(a) rho(b) over its terms c a x b, as a normal-ordered
         polynomial."""
         total = {}

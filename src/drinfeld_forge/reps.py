@@ -80,9 +80,11 @@ Reports, violations in basis order:
 `checked` counts the basis pairs (`rep`) or generators (`casimir`), and
 `rep` gives the details `space_dim` and, when truncated, `cutoff`.
 
-A Casimir is its symmetric 2-tensor (`casimir_quadratic`,
-`casimir_double`), a dict (a, b) -> c for the term c a x b, and C is the
-sum of c rho(a) rho(b); a check that reads one takes its report's label.
+A Casimir is its symmetric 2-tensor, a dict (a, b) -> c for the term
+c a x b, and C is the sum of c rho(a) rho(b); a check that reads one
+takes it as an argument, with its report's label. The package states
+two, `double.casimir_quadratic` and `double.casimir_double`, beside the
+double's form.
 
 Each representation makes its one `oscillators.OscillatorProof`
 (`Representation.proof`) from its Fock space and central charges. The
@@ -98,8 +100,7 @@ from __future__ import annotations
 import math
 
 from .errors import ForeignGeneratorError, SpecError
-from .generators import (GeneratorId, cartan_count, dimension, mirror,
-                         positive_roots)
+from .generators import GeneratorId, cartan_count, dimension
 from .linalg import accumulate
 from .reporting import CheckReport
 from .scalars import ONE, ZERO, Scalar
@@ -263,29 +264,6 @@ def verify_rep_homomorphism(alg, rep: Representation) -> CheckReport:
                 report.add_violation({"pair": [p.label, q.label],
                                       "monomials": len(residual)})
     return report
-
-
-def casimir_quadratic(alg) -> dict:
-    """The quadratic Casimir as its symmetric 2-tensor, (a, b) ->
-    coefficient: H_i x H_i over the Cartans, then r x m and m x r for each
-    positive root r and its mirror m."""
-    cartans = [GeneratorId("H", i)
-               for i in range(1, cartan_count(alg.series, alg.rank) + 1)]
-    tensor = {(h, h): ONE for h in cartans}
-    for root in positive_roots(alg.series, alg.rank):
-        tensor[(root, mirror(root))] = tensor[(mirror(root), root)] = ONE
-    return tensor
-
-
-def casimir_double(alg) -> dict:
-    """The double's Casimir: the quadratic tensor, then I_k x I_k over the
-    retained central generators. As the double basis is its own dual, it
-    is also the pairing's form on the double."""
-    tensor = casimir_quadratic(alg)
-    for gid in alg.basis:
-        if gid.kind == "I":
-            tensor[(gid, gid)] = ONE
-    return tensor
 
 
 def verify_casimir_commutes(alg, rep: Representation, tensor: dict,

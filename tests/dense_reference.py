@@ -6,7 +6,7 @@ structure constants: the Jacobi triple loop, the compatibility quadruple
 loop over transposed tensors, the form-invariance triple loop (the
 form read by `_pair_rot` over every stored pairing entry), the pairing
 check's intrinsic rule (H_i with H_i, I_i with I_i, each root with its
-mirror, its own statement of `reps.casimir_double`) on every pair of each
+mirror, its own statement of `double.casimir_double`) on every pair of each
 half and every crossed pair, self-duality on all C(k, 2) pairs, the
 dense crossed-bracket solve (with its own dense pairing matrix and
 Gauss-Jordan inverse, so the oracle shares no elimination with the
@@ -52,7 +52,8 @@ from drinfeld_forge.algebra import build_series, shift_generator
 from drinfeld_forge.bialgebra import (build_r_matrix,
                                       cocommutator_from_structure,
                                       twisted_cartan_part, wedge_insert)
-from drinfeld_forge.double import (canonical_triple, structure_tensors,
+from drinfeld_forge.double import (canonical_triple, casimir_double,
+                                   casimir_quadratic, structure_tensors,
                                    with_double)
 from drinfeld_forge.elements import Element
 from drinfeld_forge.errors import ClosureError, SpecError
@@ -60,8 +61,7 @@ from drinfeld_forge.generators import GeneratorId
 from drinfeld_forge.generators import cartan_count, mirror
 from drinfeld_forge.linalg import accumulate
 from drinfeld_forge.reporting import CheckReport
-from drinfeld_forge.reps import (Representation, SparseMatrix, casimir_double,
-                                 casimir_quadratic)
+from drinfeld_forge.reps import Representation, SparseMatrix
 from drinfeld_forge.scalars import HALF, INV_SQRT2, ONE, ZERO, Scalar
 
 

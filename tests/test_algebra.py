@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld_forge import (ClosureError, Element, ForeignGeneratorError,
-                            GeneratorId, ONE, RankError, Scalar, build_series,
-                            cartan_count, dimension, enumerate_generators,
-                            mirror, mutate_bracket, parse_label,
-                            positive_roots, shift_generator,
-                            validate_series_rank, verify_jacobi)
+                            GeneratorId, RankError, Scalar, build_series,
+                            dimension, enumerate_generators, mirror,
+                            mutate_bracket, parse_label, positive_roots,
+                            shift_generator, validate_series_rank,
+                            verify_jacobi)
 
 JACOBI_GRID = ([("A", r) for r in (1, 2, 3, 4)]
                + [("B", r) for r in (1, 2, 3)]

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from drinfeld_forge import (Element, GeneratorId, HALF, I, NotASubalgebraError,
-                            ONE, Scalar, SpecError, SPAN_BUILDERS,
-                            a_chain_span, build_r_matrix,
-                            build_series, canonical_triple,
+from drinfeld_forge import (Element, ForeignGeneratorError, GeneratorId, HALF,
+                            I, LieAlgebra, NotASubalgebraError, ONE, Scalar,
+                            SpecError, SPAN_BUILDERS, a_chain_span,
+                            build_r_matrix, build_series, canonical_triple,
                             cocommutator_explicit, cocommutator_from_structure,
                             delta_discrepancy_audit, mutate_bracket,
                             orthogonal_span_in_b, split, verify_chain_embedding,
@@ -15,7 +15,6 @@ from drinfeld_forge import (Element, GeneratorId, HALF, I, NotASubalgebraError,
                             verify_cybe, verify_delta_agreement,
                             verify_subbialgebra, verify_twist, wedge_insert,
                             with_double)
-from drinfeld_forge.bialgebra import twisted_cartan_part, wedge_of_elements
 from drinfeld_forge.cli import main
 
 from dense_reference import ad_wedge
@@ -289,6 +288,37 @@ def test_non_closed_span_raises():
     span = [Element.gen(GeneratorId("U", 1)), Element.gen(GeneratorId("V", 1))]
     with pytest.raises(NotASubalgebraError):
         verify_subbialgebra(triple.double, table, span, "UV")
+
+
+def test_subbialgebra_brackets_only_joined_pairs(monkeypatch):
+    # s+ of D4 has 16 members, so C(16, 2) = 120 pairs; only those whose
+    # supports meet a nonzero bracket are bracketed
+    triple = canonical_triple("D", 4)
+    table = cocommutator_from_structure(triple)
+    label, span = SPAN_BUILDERS["splus"](triple)
+    calls = []
+    bracket = LieAlgebra.bracket
+
+    def counted(alg, x, y):
+        calls.append((x, y))
+        return bracket(alg, x, y)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", counted)
+    report = verify_subbialgebra(triple.double, table, span, label)
+    assert report.passed
+    assert len(span) == 16
+    assert 0 < len(calls) < 120
+
+
+def test_subbialgebra_refuses_every_foreign_term():
+    # H5 is not in A1 and brackets nothing the join would visit, and a
+    # span of one element has no pair at all
+    triple = canonical_triple("A", 1)
+    table = cocommutator_from_structure(triple)
+    h1, h5 = Element.gen(GeneratorId("H", 1)), Element.gen(GeneratorId("H", 5))
+    for span in ([h1, h5], [h5]):
+        with pytest.raises(ForeignGeneratorError, match="H5"):
+            verify_subbialgebra(triple.double, table, span, "foreign")
 
 
 def test_r_matrix_shape():

@@ -1,5 +1,6 @@
 """Manin triples: splittings, pairings, structure tensors, verifiers."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import drinfeld_forge
 
-from drinfeld_forge import double, reps
+from drinfeld_forge import double
 from drinfeld_forge import (Element, GeneratorId, INV_SQRT2, ONE, Scalar,
                             SpecError, SplittingSpec, build_series,
                             canonical_triple, crossed_brackets,
@@ -173,6 +174,18 @@ def test_rescale_breaks_only_self_duality():
     }
 
 
+def test_zero_perturbation_keeps_a_rescaled_triple():
+    # perturb_pairing carries the s- rescaling along, as with_double does:
+    # adding 0 to one entry of a rescaled triple changes no report
+    rescaled = rescale_minus(canonical_triple("A", 2), Scalar(2))
+    same = perturb_pairing(rescaled, rescaled.sminus[0], rescaled.splus[0],
+                           Scalar(0))
+    assert same.minus_factor == rescaled.minus_factor
+    for check in TRIPLE_CHECKS:
+        assert check(same).to_dict() == check(rescaled).to_dict(), \
+            check.__name__
+
+
 def test_perturbed_pairing_fails_dependent_checks():
     base = canonical_triple("A", 1)
     triple = perturb_pairing(base, GeneratorId("x", 1), GeneratorId("X", 2),
@@ -187,9 +200,9 @@ def test_perturbed_pairing_fails_dependent_checks():
 
 def test_casimir_form_needs_every_central_square(monkeypatch):
     # casimir-form compares the pairing's dual-basis tensor with the tensor
-    # of reps.casimir_double, so a double Casimir that lost its last
+    # of double.casimir_double, so a double Casimir that lost its last
     # central square leaves that square as the one violation
-    full = reps.casimir_double
+    full = double.casimir_double
 
     def lossy(alg):
         return dict(list(full(alg).items())[:-1])
@@ -285,7 +298,39 @@ def test_pairing_matrix_is_identity_for_canonical():
     assert {(triple.minus_index[m], triple.plus_index[p]): value
             for (m, p), value in triple.pairing.items()} == {
                 (r, r): ONE for r in range(k)}
+    assert triple.pairing_rows == tuple({r: ONE} for r in range(k))
     assert triple.pairing_inverse() == [{r: ONE} for r in range(k)]
+
+
+def test_pairing_rows_drop_zeros_and_follow_perturbations():
+    base = canonical_triple("A", 2)
+    key = (base.sminus[1], base.splus[1])
+    zeroed = double.ManinTriple(base.double, base.spec, base.rotation,
+                                {**base.pairing, key: Scalar(0)})
+    assert key in zeroed.pairing and zeroed.pairing_rows[1] == {}
+    added = perturb_pairing(base, base.sminus[3], base.splus[4], Scalar(2))
+    assert added.pairing_rows[3] == {3: ONE, 4: Scalar(2)}
+    assert base.pairing_rows[3] == {3: ONE}
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 2), ("C", 2),
+                                         ("D", 3)])
+def test_bracket_pairs_is_every_nonzero_pair(series, rank):
+    # the join leaves out only pairs that bracket to 0, keeps the order of
+    # itertools.combinations, and brackets each pair it yields
+    triple = canonical_triple(series, rank)
+    alg = triple.double
+    elems = ([triple.elem(g) for g in triple.splus + triple.sminus]
+             + [Element.gen(g) for g in alg.basis])
+    joined = list(double.bracket_pairs(alg, elems))
+    assert [(b, c) for b, c, _ in joined] == sorted(
+        (b, c) for b, c, _ in joined)
+    for b, c, out in joined:
+        assert b < c and out == alg.bracket(elems[b], elems[c])
+    visited = {(b, c) for b, c, _ in joined}
+    for b, c in itertools.combinations(range(len(elems)), 2):
+        if (b, c) not in visited:
+            assert not alg.bracket(elems[b], elems[c]), (b, c)
 
 
 def test_pairing_cannot_be_edited_in_place():

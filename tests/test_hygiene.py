@@ -40,7 +40,16 @@ def test_checker_sees_an_unused_import():
                           "print(ONE)\n") == ["line 1: os", "line 2: ZERO"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+# the package modules, named by file, then the tests and demos, named by
+# path; perfbench/ is left out, its benchmark files keep a `noqa` import
+IMPORTING = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize(
+    "path", IMPORTING,
+    ids=lambda path: (path.name if path.parent == SRC
+                      else str(path.relative_to(ROOT))))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -216,6 +225,13 @@ def test_oscillators_import_nothing_from_reps():
     # a proof is made from a Fock space and central charges alone, so the
     # oscillators never reach back into the representations they serve
     source = (SRC / "oscillators.py").read_text(encoding="utf-8")
+    assert "reps" not in imported_names(source)
+
+
+def test_double_imports_nothing_from_reps():
+    # the double's form and Casimir tensors live in `double`, so the
+    # algebraic layer never loads the representation layer
+    source = (SRC / "double.py").read_text(encoding="utf-8")
     assert "reps" not in imported_names(source)
 
 
