@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import serialize
 from .elements import Element
@@ -277,15 +278,37 @@ def _rule(series: str, g1: GeneratorId, g2: GeneratorId) -> Element:
 class LieAlgebra:
     """A basis, its index map, and the antisymmetric structure table.
 
-    Instances are treated as immutable; mutation helpers return copies,
-    whose memos (`adjoint`) start empty.
+    The table maps a pair (p, q) of members, p before q in basis order, to
+    the nonzero bracket [p, q]; the pair is never stored in both orders,
+    and [q, p] is read as its negation. Every reader takes the sign from
+    basis order, so the constructor refuses a key out of that order, a
+    pair stored in both orders and a diagonal key (ValueError naming the
+    pair). It holds the table as a read-only view of the mapping it is
+    handed, without a copy, so a mixed splitting shares the table of its
+    series. Instances are treated as immutable; mutation helpers return
+    copies, whose memos (`adjoint`) start empty.
     """
 
     def __init__(self, series: str, rank: int, basis, table, n_indices: int):
         self.series = series
         self.rank = rank
         self.basis = tuple(basis)
-        self.index = {gid: pos for pos, gid in enumerate(self.basis)}
+        self.index = index = {gid: pos for pos, gid in enumerate(self.basis)}
+        if type(table) is not MappingProxyType:
+            table = MappingProxyType(table)
+        for p, q in table:
+            pp, pq = index.get(p), index.get(q)
+            if pp is None or pq is None:
+                self._check_member(p)
+                self._check_member(q)
+            if pp >= pq:
+                if p == q:
+                    why = "a diagonal key"
+                elif (q, p) in table:
+                    why = "stored in both orders"
+                else:
+                    why = f"out of basis order: {q.label} comes first"
+                raise ValueError(f"table key ({p.label}, {q.label}) is {why}")
         self.table = table
         self.n_indices = n_indices
         self._adjoint = None
@@ -304,28 +327,33 @@ class LieAlgebra:
         self._check_member(p)
         self._check_member(q)
         entry = self.adjoint().get(p, {}).get(q)
-        return entry.copy() if entry is not None else Element()
+        if entry is None:
+            return Element()
+        index = self.index
+        return entry.copy() if index[p] < index[q] else -entry
 
     def entries(self):
         """(position of p, position of q, [p, q]) for every stored entry,
-        in table order. `build_series`, `mutate_bracket` and `restrict`
-        store each nonzero bracket of two members once, p before q, so
-        this is every nonzero bracket, each read once."""
+        in table order, with p before q: the constructor refuses any other
+        key, so this is every nonzero bracket, each read once."""
         index = self.index
         for (p, q), entry in self.table.items():
             yield index[p], index[q], entry
 
-    def adjoint(self) -> dict:
-        """The adjoint index: generator g -> {h: [g, h]} over every nonzero
+    def adjoint(self) -> MappingProxyType:
+        """The adjoint index: generator g -> {h: entry} over every nonzero
         bracket of two members, read from `entries`.
 
-        Each entry [p, q] is listed under p as itself and under q as its
-        negation, in table order, and every term of it is checked to be a
-        member once, here (ForeignGeneratorError otherwise). A generator
-        that brackets every member to zero has no key. Both brackets and
-        the kernels that join nonzero data read this index; it is built
-        on first use and kept, which is sound because instances are never
-        edited in place.
+        Each table entry [p, q] is listed under both p and q as the
+        table's own Element, in table order, so the index holds no
+        bracket of its own; a reader takes [g, h] as the entry when g
+        comes before h in basis order and as its negation otherwise. Every
+        term of every entry is checked to be a member once, here
+        (ForeignGeneratorError otherwise). A generator that brackets every
+        member to zero has no key. The index and its rows are read-only
+        views. Both brackets and the kernels that join nonzero data read
+        it; it is built on first use and kept, which is sound because
+        instances are never edited in place.
         """
         if self._adjoint is None:
             basis = self.basis
@@ -334,8 +362,9 @@ class LieAlgebra:
                 for g, _ in entry.terms():
                     self._check_member(g)
                 out.setdefault(basis[pu], {})[basis[pv]] = entry
-                out.setdefault(basis[pv], {})[basis[pu]] = -entry
-            self._adjoint = out
+                out.setdefault(basis[pv], {})[basis[pu]] = entry
+            self._adjoint = MappingProxyType(
+                {g: MappingProxyType(row) for g, row in out.items()})
         return self._adjoint
 
     def bracket(self, x, y) -> Element:
@@ -363,33 +392,20 @@ class LieAlgebra:
             row = rows.get(gx)
             if row is None:
                 continue
+            px = index[gx]
             for gy, cy in y.terms():
                 entry = row.get(gy)
                 if entry is not None:
+                    # the entry is [gx, gy] when gx comes first
                     factor = cx * cy
+                    if index[gy] < px:
+                        factor = -factor
                     for gid, coeff in entry.terms():
                         out.add_term(gid, coeff * factor)
         return out
 
     def weight_of(self, gid: GeneratorId) -> tuple[int, ...]:
         return weight(gid, self.n_indices)
-
-    def restrict(self, keep) -> LieAlgebra:
-        """Sub-table on a bracket-closed subset of the basis (order kept)."""
-        keep = tuple(keep)
-        kept = set(keep)
-        for gid in keep:
-            self._check_member(gid)
-        table = {}
-        for p, q in itertools.combinations(keep, 2):
-            out = self.bracket_gens(p, q)
-            if out.support() - kept:
-                raise ClosureError(
-                    f"[{p.label}, {q.label}] leaves the restricted span")
-            if out:
-                # combinations(keep) puts p before q in the sub's order
-                table[(p, q)] = out
-        return LieAlgebra(self.series, self.rank, keep, table, self.n_indices)
 
     def to_json(self) -> dict:
         return serialize.table_json(self.series, self.rank, self.basis, self.table)
@@ -443,7 +459,8 @@ def verify_jacobi(alg: LieAlgebra) -> CheckReport:
     entry [u, v] with the third generator, so the residuals are
     accumulated by walking every table entry, every term g of it, and
     every w with [g, w] nonzero in the adjoint index (which checks that
-    every term is a member); a triple that no walk reaches has the
+    every term is a member), with the sign of [g, w] taken once per w
+    from basis order; a triple that no walk reaches has the
     residual 0 exactly. `checked` counts all C(dim, 3) triples, and the
     violations are reported in basis order.
     """
@@ -452,20 +469,23 @@ def verify_jacobi(alg: LieAlgebra) -> CheckReport:
     residuals = {}
     for pu, pv, entry in alg.entries():
         for g, cg in entry.terms():
+            pg, ncg = index[g], -cg
             for w, inner in rows.get(g, {}).items():
                 pw = index[w]
                 if pw == pu or pw == pv:
                     continue
                 # [[u, v], w] enters the sorted triple's residual with a
-                # minus sign exactly when w lies between u and v
-                factor = cg
+                # minus sign exactly when w lies between u and v, and
+                # [g, w] is -inner when w comes before g
+                flip = pw < pg
                 if pw > pv:
                     key = (pu, pv, pw)
                 elif pw < pu:
                     key = (pw, pu, pv)
                 else:
                     key = (pu, pw, pv)
-                    factor = -cg
+                    flip = not flip
+                factor = ncg if flip else cg
                 acc = residuals.get(key)
                 if acc is None:
                     acc = residuals[key] = Element()

@@ -359,8 +359,8 @@ def verify_cocycle(alg: LieAlgebra, table: dict) -> CheckReport:
     rows = {}
     for pu, pv, entry in alg.entries():
         rows.setdefault(pu, []).append((pv, entry))
-    # the terms v (s ^ t) of each delta, and factor s -> [(position of
-    # the delta, t, v)] over all of them
+    # the terms v (s ^ t) of each delta, each with -v, and factor s ->
+    # [(position of the delta, t, v, -v)] over all of them
     terms = []
     factors = {}
     for py, gid in enumerate(basis):
@@ -368,9 +368,10 @@ def verify_cocycle(alg: LieAlgebra, table: dict) -> CheckReport:
         for (a, b), w in table[gid].items():
             alg._check_member(a)
             alg._check_member(b)
-            row += ((a, b, w), (b, a, -w))
-        for s, t, v in row:
-            factors.setdefault(s, []).append((py, t, v))
+            nw = -w
+            row += ((a, b, w, nw), (b, a, nw, w))
+        for s, t, v, nv in row:
+            factors.setdefault(s, []).append((py, t, v, nv))
         terms.append(row)
     dim = alg.dim
     report = CheckReport(check="cocycle", passed=True,
@@ -385,13 +386,20 @@ def verify_cocycle(alg: LieAlgebra, table: dict) -> CheckReport:
                     accumulate(acc, key, cg * val)
         # + ad_y delta(x) adds v [y, s] ^ t = v t ^ [s, y] for each term of
         # delta(x), and - ad_x delta(y) adds -v [x, s] ^ t = v t ^ [x, s]
-        # for each term of delta(y)
-        joined = [(index[y], bracket, t, v) for s, t, v in terms[px]
-                  for y, bracket in adjoint.get(s, {}).items()
-                  if index[y] > px]
-        joined += [(py, bracket, t, v)
-                   for s, bracket in adjoint.get(x, {}).items()
-                   for py, t, v in factors.get(s, ()) if py > px]
+        # for each term of delta(y); the index entry `bracket` is [s, y]
+        # or [x, s] when its first generator comes first in basis order,
+        # and its negation otherwise, so v or -v is picked once per entry
+        joined = []
+        for s, t, v, nv in terms[px]:
+            ps = index[s]
+            for y, bracket in adjoint.get(s, {}).items():
+                py = index[y]
+                if py > px:
+                    joined.append((py, bracket, t, v if ps < py else nv))
+        for s, bracket in adjoint.get(x, {}).items():
+            after = px < index[s]
+            joined += [(py, bracket, t, v if after else nv)
+                       for py, t, v, nv in factors.get(s, ()) if py > px]
         for py, bracket, t, v in joined:
             acc = residuals.get(py)
             if acc is None:
@@ -572,28 +580,33 @@ def _ad_images(alg: LieAlgebra, wedge: dict):
     dict lists its terms in the same order.
     """
     index = alg.index
-    terms = list(wedge.items())
-    # factor -> positions in `terms` of the wedge terms it is in
+    # (a, b, position of a, position of b, w, -w) for each term w (a ^ b),
+    # and factor -> positions in `terms` of the wedge terms it is in
+    terms = []
     holders = {}
-    for pos, ((ga, gb), _) in enumerate(terms):
+    for pos, ((ga, gb), coeff) in enumerate(wedge.items()):
         for g in (ga, gb):
             alg._check_member(g)
             holders.setdefault(g, []).append(pos)
+        terms.append((ga, gb, index[ga], index[gb], coeff, -coeff))
     adjoint = alg.adjoint()
-    for z in alg.basis:
+    for pz, z in enumerate(alg.basis):
+        # the index entry under z and h is [z, h] when z comes before h
         brackets = adjoint.get(z, {})
         out = {}
         for pos in sorted({pos for h in brackets
                            for pos in holders.get(h, ())}):
-            (ga, gb), coeff = terms[pos]
+            ga, gb, pa, pb, coeff, ncoeff = terms[pos]
             left = brackets.get(ga)
             if left is not None:
+                factor = coeff if pz < pa else ncoeff
                 for g, c in left.terms():
-                    wedge_insert(out, index, g, gb, c * coeff)
+                    wedge_insert(out, index, g, gb, c * factor)
             right = brackets.get(gb)
             if right is not None:
+                factor = coeff if pz < pb else ncoeff
                 for g, c in right.terms():
-                    wedge_insert(out, index, ga, g, c * coeff)
+                    wedge_insert(out, index, ga, g, c * factor)
         yield z, out
 
 
@@ -646,21 +659,28 @@ def verify_cybe(triple: ManinTriple) -> CheckReport:
     for (g, h), v in r.items():
         by_first.setdefault(g, []).append((h, v))
         by_second.setdefault(h, []).append((g, v))
+    index = alg.index
     tensor = {}
     for (g, h), v in r.items():
+        # the index entry under a and b is [a, b] when a comes before b,
+        # so v or -v is picked once per entry
+        pg, ph, nv = index[g], index[h], -v
         for g2, bracket in adjoint.get(g, {}).items():    # [r12, r13]
+            sv = v if pg < index[g2] else nv
             for h2, v2 in by_first.get(g2, ()):
-                factor = v * v2
+                factor = sv * v2
                 for k, c in bracket.terms():
                     accumulate(tensor, (k, h, h2), c * factor)
         for g2, bracket in adjoint.get(h, {}).items():    # [r12, r23]
+            sv = v if ph < index[g2] else nv
             for h2, v2 in by_first.get(g2, ()):
-                factor = v * v2
+                factor = sv * v2
                 for k, c in bracket.terms():
                     accumulate(tensor, (g, k, h2), c * factor)
         for h2, bracket in adjoint.get(h, {}).items():    # [r13, r23]
+            sv = v if ph < index[h2] else nv
             for g2, v2 in by_second.get(h2, ()):
-                factor = v * v2
+                factor = sv * v2
                 for k, c in bracket.terms():
                     accumulate(tensor, (g, g2, k), c * factor)
     report = CheckReport(check="cybe", passed=True,
@@ -785,6 +805,8 @@ def verify_chain_embedding(series: str, rank: int,
             report.add_violation({"kind": "bracket",
                                   "pair": [small.basis[pa].label,
                                            small.basis[pb].label]})
+    # freed before rank n+1's index, tensors and cocommutator are built
+    del pairs, back
     small_delta = cocommutator_from_structure(small_triple)
     big_delta = cocommutator_from_structure(big_triple)
     for g in small.basis:

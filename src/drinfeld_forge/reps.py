@@ -306,7 +306,7 @@ def ad_invariance_report(alg, tensor: dict, label: str) -> CheckReport:
     time, so only that row is held. `checked` counts every basis
     generator, and the violations are reported in basis order.
     """
-    # left factor a -> [(b, c)] over the tensor terms c a x b
+    # left factor a -> [(b, c, -c)] over the tensor terms c a x b
     factors = {}
     for (ga, gb), coeff in tensor.items():
         alg._check_member(ga)
@@ -314,15 +314,19 @@ def ad_invariance_report(alg, tensor: dict, label: str) -> CheckReport:
         if tensor.get((gb, ga), ZERO) != coeff:
             raise SpecError(f"the Casimir tensor is not symmetric at "
                             f"({ga.label}, {gb.label})")
-        factors.setdefault(ga, []).append((gb, coeff))
-    basis = alg.basis
+        factors.setdefault(ga, []).append((gb, coeff, -coeff))
+    basis, index = alg.basis, alg.index
     adjoint = alg.adjoint()
     report = CheckReport(check=f"casimir-invariance-{label}", passed=True,
                          checked=len(basis))
-    for z in basis:
+    for pz, z in enumerate(basis):
         moved = {}
         for g, bracket in adjoint.get(z, {}).items():
-            for gb, coeff in factors.get(g, ()):
+            # the index entry is [z, g] when z comes before g
+            after = pz < index[g]
+            for gb, coeff, ncoeff in factors.get(g, ()):
+                if not after:
+                    coeff = ncoeff
                 for gid, inner in bracket.terms():
                     value = coeff * inner
                     accumulate(moved, (gid, gb), value)

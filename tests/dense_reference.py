@@ -39,7 +39,8 @@ bracket is taken by `_bracket`, term pair by term pair through
 `_bracket_gens`, which reads the table itself, so the oracle shares no
 code with the adjoint index that `LieAlgebra.bracket_gens` reads.
 `with_entry` makes the edited copies of a representation that the
-mutation tests hold to the matrix gate. They are
+mutation tests hold to the matrix gate, and `restrict` the sub-tables
+that the kernel tests index, each stored in the sub-basis order. They are
 not part of the package and nothing outside the tests imports them.
 """
 
@@ -48,7 +49,7 @@ from __future__ import annotations
 import itertools
 
 from drinfeld_forge import serialize
-from drinfeld_forge.algebra import build_series, shift_generator
+from drinfeld_forge.algebra import LieAlgebra, build_series, shift_generator
 from drinfeld_forge.bialgebra import (build_r_matrix,
                                       cocommutator_from_structure,
                                       twisted_cartan_part, wedge_insert)
@@ -753,6 +754,24 @@ def with_entry(rep, gid, key, value):
     matrices = dict(rep.matrices)
     matrices[gid] = SparseMatrix(rep.space_dim, entries)
     return Representation(rep.alg, matrices, rep.space, rep.lambdas)
+
+
+def restrict(alg, keep) -> LieAlgebra:
+    """The sub-algebra on a bracket-closed subset `keep` of alg's basis,
+    with keep's order as its basis order (ClosureError if a bracket leaves
+    the span)."""
+    keep = tuple(keep)
+    kept = set(keep)
+    table = {}
+    for p, q in itertools.combinations(keep, 2):
+        out = _bracket_gens(alg, p, q)
+        if out.support() - kept:
+            raise ClosureError(
+                f"[{p.label}, {q.label}] leaves the restricted span")
+        if out:
+            # combinations(keep) puts p before q in the sub's order
+            table[(p, q)] = out
+    return LieAlgebra(alg.series, alg.rank, keep, table, alg.n_indices)
 
 
 def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:

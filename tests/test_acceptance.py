@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import dense_reference as dense
 
-from drinfeld_forge import (I, Element, GeneratorId, SPAN_BUILDERS, Scalar,
+from drinfeld_forge import (I, CheckReport, Element, GeneratorId, LieAlgebra,
+                            SPAN_BUILDERS, Scalar,
                             a_chain_span, ad_invariance_report, bosonic_rep,
                             build_series, canonical_triple, casimir_quadratic,
                             cocommutator_explicit,
@@ -226,6 +227,20 @@ def test_criterion_09_mixed_splitting(capsys):
              "reconstruction, and conjugated self-duality exactly", ok)
 
 
+def _checked_table(triple, table, verifier):
+    """verifier on the triple whose double holds `table`, or a failed report
+    that holds the error when LieAlgebra refuses the table."""
+    alg = triple.double
+    try:
+        mutant = LieAlgebra(alg.series, alg.rank, alg.basis, table,
+                            alg.n_indices)
+    except ValueError as err:
+        report = CheckReport(check="table", passed=True)
+        report.add_violation({"error": str(err)})
+        return report
+    return verifier(with_double(triple, mutant))
+
+
 def _mutation_fixtures():
     """Single-coefficient mutations, at least one per verifier; each must fail."""
     h1 = GeneratorId("H", 1)
@@ -365,6 +380,14 @@ def _mutation_fixtures():
     crossed_a2 = with_double(a2, mutate_bracket(
         a2.double, f32, f12, Element.gen(f13)))
 
+    # [F2,1, F1,2] := H1 - H2, the value of [F1,2, F2,1], under the key
+    # (F2,1, F1,2) in place of (F1,2, F2,1): a sign flip that only the
+    # key's order carries. cybe reads brackets through the adjoint index
+    # alone, which takes the sign from basis order and would flip it
+    # back, so only the refusal of the table catches it
+    reversed_key = dict(a2.double.table)
+    reversed_key[(f21, f12)] = reversed_key.pop((f12, f21))
+
     # C2 at cutoff 4 with [P1,2, P2,2] := i Q1,2: the normal-ordered
     # residual i b_1 b_2 moves only |1,1>, and the pair protects only the
     # vacuum, so only stage 1 sees it
@@ -375,6 +398,8 @@ def _mutation_fixtures():
     return (
         ("jacobi", lambda: verify_jacobi(traced_a2)),
         ("jacobi-new-bracket", lambda: verify_jacobi(cartan_a2)),
+        ("cybe-reversed-key", lambda: _checked_table(
+            a2, reversed_key, verify_cybe)),
         ("compatibility-new-bracket",
          lambda: verify_compatibility(rooted_a2)),
         ("forminv-new-pairing",

@@ -5,12 +5,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_reference as dense
 from drinfeld_forge import (ClosureError, Element, ForeignGeneratorError,
                             GeneratorId, RankError, Scalar, build_series,
                             dimension, enumerate_generators, mirror,
                             mutate_bracket, parse_label, positive_roots,
-                            shift_generator, validate_series_rank,
+                            shift_generator, split, validate_series_rank,
                             verify_jacobi)
+from drinfeld_forge.algebra import LieAlgebra
 
 JACOBI_GRID = ([("A", r) for r in (1, 2, 3, 4)]
                + [("B", r) for r in (1, 2, 3)]
@@ -192,17 +194,80 @@ def test_mutation_is_orientation_normalized():
     assert mutated.bracket_gens(f12, f21) == -target
 
 
+def _with_key_reversed(alg, p, q, value):
+    """alg's table with the entry under (p, q) moved to the key (q, p),
+    holding `value`."""
+    table = dict(alg.table)
+    del table[(p, q)]
+    table[(q, p)] = value
+    return table
+
+
+def test_table_refuses_a_key_out_of_basis_order():
+    # the key (F2,1, F1,2) holding the correct [F2,1, F1,2] describes the
+    # same algebra, and holding [F1,2, F2,1] flips its sign; every reader
+    # takes the sign from basis order, so both are refused, and no reader
+    # sees either
+    alg = build_series("A", 2)
+    f12, f21 = GeneratorId("F", 1, 2), GeneratorId("F", 2, 1)
+    args = (alg.series, alg.rank, alg.basis)
+    for value in (-alg.table[(f12, f21)], alg.table[(f12, f21)]):
+        table = _with_key_reversed(alg, f12, f21, value)
+        with pytest.raises(ValueError, match=r"\(F2,1, F1,2\) is out of "
+                                             r"basis order"):
+            LieAlgebra(*args, table, alg.n_indices)
+    # a pair stored in both orders, and a diagonal key
+    both = {**alg.table, (f21, f12): -alg.table[(f12, f21)]}
+    with pytest.raises(ValueError, match=r"\(F2,1, F1,2\) is stored in "
+                                         r"both orders"):
+        LieAlgebra(*args, both, alg.n_indices)
+    with pytest.raises(ValueError, match="diagonal"):
+        LieAlgebra(*args, {(f12, f12): Element.gen(f12)}, alg.n_indices)
+    # a key that is not a member
+    with pytest.raises(ForeignGeneratorError):
+        LieAlgebra(*args, {(f12, GeneratorId("F", 1, 4)): Element.gen(f12)},
+                   alg.n_indices)
+
+
+def test_mixed_split_shares_the_table_of_its_series():
+    # a mixed splitting drops unpaired centrals, a subsequence of the basis,
+    # so the parent's table keeps its orientation and is handed over as is
+    triple = split("D", 3, "mixed:pairs=1-2")
+    full = build_series("D", 3)
+    assert triple.double.dim < full.dim
+    assert triple.double.table is full.table
+    assert verify_jacobi(triple.double).passed
+
+
+def test_table_and_adjoint_rows_are_read_only():
+    # the lru_cached instance is shared by every caller in the process,
+    # so neither its table nor its index may be edited in place
+    alg = build_series("A", 2)
+    assert build_series("A", 2) is alg
+    f12, f21 = GeneratorId("F", 1, 2), GeneratorId("F", 2, 1)
+    rows = alg.adjoint()
+    with pytest.raises(TypeError):
+        alg.table[(f12, f21)] = Element()
+    with pytest.raises(TypeError):
+        del alg.table[(f12, f21)]
+    with pytest.raises(TypeError):
+        rows[f12][f21] = Element()
+    with pytest.raises(TypeError):
+        rows[f12] = {}
+    assert verify_jacobi(alg).passed
+
+
 def test_restrict_requires_closure():
     alg = build_series("B", 2)
     keep = [gid for gid in alg.basis if gid.kind in ("H", "U")]
     with pytest.raises(ClosureError):
-        alg.restrict(keep)
+        dense.restrict(alg, keep)
 
 
 def test_restrict_keeps_subtable():
     alg = build_series("A", 2)
     keep = [gid for gid in alg.basis if gid.kind in ("H", "F")]
-    sub = alg.restrict(keep)
+    sub = dense.restrict(alg, keep)
     assert sub.dim == len(keep)
     f12, f23 = GeneratorId("F", 1, 2), GeneratorId("F", 2, 3)
     assert sub.bracket_gens(f12, f23) == alg.bracket_gens(f12, f23)
@@ -212,7 +277,7 @@ def test_restrict_out_of_basis_order_keeps_every_bracket():
     # the sub-algebra reads its keys in the order of keep, not the parent's
     alg = build_series("A", 2)
     keep = [gid for gid in reversed(alg.basis) if gid.kind in ("H", "F")]
-    sub = alg.restrict(keep)
+    sub = dense.restrict(alg, keep)
     for p, q in itertools.product(keep, repeat=2):
         assert sub.bracket_gens(p, q) == alg.bracket_gens(p, q), (p, q)
         assert sub.bracket(p, q) == alg.bracket(p, q), (p, q)

@@ -159,7 +159,6 @@ def test_every_definition_is_named():
 
 # package definitions that only the tests name, each kept for a reason
 TEST_ONLY = {
-    "algebra.py: restrict": "the sub-table fixture of the kernel tests",
     "algebra.py: weight_of": "kept for the planned `grading` verifier",
     "scalars.py: rational": "field API, checked against fraction_scalar",
     "scalars.py: is_rational": "field API, checked against fraction_scalar",

@@ -493,6 +493,33 @@ def test_bialgebra_kernels_never_walk_the_pairs(monkeypatch, series, rank,
         dense.structure_tensors_pairwise(triple)
 
 
+@pytest.mark.parametrize("series,rank,spec", [
+    ("A", 2, "canonical"), ("B", 2, "canonical"), ("C", 2, "canonical"),
+    ("D", 3, "canonical"), ("D", 3, "mixed:pairs=1-2")])
+def test_adjoint_index_holds_each_bracket_once(series, rank, spec):
+    # every value of the index is a table entry itself, listed under both
+    # of its generators, so a negated copy cannot return unnoticed; and
+    # the sign read from basis order agrees with the oracle, which reads
+    # the table keys
+    alg = split(series, rank, spec).double
+    f12, f21 = GeneratorId("F", 1, 2), GeneratorId("F", 2, 1)
+    # the replaced entry passed in reversed order
+    mutated = mutate_bracket(alg, f21, f12, Element.gen(f12, Scalar(3)))
+    assert mutated.table[(f12, f21)] == Element.gen(f12, Scalar(-3))
+    for case in (alg, mutated):
+        held = {id(entry) for entry in case.table.values()}
+        listed = [entry for row in case.adjoint().values()
+                  for entry in row.values()]
+        assert all(id(entry) in held for entry in listed)
+        assert len(listed) == 2 * len(held)
+        for p in case.basis:
+            for q in case.basis:
+                got = case.bracket_gens(p, q)
+                assert got == -case.bracket_gens(q, p)
+                assert got == dense._bracket_gens(case, p, q), (p, q)
+                assert case.bracket(p, q) == got
+
+
 def test_memos_start_empty_on_every_copy():
     # every memo of a triple and of its double filled, then each helper's
     # copy must see its own change: stale tensors, cocommutators, adjoint
@@ -540,7 +567,7 @@ def test_memos_start_empty_on_every_copy():
     # it gets an index of its own
     borel = {g for g in alg.basis
              if g.kind == "H" or (g.kind == "F" and g.i < g.j)}
-    sub = alg.restrict([g for g in alg.basis if g in borel])
+    sub = dense.restrict(alg, [g for g in alg.basis if g in borel])
     assert sub._adjoint is None
     index = sub.adjoint()
     assert set(index) <= borel
