@@ -335,6 +335,14 @@ def verify_delta_agreement(triple: ManinTriple) -> CheckReport:
     return report
 
 
+def _check_factors(alg: LieAlgebra, table: dict) -> None:
+    """ForeignGeneratorError at the first wedge factor outside alg."""
+    for gid in alg.basis:
+        for a, b in table[gid]:
+            alg._check_member(a)
+            alg._check_member(b)
+
+
 def verify_cocycle(alg: LieAlgebra, table: dict) -> CheckReport:
     """delta([x, y]) = ad_x delta(y) - ad_y delta(x) on every basis pair,
     exactly.
@@ -346,19 +354,16 @@ def verify_cocycle(alg: LieAlgebra, table: dict) -> CheckReport:
     verify_jacobi: delta([x, y]) walks every nonzero table entry [x, y]
     and the delta of each term of it; ad_y delta(x) walks every term of
     delta(x) and every y with [s, y] nonzero; ad_x delta(y) walks every s
-    with [x, s] nonzero and every term of a delta(y) with the factor s,
-    both read off the adjoint index (`LieAlgebra.adjoint`). A
-    pair that no join reaches has the residual 0 exactly. The residuals
-    are accumulated one first generator x at a time, so only that row is
-    held. `checked` counts all C(dim, 2) pairs, and the violations are
-    reported in basis order.
+    with [x, s] nonzero and every term of a delta(y) with the factor s.
+    All three read the adjoint index (`LieAlgebra.adjoint`) as stored,
+    the first and the last in one pass over the row of x. A pair that no
+    join reaches has the residual 0 exactly. The residuals are held one
+    first generator x at a time. `checked` counts all C(dim, 2) pairs,
+    and the violations are reported in basis order.
     """
     basis, index = alg.basis, alg.index
     adjoint = alg.adjoint()
-    # position of x -> [(position of y, [x, y])] for x before y
-    rows = {}
-    for pu, pv, entry in alg.entries():
-        rows.setdefault(pu, []).append((pv, entry))
+    _check_factors(alg, table)
     # the terms v (s ^ t) of each delta, each with -v, and factor s ->
     # [(position of the delta, t, v, -v)] over all of them
     terms = []
@@ -366,8 +371,6 @@ def verify_cocycle(alg: LieAlgebra, table: dict) -> CheckReport:
     for py, gid in enumerate(basis):
         row = []
         for (a, b), w in table[gid].items():
-            alg._check_member(a)
-            alg._check_member(b)
             nw = -w
             row += ((a, b, w, nw), (b, a, nw, w))
         for s, t, v, nv in row:
@@ -379,11 +382,6 @@ def verify_cocycle(alg: LieAlgebra, table: dict) -> CheckReport:
     for px, x in enumerate(basis):
         # position of y -> the residual of (x, y), for y after x
         residuals = {}
-        for py, entry in rows.get(px, ()):
-            acc = residuals[py] = {}
-            for g, cg in entry.terms():
-                for key, val in table[g].items():
-                    accumulate(acc, key, cg * val)
         # + ad_y delta(x) adds v [y, s] ^ t = v t ^ [s, y] for each term of
         # delta(x), and - ad_x delta(y) adds -v [x, s] ^ t = v t ^ [x, s]
         # for each term of delta(y); the index entry `bracket` is [s, y]
@@ -398,6 +396,11 @@ def verify_cocycle(alg: LieAlgebra, table: dict) -> CheckReport:
                     joined.append((py, bracket, t, v if ps < py else nv))
         for s, bracket in adjoint.get(x, {}).items():
             after = px < index[s]
+            if after:           # delta([x, s]): the entry is [x, s] itself
+                acc = residuals[index[s]] = {}
+                for g, cg in bracket.terms():
+                    for key, val in table[g].items():
+                        accumulate(acc, key, cg * val)
             joined += [(py, bracket, t, v if after else nv)
                        for py, t, v, nv in factors.get(s, ()) if py > px]
         for py, bracket, t, v in joined:
@@ -433,6 +436,7 @@ def verify_cojacobi(alg: LieAlgebra, table: dict) -> CheckReport:
     wedge-form deltas. `terms` counts the nonzero entries of the whole
     3-tensor R, 6 per nonzero sorted triple.
     """
+    _check_factors(alg, table)
     index = alg.index
     # generator -> [(position of s, position of t, w)] over the terms
     # w (s ^ t) of its delta, with s before t
@@ -471,15 +475,16 @@ def verify_subbialgebra(alg: LieAlgebra, table: dict,
 
     Raises NotASubalgebraError if the span is not even a subalgebra, since
     the wedge membership question is then ill posed. Every term of every
-    element is checked for membership first (ForeignGeneratorError), and
-    only the pairs `double.bracket_pairs` joins are bracketed: every other
-    pair brackets to exactly 0, which lies in the span.
+    element and every wedge factor of the table is checked for membership
+    first (ForeignGeneratorError), and only the pairs `bracket_pairs` joins
+    are bracketed: every other pair brackets to exactly 0, in the span.
     """
     span = SpanBasis()
     for elem in elements:
         for gid, _ in elem.terms():
             alg._check_member(gid)
         span.add({g: c for g, c in elem.terms()})
+    _check_factors(alg, table)
     for _, _, out in bracket_pairs(alg, elements):
         if not span.contains({g: c for g, c in out.terms()}):
             raise NotASubalgebraError(
@@ -787,19 +792,14 @@ def verify_chain_embedding(series: str, rank: int,
                          checked=dim * (dim - 1) // 2 + dim)
     report.details["ranks"] = [rank, rank + 1]
     # (position of a, position of b) -> [shifted [a, b], [phi a, phi b]],
-    # each as its terms, for a before b
-    pairs = {}
-    for pa, pb, entry in small.entries():
-        pairs[(pa, pb)] = [{phi[g]: c for g, c in entry.terms()}, {}]
+    # each as its terms; a comes before b in both, as phi keeps basis order
+    pairs = {(pa, pb): [{phi[g]: c for g, c in entry.terms()}, {}]
+             for pa, pb, entry in small.entries()}
     back = {shifted: pos for pos, shifted in enumerate(phi.values())}
     for pu, pv, entry in big.entries():
         pa, pb = back.get(big.basis[pu]), back.get(big.basis[pv])
-        if pa is None or pb is None:
-            continue
-        got = dict(entry.terms())
-        if pa > pb:
-            pa, pb, got = pb, pa, {g: -c for g, c in got.items()}
-        pairs.setdefault((pa, pb), [{}, {}])[1] = got
+        if pa is not None and pb is not None:
+            pairs.setdefault((pa, pb), [{}, {}])[1] = dict(entry.terms())
     for (pa, pb), (want, got) in sorted(pairs.items()):
         if got != want:
             report.add_violation({"kind": "bracket",

@@ -195,8 +195,8 @@ class ManinTriple:
         self.minus_factor = minus_factor
         self._minus_inv = minus_factor.inv()
         # memos, kept because a triple is never edited in place: the
-        # pairing inverse, the structure tensors and the cocommutator
-        # (`bialgebra.cocommutator_from_structure`)
+        # pairing inverse, the structure tensors with the pairs that leave
+        # their half, and the cocommutator (`bialgebra`)
         self._pinv = None
         self._tensors = None
         self._delta = None
@@ -283,15 +283,6 @@ def canonical_triple(series: str, rank: int) -> ManinTriple:
     return split(series, rank)
 
 
-def _half_brackets(triple: ManinTriple, basis):
-    """(b, c, decompose([basis[b], basis[c]])) for every pair of members
-    of one half that `bracket_pairs` joins; every other pair brackets to
-    exactly 0, which lies in either half."""
-    elems = [triple.elem(gid) for gid in basis]
-    for b, c, out in bracket_pairs(triple.double, elems):
-        yield b, c, triple.decompose(out)
-
-
 def bracket_pairs(alg: LieAlgebra, elems):
     """(b, c, [elems[b], elems[c]]) for every pair b < c of the elements
     whose supports meet a nonzero bracket, in `itertools.combinations`
@@ -329,34 +320,40 @@ def structure_tensors(triple: ManinTriple):
     """(f, c): full antisymmetric tensors over basis positions.
 
     f[(b, c)] maps upper position a to f^a_{b,c}; c[(a, b)] maps lower
-    position c to c^{a,b}_c. Raises ClosureError if either half fails to
-    close, since the constants are then not well defined. Only the pairs
-    `_half_brackets` yields are bracketed: every other pair adds no entry
-    and no ClosureError.
+    position c to c^{a,b}_c. Each half is walked once per triple, through
+    `bracket_pairs` and `decompose`: every other pair brackets to exactly
+    0, which lies in either half and adds no entry. The walk also keeps,
+    beside f and c in the memo, each pair whose bracket leaves its half
+    as (side, pair, stray terms), in walk order; the constants are then
+    not well defined, so every call raises ClosureError naming the first
+    such pair, and `verify_closure` reports them all.
     """
-    if triple._tensors is not None:
-        return triple._tensors
+    if triple._tensors is None:
+        strays = []
 
-    def side_tensor(basis, index, side_name):
-        tensor = {}
-        for b, c, rot in _half_brackets(triple, basis):
-            vec = {}
-            for gid, coeff in rot.items():
-                pos = index.get(gid)
-                if pos is None:
-                    raise ClosureError(f"[{basis[b].label}, "
-                                       f"{basis[c].label}] leaves "
-                                       f"{side_name}")
-                vec[pos] = coeff
-            if vec:
-                tensor[(b, c)] = vec
-                tensor[(c, b)] = {pos: -val for pos, val in vec.items()}
-        return tensor
+        def side_tensor(basis, index, side):
+            tensor = {}
+            elems = [triple.elem(gid) for gid in basis]
+            for b, c, out in bracket_pairs(triple.double, elems):
+                rot = triple.decompose(out)
+                if not rot.keys() <= index.keys():
+                    stray = sorted(g.label for g in rot if g not in index)
+                    strays.append((side, (basis[b].label, basis[c].label),
+                                   tuple(stray)))
+                elif rot:
+                    vec = {index[gid]: coeff for gid, coeff in rot.items()}
+                    tensor[(b, c)] = vec
+                    tensor[(c, b)] = {pos: -val for pos, val in vec.items()}
+            return tensor
 
-    f = side_tensor(triple.splus, triple.plus_index, "s+")
-    c = side_tensor(triple.sminus, triple.minus_index, "s-")
-    triple._tensors = (f, c)
-    return triple._tensors
+        f = side_tensor(triple.splus, triple.plus_index, "s+")
+        c = side_tensor(triple.sminus, triple.minus_index, "s-")
+        triple._tensors = (f, c, tuple(strays))
+    f, c, strays = triple._tensors
+    if strays:
+        side, pair, _ = strays[0]
+        raise ClosureError(f"[{pair[0]}, {pair[1]}] leaves {side}")
+    return f, c
 
 
 def _grouped(tensor, slot: int = 0):
@@ -428,23 +425,20 @@ def crossed_brackets(triple: ManinTriple):
 def verify_closure(triple: ManinTriple) -> CheckReport:
     """Each half must close under the double bracket.
 
-    The pairs come from `_half_brackets`, the walk the structure tensors
-    take, so a pair that brackets to 0 is closed without a visit;
-    `checked` counts all C(k, 2) pairs of each half.
+    Reports the pairs that the walk of `structure_tensors` found leaving
+    their half, in walk order, and brackets nothing itself; a pair that
+    brackets to 0 is closed without a visit. `checked` counts all C(k, 2)
+    pairs of each half.
     """
-    report = CheckReport(check="closure", passed=True)
-    for basis, index, side in ((triple.splus, triple.plus_index, "s+"),
-                               (triple.sminus, triple.minus_index, "s-")):
-        k = len(basis)
-        report.checked += k * (k - 1) // 2
-        for b, c, rot in _half_brackets(triple, basis):
-            stray = [gid for gid in rot if gid not in index]
-            if stray:
-                report.add_violation({
-                    "side": side,
-                    "pair": [basis[b].label, basis[c].label],
-                    "stray": sorted(g.label for g in stray),
-                })
+    try:
+        structure_tensors(triple)
+    except ClosureError:
+        pass                        # each stray pair is reported below
+    k = triple.half_dim
+    report = CheckReport(check="closure", passed=True, checked=k * (k - 1))
+    for side, pair, stray in triple._tensors[2]:
+        report.add_violation({"side": side, "pair": list(pair),
+                              "stray": list(stray)})
     return report
 
 

@@ -21,9 +21,9 @@ being made a Scalar first. Only a product of two irrational factors
 takes the full formula.
 
 `fractions` is imported only where a Fraction is read or given: the
-components, `rational`, `from_strings`, `str` and `repr`, equality with
-and coercion of a Fraction, and the hash of a value whose denominator is
-not 1. Arithmetic, `to_strings` and the constants below never load it.
+components, `str` and `repr`, equality with and coercion of a Fraction,
+and the hash of a value whose denominator is not 1. Arithmetic,
+`to_strings` and the constants below never load it.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ class Scalar:
         self._s = fd.numerator * (den // fd.denominator)
         self._den = den
 
-    @classmethod
-    def rational(cls, p, q=1) -> Scalar:
-        from fractions import Fraction
-        return cls(Fraction(p, q))
-
     @property
     def a(self) -> Fraction:
         return _ratio(self._p, self._den)
@@ -127,9 +122,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return not (self._p or self._q or self._r or self._s)
-
-    def is_rational(self) -> bool:
-        return not (self._q or self._r or self._s)
 
     def __bool__(self) -> bool:
         return bool(self._p or self._q or self._r or self._s)
@@ -207,28 +199,7 @@ class Scalar:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        den = self._den
-        oden = other._den
-        if den == oden:
-            p = self._p - other._p
-            q = self._q - other._q
-            r = self._r - other._r
-            s = self._s - other._s
-            if den != 1:
-                return _normalized(p, q, r, s, den)
-        else:
-            p = self._p * oden - other._p * den
-            q = self._q * oden - other._q * den
-            r = self._r * oden - other._r * den
-            s = self._s * oden - other._s * den
-            return _normalized(p, q, r, s, den * oden)
-        new = _new(Scalar)
-        new._p = p
-        new._q = q
-        new._r = r
-        new._s = s
-        new._den = 1
-        return new
+        return self + -other
 
     def __rsub__(self, other) -> Scalar:
         other = _coerce(other)
@@ -288,13 +259,6 @@ class Scalar:
             self._p, -self._q, self._r, -self._s, self._den)
         return new
 
-    def conj_sqrt2(self) -> Scalar:
-        """Field automorphism sqrt2 -> -sqrt2 (fixes i)."""
-        new = _new(Scalar)
-        new._p, new._q, new._r, new._s, new._den = (
-            self._p, self._q, -self._r, -self._s, self._den)
-        return new
-
     def inv(self) -> Scalar:
         """Multiplicative inverse, by rationalizing against both conjugates.
 
@@ -337,13 +301,6 @@ class Scalar:
             g = gcd(n, den)
             out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
         return out
-
-    @classmethod
-    def from_strings(cls, quad) -> Scalar:
-        from fractions import Fraction
-        if len(quad) != 4:
-            raise ValueError(f"scalar quad must have 4 entries, got {quad!r}")
-        return cls(*(Fraction(s) for s in quad))
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -33,10 +33,6 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
-    @classmethod
-    def rational(cls, p, q=1) -> Scalar:
-        return cls(Fraction(p, q))
-
     @property
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
@@ -142,12 +138,6 @@ class Scalar:
     def to_strings(self) -> list[str]:
         """Canonical 4-tuple of rational strings, lowest terms, q > 0."""
         return [str(x) for x in self.components]
-
-    @classmethod
-    def from_strings(cls, quad) -> Scalar:
-        if len(quad) != 4:
-            raise ValueError(f"scalar quad must have 4 entries, got {quad!r}")
-        return cls(*(Fraction(s) for s in quad))
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -4,18 +4,21 @@ import json
 
 import pytest
 
-from drinfeld_forge import (Element, ForeignGeneratorError, GeneratorId, HALF,
-                            I, LieAlgebra, NotASubalgebraError, ONE, Scalar,
-                            SpecError, SPAN_BUILDERS, a_chain_span,
-                            build_r_matrix, build_series, canonical_triple,
+from drinfeld_forge import (SERIES, Element, ForeignGeneratorError,
+                            GeneratorId, HALF, I, LieAlgebra,
+                            NotASubalgebraError, ONE, Scalar, SpecError,
+                            SPAN_BUILDERS, a_chain_span, build_r_matrix,
+                            build_series, canonical_triple,
                             cocommutator_explicit, cocommutator_from_structure,
-                            delta_discrepancy_audit, mutate_bracket,
-                            orthogonal_span_in_b, split, verify_chain_embedding,
+                            delta_discrepancy_audit, dimension,
+                            enumerate_generators, mutate_bracket,
+                            orthogonal_span_in_b, shift_generator, split,
+                            verify_chain_embedding,
                             verify_coboundary, verify_cocycle, verify_cojacobi,
                             verify_cybe, verify_delta_agreement,
                             verify_subbialgebra, verify_twist, wedge_insert,
                             with_double)
-from drinfeld_forge.cli import main
+from drinfeld_forge.cli import MAX_DIMENSION, main
 
 from dense_reference import ad_wedge
 
@@ -321,6 +324,22 @@ def test_subbialgebra_refuses_every_foreign_term():
             verify_subbialgebra(triple.double, table, span, "foreign")
 
 
+@pytest.mark.parametrize("verify", [
+    verify_cocycle, verify_cojacobi,
+    lambda alg, table: verify_subbialgebra(
+        alg, table, [Element.gen(g) for g in alg.basis], "all")],
+    ids=["cocycle", "cojacobi", "subbialg"])
+def test_table_readers_refuse_a_foreign_factor(verify):
+    # one wedge term of delta(F1,2) names F9,9, which A2 does not hold
+    triple = canonical_triple("A", 2)
+    f12 = GeneratorId("F", 1, 2)
+    table = dict(cocommutator_from_structure(triple))
+    table[f12] = {**table[f12], (f12, GeneratorId("F", 9, 9)): ONE}
+    with pytest.raises(ForeignGeneratorError,
+                       match="F9,9 is not in the A2 basis"):
+        verify(triple.double, table)
+
+
 def test_r_matrix_shape():
     triple = canonical_triple("A", 1)
     rmat = build_r_matrix(triple)
@@ -394,6 +413,22 @@ def test_twist_requires_canonical():
 def test_chain_embedding(series, rank):
     report = verify_chain_embedding(series, rank)
     assert report.passed, report.to_dict()
+
+
+def test_shift_keeps_basis_order_for_every_admitted_chain():
+    # verify_chain_embedding reads each rank n+1 entry between shifted
+    # generators under the key order of its rank n pair; that holds while
+    # the shift keeps basis order, up to the largest rank n the CLI admits
+    # (D16, A21, B15, C15), read from the basis enumeration alone
+    for series in SERIES:
+        rank = 2 if series == "D" else 1
+        while dimension(series, rank) <= MAX_DIMENSION:
+            big = {g: pos for pos, g in
+                   enumerate(enumerate_generators(series, rank + 1))}
+            image = [big[shift_generator(g, 1)]
+                     for g in enumerate_generators(series, rank)]
+            assert image == sorted(image), f"{series}{rank}"
+            rank += 1
 
 
 def test_identity_injection_fails_delta_outside_a():

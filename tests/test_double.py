@@ -9,16 +9,17 @@ import pytest
 
 import drinfeld_forge
 
-from drinfeld_forge import double
-from drinfeld_forge import (Element, GeneratorId, INV_SQRT2, ONE, Scalar,
-                            SpecError, SplittingSpec, build_series,
-                            canonical_triple, crossed_brackets,
-                            perturb_pairing, rescale_minus, split,
-                            structure_tensors, verify_casimir_form,
+from drinfeld_forge import bialgebra, double
+from drinfeld_forge import (ClosureError, Element, GeneratorId, INV_SQRT2,
+                            ONE, Scalar, SpecError, SplittingSpec,
+                            build_series, canonical_triple, crossed_brackets,
+                            mutate_bracket, perturb_pairing, rescale_minus,
+                            split, structure_tensors, verify_casimir_form,
                             verify_closure, verify_compatibility,
                             verify_form_invariance, verify_pairing,
                             verify_reconstruction, verify_self_duality,
                             with_double)
+from drinfeld_forge.cli import main
 
 GRID = [("A", 1), ("A", 2), ("B", 1), ("B", 2), ("C", 1), ("C", 2), ("D", 2),
         ("D", 3)]
@@ -277,7 +278,6 @@ def test_singular_pairing_detected():
 
 
 def test_mutated_double_fails_closure_checks():
-    from drinfeld_forge import mutate_bracket
     base = canonical_triple("A", 1)
     f12, f21 = GeneratorId("F", 1, 2), GeneratorId("F", 2, 1)
     target = Element.gen(GeneratorId("H", 1)) + Element.gen(GeneratorId("H", 2))
@@ -331,6 +331,57 @@ def test_bracket_pairs_is_every_nonzero_pair(series, rank):
     for b, c in itertools.combinations(range(len(elems)), 2):
         if (b, c) not in visited:
             assert not alg.bracket(elems[b], elems[c]), (b, c)
+
+
+def _count_walks(monkeypatch) -> list:
+    """Count the calls of `bracket_pairs`, under both names it is read by."""
+    calls = []
+    walk = double.bracket_pairs
+
+    def counted(alg, elems):
+        calls.append(len(elems))
+        return walk(alg, elems)
+
+    monkeypatch.setattr(double, "bracket_pairs", counted)
+    monkeypatch.setattr(bialgebra, "bracket_pairs", counted)
+    # a fresh rank n+1 triple for `chain`, whose walks count too
+    monkeypatch.setattr(bialgebra, "canonical_triple", split)
+    return calls
+
+
+def test_verify_walks_each_half_once(monkeypatch, capsys):
+    # closure and the structure tensors share one walk per half (2), the
+    # s+ span of subbialg closes through one more, and chain walks both
+    # halves of D5 (2)
+    calls = _count_walks(monkeypatch)
+    assert main(["verify", "--series", "D", "--rank", "4",
+                 "--checks", "all"]) == 0
+    assert len(calls) == 5
+    capsys.readouterr()
+
+
+def test_unclosed_triple_is_walked_once(monkeypatch):
+    # the stray pairs are kept in the memo with the tensors, so closure
+    # and the three checks that need f and c share the two walks, and
+    # each check still reports the escape
+    calls = _count_walks(monkeypatch)
+    triple = canonical_triple("A", 2)
+    h1, f12, f21 = (GeneratorId("H", 1), GeneratorId("F", 1, 2),
+                    GeneratorId("F", 2, 1))
+    escaped = with_double(triple, mutate_bracket(triple.double, h1, f12,
+                                                 Element.gen(f21)))
+    reports = [check(escaped) for check in (
+        verify_closure, verify_compatibility, verify_self_duality,
+        verify_reconstruction)]
+    assert len(calls) == 2
+    assert not any(report.passed for report in reports)
+    error = reports[1].violations[0]["error"]
+    assert all(report.violations == [{"error": error}]
+               for report in reports[1:])
+    with pytest.raises(ClosureError) as raised:
+        structure_tensors(escaped)
+    assert str(raised.value) == error
+    assert len(calls) == 2
 
 
 def test_pairing_cannot_be_edited_in_place():

@@ -160,10 +160,6 @@ def test_every_definition_is_named():
 # package definitions that only the tests name, each kept for a reason
 TEST_ONLY = {
     "algebra.py: weight_of": "kept for the planned `grading` verifier",
-    "scalars.py: rational": "field API, checked against fraction_scalar",
-    "scalars.py: is_rational": "field API, checked against fraction_scalar",
-    "scalars.py: conj_sqrt2": "field API, checked against fraction_scalar",
-    "scalars.py: from_strings": "field API, checked against fraction_scalar",
 }
 
 

@@ -7,15 +7,16 @@ and a singular pairing must raise the same error on both sides.
 jacobi, compatibility, forminv, crossed_brackets, cocycle, cojacobi,
 coboundary, twist, cybe, the structure tensors and chain accumulate their
 residuals from the nonzero structure constants only, the bialgebra ones
-through the adjoint index; closure shares the structure tensors' walk,
-and reconstruction brackets only the crossed pairs with a nonzero solved
-value or a term pair that brackets to a nonzero value in the index;
-pairing joins the members' terms through the double's Casimir tensor,
-and selfdual compares only the pairs with an entry in f or c. On
-canonical and mixed splittings, and on seeded mutations of the brackets
-and of the pairing, their reports
-(checked counts, violation lists in order, residuals, values, truncation
-counts), their crossed-bracket dicts (which hold only the pairs that the
+through the adjoint index. The structure tensors walk each half once and
+keep the pairs that leave it in their memo; closure brackets nothing
+itself and reports those pairs. reconstruction brackets only the crossed
+pairs with a nonzero solved value or a term pair that brackets to a
+nonzero value in the index; pairing joins the members' terms through the
+double's Casimir tensor, and selfdual compares only the pairs with an
+entry in f or c. On canonical and mixed splittings, and on seeded
+mutations of the brackets and of the pairing, their reports (checked
+counts, violation lists in order, residuals, values, truncation counts),
+their crossed-bracket dicts (which hold only the pairs that the
 reference solves to a nonzero value) and their structure tensors (key
 order included) must equal the dense enumeration in
 tests/dense_reference.py exactly, and an input that leaves a half
@@ -26,8 +27,8 @@ cocommutator table itself; chain on seeded mutations of the receiving
 double. Guards patch the pair walks to raise inside the joined kernels
 and a mixed split: `bracket_gens`, the reference's `_bracket_gens` and
 `ad_wedge`, and `LieAlgebra.bracket` on a pair with no term pair that
-brackets to a nonzero value. Other tests
-check that every memo of a triple starts empty on the copies the
+brackets to a nonzero value. Other tests check that every memo of a
+triple, the stray pairs included, starts empty on the copies the
 mutation helpers return.
 
 The representation homomorphism and Casimir checks decide each pair or
@@ -553,6 +554,11 @@ def test_memos_start_empty_on_every_copy():
                                                  Element.gen(f21)))
     assert not verify_self_duality(escaped).passed
     assert not verify_closure(escaped).passed
+    # the stray pairs are kept in the tensors' memo, so the copy over the
+    # unmutated double must start without them
+    mended = with_double(escaped, alg)
+    assert mended._tensors is None and verify_closure(mended).passed
+    structure_tensors(mended)
 
     rescaled = rescale_minus(triple, Scalar(3))
     assert rescaled._tensors is None and rescaled._delta is None
