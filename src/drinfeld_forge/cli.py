@@ -18,17 +18,17 @@ import sys
 
 from .algebra import verify_jacobi
 from .bialgebra import (SPAN_BUILDERS, build_r_matrix,
-                        cocommutator_from_structure, verify_chain_embedding,
-                        verify_coboundary, verify_cocycle, verify_cojacobi,
-                        verify_cybe, verify_delta_agreement,
+                        verify_chain_embedding, verify_coboundary,
+                        verify_cocycle, verify_cojacobi, verify_cybe,
                         verify_subbialgebra, verify_twist)
-from .double import (SplittingSpec, casimir_double, casimir_quadratic,
-                     split, verify_casimir_form, verify_closure,
-                     verify_compatibility, verify_form_invariance,
-                     verify_pairing, verify_reconstruction,
-                     verify_self_duality)
+from .cocommutator import cocommutator_from_structure, verify_delta_agreement
+from .double import (casimir_double, casimir_quadratic, verify_casimir_form,
+                     verify_closure, verify_compatibility,
+                     verify_form_invariance, verify_pairing,
+                     verify_reconstruction, verify_self_duality)
 from .errors import ClosureError, RankError, SpecError
 from .generators import SERIES, dimension, validate_series_rank
+from .manin import SplittingSpec, split
 from .reps import (ad_invariance_report, bosonic_rep, check_rep_size,
                    fermionic_rep, verify_casimir_commutes,
                    verify_rep_homomorphism)

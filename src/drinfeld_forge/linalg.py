@@ -9,7 +9,7 @@ key is stored as it is, not copied: Scalars are immutable and shared.
 
 `SpanBasis` is the one exact elimination of the package: it tests span
 membership (sub-bialgebra checks) and inverts the pairing of a Manin
-triple (`ManinTriple.pairing_inverse`). Vectors are sparse dicts keyed
+triple (`manin.ManinTriple.pairing_inverse`). Vectors are sparse dicts keyed
 by arbitrary hashable coordinates.
 """
 

@@ -50,17 +50,17 @@ import itertools
 
 from drinfeld_forge import serialize
 from drinfeld_forge.algebra import LieAlgebra, build_series, shift_generator
-from drinfeld_forge.bialgebra import (build_r_matrix,
-                                      cocommutator_from_structure,
-                                      twisted_cartan_part, wedge_insert)
-from drinfeld_forge.double import (canonical_triple, casimir_double,
-                                   casimir_quadratic, structure_tensors,
-                                   with_double)
+from drinfeld_forge.bialgebra import build_r_matrix, twisted_cartan_part
+from drinfeld_forge.cocommutator import (cocommutator_from_structure,
+                                         wedge_insert)
+from drinfeld_forge.double import (casimir_double, casimir_quadratic,
+                                   structure_tensors)
 from drinfeld_forge.elements import Element
 from drinfeld_forge.errors import ClosureError, SpecError
 from drinfeld_forge.generators import GeneratorId
 from drinfeld_forge.generators import cartan_count, mirror
 from drinfeld_forge.linalg import accumulate
+from drinfeld_forge.manin import canonical_triple, with_double
 from drinfeld_forge.reporting import CheckReport
 from drinfeld_forge.reps import Representation, SparseMatrix
 from drinfeld_forge.scalars import HALF, INV_SQRT2, ONE, ZERO, Scalar

@@ -35,7 +35,7 @@ from drinfeld_forge import (I, CheckReport, Element, GeneratorId, LieAlgebra,
                             verify_pairing, verify_reconstruction,
                             verify_rep_homomorphism, verify_self_duality,
                             verify_subbialgebra, verify_twist, with_double)
-from drinfeld_forge.bialgebra import wedge_insert
+from drinfeld_forge.cocommutator import wedge_insert
 
 GRID = (("A", 1), ("A", 2), ("A", 3), ("A", 4),
         ("B", 1), ("B", 2), ("B", 3),

@@ -1,6 +1,7 @@
 """Cocommutators, r-matrices, and the bialgebra verifier battery."""
 
 import json
+from types import MappingProxyType
 
 import pytest
 
@@ -75,16 +76,17 @@ def test_delta_agreement_requires_canonical():
 ])
 def test_cocommutators_are_maps_in_basis_order(series, rank, spec):
     # every basis generator, in basis order, mapped to a normal-form
-    # wedge: a before b, and no zero coefficient
+    # wedge: a before b, and no zero coefficient; the structural table is
+    # the triple's memo, so it and its rows are read-only views
     triple = split(series, rank, spec)
     alg = triple.double
-    tables = [cocommutator_from_structure(triple)]
+    tables = [(cocommutator_from_structure(triple), MappingProxyType)]
     if spec == "canonical":
-        tables.append(cocommutator_explicit(alg))
-    for table in tables:
-        assert type(table) is dict and list(table) == list(alg.basis)
+        tables.append((cocommutator_explicit(alg), dict))
+    for table, kind in tables:
+        assert type(table) is kind and list(table) == list(alg.basis)
         for gid, wedge in table.items():
-            assert type(wedge) is dict, gid
+            assert type(wedge) is kind, gid
             assert all(alg.index[a] < alg.index[b] and value
                        for (a, b), value in wedge.items()), gid
 
@@ -187,6 +189,24 @@ def test_cojacobi(series, rank):
     table = cocommutator_from_structure(triple)
     report = verify_cojacobi(triple.double, table)
     assert report.passed, report.to_dict()
+
+
+def test_structural_cocommutator_is_read_only():
+    # the table is the triple's memo, read by every later check of it, so
+    # an edit of the table or of any row raises instead of reaching them
+    triple = split("B", 2)
+    table = cocommutator_from_structure(triple)
+    with pytest.raises(TypeError):
+        table[triple.splus[0]] = {}
+    for wedge in table.values():
+        if wedge:
+            key = next(iter(wedge))
+            with pytest.raises(TypeError):
+                wedge[key] = ONE
+            with pytest.raises(TypeError):
+                del wedge[key]
+    assert cocommutator_from_structure(triple) is table
+    assert verify_cocycle(triple.double, table).passed
 
 
 def test_cocycle_detects_broken_delta():

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output shapes, byte stability."""
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -15,6 +16,7 @@ from drinfeld_forge.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 PERFBENCH_CHILD = GOLDEN.parent.parent / "perfbench" / "child.py"
+PERFBENCH_TESTS = PERFBENCH_CHILD.parent / "tests" / "test_perfbench.py"
 
 
 def run(capsys, *argv):
@@ -396,3 +398,32 @@ def test_perfbench_stems_are_cli_attributes():
                  == ["CLI_STEMS"])
     assert stems
     assert [name for name in stems if not hasattr(cli, name)] == []
+
+
+def test_perfbench_reads_only_names_the_package_has():
+    # the benchmark reads the package as `df.<name>` (`import drinfeld_forge
+    # as df`) and imports names from its modules; a name that leaves that
+    # surface, say one dropped from `__init__` when its module is split,
+    # fails the benchmark's `setup` or `controls` children, so each one
+    # must resolve; the files are parsed, not imported
+    read, missing = set(), []
+    for path in (PERFBENCH_CHILD, PERFBENCH_TESTS):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "df"):
+                found = [("drinfeld_forge", drinfeld_forge, node.attr)]
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").startswith("drinfeld_forge")):
+                module = importlib.import_module(node.module)
+                found = [(node.module, module, alias.name)
+                         for alias in node.names]
+            else:
+                continue
+            for name, module, attr in found:
+                read.add(f"{name}.{attr}")
+                if not hasattr(module, attr):
+                    missing.append(f"{path.name}: {name}.{attr}")
+    assert {"drinfeld_forge.split", "drinfeld_forge.structure_tensors",
+            "drinfeld_forge.serialize.dumps_canonical"} <= read
+    assert missing == []

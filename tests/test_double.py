@@ -9,7 +9,7 @@ import pytest
 
 import drinfeld_forge
 
-from drinfeld_forge import bialgebra, double
+from drinfeld_forge import bialgebra, double, manin
 from drinfeld_forge import (ClosureError, Element, GeneratorId, INV_SQRT2,
                             ONE, Scalar, SpecError, SplittingSpec,
                             build_series, canonical_triple, crossed_brackets,
@@ -118,6 +118,25 @@ def test_structure_tensors_antisymmetry():
     for (q, r), vec in c.items():
         swapped = c.get((r, q), {})
         assert swapped == {k: -v for k, v in vec.items()}
+
+
+def test_structure_tensors_are_read_only():
+    # f and c are the triple's memo, read by every later check of it, so
+    # an edit of a returned map or of any row raises instead of reaching
+    # those checks
+    triple = split("B", 2)
+    f, c = structure_tensors(triple)
+    for tensor in (f, c):
+        key = next(iter(tensor))
+        with pytest.raises(TypeError):
+            tensor[key] = {}
+        with pytest.raises(TypeError):
+            del tensor[key]
+        for row in tensor.values():
+            with pytest.raises(TypeError):
+                row[next(iter(row))] = ONE
+    assert structure_tensors(triple) == (f, c)
+    assert verify_self_duality(triple).passed
 
 
 def test_self_duality_is_exact_negation():
@@ -305,8 +324,8 @@ def test_pairing_matrix_is_identity_for_canonical():
 def test_pairing_rows_drop_zeros_and_follow_perturbations():
     base = canonical_triple("A", 2)
     key = (base.sminus[1], base.splus[1])
-    zeroed = double.ManinTriple(base.double, base.spec, base.rotation,
-                                {**base.pairing, key: Scalar(0)})
+    zeroed = manin.ManinTriple(base.double, base.spec, base.rotation,
+                               {**base.pairing, key: Scalar(0)})
     assert key in zeroed.pairing and zeroed.pairing_rows[1] == {}
     added = perturb_pairing(base, base.sminus[3], base.splus[4], Scalar(2))
     assert added.pairing_rows[3] == {3: ONE, 4: Scalar(2)}
@@ -407,20 +426,20 @@ def test_pairing_keys_must_match_the_halves():
     for key in ((base.splus[0], base.splus[1]),
                 (base.sminus[0], GeneratorId("X", 5))):
         with pytest.raises(SpecError):
-            double.ManinTriple(base.double, base.spec, base.rotation,
-                               {key: ONE})
+            manin.ManinTriple(base.double, base.spec, base.rotation,
+                              {key: ONE})
 
 
 def test_invariant_checks_survive_python_O():
     # under -O an assert statement is stripped; the rotation round trip
     # and the basis count must still raise
-    code = ("from drinfeld_forge import double, generators\n"
+    code = ("from drinfeld_forge import generators, manin\n"
             "from drinfeld_forge.errors import RankError, SpecError\n"
             "from drinfeld_forge.scalars import ZERO\n"
             "print(__debug__)\n"
-            "double._NEG_I_INV_SQRT2 = ZERO\n"
+            "manin._NEG_I_INV_SQRT2 = ZERO\n"
             "try:\n"
-            "    double.CartanRotation(double.SplittingSpec(), 2)\n"
+            "    manin.CartanRotation(manin.SplittingSpec(), 2)\n"
             "except SpecError as err:\n"
             "    print(err)\n"
             "generators.dimension = lambda series, rank: 0\n"

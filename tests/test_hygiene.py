@@ -2,12 +2,14 @@
 package module imports another one's private (underscore) names, no
 package function, class or method is left unnamed or named by the tests
 alone (but for an allowlist that gives each one's reason), no package
-invariant rests on an assert statement, which `python -O` strips, and no
+invariant rests on an assert statement, which `python -O` strips, no
 package module imports `fractions` or `decimal` when it is itself
-imported."""
+imported, and no package module takes more memory to compile than a
+budget."""
 
 import ast
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -225,9 +227,11 @@ def test_oscillators_import_nothing_from_reps():
 
 def test_double_imports_nothing_from_reps():
     # the double's form and Casimir tensors live in `double`, so the
-    # algebraic layer never loads the representation layer
-    source = (SRC / "double.py").read_text(encoding="utf-8")
-    assert "reps" not in imported_names(source)
+    # algebraic layer (the triple, its checks and its cocommutator) never
+    # loads the representation layer
+    for name in ("manin.py", "double.py", "cocommutator.py"):
+        source = (SRC / name).read_text(encoding="utf-8")
+        assert "reps" not in imported_names(source), name
 
 
 def bare_asserts(source: str) -> list[str]:
@@ -298,3 +302,54 @@ def test_checker_sees_an_eager_fractions_import():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda path: path.name)
 def test_no_eager_fractions_import(path):
     assert eager_imports(path.read_text(encoding="utf-8")) == []
+
+
+# A cold run from a checkout (a benchmark child, a tier-1 subprocess, a
+# `drinfeld-forge verify` with no bytecode cached) compiles src/ before it
+# checks anything, and the largest compile sets the peak RSS of a small
+# run: the compiler's memory grows faster than linearly with a module's
+# size. So a module past this budget, in bytes traced at the peak of its
+# compile, is split along a seam it has. The largest module reads about
+# 1.4 MB on CPython 3.11.
+COMPILE_BUDGET = 1_600_000
+
+
+def compile_peak(source: str) -> int:
+    """Bytes tracemalloc traces at the peak of compiling source, above
+    what it traced before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        compile(source, "<module>", "exec", dont_inherit=True)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def over_compile_budget(modules: dict[str, str]) -> list[str]:
+    """The modules (name -> source) whose compile peak exceeds the
+    budget."""
+    out = []
+    for name, source in modules.items():
+        peak = compile_peak(source)
+        if peak > COMPILE_BUDGET:
+            out.append(f"{name}: {peak} bytes")
+    return out
+
+
+def test_checker_sees_an_oversized_module():
+    def module(functions):
+        return "".join(f"def f{i}(x):\n    return [x + {i} for _ in x]\n\n\n"
+                       for i in range(functions))
+
+    # 400 lines of these read about 0.9 MB, 1,200 lines about 2.5 MB
+    flagged = over_compile_budget({"small": module(100), "large": module(300)})
+    assert [entry.split(":")[0] for entry in flagged] == ["large"]
+
+
+def test_every_module_compiles_within_the_budget():
+    assert over_compile_budget(_package_modules()) == []
