@@ -119,9 +119,8 @@ def verify_cojacobi(alg: LieAlgebra, table: dict) -> CheckReport:
     times the sign that sorts (s, t, b), to the sorted triple of s, t and b,
     and nothing when b is s or t; the other half of the term, -w_g b x a,
     does the same with delta(b), the factor a and the opposite sign. Only
-    the sorted
-    distinct triples are therefore accumulated, straight from the
-    wedge-form deltas. `terms` counts the nonzero entries of the whole
+    the sorted distinct triples are therefore accumulated, straight from
+    the wedge-form deltas. `terms` counts the nonzero entries of the whole
     3-tensor R, 6 per nonzero sorted triple.
     """
     _check_factors(alg, table)
@@ -454,6 +453,8 @@ def verify_chain_embedding(series: str, rank: int,
     mutated) rank n+1 double on the receiving side. small_triple is the
     canonical rank n triple when the caller already holds one, so that its
     structure tensors and cocommutator are reused; it is split otherwise.
+    The embedding checked is always the canonical one: under a mixed
+    splitting `verify --checks chain` reports what the canonical run does.
 
     The brackets are compared by joining the nonzero entries of both
     tables over the shifted image: a pair that neither table holds is

@@ -109,11 +109,11 @@ def structure_tensors(triple: ManinTriple):
     return f, c
 
 
-def _grouped(tensor, slot: int = 0):
-    """A tensor's entries by one key index: index -> [(other, value)]."""
+def _grouped(tensor):
+    """A tensor's entries by first key index: first -> [(second, value)]."""
     out = {}
-    for key, vec in tensor.items():
-        out.setdefault(key[slot], []).append((key[1 - slot], vec))
+    for (first, second), vec in tensor.items():
+        out.setdefault(first, []).append((second, vec))
     return out
 
 
@@ -270,8 +270,10 @@ def verify_reconstruction(triple: ManinTriple) -> CheckReport:
     A pair (p, q) is decided only where its solved value is nonzero or
     [z^p, Z_q] can be: where some term of z^p has a nonzero bracket in the
     double's adjoint index with some term of Z_q. Every other pair is
-    0 = 0. `checked` counts all k^2 pairs, and violations come in
-    row-major order.
+    0 = 0. The solved alpha and beta name disjoint members and hold no
+    zero, so their union is the expected decomposition as it stands.
+    `checked` counts all k^2 pairs, and violations come in row-major
+    order.
     """
     report = CheckReport(check="reconstruction", passed=True)
     try:
@@ -294,11 +296,8 @@ def verify_reconstruction(triple: ManinTriple) -> CheckReport:
         for q in sorted(_partners(rows, x, holders) | row.keys()):
             rot = triple.decompose(double.bracket(x, plus[q]))
             alpha, beta = row.get(q, ({}, {}))
-            expected = {}
-            for t, val in alpha.items():
-                accumulate(expected, triple.sminus[t], val)
-            for s, val in beta.items():
-                accumulate(expected, triple.splus[s], val)
+            expected = {triple.sminus[t]: val for t, val in alpha.items()}
+            expected.update({triple.splus[s]: val for s, val in beta.items()})
             if rot != expected:
                 report.add_violation({
                     "pair": [mgid.label, triple.splus[q].label],
@@ -320,10 +319,18 @@ def verify_compatibility(triple: ManinTriple, jobs: int = 1) -> CheckReport:
     index pair, so this covers every quadruple. Every product joins a
     nonzero c entry with a nonzero f entry on the shared index r, so the
     differences are accumulated from those joins alone and a quadruple
-    that no join reaches is exactly 0 = 0. `checked` counts all
-    C(k, 2)^2 quadruples, and the violations are reported in index
-    order. `jobs` is accepted for compatibility; the check runs in one
-    process.
+    that no join reaches is exactly 0 = 0.
+
+    The direct term walks c^{p,q}_r (p < q) against f^r_{s,t} (s < t).
+    With A(p, q, s, t) = sum_r c^{r,p}_s f^q_{r,t}, antisymmetry of c
+    and f makes the mixing sum -A(p,q,s,t) + A(q,p,s,t) + A(p,q,t,s)
+    - A(q,p,t,s), one join on r: each product c^{r,p}_s f^q_{r,t} with
+    p != q and s != t is formed once and added to the sorted quadruple,
+    with + when (p < q) == (s < t) and - otherwise.
+
+    `checked` counts all C(k, 2)^2 quadruples, and the violations are
+    reported in index order. `jobs` is accepted for compatibility; the
+    check runs in one process.
     """
     report = CheckReport(check="compatibility", passed=True)
     try:
@@ -345,31 +352,21 @@ def verify_compatibility(triple: ManinTriple, jobs: int = 1) -> CheckReport:
             for r, cv in vec.items():
                 for s, t, fv in f_by_upper.get(r, ()):
                     accumulate(diff, (p, q, s, t), cv * fv)
-    c_first, c_second = _grouped(c, 0), _grouped(c, 1)
-    f_first, f_second = _grouped(f, 0), _grouped(f, 1)
-    # each mixing term joins c and f on r; the flags say whether c's free
-    # upper index is p (else q) and whether its lower index is s (else t)
-    for c_side, f_side, c_free_is_p, c_lower_is_s in (
-            (c_second, f_first, True, True),        # c^{p,r}_s f^q_{r,t}
-            (c_first, f_first, False, True),        # c^{r,q}_s f^p_{r,t}
-            (c_second, f_second, True, False),      # c^{p,r}_t f^q_{s,r}
-            (c_first, f_second, False, False)):     # c^{r,q}_t f^p_{s,r}
-        for r, c_entries in c_side.items():
-            f_entries = f_side.get(r)
-            if not f_entries:
-                continue
-            for c_free, cvec in c_entries:
-                for f_free, fvec in f_entries:
-                    for c_lower, cv in cvec.items():
-                        s, t = ((c_lower, f_free) if c_lower_is_s
-                                else (f_free, c_lower))
-                        if s >= t:
-                            continue
-                        for f_up, fv in fvec.items():
-                            p, q = ((c_free, f_up) if c_free_is_p
-                                    else (f_up, c_free))
-                            if p < q:
-                                accumulate(diff, (p, q, s, t), -(cv * fv))
+    f_by_first = _grouped(f)                        # r -> [(t, f_{r,t})]
+    for r, c_entries in _grouped(c).items():        # r -> [(p, c^{r,p})]
+        f_entries = f_by_first.get(r, ())
+        for p, cvec in c_entries:
+            for t, fvec in f_entries:
+                for s, cv in cvec.items():
+                    if s == t:
+                        continue
+                    lower = (s, t) if s < t else (t, s)
+                    for q, fv in fvec.items():
+                        if q != p:
+                            term = cv * fv
+                            upper = (p, q) if p < q else (q, p)
+                            accumulate(diff, upper + lower,
+                                       term if (p < q) == (s < t) else -term)
     for (p, q, s, t), value in sorted(diff.items()):
         report.add_violation({
             "indices": [triple.sminus[p].label, triple.sminus[q].label,

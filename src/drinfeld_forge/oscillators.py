@@ -23,6 +23,8 @@ the entries in which a held matrix differs from it.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .elements import Element
 from .errors import SpecError
 from .generators import GeneratorId
@@ -264,7 +266,7 @@ class OscillatorProof:
     """The cutoff-free images of one Fock space and its central charges.
 
     `image(g)` is rho(g) as a normal-ordered polynomial, cached per
-    generator, and stage 1 (`pair_residual`, `casimir`,
+    generator and read-only, and stage 1 (`pair_residual`, `casimir`,
     `generator_residual`) works on these alone. `action(g)` is that
     polynomial applied to every state (`FockSpace.apply`), cached too: a
     matrix the `reps` builders make is that dict, and stage 2 holds each
@@ -279,10 +281,10 @@ class OscillatorProof:
         self._images = {}
         self._actions = {}
 
-    def image(self, gid: GeneratorId) -> dict:
+    def image(self, gid: GeneratorId) -> MappingProxyType:
         if gid not in self._images:
-            self._images[gid] = self.ordering.normal(
-                oscillator_image(gid, self.fermionic, self.lambdas))
+            self._images[gid] = MappingProxyType(self.ordering.normal(
+                oscillator_image(gid, self.fermionic, self.lambdas)))
         return self._images[gid]
 
     def action(self, gid: GeneratorId) -> dict:

@@ -113,6 +113,19 @@ def test_mixed_spec_full_battery_skips_canonical_only(capsys):
     assert "twist" not in out
 
 
+def test_chain_under_mixed_spec_is_the_canonical_chain(capsys):
+    # `chain` checks the canonical rank n -> n+1 embedding whatever the
+    # splitting, so a mixed spec reports exactly what the canonical run does
+    reports = []
+    for spec in ("canonical", "mixed:pairs=1-2"):
+        code, out, _ = run(capsys, "verify", "--series", "D", "--rank", "3",
+                           "--checks", "chain", "--spec", spec, "--json")
+        assert code == 0
+        reports.append(json.loads(out)["reports"])
+    assert reports[0] == reports[1]
+    assert [r["check"] for r in reports[0]] == ["chain"]
+
+
 def test_bad_spec_exit_two(capsys):
     code, _, err = run(capsys, "verify", "--series", "A", "--rank", "2",
                        "--spec", "mixed:pairs=1-2;central=9")

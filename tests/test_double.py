@@ -139,6 +139,41 @@ def test_structure_tensors_are_read_only():
     assert verify_self_duality(triple).passed
 
 
+@pytest.mark.parametrize("series, rank, spec, products", [
+    ("D", 4, "canonical", 552), ("D", 3, "mixed:pairs=1-2", 138),
+    ("B", 3, "canonical", 280)])
+def test_compatibility_forms_each_product_once(monkeypatch, series, rank,
+                                               spec, products):
+    # the direct term joins each c^{p,q}_r (p < q) with each f^r_{s,t}
+    # (s < t); the mixing terms join each c^{r,p}_s with each f^q_{r,t}
+    # under their shared first index r, for s != t and q != p. The check
+    # multiplies exactly once per product of those joins. B3 also has
+    # joins with q = p but s != t, and with s = t but q != p.
+    triple = split(series, rank, spec)
+    f, c = structure_tensors(triple)
+    per_upper = {}
+    for (s, t), vec in f.items():
+        if s < t:
+            for r in vec:
+                per_upper[r] = per_upper.get(r, 0) + 1
+    direct = sum(per_upper.get(r, 0)
+                 for (p, q), vec in c.items() if p < q for r in vec)
+    mixing = sum(len(cvec.keys() - {t}) * len(fvec.keys() - {p})
+                 for (r, p), cvec in c.items()
+                 for (first, t), fvec in f.items() if first == r)
+    assert direct + mixing == products
+    calls = []
+    real = Scalar.__mul__
+
+    def spy(self, other):
+        calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", spy)
+    assert verify_compatibility(triple).passed
+    assert len(calls) == products
+
+
 def test_self_duality_is_exact_negation():
     triple = canonical_triple("C", 2)
     f, c = structure_tensors(triple)

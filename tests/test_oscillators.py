@@ -13,6 +13,7 @@ with the same report at every cutoff, also where no column the
 truncation protects shows it.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -316,3 +317,20 @@ def test_each_image_is_made_once_per_representation(monkeypatch):
         reps = 2 if series == "A" else 1
         dim = build_series(series, 2).dim
         assert len(calls) == len(set(calls)) == reps * dim, series
+
+
+def test_images_are_read_only():
+    # a generator's image is cached and read by every later residual,
+    # Casimir and action of that generator, so an edit of the returned
+    # polynomial raises instead of reaching them
+    b2, c2 = build_series("B", 2), build_series("C", 2)
+    for alg, rep in ((b2, fermionic_rep(b2)), (c2, bosonic_rep(c2, 4))):
+        for gid in alg.basis:
+            image = rep.proof.image(gid)
+            word = next(iter(image))
+            with pytest.raises(TypeError):
+                image[word] = ONE
+            with pytest.raises(TypeError):
+                del image[word]
+            assert rep.proof.image(gid) is image
+        assert verify_rep_homomorphism(alg, rep).passed
