@@ -17,8 +17,9 @@ faithful, a residual is zero exactly when the identity holds on the whole
 Fock space, whatever the cutoff (the `reps` docstring gives the argument).
 `FockSpace.apply` is the one Fock action: `OscillatorProof.action` applies
 each normal-ordered image with it once, a matrix the `reps` builders make
-is that result, and stage 2 (`reps.Representation.wrong_entries`) counts
-the entries in which a held matrix differs from it.
+is that result when it is first read, and stage 2
+(`reps.Representation.wrong_entries`) counts the entries in which a
+matrix a caller gave differs from it.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ class OscillatorProof:
     `generator_residual`) works on these alone. `action(g)` is that
     polynomial applied to every state (`FockSpace.apply`), cached too: a
     matrix the `reps` builders make is that dict, and stage 2 holds each
-    matrix to it. The proof reads no matrix.
+    given matrix to it. The proof reads no matrix.
     """
 
     def __init__(self, space: FockSpace, lambdas):

@@ -3,10 +3,10 @@
 This module's two tables are the one human-readable statement of the
 oscillator images. `oscillators.oscillator_image` holds them as
 polynomials, and each representation's `oscillators.OscillatorProof`
-normal-orders them once per generator. The builders apply them from
-there: each generator's matrix is its normal-ordered polynomial applied to
-every Fock state (`OscillatorProof.action`, through
-`oscillators.FockSpace.apply`).
+normal-orders them once per generator. A built representation's matrix of
+a generator is its normal-ordered polynomial applied to every Fock state
+(`OscillatorProof.action`, through `oscillators.FockSpace.apply`), made
+the first time it is read.
 
 Fermionic (series A, B, D): the Fock space of N modes, dimension 2^N,
 with creation and annihilation operators carrying the alternating-sign
@@ -48,10 +48,10 @@ matrix to its polynomial:
      `oscillators`); for `casimir`, [C, rho(g)] with C the quartic
      Casimir polynomial. A commutator skips each pair of words on
      disjoint modes that commute. Each nonzero residual is a violation;
-  2. the matrix gate, once per generator: the held matrix must equal
-     its normal-ordered polynomial applied to every state, amplitudes
-     above the cutoff dropped. A built matrix is that action itself; any
-     other is held to it, and each one that differs is a violation.
+  2. the matrix gate, once per given matrix: each matrix a caller gave
+     must equal its normal-ordered polynomial applied to every state,
+     amplitudes above the cutoff dropped. A built matrix is that action
+     itself, so a built representation has none to compare.
 
 Stage 1 is the verdict because the Fock representations of the Weyl and
 Clifford algebras are faithful. Normal-ordered words are a basis of both
@@ -89,10 +89,11 @@ double's form.
 Each representation makes its one `oscillators.OscillatorProof`
 (`Representation.proof`) from its Fock space and central charges. The
 proof caches each generator's normal-ordered image and its action on the
-states, and a built matrix is that action, so the builder and both stages
-of both checks compute each once per representation. A representation is
-therefore never edited in place; a helper that changes a matrix builds a
-new Representation, whose own proof applies every polynomial afresh.
+states, and a built matrix is that action, made when first read, so each
+is computed at most once per representation, and not at all by the checks
+of a built one. A representation is therefore never edited in place; a
+helper that changes a matrix builds a new Representation from given
+matrices, whose own proof applies every polynomial afresh.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ from .scalars import ONE, ZERO, Scalar
 # Largest representation a builder accepts, as states times basis
 # generators: each generator's matrix holds about one entry per state. A7 at
 # cutoff 6 (3003 states x 72 generators = 216,216) holds about 45 MB, so
-# this bound keeps one representation within a few hundred MB.
+# this bound keeps the matrices a caller reads within a few hundred MB.
+# `verify` reads none, but keeps the bound while it builds the Fock space.
 MAX_REP_SIZE = 1_000_000
 
 
@@ -155,11 +157,13 @@ class Representation:
     bosonic when it has a `cutoff`.
 
     `proof` is the representation's one `oscillators.OscillatorProof`,
-    made from the space and the central charges alone: a built matrix is
-    its cached action, and the `rep` and `casimir` checks read its images.
-    `wrong_entries(g)` is stage 2. Instances are treated as immutable, as
-    `LieAlgebra` instances are: a helper that edits a matrix returns a new
-    Representation, which gets its own proof.
+    made from the space and the central charges alone, and the `rep` and
+    `casimir` checks read its images. A built representation (`matrices`
+    None) makes each matrix, its proof's cached action, when it is first
+    read; given matrices are held as given, and `wrong_entries(g)` is
+    stage 2. Instances are treated as immutable, as `LieAlgebra` instances
+    are: a helper that edits a matrix returns a new Representation, which
+    gets its own proof.
     """
 
     def __init__(self, alg, matrices, space, lambdas):
@@ -168,21 +172,33 @@ class Representation:
         from .oscillators import OscillatorProof
         self.alg = alg
         self.kind = "fermionic" if space.cutoff is None else "bosonic"
-        self.matrices = matrices
+        self.given = matrices is not None
+        self._matrices = matrices if self.given else {}
         self.space = space
         self.space_dim = len(space.states)
         self.cutoff = space.cutoff
         self.lambdas = dict(lambdas)
         self.proof = OscillatorProof(space, self.lambdas)
 
+    @property
+    def matrices(self) -> dict:
+        if not self.given:
+            for gid in self.alg.basis:
+                self.matrix(gid)
+        return self._matrices
+
     def matrix(self, gid: GeneratorId) -> SparseMatrix:
-        return self.matrices[gid]
+        held = self._matrices
+        if gid not in held and not self.given and gid in self.alg.index:
+            matrix = held[gid] = SparseMatrix(self.space_dim)
+            matrix.entries = self.proof.action(gid)
+        return held[gid]
 
     def wrong_entries(self, gid: GeneratorId) -> int:
         """The number of entries in which the held matrix of `gid` differs
         from its polynomial's action (`OscillatorProof.action`)."""
         want = self.proof.action(gid)
-        held = self.matrices[gid].entries
+        held = self.matrix(gid).entries
         if want == held:
             return 0
         return sum(1 for key in want.keys() | held.keys()
@@ -201,17 +217,12 @@ def _normalize_lambdas(alg, lambdas):
 
 
 def _build(alg, cutoff: int | None, lambdas) -> Representation:
-    """Each generator's matrix: the action of its normal-ordered image on
-    every state of the Fock space, the dict the representation's proof
-    caches, fermionic when `cutoff` is None."""
+    """The representation on the Fock space of alg's Cartan count, fermionic
+    when `cutoff` is None; it holds no matrix until one is read."""
     # imported on use, as in `Representation`
     from .oscillators import FockSpace
     space = FockSpace(cartan_count(alg.series, alg.rank), cutoff)
-    rep = Representation(alg, {}, space, _normalize_lambdas(alg, lambdas))
-    for gid in alg.basis:
-        matrix = rep.matrices[gid] = SparseMatrix(rep.space_dim)
-        matrix.entries = rep.proof.action(gid)
-    return rep
+    return Representation(alg, None, space, _normalize_lambdas(alg, lambdas))
 
 
 def fermionic_rep(alg, lambdas=None) -> Representation:
@@ -232,13 +243,16 @@ def bosonic_rep(alg, cutoff: int, lambdas=None) -> Representation:
 
 def _matrix_violations(report: CheckReport, rep: Representation,
                        basis) -> None:
-    """Stage 2: one violation per generator whose matrix differs from its
-    polynomial's action, after refusing the first one that has no matrix."""
+    """Stage 2: one violation per given matrix that differs from its
+    polynomial's action, after refusing the first generator outside the
+    representation's algebra; a built representation has none."""
     for gid in basis:
-        if gid not in rep.matrices:
+        if gid not in rep.alg.index:
             raise ForeignGeneratorError(f"{gid.label} has no matrix in the "
                                         f"{rep.alg.series}{rep.alg.rank} "
                                         f"{rep.kind} representation")
+    if not rep.given:
+        return
     for gid in basis:
         wrong = rep.wrong_entries(gid)
         if wrong:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import dense_reference as dense
 
 from drinfeld_forge import (I, CheckReport, Element, GeneratorId, LieAlgebra,
-                            SPAN_BUILDERS, Scalar,
+                            SPAN_BUILDERS, Representation, Scalar,
                             a_chain_span, ad_invariance_report, bosonic_rep,
                             build_series, canonical_triple, casimir_quadratic,
                             cocommutator_explicit,
@@ -324,6 +324,13 @@ def _mutation_fixtures():
     b2 = build_series("B", 2)
     vacuum_f12 = dense.with_entry(fermionic_rep(b2), f12, (0, 0), Scalar(1))
 
+    # B2's fermionic matrices, built with lambda_1 = 2, given to a
+    # representation with the default charges: each matrix came from a
+    # builder, yet rho(I1) = 2 Id is not the action of its polynomial Id
+    charged = fermionic_rep(b2, lambdas={1: Scalar(2)})
+    foreign_charges = Representation(b2, dict(charged.matrices),
+                                     charged.space, fermionic_rep(b2).lambdas)
+
     # the C2 Casimir over rho(F1,2) with its entry at column |0,2> doubled
     key = next(k for k in entries if states[k[1]] == (0, 2))
     doubled_two = dense.with_entry(boson, f12, key, entries[key] * Scalar(2))
@@ -437,6 +444,8 @@ def _mutation_fixtures():
             doubled_pq, boson)),
         ("rep-fermionic-entry", lambda: verify_rep_homomorphism(
             b2, vacuum_f12)),
+        ("rep-fermionic-foreign-charges", lambda: verify_rep_homomorphism(
+            b2, foreign_charges)),
         ("rep-bosonic-disjoint", lambda: verify_rep_homomorphism(
             f12_f34, bosonic_rep(a3, 4))),
         ("rep-fermionic-odd-pair", lambda: verify_rep_homomorphism(
@@ -492,6 +501,13 @@ def test_central_cocycle_mutation_sits_on_commuting_pairs():
     alg = build_series("A", 2)
     gen = {gid.label: gid for gid in alg.basis}
     assert not any(alg.bracket_gens(gen[x], gen[y]) for x, y in pairs)
+
+
+def test_foreign_charges_fail_the_matrix_gate():
+    # matrices built with lambda_1 = 2 are not the action of the default
+    # charges' proof; only rho(I1) differs, on all four states of B2
+    report = dict(_mutation_fixtures())["rep-fermionic-foreign-charges"]()
+    assert report.violations == [{"matrix": "I1", "entries": 4}]
 
 
 def test_entry_above_every_protected_budget_fails():

@@ -3,7 +3,9 @@
 Each fixture is a small failing input; every listed check runs on it and
 the canonical JSON of its reports must equal the recorded golden file. A
 refactor that changes a verdict, a count, or the order of a violation list
-shows up here.
+shows up here. So does one that changes the `rep` and `casimir` reports of
+the instances the benchmark's fock-reps workload runs, `verify --checks
+rep,casimir --cutoff 6 --json` on A3, C4, B4 and D5, `details` included.
 """
 
 import pathlib
@@ -18,6 +20,7 @@ from drinfeld_forge import (GeneratorId, Scalar, a_chain_span,
                             verify_delta_agreement, verify_reconstruction,
                             verify_self_duality, verify_subbialgebra,
                             verify_twist, with_double)
+from drinfeld_forge.cli import main
 from drinfeld_forge.serialize import dumps_canonical
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -78,3 +81,11 @@ def test_failing_reports_match_golden(name):
     want = (GOLDEN / f"failing_{name}.json").read_text(encoding="ascii")
     assert got == want
 
+
+
+@pytest.mark.parametrize("name", ["A3", "C4", "B4", "D5"])
+def test_benchmarked_rep_casimir_reports_match_golden(capsys, name):
+    assert main(["verify", "--series", name[0], "--rank", name[1:],
+                 "--checks", "rep,casimir", "--cutoff", "6", "--json"]) == 0
+    want = GOLDEN / f"verify_rep_casimir_{name}_cutoff6.json"
+    assert capsys.readouterr().out == want.read_text(encoding="ascii")

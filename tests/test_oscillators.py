@@ -4,10 +4,11 @@
 (sign -1) with one routine. Its products must act on Fock states exactly
 as the factors applied in turn, and its commutator, which skips the pairs
 of words on disjoint modes that commute, must equal the difference of the
-two products. Stage 2 must accept every matrix the builders make, each
-of which is its proof's cached Fock action, and count each entry off the
-formula; each generator's image and its Fock action must be made once
-per representation, shared by the builder and both stages; and stage 1
+two products. Every matrix the builders make must be its proof's cached
+Fock action, made when first read, and stage 2 must count each entry of
+a given matrix off the formula; each generator's image must be made once
+per representation, and `verify` must apply no polynomial to any state,
+while `export` applies each once per representation; and stage 1
 must clear every pair of an unmutated table and flag a mutated bracket
 with the same report at every cutoff, also where no column the
 truncation protects shows it.
@@ -277,31 +278,77 @@ def test_stage2_flags_an_entry_off_the_formula():
 
 
 def test_stage2_runs_once_per_generator(monkeypatch):
-    # the builder and the gates of `rep` and `casimir` read each
-    # generator's one cached Fock action, so `FockSpace.apply` runs exactly
-    # once per (representation, generator); the representations of one run
-    # differ in statistics
-    calls = []
-    real = FockSpace.apply
+    # a built representation holds no matrix until one is read, and its
+    # matrices are its proof's actions, so `rep` and `casimir` apply no
+    # polynomial to any state; `export` reads each generator's one cached
+    # Fock action, so `FockSpace.apply` runs exactly once per
+    # (representation, generator); the representations of one run differ
+    # in statistics
+    calls, actions = [], []
+    real_apply = FockSpace.apply
+    real_action = oscillators.OscillatorProof.action
 
-    def spy(self, poly):
+    def spy_apply(self, poly):
         calls.append(self.cutoff is None)
-        return real(self, poly)
+        return real_apply(self, poly)
 
-    monkeypatch.setattr(FockSpace, "apply", spy)
+    def spy_action(self, gid):
+        actions.append(gid)
+        return real_action(self, gid)
+
+    monkeypatch.setattr(FockSpace, "apply", spy_apply)
+    monkeypatch.setattr(oscillators.OscillatorProof, "action", spy_action)
     for series in ("A", "B", "C"):
+        argv = ["--series", series, "--rank", "2", "--cutoff", "4"]
         calls.clear()
-        assert main(["verify", "--series", series, "--rank", "2",
-                     "--checks", "rep,casimir", "--cutoff", "4"]) == 0
+        actions.clear()
+        assert main(["verify", *argv, "--checks", "rep,casimir"]) == 0
+        assert calls == [] and actions == [], series
+        assert main(["export", *argv, "--what", "matrices"]) == 0
         dim = build_series(series, 2).dim
         kinds = (True, False) if series == "A" else (series == "B",)
         assert sorted(calls) == sorted(kinds * dim), series
 
 
+def test_built_matrices_are_the_proof_actions_read_once(monkeypatch):
+    # the stage-2 skip rests on this: a built matrix is its proof's cached
+    # action itself, made on first read and kept, while a representation
+    # given matrices holds them and its own proof applies every polynomial
+    applied = []
+    real = FockSpace.apply
+
+    def spy(self, poly):
+        applied.append(poly)
+        return real(self, poly)
+
+    monkeypatch.setattr(FockSpace, "apply", spy)
+    a2, b2, c2 = (build_series(s, 2) for s in "ABC")
+    for rep in (fermionic_rep(a2), bosonic_rep(a2, 4), fermionic_rep(b2),
+                bosonic_rep(c2, 4)):
+        label, basis = f"{rep.alg.series}2 {rep.kind}", rep.alg.basis
+        assert not applied, label
+        assert all(rep.matrix(gid).entries is rep.proof.action(gid)
+                   for gid in basis), label
+        assert len(applied) == len(basis), label
+        matrices = rep.matrices
+        assert rep.matrices is matrices and list(matrices) == list(basis)
+        assert len(applied) == len(basis), label  # nothing new applied
+        gid = basis[-1]
+        key = next(iter(rep.matrix(gid).entries))
+        case = dense.with_entry(rep, gid, key, Scalar(7))
+        applied.clear()
+        report = verify_rep_homomorphism(rep.alg, case)
+        assert report.violations[0] == {"matrix": gid.label, "entries": 1}
+        assert len(applied) == len(basis), label
+        assert all(case.proof.action(g) is not rep.proof.action(g)
+                   for g in basis), label
+        applied.clear()
+
+
 def test_each_image_is_made_once_per_representation(monkeypatch):
-    # the builder, stage 1 and stage 2 read one proof per representation,
-    # so each generator's image is made once per (representation,
-    # generator); the representations of one run differ in statistics
+    # stage 1 reads one proof per representation, so each generator's
+    # image is made once per (representation, generator); the
+    # representations of one run differ in statistics
     calls = []
     real = oscillators.oscillator_image
 
