@@ -2,32 +2,41 @@
 
 The four families are built over Cartan indices 1..N (N = rank+1 for series
 A, N = rank otherwise), with central generators I_i adjoined as an abelian
-block. Nonvanishing bracket rules, with d short for the Kronecker delta:
+block. Nonvanishing bracket rules, with d short for the Kronecker delta;
+`_rule` writes out only the unmarked ones and derives the others:
 
-  common      [H_i, F_jk] = (d_ij - d_ik) F_jk
-              [F_ij, F_kl] = d_jk E_il - d_il E_kj
-  series C    [H_i, P_jk] = (d_ij + d_ik) P_jk          (so 2 d_ij on P_jj)
-              [H_i, Q_jk] = -(d_ij + d_ik) Q_jk
-              [F_ij, P_kk] = sqrt2 d_jk P_ik
-              [F_ij, P_kl] = d_jk [P_il] + d_jl [P_ik]          (k != l)
-              [F_ij, Q_kk] = -sqrt2 d_ik Q_jk
-              [F_ij, Q_kl] = -d_ik [Q_jl] - d_il [Q_jk]         (k != l)
-              [P_ii, Q_jj] = 2 d_ij H_i
-              [P_ii, Q_jk] = sqrt2 (d_ij F_ik + d_ik F_ij)      (j != k)
-              [P_ij, Q_kk] = sqrt2 (d_ik F_jk + d_jk F_ik)      (i != j)
-              [P_ij, Q_kl] = d_jl E_ik + d_il E_jk + d_jk E_il + d_ik E_jl
-                             + (d_ik d_jl + d_il d_jk) 1        (i != j, k != l)
-  series D/B  [H_i, S_jk] = (d_ij + d_ik) S_jk,  [H_i, T_jk] = -(d_ij + d_ik) T_jk
-              [F_ij, S_kl] = d_jk S_il - d_jl S_ik
-              [F_ij, T_kl] = -d_ik T_jl + d_il T_jk
-              [S_ij, T_kl] = -d_jk E_il + d_jl E_ik + d_ik E_jl - d_il E_jk
-                             - (d_ik d_jl - d_il d_jk) 1
-  series B    [H_i, U_j] = d_ij U_j,   [H_i, V_j] = -d_ij V_j
-              [F_ij, U_k] = d_jk U_i,  [F_ij, V_k] = -d_ik V_j
-              [S_ij, V_k] = -d_ik U_j + d_jk U_i
-              [T_ij, U_k] = d_ik V_j - d_jk V_i
-              [U_i, U_j] = S_ij,  [V_i, V_j] = -T_ij
-              [U_i, V_j] = (1 - d_ij) F_ij + d_ij H_i
+  (w) [H_i, g] = weight(g)_i g, with the weights of `generators.weight`;
+  (t) a lowering pair [x, y] = theta([theta x, theta y]), read from its
+      raising mirror through the Chevalley involution theta(g) = -mirror(g),
+      theta(H) = -H, an automorphism of every table.
+
+  common   (w) [H_i, F_jk] = (d_ij - d_ik) F_jk
+               [F_ij, F_kl] = d_jk E_il - d_il E_kj
+  series C (w) [H_i, P_jk] = (d_ij + d_ik) P_jk          (so 2 d_ij on P_jj)
+           (w) [H_i, Q_jk] = -(d_ij + d_ik) Q_jk
+               [F_ij, P_kk] = sqrt2 d_jk P_ik
+               [F_ij, P_kl] = d_jk [P_il] + d_jl [P_ik]          (k != l)
+           (t) [F_ij, Q_kk] = -sqrt2 d_ik Q_jk
+           (t) [F_ij, Q_kl] = -d_ik [Q_jl] - d_il [Q_jk]         (k != l)
+               [P_ii, Q_jj] = 2 d_ij H_i
+               [P_ii, Q_jk] = sqrt2 (d_ij F_ik + d_ik F_ij)      (j != k)
+               [P_ij, Q_kk] = sqrt2 (d_ik F_jk + d_jk F_ik)      (i != j)
+               [P_ij, Q_kl] = d_jl E_ik + d_il E_jk + d_jk E_il + d_ik E_jl
+                              + (d_ik d_jl + d_il d_jk) 1        (i != j, k != l)
+  series   (w) [H_i, S_jk] = (d_ij + d_ik) S_jk
+   D/B     (w) [H_i, T_jk] = -(d_ij + d_ik) T_jk
+               [F_ij, S_kl] = d_jk S_il - d_jl S_ik
+           (t) [F_ij, T_kl] = -d_ik T_jl + d_il T_jk
+               [S_ij, T_kl] = -d_jk E_il + d_jl E_ik + d_ik E_jl - d_il E_jk
+                              - (d_ik d_jl - d_il d_jk) 1
+  series B (w) [H_i, U_j] = d_ij U_j,   [H_i, V_j] = -d_ij V_j
+               [F_ij, U_k] = d_jk U_i
+           (t) [F_ij, V_k] = -d_ik V_j
+               [S_ij, V_k] = -d_ik U_j + d_jk U_i
+           (t) [T_ij, U_k] = d_ik V_j - d_jk V_i
+               [U_i, U_j] = S_ij
+           (t) [V_i, V_j] = -T_ij
+               [U_i, V_j] = (1 - d_ij) F_ij + d_ij H_i
 
 E_ab is the formal quadratic unit: off the diagonal it is F_ab; on the
 diagonal it resolves to H_a plus a constant (-1/2 in the symmetric-pair
@@ -47,14 +56,16 @@ from . import serialize
 from .elements import Element
 from .errors import ClosureError, ForeignGeneratorError
 from .generators import (GeneratorId, cartan_count, enumerate_generators,
-                         resolve, weight)
+                         mirror, resolve, weight)
+from .linalg import accumulate
 from .reporting import CheckReport
 from .scalars import HALF, ONE, SQRT2, ZERO, Scalar
 
 _TWO = Scalar(2)
-_NEG_SQRT2 = -SQRT2
 _NEG_HALF = -HALF
 _PREC = {"H": 0, "F": 1, "P": 2, "S": 2, "Q": 3, "T": 3, "U": 4, "V": 5}
+# pairs built through theta from their mirror pair, which `_rule` states
+_LOWERING = frozenset({"FQ", "FT", "FV", "QQ", "TT", "TU", "TV", "VV"})
 
 
 class _Acc:
@@ -93,34 +104,31 @@ def _sym_or_diag(kind: str, a: int, b: int) -> tuple[GeneratorId, Scalar]:
     return gid, ONE
 
 
-def _rule(series: str, g1: GeneratorId, g2: GeneratorId) -> Element:
+def _theta(elem: Element) -> Element:
+    """The Chevalley involution: theta(g) = -mirror(g), theta(H) = -H."""
+    return Element({g if g.kind == "H" else mirror(g): -c
+                    for g, c in elem.terms()})
+
+
+def _rule(series: str, n: int, g1: GeneratorId, g2: GeneratorId) -> Element:
     k1, k2 = g1.kind, g2.kind
     if k1 == "I" or k2 == "I":
         return Element()
     if _PREC[k1] > _PREC[k2]:
-        return -_rule(series, g2, g1)
-
-    fermionic = series in ("B", "D")
-    acc = _Acc(HALF if fermionic else _NEG_HALF)
-    pair = k1 + k2
-
-    if pair == "HH" or pair in ("PP", "QQ", "SS", "TT", "SU", "TV"):
-        return acc.element()
-
+        return -_rule(series, n, g2, g1)
     if k1 == "H":
-        i = g1.i
-        j, k = g2.i, g2.j
-        if k2 == "F":
-            acc.add(g2, Scalar((i == j) - (i == k)))
-        elif k2 in ("P", "S"):
-            acc.add(g2, Scalar((i == j) + (i == k)))
-        elif k2 in ("Q", "T"):
-            acc.add(g2, Scalar(-((i == j) + (i == k))))
-        elif k2 == "U":
-            acc.add(g2, Scalar(int(i == j)))
-        elif k2 == "V":
-            acc.add(g2, Scalar(-(i == j)))
-        return acc.element()
+        return Element.gen(g2, weight(g2, n)[g1.i - 1])
+
+    # every rule but those between two odd generators (U, V) holds a
+    # Kronecker delta between an index of g1 and one of g2
+    if g1.j is not None and not {g1.i, g1.j} & {g2.i, g2.j}:
+        return Element()
+    pair = k1 + k2
+    if pair in _LOWERING:
+        return _theta(_rule(series, n, mirror(g1), mirror(g2)))
+    if pair in ("PP", "SS", "SU"):
+        return Element()
+    acc = _Acc(HALF if series in ("B", "D") else _NEG_HALF)
 
     if pair == "FF":
         i, j = g1.i, g1.j
@@ -146,21 +154,6 @@ def _rule(series: str, g1: GeneratorId, g2: GeneratorId) -> Element:
             acc.add(gid, w)
         return acc.element()
 
-    if pair == "FQ":
-        i, j = g1.i, g1.j
-        k, l = g2.i, g2.j
-        if k == l:
-            if i == k:
-                acc.add(resolve("Q", j, k)[0], _NEG_SQRT2)
-            return acc.element()
-        if i == k:
-            gid, w = _sym_or_diag("Q", j, l)
-            acc.add(gid, -w)
-        if i == l:
-            gid, w = _sym_or_diag("Q", j, k)
-            acc.add(gid, -w)
-        return acc.element()
-
     if pair == "FS":
         i, j = g1.i, g1.j
         k, l = g2.i, g2.j
@@ -172,25 +165,9 @@ def _rule(series: str, g1: GeneratorId, g2: GeneratorId) -> Element:
             acc.add(gid, -ONE, sign)
         return acc.element()
 
-    if pair == "FT":
-        i, j = g1.i, g1.j
-        k, l = g2.i, g2.j
-        if i == k:
-            gid, sign = resolve("T", j, l)
-            acc.add(gid, -ONE, sign)
-        if i == l:
-            gid, sign = resolve("T", j, k)
-            acc.add(gid, ONE, sign)
-        return acc.element()
-
     if pair == "FU":
         if g1.j == g2.i:
             acc.add(GeneratorId("U", g1.i), ONE)
-        return acc.element()
-
-    if pair == "FV":
-        if g1.i == g2.i:
-            acc.add(GeneratorId("V", g1.j), -ONE)
         return acc.element()
 
     if pair == "PQ":
@@ -246,15 +223,6 @@ def _rule(series: str, g1: GeneratorId, g2: GeneratorId) -> Element:
             acc.add(GeneratorId("U", i), ONE)
         return acc.element()
 
-    if pair == "TU":
-        i, j = g1.i, g1.j
-        k = g2.i
-        if i == k:
-            acc.add(GeneratorId("V", j), ONE)
-        if j == k:
-            acc.add(GeneratorId("V", i), -ONE)
-        return acc.element()
-
     if pair == "UU":
         gid, sign = resolve("S", g1.i, g2.i)
         acc.add(gid, ONE, sign)
@@ -265,11 +233,6 @@ def _rule(series: str, g1: GeneratorId, g2: GeneratorId) -> Element:
             acc.add(GeneratorId("H", g1.i), ONE)
         else:
             acc.add(GeneratorId("F", g1.i, g2.i), ONE)
-        return acc.element()
-
-    if pair == "VV":
-        gid, sign = resolve("T", g1.i, g2.i)
-        acc.add(gid, -ONE, sign)
         return acc.element()
 
     raise ValueError(f"no bracket rule for kinds {k1!r}, {k2!r} in series {series}")
@@ -404,9 +367,6 @@ class LieAlgebra:
                         out.add_term(gid, coeff * factor)
         return out
 
-    def weight_of(self, gid: GeneratorId) -> tuple[int, ...]:
-        return weight(gid, self.n_indices)
-
     def to_json(self) -> dict:
         return serialize.table_json(self.series, self.rank, self.basis, self.table)
 
@@ -419,7 +379,7 @@ def build_series(series: str, rank: int) -> LieAlgebra:
     n = cartan_count(series, rank)
     table = {}
     for p, q in itertools.combinations(basis, 2):
-        out = _rule(series, p, q)
+        out = _rule(series, n, p, q)
         if out:
             stray = out.support() - members
             if stray:
@@ -461,8 +421,11 @@ def verify_jacobi(alg: LieAlgebra) -> CheckReport:
     every w with [g, w] nonzero in the adjoint index (which checks that
     every term is a member), with the sign of [g, w] taken once per w
     from basis order; a triple that no walk reaches has the
-    residual 0 exactly. `checked` counts all C(dim, 3) triples, and the
-    violations are reported in basis order.
+    residual 0 exactly. Every term adds into one sparse map keyed by the
+    sorted triple's positions and the output generator, which drops a sum
+    the moment it cancels, so only the survivors are grouped by triple.
+    `checked` counts all C(dim, 3) triples, and the violations are
+    reported in basis order.
     """
     basis, index = alg.basis, alg.index
     rows = alg.adjoint()
@@ -486,19 +449,17 @@ def verify_jacobi(alg: LieAlgebra) -> CheckReport:
                     key = (pu, pw, pv)
                     flip = not flip
                 factor = ncg if flip else cg
-                acc = residuals.get(key)
-                if acc is None:
-                    acc = residuals[key] = Element()
                 for h, ch in inner.terms():
-                    acc.add_term(h, ch * factor)
+                    accumulate(residuals, (*key, h), ch * factor)
+    by_triple = {}
+    for (pu, pv, pw, h), value in residuals.items():
+        by_triple.setdefault((pu, pv, pw), Element()).add_term(h, value)
     dim = alg.dim
     report = CheckReport(check="jacobi", passed=True,
                          checked=dim * (dim - 1) * (dim - 2) // 6)
-    for key in sorted(residuals):
-        residual = residuals[key]
-        if residual:
-            report.add_violation({
-                "indices": [basis[k].label for k in key],
-                "residual": serialize.element_json(residual, index),
-            })
+    for key in sorted(by_triple):
+        report.add_violation({
+            "indices": [basis[k].label for k in key],
+            "residual": serialize.element_json(by_triple[key], index),
+        })
     return report

@@ -50,8 +50,9 @@ EXPORTS = ("brackets", "delta", "rmatrix", "pairing", "matrices")
 # builds rank n+1, so the largest algebra any subcommand builds is D17
 # (dimension 578, from D16), then A22 (552, from A21) and B16 and C16 (544,
 # from B15 and C15). The bracket table alone grows with the square of the
-# dimension: build_series at dimension 512 (D16) takes about 1.5 s on a
-# 2-CPU Linux host, and A30 (dimension 992) 6 s.
+# dimension: build_series at dimension 512 (D16) takes about 0.3 s in
+# process on a 2-CPU Linux host with Python 3.11, and A30 (dimension 992)
+# about 0.7 s; the checks, whose work grows faster, set the bound.
 MAX_DIMENSION = 512
 
 

@@ -28,7 +28,6 @@ from .errors import RankError
 
 SERIES = ("A", "B", "C", "D")
 
-_SINGLE_INDEX = frozenset("HIUVXx")
 _SYMMETRIC = frozenset("PQ")
 _ANTISYMMETRIC = frozenset("ST")
 _RAISING_OF = {"F": "F", "P": "Q", "S": "T", "U": "V"}
@@ -127,14 +126,9 @@ def enumerate_generators(series: str, rank: int) -> tuple[GeneratorId, ...]:
 def resolve(kind: str, i: int, j: int) -> tuple[GeneratorId | None, int]:
     """Normalize a raw two-index symbol to (stored generator, sign).
 
-    P/Q are symmetric, S/T antisymmetric with vanishing diagonal; F keeps its
-    index order (both orders are basis members). Returns (None, 0) for a
-    symbol that is identically zero.
+    P/Q are symmetric, S/T antisymmetric with vanishing diagonal. Returns
+    (None, 0) for a symbol that is identically zero.
     """
-    if kind == "F":
-        if i == j:
-            raise ValueError("F requires distinct indices; diagonal must be resolved upstream")
-        return GeneratorId("F", i, j), 1
     if kind in _SYMMETRIC:
         return (GeneratorId(kind, i, j), 1) if i <= j else (GeneratorId(kind, j, i), 1)
     if kind in _ANTISYMMETRIC:

@@ -133,10 +133,13 @@ def test_bad_spec_exit_two(capsys):
 
 
 def test_unwritable_out_exit_three(capsys):
-    code, _, err = run(capsys, "export", "--series", "A", "--rank", "1",
-                       "--what", "pairing", "--out", "/nonexistent/dir/x.txt")
-    assert code == 3
-    assert "cannot write" in err
+    for command in (["export", "--what", "pairing"],
+                    ["verify", "--checks", "jacobi"]):
+        code, out, err = run(capsys, *command, "--series", "A", "--rank",
+                             "1", "--out", "/nonexistent/dir/x.txt")
+        assert code == 3, command
+        assert out == ""
+        assert "cannot write /nonexistent/dir/x.txt" in err
 
 
 def test_build_payload(capsys):
@@ -256,6 +259,20 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "unknown config keys: what" in err
+
+
+def test_unreadable_config_exit_two(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "verify", "--config", str(missing))
+    assert code == 2
+    assert out == ""
+    assert f"cannot read config {missing}" in err
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps(["series", "A"]))
+    code, out, err = run(capsys, "verify", "--config", str(listed))
+    assert code == 2
+    assert out == ""
+    assert "config must be a JSON object" in err
 
 
 @pytest.mark.parametrize("key,value", [("cutoff", 2.5), ("cutoff", [3]),

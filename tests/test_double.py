@@ -329,6 +329,26 @@ def test_singular_pairing_detected():
                              Scalar(-1))
     with pytest.raises(SpecError):
         triple.pairing_inverse()
+    # `pairing` reports it as its last violation, and `casimir-form`,
+    # which needs the inverse, reports nothing else
+    assert verify_pairing(triple).violations == [
+        {"pair": ["x^1", "X1"], "intrinsic": "1", "stored": "0"},
+        {"pairing": "singular"}]
+    report = verify_casimir_form(triple)
+    assert not report.passed and report.checked == 0
+    assert report.violations == [{"error": "pairing matrix is singular"}]
+
+
+def test_non_isotropic_half_is_reported():
+    # a rotation that sends X1 to H1 alone: s+ pairs X1 with itself, and
+    # the crossed value of (x^1, X1) drops to 1/sqrt2
+    base = canonical_triple("A", 1)
+    rotation = manin.CartanRotation(base.spec, 2)
+    rotation.to_double[GeneratorId("X", 1)] = Element.gen(GeneratorId("H", 1))
+    triple = manin.ManinTriple(base.double, base.spec, rotation)
+    assert verify_pairing(triple).violations == [
+        {"side": "s+", "pair": ["X1", "X1"], "value": "1"},
+        {"pair": ["x^1", "X1"], "intrinsic": "1/2*sqrt2", "stored": "1"}]
 
 
 def test_mutated_double_fails_closure_checks():

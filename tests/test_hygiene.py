@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, no
 package module imports another one's private (underscore) names, no
 package function, class or method is left unnamed or named by the tests
-alone (but for an allowlist that gives each one's reason), no package
+alone (but for an allowlist that gives each one's reason), no private
+module-level constant of a package module goes unread in it, no package
 invariant rests on an assert statement, which `python -O` strips, no
 package module imports `fractions` or `decimal` when it is itself
 imported, and no package module takes more memory to compile than a
@@ -160,9 +161,7 @@ def test_every_definition_is_named():
 
 
 # package definitions that only the tests name, each kept for a reason
-TEST_ONLY = {
-    "algebra.py: weight_of": "kept for the planned `grading` verifier",
-}
+TEST_ONLY = {}
 
 
 def named_only_by_tests(modules: dict[str, str], sources, tests) -> list[str]:
@@ -194,6 +193,42 @@ def test_no_helper_lives_for_the_tests_alone():
     assert [entry for entry in flagged if entry not in TEST_ONLY] == []
     # and no allowance outlives its definition's last package-side reader
     assert [entry for entry in TEST_ONLY if entry not in flagged] == []
+
+
+def unread_private_constants(source: str) -> list[str]:
+    """Private (underscore, not dunder) names that a module assigns at
+    its top level and never reads."""
+    tree = ast.parse(source)
+    assigned = {}
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if (isinstance(name, ast.Name) and name.id.startswith("_")
+                        and not name.id.startswith("__")):
+                    assigned.setdefault(name.id, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in assigned.items()
+            if name not in read]
+
+
+def test_checker_sees_an_unread_private_constant():
+    source = ("__all__ = ['f']\n"
+              "_TWO = 2\n"
+              "_HALF, _KINDS = 0.5, 'HI'\n"
+              "_LIMIT: int = 3\n"
+              "def f(x):\n    _HALF = 1\n    return x * _TWO\n"
+              "PUBLIC = 1\n")
+    assert unread_private_constants(source) == [
+        "line 3: _HALF", "line 3: _KINDS", "line 4: _LIMIT"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda path: path.name)
+def test_every_private_constant_is_read(path):
+    assert unread_private_constants(path.read_text(encoding="utf-8")) == []
 
 
 def imported_names(source: str) -> set[str]:
