@@ -455,7 +455,7 @@ def verify_jacobi(alg: LieAlgebra) -> CheckReport:
     for (pu, pv, pw, h), value in residuals.items():
         by_triple.setdefault((pu, pv, pw), Element()).add_term(h, value)
     dim = alg.dim
-    report = CheckReport(check="jacobi", passed=True,
+    report = CheckReport(check="jacobi",
                          checked=dim * (dim - 1) * (dim - 2) // 6)
     for key in sorted(by_triple):
         report.add_violation({

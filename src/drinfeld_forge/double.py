@@ -188,7 +188,7 @@ def verify_closure(triple: ManinTriple) -> CheckReport:
     except ClosureError:
         pass                        # each stray pair is reported below
     k = triple.half_dim
-    report = CheckReport(check="closure", passed=True, checked=k * (k - 1))
+    report = CheckReport(check="closure", checked=k * (k - 1))
     for side, pair, stray in triple._tensors[2]:
         report.add_violation({"side": side, "pair": list(pair),
                               "stray": list(stray)})
@@ -240,8 +240,7 @@ def verify_pairing(triple: ManinTriple) -> CheckReport:
                 for b in holders.get(h, ()):
                     accumulate(gram, (a, b), ca * value * elems[b].coeff(h))
     k = triple.half_dim
-    report = CheckReport(check="pairing", passed=True,
-                         checked=k * (k + 1) + k * k)
+    report = CheckReport(check="pairing", checked=k * (k + 1) + k * k)
     for (a, b), value in sorted(gram.items()):
         if a <= b and (a < k) == (b < k):
             report.add_violation({"side": "s+" if a < k else "s-",
@@ -275,7 +274,7 @@ def verify_reconstruction(triple: ManinTriple) -> CheckReport:
     `checked` counts all k^2 pairs, and violations come in row-major
     order.
     """
-    report = CheckReport(check="reconstruction", passed=True)
+    report = CheckReport(check="reconstruction")
     try:
         crossed = crossed_brackets(triple)
     except (ClosureError, SpecError) as err:
@@ -332,7 +331,7 @@ def verify_compatibility(triple: ManinTriple, jobs: int = 1) -> CheckReport:
     reported in index order. `jobs` is accepted for compatibility; the
     check runs in one process.
     """
-    report = CheckReport(check="compatibility", passed=True)
+    report = CheckReport(check="compatibility")
     try:
         f, c = structure_tensors(triple)
     except ClosureError as err:
@@ -384,7 +383,7 @@ def verify_self_duality(triple: ManinTriple) -> CheckReport:
     pairs.
     """
     conjugate = triple.spec.mode == "mixed"
-    report = CheckReport(check="selfdual", passed=True)
+    report = CheckReport(check="selfdual")
     try:
         f, c = structure_tensors(triple)
     except ClosureError as err:
@@ -441,8 +440,7 @@ def verify_form_invariance(triple: ManinTriple) -> CheckReport:
                     if ph <= pb:
                         accumulate(totals, (pa, ph, pb), term)
     dim = len(basis)
-    report = CheckReport(check="forminv", passed=True,
-                         checked=dim * dim * (dim + 1) // 2)
+    report = CheckReport(check="forminv", checked=dim * dim * (dim + 1) // 2)
     for key, value in sorted(totals.items()):
         report.add_violation({
             "triple": [basis[k].label for k in key],
@@ -460,7 +458,7 @@ def verify_casimir_form(triple: ManinTriple) -> CheckReport:
     Cartans plus mirror-symmetrized root pairs. Violations are listed in
     basis order of the pair.
     """
-    report = CheckReport(check="casimir-form", passed=True)
+    report = CheckReport(check="casimir-form")
     try:
         pinv = triple.pairing_inverse()
     except SpecError as err:

@@ -15,9 +15,10 @@ polynomial and reads no matrix: since normal-ordered words are a basis of
 the Weyl and Clifford algebras, and their Fock representations are
 faithful, a residual is zero exactly when the identity holds on the whole
 Fock space, whatever the cutoff (the `reps` docstring gives the argument).
-`FockSpace.apply` is the one Fock action: `OscillatorProof.action` applies
-each normal-ordered image with it once, a matrix the `reps` builders make
-is that result when it is first read, and stage 2
+`FockSpace.act` is the one Fock action of a word, on the occupation tuples
+of both statistics: `OscillatorProof.action` applies each normal-ordered
+image with it once (`FockSpace.apply`), a matrix the `reps` builders make
+is that read-only result when it is first read, and stage 2
 (`reps.Representation.wrong_entries`) counts the entries in which a
 matrix a caller gave differs from it.
 """
@@ -137,44 +138,6 @@ class Oscillators:
         return out
 
 
-def boson_act(word: tuple, state: tuple):
-    """A word on the unnormalized occupation state |n>, untruncated:
-    (factor, state) with word |n> = factor |state>, or None when it is 0."""
-    occupation = list(state)
-    factor = 1
-    for kind, index in reversed(word):
-        if kind == CREATE:
-            occupation[index - 1] += 1
-        elif occupation[index - 1]:
-            factor *= occupation[index - 1]
-            occupation[index - 1] -= 1
-        else:
-            return None
-    return factor, tuple(occupation)
-
-
-def _jw_sign(mask: int, mode: int) -> int:
-    """The Jordan-Wigner string: -1 to the number of modes below `mode`
-    occupied in `mask`."""
-    below = mask & ((1 << mode) - 1)
-    return -1 if bin(below).count("1") % 2 else 1
-
-
-def fermion_act(word: tuple, mask: int):
-    """A word on the Fock state `mask` (bit m - 1 set when mode m is
-    occupied), each letter carrying the Jordan-Wigner string over the
-    lower modes: (sign, mask) with word |mask> = sign |mask'>, or None when
-    it is 0."""
-    sign = 1
-    for kind, index in reversed(word):
-        bit = 1 << (index - 1)
-        if bool(mask & bit) != (kind == ANNIHILATE):
-            return None
-        mask ^= bit
-        sign *= _jw_sign(mask, index - 1)
-    return sign, mask
-
-
 def boson_states(modes: int, cutoff: int) -> list[tuple[int, ...]]:
     """Occupation tuples of total at most `cutoff`, in sorted order."""
     if modes == 0:
@@ -183,46 +146,98 @@ def boson_states(modes: int, cutoff: int) -> list[tuple[int, ...]]:
             for rest in boson_states(modes - 1, cutoff - first)]
 
 
+class ReadOnlyDict(dict):
+    """A dict whose mutators raise TypeError: a cached Fock action is read
+    by every later matrix and gate of its generator, so an edit in place
+    raises instead of reaching them."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a Fock action is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+
 class FockSpace:
     """The Fock states of `modes` oscillators, in column order, and the
-    action of a polynomial on them.
+    one action of a word on them (`act`), for both statistics.
 
-    Untruncated (`cutoff` None) the oscillators are fermions and the states
-    are the masks 0 .. 2^modes - 1. Truncated they are bosons and the states
-    are the occupation tuples of total at most `cutoff`, in sorted order.
+    A state is an occupation tuple. Untruncated (`cutoff` None) the
+    oscillators are fermions, with exchange sign -1, and the states are
+    the 0/1 tuples in the order of the binary numbers they spell, mode 1
+    the lowest digit. Truncated they are bosons, with sign +1, and the
+    states are the tuples of total at most `cutoff`, in sorted order.
     """
 
     def __init__(self, modes: int, cutoff: int | None = None):
         self.cutoff = cutoff
         if cutoff is None:
-            self.states = range(1 << modes)
-            self._act, self._index_of = fermion_act, None
+            self.sign = -1
+            self.states = [tuple(n >> m & 1 for m in range(modes))
+                           for n in range(1 << modes)]
         else:
+            self.sign = 1
             self.states = boson_states(modes, cutoff)
-            self._act = boson_act
-            self._index_of = {state: pos
-                              for pos, state in enumerate(self.states)}
+        self._index_of = {state: pos for pos, state in enumerate(self.states)}
 
-    def apply(self, poly: dict) -> dict:
+    def act(self, word: tuple, state: tuple):
+        """A word on the unnormalized occupation state |n>, untruncated:
+        (factor, state) with word |n> = factor |state>, or None when it is
+        0. A creator adds a quantum, and an annihilator removes one with
+        the factor n. The exchange sign alone sets the statistics apart:
+        with sign -1 a mode holds at most one quantum, and each letter
+        takes the sign once per occupied mode below its own."""
+        occupation = state
+        factor = 1
+        for kind, index in reversed(word):
+            pos = index - 1
+            held = occupation[pos]
+            if kind == ANNIHILATE:
+                if not held:
+                    return None
+                factor *= held
+                held -= 1
+            elif held and self.sign < 0:
+                return None
+            else:
+                held += 1
+            if occupation is state:  # copied once a letter lands
+                occupation = list(state)
+            occupation[pos] = held
+            if self.sign < 0 and (pos - occupation[:pos].count(0)) % 2:
+                factor = -factor
+        return factor, tuple(occupation)
+
+    def apply(self, poly: dict) -> ReadOnlyDict:
         """The matrix of a polynomial over the states, (row, col) -> Scalar
-        holding no zero, with amplitudes above the cutoff dropped."""
-        act, index_of = self._act, self._index_of
+        holding no zero, with amplitudes above the cutoff dropped; it is
+        read-only."""
+        act, row_of = self.act, self._index_of.get
         out = {}
         for word, coeff in poly.items():
-            scaled = {}
+            # a word takes each column to one row at most, so its entries
+            # are distinct, and nonzero as the field has no zero divisors
+            moved, scaled = {}, {}
             for col, state in enumerate(self.states):
-                moved = act(word, state)
-                if moved is None:
+                image = act(word, state)
+                if image is None:
                     continue
-                factor, target = moved
-                row = target if index_of is None else index_of.get(target)
+                factor, target = image
+                row = row_of(target)
                 if row is None:
                     continue
                 value = scaled.get(factor)
                 if value is None:
                     value = scaled[factor] = coeff * factor
-                accumulate(out, (row, col), value)
-        return out
+                moved[row, col] = value
+            if not out:
+                out = moved
+            else:
+                for key, value in moved.items():
+                    accumulate(out, key, value)
+        return ReadOnlyDict(out)
 
 
 # Two-letter (or one-letter) images, per statistics: kind -> (letter kinds,
@@ -277,8 +292,8 @@ class OscillatorProof:
     def __init__(self, space: FockSpace, lambdas):
         self.space = space
         self.lambdas = lambdas
-        self.fermionic = space.cutoff is None
-        self.ordering = Oscillators(-1 if self.fermionic else 1)
+        self.fermionic = space.sign < 0
+        self.ordering = Oscillators(space.sign)
         self._images = {}
         self._actions = {}
 
@@ -288,8 +303,9 @@ class OscillatorProof:
                 oscillator_image(gid, self.fermionic, self.lambdas)))
         return self._images[gid]
 
-    def action(self, gid: GeneratorId) -> dict:
-        """rho(g) on the states, (row, col) -> Scalar holding no zero."""
+    def action(self, gid: GeneratorId) -> ReadOnlyDict:
+        """rho(g) on the states, (row, col) -> Scalar holding no zero,
+        read-only."""
         if gid not in self._actions:
             self._actions[gid] = self.space.apply(self.image(gid))
         return self._actions[gid]

@@ -8,19 +8,18 @@ _VIOLATION_CAP = 200
 class CheckReport:
     """Outcome of one verifier: pass/fail plus the exact violations found.
 
+    A report starts passing and empty, and each violation added fails it.
     A plain class rather than a dataclass: `dataclasses` imports `inspect`
     and, through it, `ast`, `dis` and `tokenize`, a fixed cost of every
     process that reports a check.
     """
 
-    def __init__(self, check: str, passed: bool, checked: int = 0,
-                 violations: list[dict] | None = None,
-                 details: dict | None = None):
+    def __init__(self, check: str, checked: int = 0):
         self.check = check
-        self.passed = passed
+        self.passed = True
         self.checked = checked
-        self.violations = [] if violations is None else violations
-        self.details = {} if details is None else details
+        self.violations = []
+        self.details = {}
 
     def add_violation(self, violation: dict) -> None:
         self.passed = False

@@ -9,9 +9,10 @@ a generator is its normal-ordered polynomial applied to every Fock state
 the first time it is read.
 
 Fermionic (series A, B, D): the Fock space of N modes, dimension 2^N,
-with creation and annihilation operators carrying the alternating-sign
-string over lower-numbered modes so that distinct modes anticommute.
-Generators map to
+its states the occupation tuples of 0s and 1s in the order of the binary
+numbers they spell (mode 1 the lowest digit), with creation and
+annihilation operators carrying the alternating-sign string over
+lower-numbered modes so that distinct modes anticommute. Generators map to
 
   H_i -> a+_i a_i - 1/2        F_ij -> a+_i a_j
   S_ij -> a+_i a+_j            T_ij -> -a_i a_j
@@ -264,7 +265,7 @@ def verify_rep_homomorphism(alg, rep: Representation) -> CheckReport:
     normal-ordered polynomials, with every matrix held to its polynomial
     (module docstring)."""
     basis = alg.basis
-    report = CheckReport(check=f"rep-{rep.kind}", passed=True,
+    report = CheckReport(check=f"rep-{rep.kind}",
                          checked=len(basis) * (len(basis) - 1) // 2)
     report.details["space_dim"] = rep.space_dim
     if rep.cutoff is not None:
@@ -290,7 +291,7 @@ def verify_casimir_commutes(alg, rep: Representation, tensor: dict,
     for ga, gb in tensor:
         alg._check_member(ga)
         alg._check_member(gb)
-    report = CheckReport(check=f"casimir-{label}-{rep.kind}", passed=True,
+    report = CheckReport(check=f"casimir-{label}-{rep.kind}",
                          checked=len(alg.basis))
     proof = rep.proof
     _matrix_violations(report, rep, alg.basis)
@@ -331,7 +332,7 @@ def ad_invariance_report(alg, tensor: dict, label: str) -> CheckReport:
         factors.setdefault(ga, []).append((gb, coeff, -coeff))
     basis, index = alg.basis, alg.index
     adjoint = alg.adjoint()
-    report = CheckReport(check=f"casimir-invariance-{label}", passed=True,
+    report = CheckReport(check=f"casimir-invariance-{label}",
                          checked=len(basis))
     for pz, z in enumerate(basis):
         moved = {}

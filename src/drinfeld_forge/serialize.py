@@ -15,13 +15,9 @@ from .generators import GeneratorId
 from .scalars import Scalar
 
 
-def scalar_json(s: Scalar) -> list[str]:
-    return s.to_strings()
-
-
 def element_json(elem: Element, index: dict[GeneratorId, int]) -> list[dict]:
     return [
-        {"gen": gid.label, "coeff": scalar_json(coeff)}
+        {"gen": gid.label, "coeff": coeff.to_strings()}
         for gid, coeff in elem.sorted_terms(index)
     ]
 
@@ -30,7 +26,7 @@ def wedge_json(wedge: dict[tuple[GeneratorId, GeneratorId], Scalar],
                index: dict[GeneratorId, int]) -> list[dict]:
     ordered = sorted(wedge.items(), key=lambda kv: (index[kv[0][0]], index[kv[0][1]]))
     return [
-        {"a": a.label, "b": b.label, "coeff": scalar_json(coeff)}
+        {"a": a.label, "b": b.label, "coeff": coeff.to_strings()}
         for (a, b), coeff in ordered
         if coeff
     ]
@@ -82,7 +78,7 @@ def dumps_canonical(payload: dict) -> str:
 
 def matrix_text_exact(entries: dict[tuple[int, int], Scalar]) -> str:
     lines = [
-        f"{row} {col} " + " ".join(scalar_json(value))
+        f"{row} {col} " + " ".join(value.to_strings())
         for (row, col), value in sorted(entries.items())
         if value
     ]

@@ -108,7 +108,7 @@ def _jacobi_residual(alg, x, y, z) -> Element:
 def verify_jacobi(alg) -> CheckReport:
     """Jacobi identity over every unordered basis triple."""
     combos = list(itertools.combinations(alg.basis, 3))
-    report = CheckReport(check="jacobi", passed=True, checked=len(combos))
+    report = CheckReport(check="jacobi", checked=len(combos))
     for x, y, z in combos:
         residual = _jacobi_residual(alg, x, y, z)
         if residual:
@@ -167,7 +167,7 @@ def _compatibility_chunk(f, c, trans, k, pq_pairs):
 
 def verify_compatibility(triple) -> CheckReport:
     """c^{p,q}_r f^r_{s,t} against the four-term mixing sum, every p < q, s < t."""
-    report = CheckReport(check="compatibility", passed=True)
+    report = CheckReport(check="compatibility")
     try:
         f, c = structure_tensors(triple)
     except ClosureError as err:
@@ -217,7 +217,7 @@ def verify_pairing(triple) -> CheckReport:
                 total = total + ca * cb
         return total
 
-    report = CheckReport(check="pairing", passed=True)
+    report = CheckReport(check="pairing")
     for side, basis in (("s+", triple.splus), ("s-", triple.sminus)):
         for a, b in itertools.combinations_with_replacement(basis, 2):
             report.checked += 1
@@ -245,7 +245,7 @@ def verify_pairing(triple) -> CheckReport:
 def verify_self_duality(triple) -> CheckReport:
     """c against -f (i-conjugated under a mixed rotation), every p < q."""
     conjugate = triple.spec.mode == "mixed"
-    report = CheckReport(check="selfdual", passed=True)
+    report = CheckReport(check="selfdual")
     try:
         f, c = structure_tensors(triple)
     except ClosureError as err:
@@ -279,7 +279,7 @@ def verify_form_invariance(triple) -> CheckReport:
             return bracket_rot[(a, b)]
         return {gid: -val for gid, val in bracket_rot[(b, a)].items()}
 
-    report = CheckReport(check="forminv", passed=True)
+    report = CheckReport(check="forminv")
     for a in basis:
         for b, c in itertools.combinations_with_replacement(basis, 2):
             report.checked += 1
@@ -418,7 +418,7 @@ def structure_tensors_pairwise(triple):
 
 def verify_closure(triple) -> CheckReport:
     """Each half closed under the bracket of every pair of its members."""
-    report = CheckReport(check="closure", passed=True)
+    report = CheckReport(check="closure")
     for basis, index, side in ((triple.splus, triple.plus_index, "s+"),
                                (triple.sminus, triple.minus_index, "s-")):
         for b, c in itertools.combinations(range(len(basis)), 2):
@@ -438,7 +438,7 @@ def verify_closure(triple) -> CheckReport:
 def verify_reconstruction(triple) -> CheckReport:
     """The dense crossed-bracket solve against the bracket of every s-
     member with every s+ member."""
-    report = CheckReport(check="reconstruction", passed=True)
+    report = CheckReport(check="reconstruction")
     try:
         crossed = crossed_brackets(triple)
     except (ClosureError, SpecError) as err:
@@ -466,8 +466,7 @@ def verify_reconstruction(triple) -> CheckReport:
 def verify_cojacobi(alg, table) -> CheckReport:
     """Cyclic sum of (delta x id) o delta over the full 3-tensor, every
     generator."""
-    report = CheckReport(check="cojacobi", passed=True,
-                         checked=len(alg.basis))
+    report = CheckReport(check="cojacobi", checked=len(alg.basis))
     full = {gid: wedge_to_tensor(table[gid]) for gid in alg.basis}
     for gid in alg.basis:
         xi = {}
@@ -493,7 +492,7 @@ def verify_coboundary(triple, table=None, include_cartan=True) -> CheckReport:
     if include_cartan:
         for key, val in rmat["skew_cartan"].items():
             accumulate(wedge, key, val)
-    report = CheckReport(check="coboundary", passed=True, checked=alg.dim)
+    report = CheckReport(check="coboundary", checked=alg.dim)
     for gid in alg.basis:
         actual = ad_wedge(alg, gid, wedge)
         expected = table[gid]
@@ -513,7 +512,7 @@ def verify_twist(triple) -> CheckReport:
     """ad_wedge of the twisted Cartan part, every generator."""
     alg = triple.double
     wedge, mode = twisted_cartan_part(triple)
-    report = CheckReport(check="twist", passed=True, checked=alg.dim)
+    report = CheckReport(check="twist", checked=alg.dim)
     report.details["mode"] = mode
     report.details["twisted_terms"] = len(wedge)
     for gid in alg.basis:
@@ -547,7 +546,7 @@ def verify_cybe(triple) -> CheckReport:
             add_product(_bracket(alg, za, zb), plus_a, plus_b)
             add_product(za, _bracket(alg, plus_a, zb), plus_b)
             add_product(za, zb, _bracket(alg, plus_a, plus_b))
-    report = CheckReport(check="cybe", passed=True, checked=len(pairs) ** 2)
+    report = CheckReport(check="cybe", checked=len(pairs) ** 2)
     if tensor:
         sample = sorted(tensor.items(),
                         key=lambda kv: tuple(alg.index[g] for g in kv[0]))[:5]
@@ -568,7 +567,7 @@ def verify_chain_embedding(series, rank, big_double=None) -> CheckReport:
         big_triple = with_double(big_triple, big_double)
     big = big_triple.double
     phi = {g: shift_generator(g, 1) for g in small.basis}
-    report = CheckReport(check="chain", passed=True)
+    report = CheckReport(check="chain")
     report.details["ranks"] = [rank, rank + 1]
     for a, b in itertools.combinations(small.basis, 2):
         report.checked += 1
@@ -594,7 +593,7 @@ def verify_chain_embedding(series, rank, big_double=None) -> CheckReport:
 def verify_cocycle(alg, table) -> CheckReport:
     """delta([x, y]) = ad_x delta(y) - ad_y delta(x) over every basis pair,
     bracketing every wedge factor with x and with y."""
-    report = CheckReport(check="cocycle", passed=True)
+    report = CheckReport(check="cocycle")
     for x, y in itertools.combinations(alg.basis, 2):
         report.checked += 1
         lhs = _delta_of(table, _bracket_gens(alg, x, y))
@@ -819,8 +818,7 @@ def verify_rep_homomorphism(alg, rep) -> CheckReport:
     """rho([p, q]) against the whole-matrix commutator, every basis pair,
     on the columns the truncation protects."""
     pairs = list(itertools.combinations(alg.basis, 2))
-    report = CheckReport(check=f"rep-{rep.kind}", passed=True,
-                         checked=len(pairs))
+    report = CheckReport(check=f"rep-{rep.kind}", checked=len(pairs))
     report.details["space_dim"] = rep.space_dim
     if rep.cutoff is not None:
         report.details["cutoff"] = rep.cutoff
@@ -861,7 +859,7 @@ def verify_casimir_commutes(alg, rep, tensor, label) -> CheckReport:
     columns the truncation protects."""
     matrix = casimir_matrix(rep, tensor)
     report = CheckReport(check=f"casimir-{label}-{rep.kind}",
-                         passed=True, checked=len(alg.basis))
+                         checked=len(alg.basis))
     budget = raise_budget(tensor)
     for gid in alg.basis:
         columns = protected_columns(rep, budget + occupation_raise(gid))
@@ -879,7 +877,7 @@ def ad_invariance_report(alg, tensor, label) -> CheckReport:
     basis generator z: both factors of every tensor term are bracketed
     with z, so no symmetry of the tensor is assumed.
     """
-    report = CheckReport(check=f"casimir-invariance-{label}", passed=True,
+    report = CheckReport(check=f"casimir-invariance-{label}",
                          checked=len(alg.basis))
     for z in alg.basis:
         moved = {}

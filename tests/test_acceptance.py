@@ -235,7 +235,7 @@ def _checked_table(triple, table, verifier):
         mutant = LieAlgebra(alg.series, alg.rank, alg.basis, table,
                             alg.n_indices)
     except ValueError as err:
-        report = CheckReport(check="table", passed=True)
+        report = CheckReport(check="table")
         report.add_violation({"error": str(err)})
         return report
     return verifier(with_double(triple, mutant))

@@ -123,15 +123,28 @@ def test_antisymmetry_and_linearity():
     assert lhs == rhs
 
 
+# The weights of the root system, kind -> coefficients of e_i and e_j:
+# F_ij has e_i - e_j, P_ij and S_ij e_i + e_j (so P_ii has 2 e_i), Q and T
+# the negatives, U_i e_i, V_i -e_i, and H and I weight 0.
+ROOT_WEIGHTS = {"F": (1, -1), "P": (1, 1), "S": (1, 1), "Q": (-1, -1),
+                "T": (-1, -1), "U": (1,), "V": (-1,), "H": (), "I": ()}
+
+
 def test_weight_grading():
+    # `build_series` reads its Cartan rows from `weight`, so both are held
+    # to the weights written out above, not to each other
     for series, rank in SMALL_GRID:
         alg = build_series(series, rank)
+        n = alg.n_indices
         for gid in alg.basis:
-            w = weight(gid, alg.n_indices)
-            for k in range(1, alg.n_indices + 1):
+            want = [0] * n
+            for index, coeff in zip((gid.i, gid.j), ROOT_WEIGHTS[gid.kind]):
+                want[index - 1] += coeff
+            assert weight(gid, n) == tuple(want), (series, rank, gid.label)
+            for k in range(1, n + 1):
                 out = alg.bracket_gens(hgen(k), gid)
-                want = Element.gen(gid).scale(Scalar(w[k - 1]))
-                assert out == want, (series, rank, gid.label, k)
+                assert out == Element.gen(gid).scale(Scalar(want[k - 1])), (
+                    series, rank, gid.label, k)
 
 
 def test_mirror_is_an_involution():

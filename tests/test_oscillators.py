@@ -1,12 +1,14 @@
 """Normal ordering and the two cutoff-free stages of the rep checks.
 
 `Oscillators` normal-orders words in b+/b (exchange sign +1) or a+/a
-(sign -1) with one routine. Its products must act on Fock states exactly
-as the factors applied in turn, and its commutator, which skips the pairs
-of words on disjoint modes that commute, must equal the difference of the
-two products. Every matrix the builders make must be its proof's cached
-Fock action, made when first read, and stage 2 must count each entry of
-a given matrix off the formula; each generator's image must be made once
+(sign -1) with one routine. Its products must act on Fock states, the
+occupation tuples of both statistics under the one `FockSpace.act`,
+exactly as the factors applied in turn, and its commutator, which skips
+the pairs of words on disjoint modes that commute, must equal the
+difference of the two products. Every matrix the builders make must be
+its proof's cached Fock action, made when first read and read-only, and
+stage 2 must count each entry of a given matrix off the formula; each
+generator's image must be made once
 per representation, and `verify` must apply no polynomial to any state,
 while `export` applies each once per representation; and stage 1
 must clear every pair of an unmutated table and flag a mutated bracket
@@ -28,7 +30,7 @@ from drinfeld_forge import oscillators
 from drinfeld_forge.cli import main
 from drinfeld_forge.linalg import accumulate
 from drinfeld_forge.oscillators import (ANNIHILATE, CREATE, FockSpace,
-                                        Oscillators, boson_act, fermion_act)
+                                        Oscillators)
 from drinfeld_forge.scalars import ONE
 
 MODES = 3
@@ -43,10 +45,12 @@ QUADRATIC = st.tuples(LETTERS, LETTERS)
 POLYNOMIAL = st.lists(st.tuples(st.lists(LETTERS, max_size=4).map(tuple),
                                 st.integers(-3, 3).filter(bool)),
                       max_size=4)
+# kind -> (exchange sign, the Fock action, Fock states): both statistics
+# act through `FockSpace.act` on occupation tuples and read its sign
 STATISTICS = {
-    "bosonic": (1, boson_act,
-                st.tuples(*[st.integers(0, 4)] * MODES)),
-    "fermionic": (-1, fermion_act, st.integers(0, (1 << MODES) - 1)),
+    kind: (space.sign, space.act, st.tuples(*[st.integers(0, most)] * MODES))
+    for kind, space, most in (("bosonic", FockSpace(MODES, 4), 4),
+                              ("fermionic", FockSpace(MODES), 1))
 }
 
 
@@ -187,7 +191,7 @@ def test_casimir_polynomial_is_the_casimir_matrix():
     # every column of total occupation at most cutoff - raise budget
     for label, alg, rep in _reps():
         proof = rep.proof
-        act = fermion_act if rep.cutoff is None else boson_act
+        act = rep.space.act
         states = rep.space.states
         index_of = {state: pos for pos, state in enumerate(states)}
         for name, cas in dense.labelled_casimirs(alg):
@@ -381,3 +385,60 @@ def test_images_are_read_only():
                 del image[word]
             assert rep.proof.image(gid) is image
         assert verify_rep_homomorphism(alg, rep).passed
+
+
+def _refuses_every_edit(entries):
+    """Every mutator of a Fock action raises TypeError and leaves it as it
+    was; it is still a dict, so a copy of it can be edited."""
+    before = dict(entries)
+    key = next(iter(entries), (0, 0))
+    edits = (lambda: entries.__setitem__(key, Scalar(7)),
+             lambda: entries.__delitem__(key),
+             lambda: entries.pop(key),
+             entries.popitem, entries.clear,
+             lambda: entries.update({key: Scalar(7)}),
+             lambda: entries.setdefault((-1, -1), Scalar(7)),
+             lambda: entries.__ior__({key: Scalar(7)}))
+    for edit in edits:
+        with pytest.raises(TypeError):
+            edit()
+    assert isinstance(entries, dict) and entries == before
+
+
+def test_built_fermionic_matrices_are_read_only():
+    # a built matrix's entries are its proof's cached action itself, so an
+    # edit in place would reach every later reader of both; it raises, and
+    # an edited copy is a new representation that the gate still catches
+    alg = build_series("B", 2)
+    rep = fermionic_rep(alg)
+    for gid in alg.basis:
+        _refuses_every_edit(rep.matrix(gid).entries)
+    assert verify_rep_homomorphism(alg, rep).passed
+    gid = alg.basis[-1]
+    key = next(iter(rep.matrix(gid).entries))
+    assert dense.with_entry(rep, gid, key, Scalar(7)).wrong_entries(gid) == 1
+
+
+def test_built_bosonic_matrices_are_read_only():
+    alg = build_series("C", 2)
+    rep = bosonic_rep(alg, 4)
+    for gid in alg.basis:
+        _refuses_every_edit(rep.matrix(gid).entries)
+    assert verify_rep_homomorphism(alg, rep).passed
+    gid = alg.basis[-1]
+    key = next(iter(rep.matrix(gid).entries))
+    assert dense.with_entry(rep, gid, key, Scalar(7)).wrong_entries(gid) == 1
+
+
+def test_proof_actions_are_read_only():
+    # a representation given its matrices holds them as given, while its
+    # proof's actions, which the gate holds each matrix to, are read-only
+    alg = build_series("A", 2)
+    for rep in (fermionic_rep(alg), bosonic_rep(alg, 4)):
+        gid = alg.basis[-1]
+        key = next(iter(rep.matrix(gid).entries))
+        case = dense.with_entry(rep, gid, key, Scalar(7))
+        for g in alg.basis:
+            _refuses_every_edit(case.proof.action(g))
+            assert case.proof.action(g) == rep.proof.action(g), rep.kind
+        assert case.wrong_entries(gid) == 1, rep.kind
