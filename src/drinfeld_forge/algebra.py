@@ -7,8 +7,9 @@ block. Nonvanishing bracket rules, with d short for the Kronecker delta;
 
   (w) [H_i, g] = weight(g)_i g, with the weights of `generators.weight`;
   (t) a lowering pair [x, y] = theta([theta x, theta y]), read from its
-      raising mirror through the Chevalley involution theta(g) = -mirror(g),
-      theta(H) = -H, an automorphism of every table.
+      raising mirror through the Chevalley involution theta(g) = -mirror(g)
+      on every generator, H and I included as their own mirrors, an
+      automorphism of every table.
 
   common   (w) [H_i, F_jk] = (d_ij - d_ik) F_jk
                [F_ij, F_kl] = d_jk E_il - d_il E_kj
@@ -105,9 +106,8 @@ def _sym_or_diag(kind: str, a: int, b: int) -> tuple[GeneratorId, Scalar]:
 
 
 def _theta(elem: Element) -> Element:
-    """The Chevalley involution: theta(g) = -mirror(g), theta(H) = -H."""
-    return Element({g if g.kind == "H" else mirror(g): -c
-                    for g, c in elem.terms()})
+    """The Chevalley involution theta(g) = -mirror(g)."""
+    return Element({mirror(g): -c for g, c in elem.terms()})
 
 
 def _rule(series: str, n: int, g1: GeneratorId, g2: GeneratorId) -> Element:

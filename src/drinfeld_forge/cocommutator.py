@@ -2,14 +2,19 @@
 
 The structural one reads the Manin triple: delta(Z_p) = -c^{q,r}_p Z_q x
 Z_r on s+ and delta(z^p) = +f^p_{q,r} z^q x z^r on s-, transported to the
-H/I/root basis through the Cartan rotation. The explicit one is a
-closed-form table over the same basis. Both map every basis generator, in
-basis order, to its normal-form wedge (a x b - b x a stored at basis
-positions a < b, no zero coefficient), and verify_delta_agreement
-requires them to match generator by generator.
+H/I/root basis through the Cartan rotation; in every splitting it obeys
+the mirror rule delta(mirror g) = conj_i((mirror x mirror) delta(g)). The
+explicit one is a closed-form table over the same basis that writes out
+the F and raising rows and reads the Q, T and V rows from their mirrors'
+through that rule. Both map every basis generator, in basis order, to its
+normal-form wedge (a x b - b x a stored at basis positions a < b, no zero
+coefficient), and verify_delta_agreement requires them to match
+generator by generator.
 
 cocommutator_explicit(verbatim=True) reproduces the uncorrected reference
 transcription of the closed-form table; the default applies corrections.
+Two of its four defects touch lowering rows alone and are edits of the
+mirrored rows; the rule carries the other two over from raising rows.
 delta_discrepancy_audit lists every difference, which is how the shipped
 discrepancy report is generated. The checks that read a cocommutator
 table live in `bialgebra`.
@@ -23,7 +28,7 @@ from .algebra import LieAlgebra, build_series
 from .double import structure_tensors
 from .elements import Element
 from .errors import SpecError
-from .generators import GeneratorId, resolve
+from .generators import GeneratorId, mirror, resolve
 from .linalg import accumulate
 from .manin import ManinTriple
 from .reporting import CheckReport
@@ -101,15 +106,21 @@ def cocommutator_explicit(alg: LieAlgebra, verbatim: bool = False) -> dict:
     """Closed-form cocommutator for the canonical splitting: every basis
     generator, in basis order, mapped to its normal-form wedge delta(g).
 
-    verbatim=True keeps the uncorrected reference transcription: a wrong
-    wedge partner in the diagonal Q entry, upward sums missing from the
-    two-index P/Q/S/T entries, and a downward instead of upward sum in the
-    V entry. The default applies the corrections, which is what agrees
-    with the structure tensors.
+    Only the F rows and the raising rows are written out; each Q, T and V
+    row is its raising mirror's row, built before it, read through the
+    mirror rule. verbatim=True keeps the uncorrected reference
+    transcription: the upward sums it drops from the two-index P and S
+    rows pass to their mirrors, and its two defects on lowering rows
+    alone are edits of the mirrored row (the Cartan factors of Q_ii wedge
+    against P_ii; the V sum runs over k < i). The default applies the
+    corrections, which is what agrees with the structure tensors. A
+    double that lacks an I_k, as a mixed one does, raises SpecError.
     """
     idx = alg.index
     n = alg.n_indices
     series = alg.series
+    if any(GeneratorId("I", k) not in idx for k in range(1, n + 1)):
+        raise SpecError("the closed-form table covers the canonical splitting only")
     table = {}
 
     def H(a):
@@ -125,20 +136,14 @@ def cocommutator_explicit(alg: LieAlgebra, verbatim: bool = False) -> dict:
         kind, i, j = gid
         w = {}
         if kind == "F":
-            if i < j:
-                wedge_insert(w, idx, gid, H(i), -HALF)
-                wedge_insert(w, idx, gid, H(j), HALF)
-                wedge_insert(w, idx, gid, Ic(i), -_I_HALF)
-                wedge_insert(w, idx, gid, Ic(j), _I_HALF)
-                for k in range(i + 1, j):
-                    wedge_insert(w, idx, F(i, k), F(k, j), ONE)
-            else:
-                wedge_insert(w, idx, gid, H(i), HALF)
-                wedge_insert(w, idx, gid, H(j), -HALF)
-                wedge_insert(w, idx, gid, Ic(i), -_I_HALF)
-                wedge_insert(w, idx, gid, Ic(j), _I_HALF)
-                for k in range(j + 1, i):
-                    wedge_insert(w, idx, F(i, k), F(k, j), -ONE)
+            # the sign of i - j: -1 on a raising F, +1 on a lowering one
+            sign = ONE if i > j else -ONE
+            wedge_insert(w, idx, gid, H(i), sign * HALF)
+            wedge_insert(w, idx, gid, H(j), -sign * HALF)
+            wedge_insert(w, idx, gid, Ic(i), -_I_HALF)
+            wedge_insert(w, idx, gid, Ic(j), _I_HALF)
+            for k in range(min(i, j) + 1, max(i, j)):
+                wedge_insert(w, idx, F(i, k), F(k, j), -sign)
         elif kind == "P":
             if i == j:
                 wedge_insert(w, idx, H(i), gid, ONE)
@@ -158,26 +163,6 @@ def cocommutator_explicit(alg: LieAlgebra, verbatim: bool = False) -> dict:
                     for m in range(j + 1, n + 1):
                         target, _ = resolve("P", m, i)
                         wedge_insert(w, idx, F(j, m), target, ONE)
-        elif kind == "Q":
-            if i == j:
-                partner = GeneratorId("P", i, i) if verbatim else gid
-                wedge_insert(w, idx, H(i), partner, ONE)
-                wedge_insert(w, idx, Ic(i), partner, -I)
-                for k in range(i + 1, n + 1):
-                    wedge_insert(w, idx, F(k, i), GeneratorId("Q", i, k), SQRT2)
-            else:
-                for a in (i, j):
-                    wedge_insert(w, idx, H(a), gid, HALF)
-                    wedge_insert(w, idx, Ic(a), gid, -_I_HALF)
-                wedge_insert(w, idx, F(j, i), GeneratorId("Q", j, j), SQRT2)
-                for m in range(i + 1, n + 1):
-                    if m != j:
-                        target, _ = resolve("Q", m, j)
-                        wedge_insert(w, idx, F(m, i), target, ONE)
-                if not verbatim:
-                    for m in range(j + 1, n + 1):
-                        target, _ = resolve("Q", m, i)
-                        wedge_insert(w, idx, F(m, j), target, ONE)
         elif kind == "S":
             for a in (i, j):
                 wedge_insert(w, idx, H(a), gid, HALF)
@@ -193,32 +178,24 @@ def cocommutator_explicit(alg: LieAlgebra, verbatim: bool = False) -> dict:
                     wedge_insert(w, idx, F(j, k), target, Scalar(sign))
             if series == "B":
                 wedge_insert(w, idx, GeneratorId("U", i), GeneratorId("U", j), ONE)
-        elif kind == "T":
-            for a in (i, j):
-                wedge_insert(w, idx, H(a), gid, HALF)
-                wedge_insert(w, idx, Ic(a), gid, -_I_HALF)
-            for k in range(i + 1, n + 1):
-                if k != j:
-                    target, sign = resolve("T", k, j)
-                    if target is not None:
-                        wedge_insert(w, idx, F(k, i), target, Scalar(sign))
-            if not verbatim:
-                for k in range(j + 1, n + 1):
-                    target, sign = resolve("T", i, k)
-                    wedge_insert(w, idx, F(k, j), target, Scalar(sign))
-            if series == "B":
-                wedge_insert(w, idx, GeneratorId("V", i), GeneratorId("V", j), ONE)
         elif kind == "U":
             wedge_insert(w, idx, H(i), gid, HALF)
             wedge_insert(w, idx, Ic(i), gid, _I_HALF)
             for k in range(i + 1, n + 1):
                 wedge_insert(w, idx, F(i, k), GeneratorId("U", k), ONE)
-        elif kind == "V":
-            wedge_insert(w, idx, H(i), gid, HALF)
-            wedge_insert(w, idx, Ic(i), gid, -_I_HALF)
-            bounds = range(1, i) if verbatim else range(i + 1, n + 1)
-            for k in bounds:
-                wedge_insert(w, idx, F(k, i), GeneratorId("V", k), ONE)
+        elif kind in ("Q", "T", "V"):
+            for (a, b), coeff in table[mirror(gid)].items():
+                wedge_insert(w, idx, mirror(a), mirror(b), coeff.conj_i())
+            if verbatim and kind == "Q" and i == j:
+                # defect 1: the Cartan factors wedge against P_ii
+                w = {(a, mirror(b) if a.kind in ("H", "I") else b): coeff
+                     for (a, b), coeff in w.items()}
+            elif verbatim and kind == "V":
+                # defect 4: the sum runs over k < i
+                w = {key: coeff for key, coeff in w.items()
+                     if key[0].kind != "F"}
+                for k in range(1, i):
+                    wedge_insert(w, idx, F(k, i), GeneratorId("V", k), ONE)
         table[gid] = w
     return table
 

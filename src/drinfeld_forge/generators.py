@@ -17,7 +17,9 @@ Index conventions, shared by every module:
 Canonical basis order: all H ascending, all I ascending, positive-root
 generators grouped by kind (F, then P or S, then U) each in lexicographic
 index order, then negative-root generators mirroring the positive block
-element for element.
+element for element. `mirror` is that matching, with H and I their own
+mirrors; it carries the bracket table to itself up to the sign of the
+Chevalley involution, and the cocommutator up to i-conjugation.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ SERIES = ("A", "B", "C", "D")
 
 _SYMMETRIC = frozenset("PQ")
 _ANTISYMMETRIC = frozenset("ST")
-_RAISING_OF = {"F": "F", "P": "Q", "S": "T", "U": "V"}
-_LOWERING_OF = {v: k for k, v in _RAISING_OF.items()}
+# the kind of each generator's mirror; F mirrors by swapping its indices
+_MIRROR_KIND = {"H": "H", "I": "I", "F": "F", "P": "Q", "Q": "P", "S": "T",
+                "T": "S", "U": "V", "V": "U"}
 
 
 class GeneratorId(NamedTuple):
@@ -99,14 +102,15 @@ def positive_roots(series: str, rank: int) -> list[GeneratorId]:
 
 
 def mirror(gid: GeneratorId) -> GeneratorId:
-    """Matched opposite-root generator: F_ij <-> F_ji, P <-> Q, S <-> T, U <-> V."""
-    if gid.kind == "F":
+    """Matched generator of the opposite weight: F_ij <-> F_ji, P <-> Q,
+    S <-> T, U <-> V, and H_k and I_k are their own mirrors. An
+    involution of every basis; the rotated X and x have no mirror."""
+    kind = _MIRROR_KIND.get(gid.kind)
+    if kind is None:
+        raise ValueError(f"{gid.label} has no mirror")
+    if kind == "F":
         return GeneratorId("F", gid.j, gid.i)
-    if gid.kind in _RAISING_OF:
-        return GeneratorId(_RAISING_OF[gid.kind], gid.i, gid.j)
-    if gid.kind in _LOWERING_OF:
-        return GeneratorId(_LOWERING_OF[gid.kind], gid.i, gid.j)
-    raise ValueError(f"{gid.label} has no mirror")
+    return GeneratorId(kind, gid.i, gid.j)
 
 
 def enumerate_generators(series: str, rank: int) -> tuple[GeneratorId, ...]:

@@ -114,7 +114,9 @@ class CartanRotation:
 
     `to_double` writes each rotated generator in H and H' through the block
     `ROTATION`, and `from_cartan` writes H and H' back through the block's
-    inverse, (d, -b; -c, a) times the inverse of its determinant."""
+    inverse, (d, -b; -c, a) times the inverse of its determinant. Both are
+    read-only, so an edit in place raises TypeError instead of reaching
+    every triple that shares a cached rotation."""
 
     def __init__(self, spec: SplittingSpec, n: int):
         pairs, central = spec.resolve(n)
@@ -128,21 +130,23 @@ class CartanRotation:
         back = ((d * inv_det, -b * inv_det), (-c * inv_det, a * inv_det))
         self.plus_ids = []
         self.minus_ids = []
-        self.to_double = {}
-        self.from_cartan = {}
+        to_double = {}
+        from_cartan = {}
         for kind, i, j in items:
             upper = GeneratorId("X", i, j)
             lower = GeneratorId("x", i, j)
             first = GeneratorId("H", i)
             second = GeneratorId("H", j) if kind == "pair" else GeneratorId("I", i)
-            self.to_double[upper] = Element({first: a, second: b})
-            self.to_double[lower] = Element({first: c, second: d})
+            to_double[upper] = Element({first: a, second: b})
+            to_double[lower] = Element({first: c, second: d})
             for gid, (up, down) in zip((first, second), back):
-                self.from_cartan[gid] = ((upper, up), (lower, down))
+                from_cartan[gid] = ((upper, up), (lower, down))
             self.plus_ids.append(upper)
             self.minus_ids.append(lower)
         self.plus_ids = tuple(self.plus_ids)
         self.minus_ids = tuple(self.minus_ids)
+        self.to_double = MappingProxyType(to_double)
+        self.from_cartan = MappingProxyType(from_cartan)
 
 
 class ManinTriple:

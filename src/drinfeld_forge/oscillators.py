@@ -25,6 +25,7 @@ matrix a caller gave differs from it.
 
 from __future__ import annotations
 
+from functools import cached_property
 from types import MappingProxyType
 
 from .elements import Element
@@ -169,18 +170,25 @@ class FockSpace:
     the 0/1 tuples in the order of the binary numbers they spell, mode 1
     the lowest digit. Truncated they are bosons, with sign +1, and the
     states are the tuples of total at most `cutoff`, in sorted order.
+    The state list and its index are built on first use, by `apply` or a
+    read of `states`: a verdict that reads no matrix builds neither.
     """
 
     def __init__(self, modes: int, cutoff: int | None = None):
+        self.modes = modes
         self.cutoff = cutoff
-        if cutoff is None:
-            self.sign = -1
-            self.states = [tuple(n >> m & 1 for m in range(modes))
-                           for n in range(1 << modes)]
-        else:
-            self.sign = 1
-            self.states = boson_states(modes, cutoff)
-        self._index_of = {state: pos for pos, state in enumerate(self.states)}
+        self.sign = -1 if cutoff is None else 1
+
+    @cached_property
+    def states(self) -> list[tuple[int, ...]]:
+        if self.cutoff is None:
+            return [tuple(n >> m & 1 for m in range(self.modes))
+                    for n in range(1 << self.modes)]
+        return boson_states(self.modes, self.cutoff)
+
+    @cached_property
+    def _index_of(self) -> dict[tuple[int, ...], int]:
+        return {state: pos for pos, state in enumerate(self.states)}
 
     def act(self, word: tuple, state: tuple):
         """A word on the unnormalized occupation state |n>, untruncated:
@@ -214,13 +222,13 @@ class FockSpace:
         """The matrix of a polynomial over the states, (row, col) -> Scalar
         holding no zero, with amplitudes above the cutoff dropped; it is
         read-only."""
-        act, row_of = self.act, self._index_of.get
+        act, row_of, states = self.act, self._index_of.get, self.states
         out = {}
         for word, coeff in poly.items():
             # a word takes each column to one row at most, so its entries
             # are distinct, and nonzero as the field has no zero divisors
             moved, scaled = {}, {}
-            for col, state in enumerate(self.states):
+            for col, state in enumerate(states):
                 image = act(word, state)
                 if image is None:
                     continue

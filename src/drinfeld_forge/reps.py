@@ -134,13 +134,16 @@ class SparseMatrix:
         return self.dim == other.dim and self.entries == other.entries
 
 
+def fock_dim(modes: int, cutoff: int | None = None) -> int:
+    """The number of Fock states of `modes` oscillators: 2^modes fermionic
+    ones, or C(modes + cutoff, modes) bosonic ones when a cutoff is given."""
+    return 1 << modes if cutoff is None else math.comb(modes + cutoff, modes)
+
+
 def rep_size(series: str, rank: int, cutoff: int | None = None) -> int:
-    """Estimated size of a representation, states times basis generators:
-    2^N fermionic states, or C(N + cutoff, N) bosonic ones when a cutoff is
-    given."""
-    n = cartan_count(series, rank)
-    states = 1 << n if cutoff is None else math.comb(n + cutoff, n)
-    return states * dimension(series, rank)
+    """Estimated size of a representation: its `fock_dim` states times
+    basis generators."""
+    return fock_dim(cartan_count(series, rank), cutoff) * dimension(series, rank)
 
 
 def check_rep_size(series: str, rank: int, cutoff: int | None = None) -> None:
@@ -176,7 +179,7 @@ class Representation:
         self.given = matrices is not None
         self._matrices = matrices if self.given else {}
         self.space = space
-        self.space_dim = len(space.states)
+        self.space_dim = fock_dim(space.modes, space.cutoff)
         self.cutoff = space.cutoff
         self.lambdas = dict(lambdas)
         self.proof = OscillatorProof(space, self.lambdas)

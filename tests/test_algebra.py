@@ -148,9 +148,13 @@ def test_weight_grading():
 
 
 def test_mirror_is_an_involution():
+    # of every basis, fixing exactly H and I
     for series, rank in SMALL_GRID:
-        for root in positive_roots(series, rank):
-            assert mirror(mirror(root)) == root
+        for gid in enumerate_generators(series, rank):
+            assert mirror(mirror(gid)) == gid
+            assert (mirror(gid) == gid) == (gid.kind in ("H", "I"))
+    with pytest.raises(ValueError):
+        mirror(GeneratorId("X", 1))
 
 
 THETA_GRID = ([("A", r) for r in range(1, 9)]
@@ -161,19 +165,15 @@ THETA_GRID = ([("A", r) for r in range(1, 9)]
 
 def theta_violations(alg) -> list[str]:
     """Pairs (p, q) of basis members with theta([p, q]) != [theta p,
-    theta q], for the Chevalley involution theta(g) = -mirror(g) on the
-    roots and theta(g) = -g on H and I. The two signs of the right side
-    cancel, so it reads [mirror p, mirror q], with H and I their own
-    mirrors."""
-    def image(gid):
-        return gid if gid.kind in ("H", "I") else mirror(gid)
-
+    theta q], for the Chevalley involution theta(g) = -mirror(g), H and I
+    their own mirrors. The two signs of the right side cancel, so it reads
+    [mirror p, mirror q]."""
     bad = []
     for p, q in itertools.combinations(alg.basis, 2):
         out = Element()
         for gid, coeff in alg.bracket_gens(p, q).terms():
-            out.add_term(image(gid), -coeff)
-        if out != alg.bracket_gens(image(p), image(q)):
+            out.add_term(mirror(gid), -coeff)
+        if out != alg.bracket_gens(mirror(p), mirror(q)):
             bad.append(f"[{p.label}, {q.label}]")
     return bad
 

@@ -1,5 +1,6 @@
 """Cocommutators, r-matrices, and the bialgebra verifier battery."""
 
+import itertools
 import json
 from types import MappingProxyType
 
@@ -12,7 +13,7 @@ from drinfeld_forge import (SERIES, Element, ForeignGeneratorError,
                             build_series, canonical_triple,
                             cocommutator_explicit, cocommutator_from_structure,
                             delta_discrepancy_audit, dimension,
-                            enumerate_generators, mutate_bracket,
+                            enumerate_generators, mirror, mutate_bracket,
                             orthogonal_span_in_b, shift_generator, split,
                             verify_chain_embedding,
                             verify_coboundary, verify_cocycle, verify_cojacobi,
@@ -22,6 +23,7 @@ from drinfeld_forge import (SERIES, Element, ForeignGeneratorError,
 from drinfeld_forge.cli import MAX_DIMENSION, main
 
 from dense_reference import ad_wedge
+from test_double import _matchings
 
 AGREE_GRID = [("A", 1), ("A", 2), ("B", 1), ("B", 2), ("B", 3), ("C", 1),
               ("C", 2), ("C", 3), ("D", 2), ("D", 3)]
@@ -68,6 +70,67 @@ def test_delta_agreement(series, rank):
 def test_delta_agreement_requires_canonical():
     with pytest.raises(SpecError):
         verify_delta_agreement(split("D", 2, "mixed:pairs=1-2"))
+
+
+def test_explicit_table_refuses_a_mixed_double():
+    # a mixed double drops the I_k of its rotation pairs, which the
+    # closed-form rows wedge against
+    with pytest.raises(SpecError, match="canonical splitting only"):
+        cocommutator_explicit(split("A", 2, "mixed:pairs=1-2").double)
+
+
+def mirror_rule_violations(triple) -> list[str]:
+    """Labels of the generators g whose structural cocommutator breaks
+    delta(mirror g) = conj_i((mirror x mirror) delta(g)), with H and I
+    their own mirrors, in basis order."""
+    alg = triple.double
+    table = cocommutator_from_structure(triple)
+    bad = []
+    for gid, wedge in table.items():
+        want = {}
+        for (a, b), coeff in wedge.items():
+            wedge_insert(want, alg.index, mirror(a), mirror(b), coeff.conj_i())
+        if table[mirror(gid)] != want:
+            bad.append(gid.label)
+    return bad
+
+
+def rotation_specs(n: int) -> list[str]:
+    """Every mixed splitting of the Cartan indices 1..n: each nonempty
+    matching, each pair in both orientations."""
+    specs = []
+    for matching in _matchings(list(range(1, n + 1)))[1:]:
+        for flips in itertools.product((False, True), repeat=len(matching)):
+            specs.append("mixed:pairs=" + ",".join(
+                f"{j}-{i}" if flip else f"{i}-{j}"
+                for (i, j), flip in zip(matching, flips)))
+    return specs
+
+
+MIRROR_GRID = ([("A", r, "canonical") for r in range(1, 7)]
+               + [("B", r, "canonical") for r in range(1, 6)]
+               + [("C", r, "canonical") for r in range(1, 6)]
+               + [("D", r, "canonical") for r in range(2, 7)]
+               + [("A", 3, spec) for spec in rotation_specs(4)]
+               + [("D", 4, spec) for spec in rotation_specs(4)]
+               + [("B", 3, "mixed:pairs=1-3"), ("C", 3, "mixed:pairs=1-3")])
+
+
+@pytest.mark.parametrize("series,rank,spec", MIRROR_GRID,
+                         ids=[f"{s}{r}-{spec}" for s, r, spec in MIRROR_GRID])
+def test_structural_delta_obeys_the_mirror_rule(series, rank, spec):
+    # the rule `cocommutator_explicit` reads its lowering rows through
+    assert mirror_rule_violations(split(series, rank, spec)) == []
+
+
+def test_mirror_rule_check_sees_a_doubled_bracket():
+    # [F1,2, F2,3] = F1,3 doubled changes delta(F1,3) but not delta(F3,1)
+    triple = canonical_triple("A", 2)
+    alg = triple.double
+    f12, f23 = GeneratorId("F", 1, 2), GeneratorId("F", 2, 3)
+    broken = with_double(triple, mutate_bracket(
+        alg, f12, f23, alg.bracket_gens(f12, f23).scale(Scalar(2))))
+    assert mirror_rule_violations(broken) == ["F1,3", "F3,1"]
 
 
 @pytest.mark.parametrize("series,rank,spec", [

@@ -368,15 +368,28 @@ def test_singular_pairing_detected():
 
 
 def test_non_isotropic_half_is_reported():
-    # a rotation that sends X1 to H1 alone: s+ pairs X1 with itself, and
-    # the crossed value of (x^1, X1) drops to 1/sqrt2
+    # a fresh rotation whose map sends X1 to H1 alone: s+ pairs X1 with
+    # itself, and the crossed value of (x^1, X1) drops to 1/sqrt2
     base = canonical_triple("A", 1)
     rotation = manin.CartanRotation(base.spec, 2)
-    rotation.to_double[GeneratorId("X", 1)] = Element.gen(GeneratorId("H", 1))
+    rotation.to_double = {**rotation.to_double,
+                          GeneratorId("X", 1): Element.gen(GeneratorId("H", 1))}
     triple = manin.ManinTriple(base.double, base.spec, rotation)
     assert verify_pairing(triple).violations == [
         {"side": "s+", "pair": ["X1", "X1"], "value": "1"},
         {"pair": ["x^1", "X1"], "intrinsic": "1/2*sqrt2", "stored": "1"}]
+
+
+def test_rotation_maps_are_read_only():
+    # the cached triple's rotation is shared by every triple made from it,
+    # so an edit in place raises instead of reaching them
+    rotation = canonical_triple("A", 1).rotation
+    x1, h1 = GeneratorId("X", 1), GeneratorId("H", 1)
+    with pytest.raises(TypeError):
+        rotation.to_double[x1] = Element.gen(h1)
+    with pytest.raises(TypeError):
+        rotation.from_cartan[h1] = ((x1, Scalar(1)),)
+    assert verify_pairing(canonical_triple("A", 1)).passed
 
 
 def test_mutated_double_fails_closure_checks():

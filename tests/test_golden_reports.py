@@ -6,14 +6,20 @@ refactor that changes a verdict, a count, or the order of a violation list
 shows up here. So does one that changes the `rep` and `casimir` reports of
 the instances the benchmark's fock-reps workload runs, `verify --checks
 rep,casimir --cutoff 6 --json` on A3, C4, B4 and D5, `details` included.
+So, through a sha256 per table, does one that changes the closed-form
+cocommutator tables, corrected or verbatim, in any generator, term,
+term order or coefficient.
 """
 
+import hashlib
+import json
 import pathlib
 
 import pytest
 
 from drinfeld_forge import (GeneratorId, Scalar, a_chain_span,
-                            canonical_triple, cocommutator_from_structure,
+                            build_series, canonical_triple,
+                            cocommutator_explicit, cocommutator_from_structure,
                             mutate_bracket, perturb_pairing, rescale_minus,
                             verify_casimir_form, verify_coboundary,
                             verify_cocycle, verify_cojacobi, verify_cybe,
@@ -81,6 +87,33 @@ def test_failing_reports_match_golden(name):
     want = (GOLDEN / f"failing_{name}.json").read_text(encoding="ascii")
     assert got == want
 
+
+EXPLICIT_GRID = ([f"A{r}" for r in range(1, 8)] + [f"B{r}" for r in range(1, 7)]
+                 + [f"C{r}" for r in range(1, 7)]
+                 + [f"D{r}" for r in range(2, 8)])
+
+
+def explicit_table_digests(name: str) -> dict:
+    """sha256 of the corrected and the verbatim `cocommutator_explicit`
+    table: every generator in table order, each with its terms in dict
+    order as [a, b, coeff]."""
+    alg = build_series(name[0], int(name[1:]))
+    out = {}
+    for kind, verbatim in (("corrected", False), ("verbatim", True)):
+        rows = [[gid.label, [[a.label, b.label, coeff.to_strings()]
+                             for (a, b), coeff in wedge.items()]]
+                for gid, wedge in cocommutator_explicit(
+                    alg, verbatim=verbatim).items()]
+        out[kind] = hashlib.sha256(
+            json.dumps(rows).encode("ascii")).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("name", EXPLICIT_GRID)
+def test_explicit_tables_match_golden(name):
+    golden = json.loads((GOLDEN / "explicit_delta_sha256.json").read_text(
+        encoding="ascii"))
+    assert explicit_table_digests(name) == golden[name]
 
 
 @pytest.mark.parametrize("name", ["A3", "C4", "B4", "D5"])

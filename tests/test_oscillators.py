@@ -314,6 +314,17 @@ def test_stage2_runs_once_per_generator(monkeypatch):
         assert sorted(calls) == sorted(kinds * dim), series
 
 
+def test_fock_states_are_built_on_first_use():
+    # the rep check reads no matrix, so it builds no state list; the
+    # reported space_dim is the state count, which the list then matches
+    for rep in (fermionic_rep(build_series("A", 3)),
+                bosonic_rep(build_series("C", 2), 4)):
+        report = verify_rep_homomorphism(rep.alg, rep)
+        assert report.passed and "states" not in vars(rep.space), rep.kind
+        assert report.details["space_dim"] == rep.space_dim \
+            == len(rep.space.states), rep.kind
+
+
 def test_built_matrices_are_the_proof_actions_read_once(monkeypatch):
     # the stage-2 skip rests on this: a built matrix is its proof's cached
     # action itself, made on first read and kept, while a representation
