@@ -13,38 +13,29 @@ block. Nonvanishing bracket rules, with d short for the Kronecker delta;
 
   common   (w) [H_i, F_jk] = (d_ij - d_ik) F_jk
                [F_ij, F_kl] = d_jk E_il - d_il E_kj
-  series C (w) [H_i, P_jk] = (d_ij + d_ik) P_jk          (so 2 d_ij on P_jj)
-           (w) [H_i, Q_jk] = -(d_ij + d_ik) Q_jk
-               [F_ij, P_kk] = sqrt2 d_jk P_ik
-               [F_ij, P_kl] = d_jk [P_il] + d_jl [P_ik]          (k != l)
-           (t) [F_ij, Q_kk] = -sqrt2 d_ik Q_jk
-           (t) [F_ij, Q_kl] = -d_ik [Q_jl] - d_il [Q_jk]         (k != l)
-               [P_ii, Q_jj] = 2 d_ij H_i
-               [P_ii, Q_jk] = sqrt2 (d_ij F_ik + d_ik F_ij)      (j != k)
-               [P_ij, Q_kk] = sqrt2 (d_ik F_jk + d_jk F_ik)      (i != j)
-               [P_ij, Q_kl] = d_jl E_ik + d_il E_jk + d_jk E_il + d_ik E_jl
-                              + (d_ik d_jl + d_il d_jk) 1        (i != j, k != l)
-  series   (w) [H_i, S_jk] = (d_ij + d_ik) S_jk
-   D/B     (w) [H_i, T_jk] = -(d_ij + d_ik) T_jk
-               [F_ij, S_kl] = d_jk S_il - d_jl S_ik
-           (t) [F_ij, T_kl] = -d_ik T_jl + d_il T_jk
-               [S_ij, T_kl] = -d_jk E_il + d_jl E_ik + d_ik E_jl - d_il E_jk
-                              - (d_ik d_jl - d_il d_jk) 1
+  series C with (X, Y, eps) = (P, Q, +1), series D/B with (S, T, -1):
+           (w) [H_i, X_jk] = (d_ij + d_ik) X_jk       (so 2 d_ij on X_jj)
+           (w) [H_i, Y_jk] = -(d_ij + d_ik) Y_jk
+               [F_ij, [X_kl]] = d_jk [X_il] + eps d_jl [X_ik]
+           (t) [F_ij, [Y_kl]] = -d_ik [Y_jl] - eps d_il [Y_jk]
+               [[X_ij], [Y_kl]] = d_jl E_ik + d_ik E_jl + eps (d_jk E_il + d_il E_jk)
+                                  + (eps d_ik d_jl + d_il d_jk) 1
   series B (w) [H_i, U_j] = d_ij U_j,   [H_i, V_j] = -d_ij V_j
                [F_ij, U_k] = d_jk U_i
            (t) [F_ij, V_k] = -d_ik V_j
                [S_ij, V_k] = -d_ik U_j + d_jk U_i
            (t) [T_ij, U_k] = d_ik V_j - d_jk V_i
-               [U_i, U_j] = S_ij
-           (t) [V_i, V_j] = -T_ij
+               [U_i, U_j] = [S_ij]
+           (t) [V_i, V_j] = -[T_ij]
                [U_i, V_j] = (1 - d_ij) F_ij + d_ij H_i
 
-E_ab is the formal quadratic unit: off the diagonal it is F_ab; on the
-diagonal it resolves to H_a plus a constant (-1/2 in the symmetric-pair
-series, +1/2 in the antisymmetric ones) whose net coefficient provably
-cancels in every bracket, which the builder asserts. [P_ab] and [Q_ab]
-resolve a diagonal collision to sqrt2 P_aa / sqrt2 Q_aa; S/T symbols are
-normalized by antisymmetry and vanish on the diagonal. I_i are central.
+[X_ab] is the symbol of `generators.symbol`: the stored generator with
+[X_ba] = eps [X_ab], so [P_aa] = sqrt2 P_aa and [S_aa] = 0, and a stored
+diagonal P_aa or Q_aa enters a rule as its symbol over sqrt2. E_ab is the
+formal quadratic unit: off the diagonal it is F_ab; on the diagonal it
+resolves to H_a plus a constant (-1/2 in the symmetric-pair series, +1/2
+in the antisymmetric ones) whose net coefficient provably cancels in every
+bracket, which the builder asserts. I_i are central.
 """
 
 from __future__ import annotations
@@ -56,13 +47,12 @@ from types import MappingProxyType
 from . import serialize
 from .elements import Element
 from .errors import ClosureError, ForeignGeneratorError
-from .generators import (GeneratorId, cartan_count, enumerate_generators,
-                         mirror, resolve, weight)
+from .generators import (EXCHANGE, GeneratorId, cartan_count,
+                         enumerate_generators, mirror, symbol, weight)
 from .linalg import accumulate
 from .reporting import CheckReport
-from .scalars import HALF, ONE, SQRT2, ZERO, Scalar
+from .scalars import HALF, ONE, ZERO, Scalar
 
-_TWO = Scalar(2)
 _NEG_HALF = -HALF
 _PREC = {"H": 0, "F": 1, "P": 2, "S": 2, "Q": 3, "T": 3, "U": 4, "V": 5}
 # pairs built through theta from their mirror pair, which `_rule` states
@@ -77,9 +67,14 @@ class _Acc:
         self._const = ZERO
         self._diag_const = diag_const
 
-    def add(self, gid: GeneratorId | None, coeff, sign: int = 1) -> None:
-        if gid is not None and sign:
-            self._elem.add_term(gid, coeff if sign == 1 else -coeff)
+    def add(self, gid: GeneratorId, coeff: Scalar) -> None:
+        self._elem.add_term(gid, coeff)
+
+    def add_symbol(self, kind: str, a: int, b: int, coeff: Scalar) -> None:
+        """Add coeff [X_ab]; a vanishing symbol adds nothing."""
+        gid, w = symbol(kind, a, b)
+        if gid is not None:
+            self._elem.add_term(gid, w * coeff)
 
     def add_unit(self, a: int, b: int, coeff: Scalar) -> None:
         if a == b:
@@ -97,12 +92,13 @@ class _Acc:
         return self._elem
 
 
-def _sym_or_diag(kind: str, a: int, b: int) -> tuple[GeneratorId, Scalar]:
-    """P/Q collision rule: the diagonal symbol carries a sqrt2 weight."""
-    if a == b:
-        return GeneratorId(kind, a, a), SQRT2
-    gid, _ = resolve(kind, a, b)
-    return gid, ONE
+@lru_cache(maxsize=None)
+def _over(gid: GeneratorId) -> Scalar:
+    """1 / w for the stored generator gid of a symbol [X_ij] = w gid: the
+    two-index rules are stated on symbols, and read gid as [X_ij] / w.
+    Cached, since `_rule` asks for it once per pair: the cache holds one
+    Scalar per two-index generator of the largest rank built."""
+    return symbol(*gid)[1].inv()
 
 
 def _theta(elem: Element) -> Element:
@@ -139,30 +135,14 @@ def _rule(series: str, n: int, g1: GeneratorId, g2: GeneratorId) -> Element:
             acc.add_unit(k, j, -ONE)
         return acc.element()
 
-    if pair == "FP":
+    if pair in ("FP", "FS"):
         i, j = g1.i, g1.j
-        k, l = g2.i, g2.j
-        if k == l:
-            if j == k:
-                acc.add(resolve("P", i, k)[0], SQRT2)
-            return acc.element()
+        kind, k, l = g2
+        # [F_ij, [X_kl]] = d_jk [X_il] + eps d_jl [X_ik]
         if j == k:
-            gid, w = _sym_or_diag("P", i, l)
-            acc.add(gid, w)
+            acc.add_symbol(kind, i, l, _over(g2))
         if j == l:
-            gid, w = _sym_or_diag("P", i, k)
-            acc.add(gid, w)
-        return acc.element()
-
-    if pair == "FS":
-        i, j = g1.i, g1.j
-        k, l = g2.i, g2.j
-        if j == k:
-            gid, sign = resolve("S", i, l)
-            acc.add(gid, ONE, sign)
-        if j == l:
-            gid, sign = resolve("S", i, k)
-            acc.add(gid, -ONE, sign)
+            acc.add_symbol(kind, i, k, EXCHANGE[kind] * _over(g2))
         return acc.element()
 
     if pair == "FU":
@@ -170,48 +150,25 @@ def _rule(series: str, n: int, g1: GeneratorId, g2: GeneratorId) -> Element:
             acc.add(GeneratorId("U", g1.i), ONE)
         return acc.element()
 
-    if pair == "PQ":
+    if pair in ("PQ", "ST"):
         i, j = g1.i, g1.j
         k, l = g2.i, g2.j
-        if i == j and k == l:
-            if i == k:
-                acc.add(GeneratorId("H", i), _TWO)
-            return acc.element()
-        if i == j:
-            if i == k:
-                acc.add(GeneratorId("F", i, l), SQRT2)
-            if i == l:
-                acc.add(GeneratorId("F", i, k), SQRT2)
-            return acc.element()
-        if k == l:
-            if i == k:
-                acc.add(GeneratorId("F", j, k), SQRT2)
-            if j == k:
-                acc.add(GeneratorId("F", i, k), SQRT2)
-            return acc.element()
+        eps = EXCHANGE[k1]
+        # [[X_ij], [Y_kl]] = d_jl E_ik + d_ik E_jl + eps (d_jk E_il + d_il E_jk)
+        #                    + (eps d_ik d_jl + d_il d_jk)
+        over = _over(g1) * _over(g2)
         if j == l:
-            acc.add_unit(i, k, ONE)
-        if i == l:
-            acc.add_unit(j, k, ONE)
-        if j == k:
-            acc.add_unit(i, l, ONE)
+            acc.add_unit(i, k, over)
         if i == k:
-            acc.add_unit(j, l, ONE)
-        acc.add_const(Scalar((i == k and j == l) + (i == l and j == k)))
-        return acc.element()
-
-    if pair == "ST":
-        i, j = g1.i, g1.j
-        k, l = g2.i, g2.j
+            acc.add_unit(j, l, over)
         if j == k:
-            acc.add_unit(i, l, -ONE)
-        if j == l:
-            acc.add_unit(i, k, ONE)
-        if i == k:
-            acc.add_unit(j, l, ONE)
+            acc.add_unit(i, l, eps * over)
         if i == l:
-            acc.add_unit(j, k, -ONE)
-        acc.add_const(Scalar((i == l and j == k) - (i == k and j == l)))
+            acc.add_unit(j, k, eps * over)
+        if i == k and j == l:
+            acc.add_const(eps * over)
+        if i == l and j == k:
+            acc.add_const(over)
         return acc.element()
 
     if pair == "SV":
@@ -224,8 +181,7 @@ def _rule(series: str, n: int, g1: GeneratorId, g2: GeneratorId) -> Element:
         return acc.element()
 
     if pair == "UU":
-        gid, sign = resolve("S", g1.i, g2.i)
-        acc.add(gid, ONE, sign)
+        acc.add_symbol("S", g1.i, g2.i, ONE)
         return acc.element()
 
     if pair == "UV":

@@ -189,12 +189,11 @@ def _run_verify(args):
     names = _parse_checks(args.checks, spec)
     wants_reps = "rep" in names or "casimir" in names
     if wants_reps:
-        # sized from series, rank and cutoff alone, so that an oversized
-        # representation is refused before the algebra is built; a cutoff
-        # below 2 is refused by bosonic_rep
+        # sized from series, rank and cutoff alone, so that an invalid
+        # cutoff or an oversized representation is refused before the
+        # algebra is built
         for cutoff in _natural_cutoffs(args.series, args.cutoff):
-            if cutoff is None or cutoff >= 2:
-                check_rep_size(args.series, args.rank, cutoff)
+            check_rep_size(args.series, args.rank, cutoff)
     triple = split(args.series, args.rank, spec)
     # built once, before any check runs
     reps = _natural_reps(triple.double, args.cutoff) if wants_reps else []

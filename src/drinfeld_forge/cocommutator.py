@@ -28,11 +28,11 @@ from .algebra import LieAlgebra, build_series
 from .double import structure_tensors
 from .elements import Element
 from .errors import SpecError
-from .generators import GeneratorId, mirror, resolve
+from .generators import GeneratorId, mirror, symbol
 from .linalg import accumulate
 from .manin import ManinTriple
 from .reporting import CheckReport
-from .scalars import HALF, I, ONE, SQRT2, Scalar
+from .scalars import HALF, I, ONE, Scalar
 
 _I_HALF = I * HALF
 
@@ -106,15 +106,24 @@ def cocommutator_explicit(alg: LieAlgebra, verbatim: bool = False) -> dict:
     """Closed-form cocommutator for the canonical splitting: every basis
     generator, in basis order, mapped to its normal-form wedge delta(g).
 
-    Only the F rows and the raising rows are written out; each Q, T and V
-    row is its raising mirror's row, built before it, read through the
+    Only the F rows and the raising rows are written out. A P or S row is
+    delta(g) = delta([X_ij]) / w, with [X_ij] = w g the symbol of
+    `generators.symbol`, and
+
+      delta([X_ij]) = sum_{a = i, j} (H_a + i I_a)/2 ^ [X_ij]
+                      + sum_{k > i} F_ik ^ [X_kj] + sum_{k > j} F_jk ^ [X_ik]
+                      + U_i ^ U_j on series B,
+
+    with the diagonal [X_jj] term first in the first F sum. Each Q, T and
+    V row is its raising mirror's row, built before it, read through the
     mirror rule. verbatim=True keeps the uncorrected reference
-    transcription: the upward sums it drops from the two-index P and S
-    rows pass to their mirrors, and its two defects on lowering rows
-    alone are edits of the mirrored row (the Cartan factors of Q_ii wedge
-    against P_ii; the V sum runs over k < i). The default applies the
-    corrections, which is what agrees with the structure tensors. A
-    double that lacks an I_k, as a mixed one does, raises SpecError.
+    transcription: it drops the second F sum from every P_ij and S_ij
+    with i < j, and so from their mirrors, and its two defects on
+    lowering rows alone are edits of the mirrored row (the Cartan factors
+    of Q_ii wedge against P_ii; the V sum runs over k < i). The default
+    applies the corrections, which is what agrees with the structure
+    tensors. A double that lacks an I_k, as a mixed one does, raises
+    SpecError.
     """
     idx = alg.index
     n = alg.n_indices
@@ -144,38 +153,20 @@ def cocommutator_explicit(alg: LieAlgebra, verbatim: bool = False) -> dict:
             wedge_insert(w, idx, gid, Ic(j), _I_HALF)
             for k in range(min(i, j) + 1, max(i, j)):
                 wedge_insert(w, idx, F(i, k), F(k, j), -sign)
-        elif kind == "P":
-            if i == j:
-                wedge_insert(w, idx, H(i), gid, ONE)
-                wedge_insert(w, idx, Ic(i), gid, I)
-                for k in range(i + 1, n + 1):
-                    wedge_insert(w, idx, F(i, k), GeneratorId("P", i, k), SQRT2)
-            else:
-                for a in (i, j):
-                    wedge_insert(w, idx, H(a), gid, HALF)
-                    wedge_insert(w, idx, Ic(a), gid, _I_HALF)
-                wedge_insert(w, idx, F(i, j), GeneratorId("P", j, j), SQRT2)
-                for m in range(i + 1, n + 1):
-                    if m != j:
-                        target, _ = resolve("P", m, j)
-                        wedge_insert(w, idx, F(i, m), target, ONE)
-                if not verbatim:
-                    for m in range(j + 1, n + 1):
-                        target, _ = resolve("P", m, i)
-                        wedge_insert(w, idx, F(j, m), target, ONE)
-        elif kind == "S":
+        elif kind in ("P", "S"):
+            # the row of [X_ij] over w; its Cartan halves are those of g
+            over = symbol(*gid)[1].inv()
             for a in (i, j):
                 wedge_insert(w, idx, H(a), gid, HALF)
                 wedge_insert(w, idx, Ic(a), gid, _I_HALF)
-            for k in range(i + 1, n + 1):
-                if k != j:
-                    target, sign = resolve("S", k, j)
-                    if target is not None:
-                        wedge_insert(w, idx, F(i, k), target, Scalar(sign))
-            if not verbatim:
+            # the diagonal [X_jj] term first
+            for k in sorted(range(i + 1, n + 1), key=lambda k: k != j):
+                target, coeff = symbol(kind, k, j)
+                wedge_insert(w, idx, F(i, k), target, coeff * over)
+            if not verbatim or i == j:
                 for k in range(j + 1, n + 1):
-                    target, sign = resolve("S", i, k)
-                    wedge_insert(w, idx, F(j, k), target, Scalar(sign))
+                    target, coeff = symbol(kind, i, k)
+                    wedge_insert(w, idx, F(j, k), target, coeff * over)
             if series == "B":
                 wedge_insert(w, idx, GeneratorId("U", i), GeneratorId("U", j), ONE)
         elif kind == "U":

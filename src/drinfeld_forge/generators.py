@@ -6,10 +6,11 @@ Index conventions, shared by every module:
   full gl(n+1)), series B/C/D carry 1..n;
 * H_i and the central I_i are indexed by single Cartan indices;
 * F_ij (i != j) are the gl-type root generators;
-* P_ij = P_ji (i <= j stored) are the symmetric raising pairs of series C and
-  Q_ij their lowering mirrors;
-* S_ij = -S_ji (i < j stored, diagonal vanishes) are the antisymmetric raising
-  pairs of series D and B, T_ij their lowering mirrors;
+* P_ij (i <= j stored) are the symmetric raising pairs of series C and Q_ij
+  their lowering mirrors; S_ij (i < j stored) are the antisymmetric raising
+  pairs of series D and B, T_ij their lowering mirrors. Any index pair of
+  these kinds is read through `symbol`, with the exchange sign eps of its
+  kind (`EXCHANGE`: +1 for P/Q, -1 for S/T);
 * U_i / V_i are the odd raising/lowering generators of series B;
 * X / x name rotated Cartan combinations: X_k = (H_k + i I_k)/sqrt2 with one
   index, or (H_i + i H_j)/sqrt2 with an index pair, and x mirrors with -i.
@@ -27,11 +28,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import RankError
+from .scalars import ONE, SQRT2, ZERO, Scalar
 
 SERIES = ("A", "B", "C", "D")
 
-_SYMMETRIC = frozenset("PQ")
-_ANTISYMMETRIC = frozenset("ST")
+# the exchange sign of each two-index kind: [X_ba] = eps [X_ab]
+EXCHANGE = {"P": ONE, "Q": ONE, "S": -ONE, "T": -ONE}
 # the kind of each generator's mirror; F mirrors by swapping its indices
 _MIRROR_KIND = {"H": "H", "I": "I", "F": "F", "P": "Q", "Q": "P", "S": "T",
                 "T": "S", "U": "V", "V": "U"}
@@ -127,19 +129,23 @@ def enumerate_generators(series: str, rank: int) -> tuple[GeneratorId, ...]:
     return tuple(basis)
 
 
-def resolve(kind: str, i: int, j: int) -> tuple[GeneratorId | None, int]:
-    """Normalize a raw two-index symbol to (stored generator, sign).
+def symbol(kind: str, a: int, b: int) -> tuple[GeneratorId | None, Scalar]:
+    """The symbol [X_ab] of a two-index kind X as (stored generator g,
+    coefficient w), [X_ab] = w g.
 
-    P/Q are symmetric, S/T antisymmetric with vanishing diagonal. Returns
-    (None, 0) for a symbol that is identically zero.
+    [X_ba] = eps [X_ab] with the exchange sign eps of `EXCHANGE`, so an
+    S/T pair out of order carries -1 and a P/Q one +1. On the diagonal,
+    [P_aa] = sqrt2 P_aa (and Q alike) and [S_aa] = 0, returned as
+    (None, ZERO). F and the one-index kinds raise ValueError.
     """
-    if kind in _SYMMETRIC:
-        return (GeneratorId(kind, i, j), 1) if i <= j else (GeneratorId(kind, j, i), 1)
-    if kind in _ANTISYMMETRIC:
-        if i == j:
-            return None, 0
-        return (GeneratorId(kind, i, j), 1) if i < j else (GeneratorId(kind, j, i), -1)
-    raise ValueError(f"resolve() does not apply to kind {kind!r}")
+    eps = EXCHANGE.get(kind)
+    if eps is None:
+        raise ValueError(f"symbol() does not apply to kind {kind!r}")
+    if a < b:
+        return GeneratorId(kind, a, b), ONE
+    if a > b:
+        return GeneratorId(kind, b, a), eps
+    return (GeneratorId(kind, a, a), SQRT2) if eps == ONE else (None, ZERO)
 
 
 def weight(gid: GeneratorId, n_indices: int) -> tuple[int, ...]:

@@ -111,7 +111,8 @@ from .scalars import ONE, ZERO, Scalar
 # generators: each generator's matrix holds about one entry per state. A7 at
 # cutoff 6 (3003 states x 72 generators = 216,216) holds about 45 MB, so
 # this bound keeps the matrices a caller reads within a few hundred MB.
-# `verify` reads none, but keeps the bound while it builds the Fock space.
+# `verify` reads none and builds no state; the bound applies there only
+# because `verify` goes through the builders.
 MAX_REP_SIZE = 1_000_000
 
 
@@ -147,7 +148,10 @@ def rep_size(series: str, rank: int, cutoff: int | None = None) -> int:
 
 
 def check_rep_size(series: str, rank: int, cutoff: int | None = None) -> None:
-    """Refuse a representation whose `rep_size` exceeds MAX_REP_SIZE."""
+    """Refuse a bosonic cutoff below 2, then a representation whose
+    `rep_size` exceeds MAX_REP_SIZE (SpecError either way)."""
+    if cutoff is not None and cutoff < 2:
+        raise SpecError("bosonic cutoff must be at least 2")
     size = rep_size(series, rank, cutoff)
     if size > MAX_REP_SIZE:
         raise SpecError(f"representation too large: about {size:,} entries "
@@ -239,8 +243,6 @@ def fermionic_rep(alg, lambdas=None) -> Representation:
 def bosonic_rep(alg, cutoff: int, lambdas=None) -> Representation:
     if alg.series in ("B", "D"):
         raise SpecError("series B and D have no bosonic oscillator realization here")
-    if cutoff < 2:
-        raise SpecError("bosonic cutoff must be at least 2")
     check_rep_size(alg.series, alg.rank, cutoff)
     return _build(alg, cutoff, lambdas)
 

@@ -13,6 +13,7 @@ from drinfeld_forge import (ClosureError, Element, ForeignGeneratorError,
                             shift_generator, split, validate_series_rank,
                             verify_jacobi, weight)
 from drinfeld_forge.algebra import LieAlgebra
+from drinfeld_forge.generators import EXCHANGE, symbol
 
 JACOBI_GRID = ([("A", r) for r in (1, 2, 3, 4)]
                + [("B", r) for r in (1, 2, 3)]
@@ -97,6 +98,31 @@ def test_sp_diagonal_collision_rule():
     f12 = GeneratorId("F", 1, 2)
     out = c.bracket_gens(f12, GeneratorId("P", 2, 2))
     assert out == Element.gen(GeneratorId("P", 1, 2)).scale(Scalar(0, 0, 1))
+
+
+def test_symbol_diagonal_carries_sqrt2_on_p_and_q():
+    for kind in "PQ":
+        assert symbol(kind, 2, 2) == (GeneratorId(kind, 2, 2),
+                                      Scalar(0, 0, 1))
+
+
+def test_symbol_diagonal_vanishes_on_s_and_t():
+    for kind in "ST":
+        assert symbol(kind, 3, 3) == (None, Scalar(0))
+
+
+@pytest.mark.parametrize("kind,eps", [("P", 1), ("Q", 1), ("S", -1),
+                                      ("T", -1)])
+def test_symbol_reversed_pair_takes_the_exchange_sign(kind, eps):
+    assert EXCHANGE[kind] == Scalar(eps)
+    assert symbol(kind, 1, 3) == (GeneratorId(kind, 1, 3), Scalar(1))
+    assert symbol(kind, 3, 1) == (GeneratorId(kind, 1, 3), Scalar(eps))
+
+
+@pytest.mark.parametrize("kind", ["F", "H", "I", "U", "V", "X", "x"])
+def test_symbol_refuses_f_and_one_index_kinds(kind):
+    with pytest.raises(ValueError, match="does not apply"):
+        symbol(kind, 1, 2)
 
 
 def test_centrals_commute():

@@ -320,10 +320,15 @@ def test_oversized_rep_exit_two(capsys):
     (["--series", "D", "--rank", "16", "--checks", "rep"], "33,554,432"),
     (["--series", "C", "--rank", "4", "--checks", "casimir",
       "--cutoff", "30"], "1,855,040"),
+    (["--series", "C", "--rank", "15", "--checks", "rep", "--cutoff", "1"],
+     None),
+    (["--series", "A", "--rank", "3", "--checks", "casimir",
+      "--cutoff", "-3"], None),
 ])
 def test_oversized_rep_exits_before_split(capsys, monkeypatch, argv, size):
     # fermionic D16 and bosonic C4 at cutoff 30 are sized from series,
-    # rank and cutoff alone: the algebra is never built
+    # rank and cutoff alone, and a cutoff below 2 (size None) is refused
+    # before any size is estimated: the algebra is never built
     def no_split(*args, **kwargs):
         raise AssertionError("split ran before the size check")
 
@@ -331,8 +336,12 @@ def test_oversized_rep_exits_before_split(capsys, monkeypatch, argv, size):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
-    assert err == (f"error: representation too large: about {size} entries "
-                   "(states x generators), the limit is 1,000,000\n")
+    if size is None:
+        assert err == "error: bosonic cutoff must be at least 2\n"
+    else:
+        assert err == (f"error: representation too large: about {size} "
+                       "entries (states x generators), the limit is "
+                       "1,000,000\n")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -8,7 +8,8 @@ the instances the benchmark's fock-reps workload runs, `verify --checks
 rep,casimir --cutoff 6 --json` on A3, C4, B4 and D5, `details` included.
 So, through a sha256 per table, does one that changes the closed-form
 cocommutator tables, corrected or verbatim, in any generator, term,
-term order or coefficient.
+term order or coefficient, and one that changes a `build_series` bracket
+table in any key, key order, term, term order or coefficient.
 """
 
 import hashlib
@@ -114,6 +115,29 @@ def test_explicit_tables_match_golden(name):
     golden = json.loads((GOLDEN / "explicit_delta_sha256.json").read_text(
         encoding="ascii"))
     assert explicit_table_digests(name) == golden[name]
+
+
+BRACKET_GRID = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(1, 8)]
+                + [f"C{r}" for r in range(1, 8)]
+                + [f"D{r}" for r in range(2, 9)])
+
+
+def bracket_table_digest(name: str) -> str:
+    """sha256 of the `build_series` bracket table: every key in table
+    order, each as [p, q, terms] with its terms in dict order as
+    [g, coeff]."""
+    alg = build_series(name[0], int(name[1:]))
+    rows = [[p.label, q.label, [[g.label, coeff.to_strings()]
+                                for g, coeff in entry.terms()]]
+            for (p, q), entry in alg.table.items()]
+    return hashlib.sha256(json.dumps(rows).encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("name", BRACKET_GRID)
+def test_bracket_tables_match_golden(name):
+    golden = json.loads((GOLDEN / "bracket_table_sha256.json").read_text(
+        encoding="ascii"))
+    assert bracket_table_digest(name) == golden[name]
 
 
 @pytest.mark.parametrize("name", ["A3", "C4", "B4", "D5"])
