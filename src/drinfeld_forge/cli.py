@@ -40,9 +40,9 @@ CHECKS = ("jacobi", "closure", "pairing", "reconstruction", "compatibility",
           "subbialg", "coboundary", "cybe", "twist", "chain", "rep",
           "casimir")
 
-# these manipulate the full set of central charges, so a mixed splitting
-# has nothing for them to act on
-_CANONICAL_ONLY = {"delta-agree", "twist"}
+# twist manipulates the full set of central charges, so a mixed splitting
+# has nothing for it to act on
+_CANONICAL_ONLY = {"twist"}
 
 EXPORTS = ("brackets", "delta", "rmatrix", "pairing", "matrices")
 
@@ -61,6 +61,14 @@ def _natural_cutoffs(series, cutoff):
     order: None for the fermionic one, `cutoff` for the bosonic one."""
     return (([None] if series in ("A", "B", "D") else [])
             + ([cutoff] if series in ("A", "C") else []))
+
+
+def _check_rep_sizes(series, rank, cutoff):
+    """Refuse an invalid cutoff or an oversized natural representation,
+    sized from series, rank and cutoff alone, before the algebra is
+    built."""
+    for c in _natural_cutoffs(series, cutoff):
+        check_rep_size(series, rank, c)
 
 
 def _natural_reps(alg, cutoff):
@@ -189,11 +197,7 @@ def _run_verify(args):
     names = _parse_checks(args.checks, spec)
     wants_reps = "rep" in names or "casimir" in names
     if wants_reps:
-        # sized from series, rank and cutoff alone, so that an invalid
-        # cutoff or an oversized representation is refused before the
-        # algebra is built
-        for cutoff in _natural_cutoffs(args.series, args.cutoff):
-            check_rep_size(args.series, args.rank, cutoff)
+        _check_rep_sizes(args.series, args.rank, args.cutoff)
     triple = split(args.series, args.rank, spec)
     # built once, before any check runs
     reps = _natural_reps(triple.double, args.cutoff) if wants_reps else []
@@ -236,6 +240,8 @@ def _matrices_text(alg, cutoff):
 
 
 def _run_export(args):
+    if args.what == "matrices":
+        _check_rep_sizes(args.series, args.rank, args.cutoff)
     triple = split(args.series, args.rank, args.spec)
     alg = triple.double
     if args.what == "brackets":

@@ -4,12 +4,12 @@ The structural one reads the Manin triple: delta(Z_p) = -c^{q,r}_p Z_q x
 Z_r on s+ and delta(z^p) = +f^p_{q,r} z^q x z^r on s-, transported to the
 H/I/root basis through the Cartan rotation; in every splitting it obeys
 the mirror rule delta(mirror g) = conj_i((mirror x mirror) delta(g)). The
-explicit one is a closed-form table over the same basis that writes out
-the F and raising rows and reads the Q, T and V rows from their mirrors'
-through that rule. Both map every basis generator, in basis order, to its
-normal-form wedge (a x b - b x a stored at basis positions a < b, no zero
-coefficient), and verify_delta_agreement requires them to match
-generator by generator.
+explicit one is a closed-form table over the same basis, in any
+splitting, that writes out the raising rows and reads every lowering row
+from its mirror's through that rule. Both map every basis generator, in
+basis order, to its normal-form wedge (a x b - b x a stored at basis
+positions a < b, no zero coefficient), and verify_delta_agreement
+requires them to match generator by generator.
 
 cocommutator_explicit(verbatim=True) reproduces the uncorrected reference
 transcription of the closed-form table; the default applies corrections.
@@ -27,14 +27,11 @@ from types import MappingProxyType
 from .algebra import LieAlgebra, build_series
 from .double import structure_tensors
 from .elements import Element
-from .errors import SpecError
-from .generators import GeneratorId, mirror, symbol
+from .generators import GeneratorId, mirror, symbol, weight
 from .linalg import accumulate
-from .manin import ManinTriple
+from .manin import ROTATION, ManinTriple, canonical_triple
 from .reporting import CheckReport
-from .scalars import HALF, I, ONE, Scalar
-
-_I_HALF = I * HALF
+from .scalars import ONE, Scalar
 
 
 def wedge_insert(table: dict, index: dict, ga: GeneratorId, gb: GeneratorId,
@@ -102,63 +99,81 @@ def cocommutator_from_structure(triple: ManinTriple) -> dict:
     return triple._delta
 
 
-def cocommutator_explicit(alg: LieAlgebra, verbatim: bool = False) -> dict:
-    """Closed-form cocommutator for the canonical splitting: every basis
+def cocommutator_explicit(triple: ManinTriple, verbatim: bool = False) -> dict:
+    """Closed-form cocommutator of a triple in any splitting: every basis
     generator, in basis order, mapped to its normal-form wedge delta(g).
 
-    Only the F rows and the raising rows are written out. A P or S row is
-    delta(g) = delta([X_ij]) / w, with [X_ij] = w g the symbol of
-    `generators.symbol`, and
+    Only the raising rows, F_ij with i < j, P, S and U, are written out.
+    Each is one Cartan part, the same for every kind and splitting,
 
-      delta([X_ij]) = sum_{a = i, j} (H_a + i I_a)/2 ^ [X_ij]
-                      + sum_{k > i} F_ik ^ [X_kj] + sum_{k > j} F_jk ^ [X_ik]
-                      + U_i ^ U_j on series B,
+      sum over the rotation blocks (H, H') of x(g) X ^ g,
 
-    with the diagonal [X_jj] term first in the first F sum. Each Q, T and
-    V row is its raising mirror's row, built before it, read through the
-    mirror rule. verbatim=True keeps the uncorrected reference
-    transcription: it drops the second F sum from every P_ij and S_ij
-    with i < j, and so from their mirrors, and its two defects on
+    with X = a H + b H', x = c H + d H' and x(g) = c weight_H(g) + d
+    weight_H'(g) the eigenvalue of x on g (0 on I_k), plus a root part:
+
+      F_ij:  sum_{i < k < j} F_ik ^ F_kj
+      [X_ij]: sum_{k > i} F_ik ^ [X_kj] + sum_{k > j} F_jk ^ [X_ik]
+              + U_i ^ U_j on series B
+      U_i:   sum_{k > i} F_ik ^ U_k
+
+    where a P or S row is the part of [X_ij] = w g, the symbol of
+    `generators.symbol`, over w, with the diagonal [X_jj] term first in
+    the first sum. The blocks (H_k, I_k) or (H_i, H_j) are read from the
+    triple's rotation and only those of g's indices are visited; a, b, c
+    and d are read from `manin.ROTATION`, never from the triple, so a
+    triple built on another rotation disagrees with the table. Every
+    lowering row, F included, is its raising mirror's row, built before
+    it, read through the mirror rule. verbatim=True keeps the uncorrected
+    reference transcription: it drops the second F sum from every P_ij
+    and S_ij with i < j, and so from their mirrors, and its two defects on
     lowering rows alone are edits of the mirrored row (the Cartan factors
     of Q_ii wedge against P_ii; the V sum runs over k < i). The default
     applies the corrections, which is what agrees with the structure
-    tensors. A double that lacks an I_k, as a mixed one does, raises
-    SpecError.
+    tensors.
     """
+    alg = triple.double
     idx = alg.index
     n = alg.n_indices
-    series = alg.series
-    if any(GeneratorId("I", k) not in idx for k in range(1, n + 1)):
-        raise SpecError("the closed-form table covers the canonical splitting only")
+    a, b, c, d = ROTATION
+    # the block (H, H') of each Cartan index: (H_k, I_k) or (H_i, H_j)
+    blocks = {}
+    for upper in triple.rotation.plus_ids:
+        i, j = upper.i, upper.j or upper.i
+        second = GeneratorId("H" if upper.j else "I", j)
+        blocks[i] = blocks[j] = (GeneratorId("H", i), second)
     table = {}
 
-    def H(a):
-        return GeneratorId("H", a)
-
-    def Ic(a):
-        return GeneratorId("I", a)
-
-    def F(a, b):
-        return GeneratorId("F", a, b)
+    def F(p, q):
+        return GeneratorId("F", p, q)
 
     for gid in alg.basis:
         kind, i, j = gid
         w = {}
+        if idx[mirror(gid)] < idx[gid]:
+            for (ga, gb), coeff in table[mirror(gid)].items():
+                wedge_insert(w, idx, mirror(ga), mirror(gb), coeff.conj_i())
+            if verbatim and kind == "Q" and i == j:
+                # defect 1: the Cartan factors wedge against P_ii
+                w = {(ga, mirror(gb) if ga.kind in ("H", "I") else gb): coeff
+                     for (ga, gb), coeff in w.items()}
+            elif verbatim and kind == "V":
+                # defect 4: the sum runs over k < i
+                w = {key: coeff for key, coeff in w.items()
+                     if key[0].kind != "F"}
+                for k in range(1, i):
+                    wedge_insert(w, idx, F(k, i), GeneratorId("V", k), ONE)
+            table[gid] = w
+            continue
+        wt = weight(gid, n)
+        for h, h2 in dict.fromkeys(blocks[k] for k in (i, j) if k is not None):
+            x_g = c * wt[h.i - 1] + d * (wt[h2.i - 1] if h2.kind == "H" else 0)
+            wedge_insert(w, idx, h, gid, x_g * a)
+            wedge_insert(w, idx, h2, gid, x_g * b)
         if kind == "F":
-            # the sign of i - j: -1 on a raising F, +1 on a lowering one
-            sign = ONE if i > j else -ONE
-            wedge_insert(w, idx, gid, H(i), sign * HALF)
-            wedge_insert(w, idx, gid, H(j), -sign * HALF)
-            wedge_insert(w, idx, gid, Ic(i), -_I_HALF)
-            wedge_insert(w, idx, gid, Ic(j), _I_HALF)
-            for k in range(min(i, j) + 1, max(i, j)):
-                wedge_insert(w, idx, F(i, k), F(k, j), -sign)
+            for k in range(i + 1, j):
+                wedge_insert(w, idx, F(i, k), F(k, j), ONE)
         elif kind in ("P", "S"):
-            # the row of [X_ij] over w; its Cartan halves are those of g
             over = symbol(*gid)[1].inv()
-            for a in (i, j):
-                wedge_insert(w, idx, H(a), gid, HALF)
-                wedge_insert(w, idx, Ic(a), gid, _I_HALF)
             # the diagonal [X_jj] term first
             for k in sorted(range(i + 1, n + 1), key=lambda k: k != j):
                 target, coeff = symbol(kind, k, j)
@@ -167,26 +182,11 @@ def cocommutator_explicit(alg: LieAlgebra, verbatim: bool = False) -> dict:
                 for k in range(j + 1, n + 1):
                     target, coeff = symbol(kind, i, k)
                     wedge_insert(w, idx, F(j, k), target, coeff * over)
-            if series == "B":
+            if alg.series == "B":
                 wedge_insert(w, idx, GeneratorId("U", i), GeneratorId("U", j), ONE)
         elif kind == "U":
-            wedge_insert(w, idx, H(i), gid, HALF)
-            wedge_insert(w, idx, Ic(i), gid, _I_HALF)
             for k in range(i + 1, n + 1):
                 wedge_insert(w, idx, F(i, k), GeneratorId("U", k), ONE)
-        elif kind in ("Q", "T", "V"):
-            for (a, b), coeff in table[mirror(gid)].items():
-                wedge_insert(w, idx, mirror(a), mirror(b), coeff.conj_i())
-            if verbatim and kind == "Q" and i == j:
-                # defect 1: the Cartan factors wedge against P_ii
-                w = {(a, mirror(b) if a.kind in ("H", "I") else b): coeff
-                     for (a, b), coeff in w.items()}
-            elif verbatim and kind == "V":
-                # defect 4: the sum runs over k < i
-                w = {key: coeff for key, coeff in w.items()
-                     if key[0].kind != "F"}
-                for k in range(1, i):
-                    wedge_insert(w, idx, F(k, i), GeneratorId("V", k), ONE)
         table[gid] = w
     return table
 
@@ -200,9 +200,11 @@ def _wedge_only_in(wedge: dict, other: dict) -> list[list[str]]:
 
 def delta_discrepancy_audit(alg: LieAlgebra) -> list[dict]:
     """Terms where the reference transcription disagrees with the corrected
-    table: one entry per affected generator."""
-    corrected = cocommutator_explicit(alg)
-    transcribed = cocommutator_explicit(alg, verbatim=True)
+    table on the canonical splitting of alg's series and rank: one entry
+    per affected generator."""
+    triple = canonical_triple(alg.series, alg.rank)
+    corrected = cocommutator_explicit(triple)
+    transcribed = cocommutator_explicit(triple, verbatim=True)
     audit = []
     for gid in alg.basis:
         good = corrected[gid]
@@ -288,10 +290,8 @@ def discrepancy_report_markdown() -> str:
 
 def verify_delta_agreement(triple: ManinTriple) -> CheckReport:
     """Structure-derived and closed-form cocommutators must coincide."""
-    if triple.spec.mode != "canonical":
-        raise SpecError("the closed-form table covers the canonical splitting only")
     structural = cocommutator_from_structure(triple)
-    explicit = cocommutator_explicit(triple.double)
+    explicit = cocommutator_explicit(triple)
     report = CheckReport(check="delta-agree", checked=len(triple.double.basis))
     for gid in triple.double.basis:
         got = structural[gid]

@@ -15,8 +15,10 @@ import time
 from fractions import Fraction
 
 import dense_reference as dense
+import pytest
 
-from drinfeld_forge import (I, CheckReport, Element, GeneratorId, LieAlgebra,
+from drinfeld_forge import (I, CartanRotation, CheckReport, Element,
+                            GeneratorId, LieAlgebra, ManinTriple,
                             SPAN_BUILDERS, Representation, Scalar,
                             a_chain_span, ad_invariance_report, bosonic_rep,
                             build_series, canonical_triple, casimir_quadratic,
@@ -35,6 +37,7 @@ from drinfeld_forge import (I, CheckReport, Element, GeneratorId, LieAlgebra,
                             verify_pairing, verify_reconstruction,
                             verify_rep_homomorphism, verify_self_duality,
                             verify_subbialgebra, verify_twist, with_double)
+from drinfeld_forge import manin
 from drinfeld_forge.cocommutator import wedge_insert
 
 GRID = (("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -96,7 +99,7 @@ def test_criterion_03_cocommutator_cross_derivation(capsys):
     # must not, and the audit must carry the diagonal-Q witness
     audit = delta_discrepancy_audit(build_series("C", 1))
     ok = ok and [entry["gen"] for entry in audit] == ["Q1,1"]
-    verbatim = cocommutator_explicit(build_series("C", 1), verbatim=True)
+    verbatim = cocommutator_explicit(canonical_triple("C", 1), verbatim=True)
     structural = cocommutator_from_structure(canonical_triple("C", 1))
     q11 = GeneratorId("Q", 1, 1)
     ok = ok and verbatim[q11] != structural[q11]
@@ -239,6 +242,20 @@ def _checked_table(triple, table, verifier):
         report.add_violation({"error": str(err)})
         return report
     return verifier(with_double(triple, mutant))
+
+
+def conjugate_rotation_triple(series, rank, spec):
+    """One splitting's triple on a rotation built while `manin.ROTATION`
+    is i-conjugated, which trades X for x in every block. The closed-form
+    cocommutator reads the block itself, so it alone disagrees."""
+    base = split(series, rank, spec)
+    saved = manin.ROTATION
+    manin.ROTATION = tuple(value.conj_i() for value in saved)
+    try:
+        rotation = CartanRotation(base.spec, base.double.n_indices)
+    finally:
+        manin.ROTATION = saved
+    return ManinTriple(base.double, base.spec, rotation)
 
 
 def _mutation_fixtures():
@@ -420,6 +437,8 @@ def _mutation_fixtures():
         ("forminv", lambda: verify_form_invariance(perturbed)),
         ("delta-agree", lambda: verify_delta_agreement(
             with_double(a1, reweighted_a1))),
+        ("delta-agree-conjugate-rotation", lambda: verify_delta_agreement(
+            conjugate_rotation_triple("A", 3, "mixed:pairs=1-2"))),
         ("cocycle", lambda: verify_cocycle(
             a2.double, dropped)),
         ("cocycle-central", lambda: verify_cocycle(
@@ -489,6 +508,37 @@ def test_criterion_10_mutation_sensitivity(capsys):
     _verdict(capsys, 10,
              f"all {len(_mutation_fixtures())} single-coefficient "
              f"mutations fail their designated verifiers{tail}", ok)
+
+
+@pytest.mark.parametrize("series,rank,spec", [
+    ("A", 3, "mixed:pairs=1-2"), ("D", 4, "mixed:pairs=1-3,2-4"),
+    ("B", 2, "mixed:pairs=2-1"), ("C", 3, "mixed:pairs=1-3"),
+])
+def test_conjugate_rotation_is_seen_by_delta_agree_alone(series, rank, spec):
+    # a conjugated rotation still makes a Manin triple, so every other
+    # check on it passes: the closed-form table is its only guard
+    triple = conjugate_rotation_triple(series, rank, spec)
+    alg = triple.double
+    table = cocommutator_from_structure(triple)
+    others = {
+        "closure": verify_closure(triple), "pairing": verify_pairing(triple),
+        "reconstruction": verify_reconstruction(triple),
+        "compatibility": verify_compatibility(triple),
+        "selfdual": verify_self_duality(triple),
+        "forminv": verify_form_invariance(triple),
+        "casimir-form": verify_casimir_form(triple),
+        "cocycle": verify_cocycle(alg, table),
+        "cojacobi": verify_cojacobi(alg, table),
+        "coboundary": verify_coboundary(triple, table),
+        "cybe": verify_cybe(triple),
+    }
+    for sub in ("splus", "sminus"):
+        label, span = SPAN_BUILDERS[sub](triple)
+        others[f"subbialg-{sub}"] = verify_subbialgebra(alg, table, span,
+                                                        label)
+    assert [name for name, report in others.items()
+            if not report.passed] == []
+    assert not verify_delta_agreement(triple).passed
 
 
 def test_central_cocycle_mutation_sits_on_commuting_pairs():

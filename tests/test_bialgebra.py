@@ -67,18 +67,6 @@ def test_delta_agreement(series, rank):
     assert report.passed, report.to_dict()
 
 
-def test_delta_agreement_requires_canonical():
-    with pytest.raises(SpecError):
-        verify_delta_agreement(split("D", 2, "mixed:pairs=1-2"))
-
-
-def test_explicit_table_refuses_a_mixed_double():
-    # a mixed double drops the I_k of its rotation pairs, which the
-    # closed-form rows wedge against
-    with pytest.raises(SpecError, match="canonical splitting only"):
-        cocommutator_explicit(split("A", 2, "mixed:pairs=1-2").double)
-
-
 def mirror_rule_violations(triple) -> list[str]:
     """Labels of the generators g whose structural cocommutator breaks
     delta(mirror g) = conj_i((mirror x mirror) delta(g)), with H and I
@@ -116,11 +104,33 @@ MIRROR_GRID = ([("A", r, "canonical") for r in range(1, 7)]
                + [("B", 3, "mixed:pairs=1-3"), ("C", 3, "mixed:pairs=1-3")])
 
 
-@pytest.mark.parametrize("series,rank,spec", MIRROR_GRID,
-                         ids=[f"{s}{r}-{spec}" for s, r, spec in MIRROR_GRID])
+MIRROR_IDS = [f"{s}{r}-{spec}" for s, r, spec in MIRROR_GRID]
+
+
+@pytest.mark.parametrize("series,rank,spec", MIRROR_GRID, ids=MIRROR_IDS)
 def test_structural_delta_obeys_the_mirror_rule(series, rank, spec):
     # the rule `cocommutator_explicit` reads its lowering rows through
     assert mirror_rule_violations(split(series, rank, spec)) == []
+
+
+@pytest.mark.parametrize("series,rank,spec", MIRROR_GRID, ids=MIRROR_IDS)
+def test_delta_agreement_in_every_splitting(series, rank, spec):
+    # a mixed double drops the I_k of its rotation pairs; the closed-form
+    # Cartan part reads its blocks from the rotation instead
+    triple = split(series, rank, spec)
+    report = verify_delta_agreement(triple)
+    assert report.passed, report.to_dict()
+    assert report.checked == triple.double.dim
+
+
+@pytest.mark.parametrize("series,rank,spec", MIRROR_GRID, ids=MIRROR_IDS)
+def test_explicit_table_equals_structural_row_by_row(series, rank, spec):
+    triple = split(series, rank, spec)
+    structural = cocommutator_from_structure(triple)
+    explicit = cocommutator_explicit(triple)
+    assert list(explicit) == list(structural)
+    for gid, wedge in explicit.items():
+        assert wedge == structural[gid], gid.label
 
 
 def test_mirror_rule_check_sees_a_doubled_bracket():
@@ -143,10 +153,8 @@ def test_cocommutators_are_maps_in_basis_order(series, rank, spec):
     # the triple's memo, so it and its rows are read-only views
     triple = split(series, rank, spec)
     alg = triple.double
-    tables = [(cocommutator_from_structure(triple), MappingProxyType)]
-    if spec == "canonical":
-        tables.append((cocommutator_explicit(alg), dict))
-    for table, kind in tables:
+    for table, kind in ((cocommutator_from_structure(triple), MappingProxyType),
+                        (cocommutator_explicit(triple), dict)):
         assert type(table) is kind and list(table) == list(alg.basis)
         for gid, wedge in table.items():
             assert type(wedge) is kind, gid
@@ -174,8 +182,9 @@ def test_delta_vanishes_on_cartan():
 
 def test_explicit_delta_f_oracle():
     # delta(F12) in A2: Cartan wedges plus the interior chain term
-    alg = build_series("A", 2)
-    table = cocommutator_explicit(alg)
+    triple = canonical_triple("A", 2)
+    alg = triple.double
+    table = cocommutator_explicit(triple)
     f12 = GeneratorId("F", 1, 2)
     got = table[f12]
     want = {}
@@ -233,7 +242,7 @@ def test_audit_c3_missing_upward_families():
 def test_verbatim_table_fails_agreement():
     triple = canonical_triple("C", 1)
     structural = cocommutator_from_structure(triple)
-    verbatim = cocommutator_explicit(triple.double, verbatim=True)
+    verbatim = cocommutator_explicit(triple, verbatim=True)
     q11 = GeneratorId("Q", 1, 1)
     assert structural[q11] != verbatim[q11]
 

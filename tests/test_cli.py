@@ -97,8 +97,9 @@ def test_empty_check_list_exit_two(capsys, checks):
 
 def test_mixed_spec_rejects_canonical_only_checks(capsys):
     code, _, err = run(capsys, "verify", "--series", "D", "--rank", "2",
-                       "--spec", "mixed:pairs=1-2", "--checks", "delta-agree")
+                       "--spec", "mixed:pairs=1-2", "--checks", "twist")
     assert code == 2
+    assert "needs the canonical splitting" in err
     code, _, err = run(capsys, "verify", "--series", "D", "--rank", "2",
                        "--spec", "mixed:pairs=1-2", "--checks", "subbialg",
                        "--sub", "An")
@@ -106,10 +107,12 @@ def test_mixed_spec_rejects_canonical_only_checks(capsys):
 
 
 def test_mixed_spec_full_battery_skips_canonical_only(capsys):
+    # twist alone is skipped; delta-agree covers every splitting
     code, out, _ = run(capsys, "verify", "--series", "D", "--rank", "2",
                        "--spec", "mixed:pairs=1-2")
     assert code == 0
-    assert "delta-agree" not in out
+    assert any(line.startswith("PASS delta-agree")
+               for line in out.splitlines())
     assert "twist" not in out
 
 
@@ -317,23 +320,33 @@ def test_oversized_rep_exit_two(capsys):
 
 
 @pytest.mark.parametrize("argv,size", [
-    (["--series", "D", "--rank", "16", "--checks", "rep"], "33,554,432"),
-    (["--series", "C", "--rank", "4", "--checks", "casimir",
+    (["verify", "--series", "D", "--rank", "16", "--checks", "rep"],
+     "33,554,432"),
+    (["verify", "--series", "C", "--rank", "4", "--checks", "casimir",
       "--cutoff", "30"], "1,855,040"),
-    (["--series", "C", "--rank", "15", "--checks", "rep", "--cutoff", "1"],
-     None),
-    (["--series", "A", "--rank", "3", "--checks", "casimir",
+    (["verify", "--series", "C", "--rank", "15", "--checks", "rep",
+      "--cutoff", "1"], None),
+    (["verify", "--series", "A", "--rank", "3", "--checks", "casimir",
+      "--cutoff", "-3"], None),
+    (["export", "--series", "D", "--rank", "16", "--what", "matrices"],
+     "33,554,432"),
+    (["export", "--series", "C", "--rank", "4", "--what", "matrices",
+      "--cutoff", "30"], "1,855,040"),
+    (["export", "--series", "C", "--rank", "15", "--what", "matrices",
+      "--cutoff", "1"], None),
+    (["export", "--series", "A", "--rank", "3", "--what", "matrices",
       "--cutoff", "-3"], None),
 ])
 def test_oversized_rep_exits_before_split(capsys, monkeypatch, argv, size):
     # fermionic D16 and bosonic C4 at cutoff 30 are sized from series,
     # rank and cutoff alone, and a cutoff below 2 (size None) is refused
-    # before any size is estimated: the algebra is never built
+    # before any size is estimated: in both subcommands that build a
+    # representation, the algebra is never built
     def no_split(*args, **kwargs):
         raise AssertionError("split ran before the size check")
 
     monkeypatch.setattr("drinfeld_forge.cli.split", no_split)
-    code, out, err = run(capsys, "verify", *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     if size is None:

@@ -98,13 +98,13 @@ def explicit_table_digests(name: str) -> dict:
     """sha256 of the corrected and the verbatim `cocommutator_explicit`
     table: every generator in table order, each with its terms in dict
     order as [a, b, coeff]."""
-    alg = build_series(name[0], int(name[1:]))
+    triple = canonical_triple(name[0], int(name[1:]))
     out = {}
     for kind, verbatim in (("corrected", False), ("verbatim", True)):
         rows = [[gid.label, [[a.label, b.label, coeff.to_strings()]
                              for (a, b), coeff in wedge.items()]]
                 for gid, wedge in cocommutator_explicit(
-                    alg, verbatim=verbatim).items()]
+                    triple, verbatim=verbatim).items()]
         out[kind] = hashlib.sha256(
             json.dumps(rows).encode("ascii")).hexdigest()
     return out
